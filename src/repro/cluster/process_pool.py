@@ -175,47 +175,35 @@ def rebuild_spec_and_binary(
 ) -> tuple["AlgorithmSpec", "ExecutionBinary"]:
     """Recompile a UDF inside a worker process, exactly like the facade.
 
-    Mirrors :meth:`repro.core.DAnA.compile_udf` step for step (translate →
-    hardware generation → static schedule → binary), so the child's design,
-    Strider program and thread schedule — and therefore every
-    schedule-derived counter — are identical to the parent's.
+    Rebuilds the spec from its registry recipe and runs the same
+    :meth:`~repro.compiler.ExecutionBinary.compile` pipeline
+    :meth:`repro.core.DAnA.compile_udf` runs, so every schedule-derived
+    counter is identical to the parent's.
     """
-    from repro.compiler import ExecutionBinary, HardwareGenerator, Scheduler
-    from repro.translator import translate
+    from repro.compiler import ExecutionBinary
 
     spec = get_algorithm(algorithm).build_spec(
         n_features, hyperparameters, model_topology
     )
-    graph = translate(spec.algo)
-    generator = HardwareGenerator(
-        graph,
-        layout,
-        spec.schema,
-        fpga,
-        merge_coefficient=spec.algo.merge_coefficient,
-        n_tuples=max(1, int(n_tuples)),
-    )
-    design = generator.generate()
-    schedule = Scheduler(graph, design.acs_per_thread).schedule()
-    binary = ExecutionBinary.build(
-        udf_name=udf_name,
-        algorithm=spec.name,
-        design=design,
-        strider=generator.strider_compilation,
-        thread_schedule=schedule,
-        graph=graph,
-        metadata={"process_worker": True},
+    binary = ExecutionBinary.compile(
+        udf_name, spec, layout, fpga, n_tuples, metadata={"process_worker": True}
     )
     return spec, binary
 
 
-def segment_rng(seed: int, segments: int, segment_id: int) -> np.random.Generator:
-    """The exact per-segment generator the in-process strategies build."""
+def segment_rngs(seed: int, segments: int) -> list[np.random.Generator]:
+    """One generator per segment — the recipe every execution strategy shares.
+
+    A single segment draws from ``default_rng(seed)`` directly — the same
+    stream the single-engine path consumes — so ``segments=1`` stays
+    bit-exact even with ``shuffle=True``; more segments get independent
+    spawned streams.
+    """
     if segments == 1:
-        return np.random.default_rng(seed)
-    return np.random.default_rng(
-        np.random.SeedSequence(seed).spawn(segments)[segment_id]
-    )
+        return [np.random.default_rng(seed)]
+    return [
+        np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(segments)
+    ]
 
 
 # ---------------------------------------------------------------------- #
@@ -314,7 +302,7 @@ def _segment_child_main(
             segment_id=task.segment_id,
             accelerator=accelerator,
             partition=PagePartition(task.segment_id, task.page_nos),
-            rng=segment_rng(task.seed, task.segments, task.segment_id),
+            rng=segment_rngs(task.seed, task.segments)[task.segment_id],
         )
         images = [store.page(no) for no in task.page_nos]
         worker.extract_pages(
@@ -656,6 +644,7 @@ class ProcessSegmentPool:
         self,
         tasks: list[SegmentTask],
         handle: SharedPageStoreHandle,
+        worker_limit: int,
         retry: RetryPolicy | None = None,
         chaos: ChaosConfig | None = None,
         storage_sink: StorageStats | None = None,
@@ -667,9 +656,9 @@ class ProcessSegmentPool:
         self.ipc = IPCStats()
         self._merge_lock = threading.Lock()
         self.workers = [ProcessSegmentWorker(task, handle, self) for task in tasks]
-        #: concurrent dispatch width: ``min(segments, cpu count)``, so a
+        #: concurrent dispatch width (the plan's worker clamp), so a
         #: ``segments > cores`` run supervises at most one window per core.
-        self.worker_limit = min(len(self.workers), max(1, os.cpu_count() or 1))
+        self.worker_limit = worker_limit
         #: workers whose partitions hold at least one tuple (set by start).
         self.active: list[ProcessSegmentWorker] = []
         self._executor: ThreadPoolExecutor | None = None

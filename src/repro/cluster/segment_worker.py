@@ -113,6 +113,10 @@ class SegmentWorker:
         return self.accelerator.execution_engine
 
     @property
+    def engine_stats(self):
+        return self.engine.stats
+
+    @property
     def access_stats(self):
         return self.accelerator.access_engine.stats
 

@@ -46,7 +46,6 @@ The two strategies produce identical per-segment counters:
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -61,6 +60,7 @@ from repro.cluster.process_pool import (
     SegmentTask,
     builder_metadata,
     chaos_from_active_injector,
+    segment_rngs,
 )
 from repro.cluster.segment_worker import (
     SEGMENT_EPOCH_FAULT_SITE,
@@ -68,21 +68,19 @@ from repro.cluster.segment_worker import (
     run_stale_window,
 )
 from repro.runtime.shm import SharedPageStore
-from repro.exceptions import ConfigurationError
 from repro.reliability.faults import fault_point
-from repro.reliability.retry import RetryPolicy, RetryStats
+from repro.reliability.retry import RetryStats
 from repro.hw.access_engine import AccessEngineStats
 from repro.hw.accelerator import DAnAAccelerator
 from repro.hw.execution_engine import EngineRunStats, TrainingResult
 from repro.hw.fpga import DEFAULT_FPGA, FPGASpec
 from repro.hw.tree_bus import TreeBus, TreeBusStats
-from repro.runtime import EpochDriver, EpochStep, SyncPolicy, make_sync_policy
-from repro.translator.hdfg import NodeKind
-from repro.translator.tape import CompiledTape, TapeCompilationError
+from repro.runtime import EpochDriver, EpochStep
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.algorithms.base import AlgorithmSpec
     from repro.compiler.execution_binary import ExecutionBinary
+    from repro.core.plan import TrainPlan
     from repro.rdbms.database import Database
 
 EXECUTION_STRATEGIES = ("auto", "lockstep", "threads", "processes")
@@ -130,19 +128,19 @@ class ClusterStats:
     mode: str
     partition_strategy: str
     aggregation_strategy: str
+    #: synchronization policy of the run (see :mod:`repro.runtime`).
+    sync: str
+    staleness: int
     epochs_run: int = 0
     merges_performed: int = 0
     tree_bus: TreeBusStats = field(default_factory=TreeBusStats)
-    #: synchronization policy of the run (see :mod:`repro.runtime`).
-    sync: str = "bulk_synchronous"
-    staleness: int = 1
     #: True when extraction streamed through the double-buffer pipeline.
     stream: bool = False
     #: retry/fault counters of the run (all zero when fault-free).
     retry: RetryStats = field(default_factory=RetryStats)
     #: parent<->worker IPC volume (non-zero only for ``processes`` runs).
     ipc: IPCStats = field(default_factory=IPCStats)
-    #: concurrent fan-out width of the run: ``min(segments, cpu count)``
+    #: concurrent fan-out width of the run: ``worker_limit(segments)``
     #: (0 for lockstep, which runs all segments on one tape).
     worker_limit: int = 0
 
@@ -224,90 +222,33 @@ class ShardedDAnA:
         database: "Database",
         binary: "ExecutionBinary",
         spec: "AlgorithmSpec",
-        segments: int,
+        plan: "TrainPlan",
         fpga: FPGASpec = DEFAULT_FPGA,
-        partition_strategy: str = "round_robin",
-        aggregation: str | None = None,
-        execution: str = "auto",
-        seed: int = 0,
-        use_striders: bool = True,
-        sync: str | SyncPolicy = "bulk_synchronous",
-        staleness: int = 1,
-        stream: bool = True,
-        retry: RetryPolicy | None = None,
     ) -> None:
-        if segments < 1:
-            raise ConfigurationError("a sharded run needs at least one segment")
-        if execution not in EXECUTION_STRATEGIES:
-            raise ConfigurationError(
-                f"unknown execution strategy {execution!r}; "
-                f"expected one of {EXECUTION_STRATEGIES}"
-            )
+        """Bind one resolved sharded :class:`~repro.core.plan.TrainPlan`.
+
+        The plan already carries every decision (strategy, aggregation,
+        sync policy, effective stream, worker clamp); nothing is
+        re-validated or re-derived here.
+        """
         self.database = database
         self.binary = binary
         self.spec = spec
-        self.segments = segments
+        self.plan = plan
         self.fpga = fpga
-        self.seed = int(seed)
-        self.use_striders = use_striders
-        self.stream = stream
-        self.retry = retry
-        self.sync_policy = (
-            sync if isinstance(sync, SyncPolicy) else make_sync_policy(sync, staleness)
-        )
-        self.partitioner = Partitioner(partition_strategy, seed=seed)
-        self._row_addressed = any(
-            node.kind is NodeKind.GATHER for node in binary.graph.nodes()
-        )
-        self.aggregation_strategy = aggregation or (
-            "gradient_sum" if self._row_addressed else "average"
-        )
-        ModelAggregator(self.aggregation_strategy)  # fail fast on bad strategy
-        self.execution = execution
+        self.partitioner = Partitioner(plan.partition_strategy, seed=plan.seed)
         #: workers of the most recent :meth:`train` call (for introspection).
         self.workers: list[SegmentWorker] = []
-        # The segment-axis tape is compiled once per sharded run; graphs it
-        # cannot carry (gathers) fall back to per-segment execution.
-        self._segment_tape: CompiledTape | None = None
-        if (
-            segments > 1
-            and spec.bind_batch is not None
-            and execution not in ("threads", "processes")
-        ):
-            try:
-                self._segment_tape = CompiledTape(binary.graph, segment_axis=True)
-            except TapeCompilationError:
-                self._segment_tape = None
-        if execution == "lockstep" and self._segment_tape is None:
-            raise ConfigurationError(
-                "lockstep execution requires a merge-based graph with a batch "
-                "binder and at least two segments"
-            )
-        if execution == "processes":
-            # Fail fast in the parent: worker processes rebuild the spec
-            # from its registry recipe, which hand-written specs lack.
-            builder_metadata(spec)
 
     # ------------------------------------------------------------------ #
     # public API
     # ------------------------------------------------------------------ #
-    @property
-    def mode(self) -> str:
-        if self.execution == "processes":
-            return "processes"
-        return "lockstep" if self._segment_tape is not None else "threads"
-
-    def train(
-        self,
-        table_name: str,
-        epochs: int,
-        shuffle: bool = False,
-        convergence_check: bool = True,
-    ) -> ShardedRunResult:
-        """Run sync-policy-scheduled epochs over streaming partition sources."""
-        if self.execution == "processes":
-            return self._train_processes(table_name, epochs, shuffle, convergence_check)
-        heapfile = self.database.table(table_name)
+    def train(self, convergence_check: bool = True) -> ShardedRunResult:
+        """Run the plan's sync-policy-scheduled epochs over its table."""
+        plan = self.plan
+        if plan.execution == "processes":
+            return self._train_processes(convergence_check)
+        heapfile = self.database.table(plan.table)
         pool = self.database.buffer_pool
         # Pin the whole run to the heap as of this LSN: partitioning and
         # every segment's page pulls use the snapshot, so concurrent
@@ -316,79 +257,46 @@ class ShardedDAnA:
         # One accelerator per segment, all generated from the same compiled
         # binary (same design, same Strider program, same schedule).  Fresh
         # instances per run keep per-segment counters clean, and re-deriving
-        # the spawned seeds makes repeated runs bit-identical.  A single
-        # segment draws from default_rng(seed) directly — the same stream
-        # the single-engine path consumes — so segments=1 stays bit-exact
-        # even with shuffle=True.
-        if self.segments == 1:
-            rngs = [np.random.default_rng(self.seed)]
-        else:
-            rngs = [
-                np.random.default_rng(s)
-                for s in np.random.SeedSequence(self.seed).spawn(self.segments)
-            ]
+        # the per-segment generators (the recipe worker processes share)
+        # makes repeated runs bit-identical.
+        parts = self.partitioner.partition_table(
+            self.database, plan.table, plan.segments, as_of_lsn=as_of
+        )
         self.workers = [
             SegmentWorker(
-                segment_id=i,
+                segment_id=part.segment_id,
                 accelerator=DAnAAccelerator(
                     binary=self.binary, schema=self.spec.schema, fpga=self.fpga
                 ),
                 partition=part,
-                rng=rngs[i],
+                rng=rng,
             )
-            for i, part in enumerate(
-                self.partitioner.partition_table(
-                    self.database, table_name, self.segments, as_of_lsn=as_of
-                )
-            )
+            for part, rng in zip(parts, segment_rngs(plan.seed, plan.segments))
         ]
         for worker in self.workers:
-            if self.stream:
+            if plan.stream:
                 # Streaming: every segment's Strider walk starts now, on its
                 # own producer thread; the first epoch consumes batches as
                 # pages decode instead of waiting for full materialisation.
                 worker.open_source(
                     heapfile,
                     pool,
-                    use_striders=self.use_striders,
-                    retry=self.retry,
+                    use_striders=plan.use_striders,
+                    retry=plan.retry,
                     as_of_lsn=as_of,
                 )
             else:
                 worker.extract(
-                    heapfile, pool, use_striders=self.use_striders, as_of_lsn=as_of
+                    heapfile, pool, use_striders=plan.use_striders, as_of_lsn=as_of
                 )
-        # Fresh cluster bus + aggregator per run so counters describe this
-        # run only (the aggregator books every cross-segment merge on it).
-        self.cluster_bus = TreeBus(alu_count=self.binary.design.aus_per_cluster)
-        self.aggregator = ModelAggregator(
-            self.aggregation_strategy, tree_bus=self.cluster_bus
-        )
-        cluster = ClusterStats(
-            segments=self.segments,
-            mode=self.mode,
-            partition_strategy=self.partitioner.strategy,
-            aggregation_strategy=self.aggregator.strategy,
-            tree_bus=self.cluster_bus.stats,
-            sync=self.sync_policy.name,
-            staleness=self.sync_policy.staleness,
-            stream=self.stream,
-            worker_limit=(
-                0
-                if self.mode == "lockstep"
-                else min(self.segments, max(1, os.cpu_count() or 1))
-            ),
-        )
-        if self.mode == "lockstep":
-            step: EpochStep = _LockstepStep(self, shuffle, convergence_check)
+        cluster, models = self._begin_run()
+        if plan.execution == "lockstep":
+            step: EpochStep = _LockstepStep(self, plan.shuffle, convergence_check)
         else:
-            step = _ThreadsStep(self, shuffle, convergence_check)
-        driver = EpochDriver(step, self.sync_policy, convergence_check)
-        models = {
-            k: np.array(v, dtype=np.float64) for k, v in self.spec.initial_models.items()
-        }
+            step = _ThreadsStep(self, plan.shuffle, convergence_check)
+        driver = EpochDriver(step, plan.sync_policy, convergence_check)
         try:
-            result = driver.run(models, epochs)
+            result = driver.run(models, plan.epochs)
         except BaseException:
             # Error path: release producer threads still blocked on their
             # bounded queues (successful runs drain every source instead).
@@ -398,8 +306,6 @@ class ShardedDAnA:
             raise
         finally:
             step.finish()
-        cluster.epochs_run = result.epochs_run
-        cluster.merges_performed = result.merges_performed
         # Fold every recovery the run performed into one counter set:
         # per-worker window retries, producer restarts, lockstep retries.
         for worker in self.workers:
@@ -409,32 +315,9 @@ class ShardedDAnA:
         step_stats = getattr(step, "retry_stats", None)
         if step_stats is not None:
             cluster.retry.merge(step_stats)
-        reports = [
-            SegmentReport(
-                segment_id=w.segment_id,
-                pages=len(w.partition),
-                tuples_extracted=w.tuples_extracted,
-                engine_stats=w.engine.stats,
-                access_stats=w.access_stats,
-            )
-            for w in self.workers
-        ]
-        return ShardedRunResult(
-            models=result.models,
-            epochs_run=result.epochs_run,
-            converged=result.converged,
-            segments=reports,
-            cluster=cluster,
-            snapshot_lsn=as_of,
-        )
+        return self._finish_run(result, cluster, self.workers, as_of)
 
-    def _train_processes(
-        self,
-        table_name: str,
-        epochs: int,
-        shuffle: bool,
-        convergence_check: bool,
-    ) -> ShardedRunResult:
+    def _train_processes(self, convergence_check: bool) -> ShardedRunResult:
         """Train with one worker *process* per segment over shared pages.
 
         The table's page images are exported once into a
@@ -446,25 +329,17 @@ class ShardedDAnA:
         + :class:`~repro.runtime.SyncPolicy` loop as the in-process
         strategies — which (with the shared per-segment RNG recipe) is what
         makes the three strategies bit-identical.  Workers always
-        materialise their partitions (no cross-process streaming), so
-        ``stream`` is recorded as ``False`` for these runs.
+        materialise their partitions (no cross-process streaming), which is
+        why the plan resolves ``stream`` to ``False`` for these runs.
         """
-        heapfile = self.database.table(table_name)
+        plan = self.plan
+        heapfile = self.database.table(plan.table)
         pool = self.database.buffer_pool
         builder = builder_metadata(self.spec)
-        table_entry = self.database.catalog.table(table_name)
         as_of = self.database.wal.current_lsn
-        # Children rebuild the accelerator design from n_tuples; it must be
-        # the count the parent's binary was *compiled* with (recorded in the
-        # binary metadata), not the live catalog count — a table that grew
-        # since compile would otherwise rebuild a different design and break
-        # counter bit-identity with the threads strategy.
-        design_tuples = int(
-            self.binary.metadata.get("n_tuples", max(1, table_entry.tuple_count))
-        )
         parts = list(
             self.partitioner.partition_table(
-                self.database, table_name, self.segments, as_of_lsn=as_of
+                self.database, plan.table, plan.segments, as_of_lsn=as_of
             )
         )
         tasks = [
@@ -477,73 +352,91 @@ class ShardedDAnA:
                 hyperparameters=self.spec.hyperparameters,
                 layout=heapfile.layout,
                 fpga=self.fpga,
-                n_tuples=design_tuples,
+                # The count the parent's binary was *compiled* for, not the
+                # live catalog count: a table that grew since compile would
+                # rebuild a different design and break counter bit-identity
+                # with the threads strategy.
+                n_tuples=self.binary.metadata["n_tuples"],
                 page_nos=tuple(part.page_nos),
-                seed=self.seed,
-                segments=self.segments,
-                use_striders=self.use_striders,
-                shuffle=shuffle,
-                retry=self.retry,
+                seed=plan.seed,
+                segments=plan.segments,
+                use_striders=plan.use_striders,
+                shuffle=plan.shuffle,
+                retry=plan.retry,
             )
             for i, part in enumerate(parts)
         ]
         self.workers = []  # in-process workers exist only in children
-        self.cluster_bus = TreeBus(alu_count=self.binary.design.aus_per_cluster)
-        self.aggregator = ModelAggregator(
-            self.aggregation_strategy, tree_bus=self.cluster_bus
-        )
+        cluster, models = self._begin_run()
         store = SharedPageStore.from_heapfile(heapfile, pool, as_of_lsn=as_of)
         process_pool = ProcessSegmentPool(
             tasks,
             store.handle(),
-            retry=self.retry,
+            worker_limit=plan.workers,
+            retry=plan.retry,
             chaos=chaos_from_active_injector(),
             storage_sink=self.database.storage.stats,
         )
-        cluster = ClusterStats(
-            segments=self.segments,
-            mode="processes",
-            partition_strategy=self.partitioner.strategy,
-            aggregation_strategy=self.aggregator.strategy,
-            tree_bus=self.cluster_bus.stats,
-            sync=self.sync_policy.name,
-            staleness=self.sync_policy.staleness,
-            stream=False,
-            ipc=process_pool.ipc,
-            worker_limit=process_pool.worker_limit,
-        )
-        models = {
-            k: np.array(v, dtype=np.float64) for k, v in self.spec.initial_models.items()
-        }
+        cluster.ipc = process_pool.ipc
         try:
             process_pool.start()
             step = _ProcessesStep(self, process_pool, convergence_check)
-            driver = EpochDriver(step, self.sync_policy, convergence_check)
-            result = driver.run(models, epochs)
+            driver = EpochDriver(step, plan.sync_policy, convergence_check)
+            result = driver.run(models, plan.epochs)
         finally:
             process_pool.shutdown()
             store.close()
             store.unlink()
-        cluster.epochs_run = result.epochs_run
-        cluster.merges_performed = result.merges_performed
         for worker in process_pool.workers:
             cluster.retry.merge(worker.child_retry_stats)
             cluster.retry.merge(worker.supervision_retry_stats)
-        reports = [
-            SegmentReport(
-                segment_id=w.segment_id,
-                pages=len(w.partition),
-                tuples_extracted=w.tuples_extracted,
-                engine_stats=w.engine_stats,
-                access_stats=w.access_stats,
-            )
-            for w in process_pool.workers
-        ]
+        return self._finish_run(result, cluster, process_pool.workers, as_of)
+
+    def _begin_run(self) -> tuple[ClusterStats, dict[str, np.ndarray]]:
+        """Per-run state: the cluster report (seeded from the plan's knobs)
+        and a fresh copy of the initial models.  Bus + aggregator are
+        rebuilt per run so their counters describe this run only.
+        """
+        plan = self.plan
+        self.cluster_bus = TreeBus(alu_count=self.binary.design.aus_per_cluster)
+        self.aggregator = ModelAggregator(plan.aggregation, tree_bus=self.cluster_bus)
+        cluster = ClusterStats(
+            segments=plan.segments,
+            mode=plan.execution,
+            partition_strategy=plan.partition_strategy,
+            aggregation_strategy=plan.aggregation,
+            tree_bus=self.cluster_bus.stats,
+            sync=plan.sync,
+            staleness=plan.staleness,
+            stream=plan.stream,
+            worker_limit=plan.workers,
+        )
+        models = {
+            k: np.array(v, dtype=np.float64) for k, v in self.spec.initial_models.items()
+        }
+        return cluster, models
+
+    @staticmethod
+    def _finish_run(
+        result, cluster: ClusterStats, workers, as_of: int
+    ) -> ShardedRunResult:
+        """Fold the driver's outcome and every worker's counters into the result."""
+        cluster.epochs_run = result.epochs_run
+        cluster.merges_performed = result.merges_performed
         return ShardedRunResult(
             models=result.models,
             epochs_run=result.epochs_run,
             converged=result.converged,
-            segments=reports,
+            segments=[
+                SegmentReport(
+                    segment_id=w.segment_id,
+                    pages=len(w.partition),
+                    tuples_extracted=w.tuples_extracted,
+                    engine_stats=w.engine_stats,
+                    access_stats=w.access_stats,
+                )
+                for w in workers
+            ],
             cluster=cluster,
             snapshot_lsn=as_of,
         )
@@ -628,10 +521,10 @@ class _ThreadsStep(EpochStep):
         self.aggregator = sharded.aggregator
         self.shuffle = shuffle
         self.convergence_check = convergence_check
-        self.retry = sharded.retry
+        self.retry = sharded.plan.retry
         self.workers = [w for w in sharded.workers if w.has_rows()]
         self.executor: ThreadPoolExecutor | None = None
-        max_workers = min(sharded.segments, max(1, os.cpu_count() or 1))
+        max_workers = sharded.plan.workers
         if max_workers > 1 and len(self.workers) > 1:
             # NumPy kernels release the GIL, so per-segment windows run
             # with real wall-clock overlap on multicore hosts; one
@@ -711,16 +604,16 @@ class _LockstepStep(EpochStep):
     def __init__(
         self, sharded: ShardedDAnA, shuffle: bool, convergence_check: bool
     ) -> None:
-        self.tape = sharded._segment_tape
+        self.tape = sharded.binary.segment_tape
         self.bind_batch = sharded.spec.bind_batch
         self.aggregator = sharded.aggregator
         self.shuffle = shuffle
         self.convergence_check = convergence_check
-        self.retry = sharded.retry
+        self.retry = sharded.plan.retry
         self.retry_stats = RetryStats()
         self.workers = [w for w in sharded.workers if w.has_rows()]
         self.batch_size = sharded.workers[0].engine.batch_size
-        self.streaming = sharded.stream
+        self.streaming = sharded.plan.stream
         #: cached (epoch_rows, steps, block) of the static shuffle=False
         #: epoch — stacked once, reused every epoch (satellite: no
         #: re-trimming / re-stacking of identical blocks).

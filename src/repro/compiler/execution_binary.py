@@ -8,12 +8,20 @@ calls for the corresponding UDF." (paper §6.2)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from functools import cached_property
+from typing import TYPE_CHECKING, Any
 
-from repro.compiler.hardware_generator import AcceleratorDesign
-from repro.compiler.scheduler import ThreadSchedule
+from repro.compiler.hardware_generator import AcceleratorDesign, HardwareGenerator
+from repro.compiler.scheduler import Scheduler, ThreadSchedule
 from repro.compiler.strider_compiler import StriderCompilationResult
 from repro.translator.hdfg import HDFG, NodeKind
+from repro.translator.tape import CompiledTape, TapeCompilationError
+from repro.translator.translate import translate
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.algorithms.base import AlgorithmSpec
+    from repro.hw.fpga import FPGASpec
+    from repro.rdbms.page import PageLayout
 
 
 @dataclass
@@ -73,6 +81,46 @@ class ExecutionBinary:
             metadata=dict(metadata or {}),
         )
 
+    @classmethod
+    def compile(
+        cls,
+        udf_name: str,
+        spec: "AlgorithmSpec",
+        layout: "PageLayout",
+        fpga: "FPGASpec",
+        n_tuples: int,
+        metadata: dict[str, Any] | None = None,
+    ) -> "ExecutionBinary":
+        """Compile a spec end to end: translate → hardware generation →
+        static schedule → binary.
+
+        The one compile pipeline: the facade's per-table compile cache and
+        the worker processes' in-child rebuild both call it, so a child's
+        design and schedules — and every schedule-derived counter — are the
+        parent's by construction.  ``n_tuples`` (the count the design is
+        sized for) is recorded in the metadata: rebuilds must reuse it, not
+        the live catalog count, which drifts once tables are mutable.
+        """
+        graph = translate(spec.algo)
+        generator = HardwareGenerator(
+            graph,
+            layout,
+            spec.schema,
+            fpga,
+            merge_coefficient=spec.algo.merge_coefficient,
+            n_tuples=n_tuples,
+        )
+        design = generator.generate()
+        return cls.build(
+            udf_name=udf_name,
+            algorithm=spec.name,
+            design=design,
+            strider=generator.strider_compilation,
+            thread_schedule=Scheduler(graph, design.acs_per_thread).schedule(),
+            graph=graph,
+            metadata={**(metadata or {}), "n_tuples": n_tuples},
+        )
+
     # ------------------------------------------------------------------ #
     # summary accessors used by reports and tests
     # ------------------------------------------------------------------ #
@@ -87,6 +135,20 @@ class ExecutionBinary:
     @property
     def instruction_footprint(self) -> int:
         return self.thread_schedule.program.instruction_footprint()
+
+    @cached_property
+    def segment_tape(self) -> CompiledTape | None:
+        """The segment-axis tape lock-step sharded runs execute, or ``None``.
+
+        Compiled on first use and kept with the binary (a tape is immutable
+        once compiled, so every run — and the planner deciding whether a
+        run *can* go lock-step — shares it).  ``None`` when the graph's
+        lowering cannot carry a segment axis; such graphs train per segment.
+        """
+        try:
+            return CompiledTape(self.graph, segment_axis=True)
+        except TapeCompilationError:
+            return None
 
     def describe(self) -> dict[str, Any]:
         return {

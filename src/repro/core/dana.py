@@ -24,56 +24,31 @@ simulated accelerator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from repro.algorithms import Hyperparameters, get_algorithm
 from repro.algorithms.base import AlgorithmSpec
-from repro.cluster import (
-    AGGREGATION_STRATEGIES,
-    EXECUTION_STRATEGIES,
-    PARTITION_STRATEGIES,
-    Partitioner,
-    ShardedDAnA,
-    ShardedRunResult,
-)
-from repro.compiler import ExecutionBinary, HardwareGenerator, Scheduler
-from repro.exceptions import ConfigurationError, QueryError
+from repro.cluster import ShardedDAnA, ShardedRunResult
+from repro.compiler import ExecutionBinary
+from repro.core.plan import ScorePlan, TrainPlan, resolve_batching
+from repro.core.sql_runtime import SqlRuntime
+from repro.exceptions import ConfigurationError
 from repro.hw import DAnAAccelerator, DEFAULT_FPGA, FPGASpec
 from repro.hw.accelerator import AcceleratorRunResult
 from repro.obs.recorder import RunRecorder
 from repro.obs.telemetry import telemetry
-from repro.perf import (
-    ScoreRunCost,
-    page_tuple_counts,
-    predict_score_cost,
-    predict_train_cost,
-    worker_limit,
-)
 from repro.rdbms import AcceleratorEntry, Database, ModelEntry
+from repro.rdbms.query import QueryResult
 from repro.reliability import RetryPolicy
-from repro.rdbms.explain import PlanOperator, filter_limit_ops
-from repro.rdbms.query import (
-    CreateModel,
-    PredictScan,
-    QueryResult,
-    ScoreCall,
-    UDFCall,
-    matches_row,
-)
-from repro.runtime import SYNC_POLICIES
 from repro.serving import (
-    DEFAULT_SCORE_BATCH,
     InferencePlan,
     ModelRegistry,
     PredictionServer,
-    SCORING_EXECUTION_STRATEGIES,
-    SERVING_PATHS,
     ScanScorer,
     ScoreResult,
 )
-from repro.translator import translate
 
 
 @dataclass
@@ -132,8 +107,9 @@ class DAnA:
 
         Args:
             database: the host RDBMS; the system attaches itself as the
-                database's serving runtime, so SQL prediction and
-                ``CREATE MODEL`` statements route here.
+                database's serving runtime (a
+                :class:`~repro.core.sql_runtime.SqlRuntime`), so SQL
+                prediction and ``CREATE MODEL`` statements route here.
             fpga: the target FPGA specification for generated accelerators.
             use_striders: when False, tuples are extracted by the CPU-side
                 page decode instead of the simulated Strider walk.
@@ -152,7 +128,8 @@ class DAnA:
             RunRecorder(database) if record_runs else None
         )
         self._udfs: dict[str, RegisteredUDF] = {}
-        database.attach_serving_runtime(self)
+        self.sql = SqlRuntime(self)
+        database.attach_serving_runtime(self.sql)
 
     def enable_run_recording(self) -> RunRecorder:
         """Turn on run recording for this system; returns the recorder."""
@@ -173,7 +150,7 @@ class DAnA:
         self._udfs[udf_name] = registered
 
         def handler(db: Database, table_name: str) -> QueryResult:
-            return self._execute_udf(registered, table_name)
+            return self.sql.udf_call(udf_name, table_name)
 
         self.database.register_udf(udf_name, handler)
         return registered
@@ -206,31 +183,13 @@ class DAnA:
             return registered.binaries[table_name]
         spec = registered.spec
         table_entry = self.database.catalog.table(table_name)
-        graph = translate(spec.algo)
-        generator = HardwareGenerator(
-            graph,
+        binary = ExecutionBinary.compile(
+            udf_name,
+            spec,
             table_entry.layout,
-            spec.schema,
             self.fpga,
-            merge_coefficient=spec.algo.merge_coefficient,
             n_tuples=max(1, table_entry.tuple_count),
-        )
-        design = generator.generate()
-        schedule = Scheduler(graph, design.acs_per_thread).schedule()
-        binary = ExecutionBinary.build(
-            udf_name=udf_name,
-            algorithm=spec.name,
-            design=design,
-            strider=generator.strider_compilation,
-            thread_schedule=schedule,
-            graph=graph,
-            # n_tuples records the count the design was sized for: worker
-            # processes rebuild the design from it, and it must not drift
-            # with the live catalog count once tables are mutable.
-            metadata={
-                "table": table_name,
-                "n_tuples": max(1, table_entry.tuple_count),
-            },
+            metadata={"table": table_name},
         )
         registered.binaries[table_name] = binary
         registered.accelerators[table_name] = DAnAAccelerator(
@@ -241,7 +200,7 @@ class DAnA:
             AcceleratorEntry(
                 udf_name=udf_name,
                 algorithm=spec.name,
-                design=design,
+                design=binary.design,
                 strider_program=binary.strider.program,
                 execution_schedule=binary.thread_schedule.program,
                 metadata=binary.describe(),
@@ -305,62 +264,25 @@ class DAnA:
         Training rejects ``degradation="redistribute"`` (reassigning a
         failed segment's pages would change the merge schedule).
         """
-        _validate_train_config(
+        registered = self._registered(udf_name)
+        plan = TrainPlan.resolve(
+            registered,
+            table_name,
+            self.compile_udf(udf_name, table_name),
+            use_striders=self.use_striders,
             epochs=epochs,
             segments=segments,
             partition_strategy=partition_strategy,
             aggregation=aggregation,
             execution=execution,
+            shuffle=shuffle,
+            seed=seed,
             sync=sync,
             staleness=staleness,
+            stream=stream,
+            retry=retry,
         )
-        _validate_retry(retry, allow_redistribute=False)
-        registered = self._registered(udf_name)
-        recorder = self.run_recorder
-        watch = recorder.begin() if recorder is not None else None
-        if segments is None:
-            result = self._run_accelerator(
-                registered, table_name, epochs, shuffle=shuffle, seed=seed,
-                stream=stream, retry=retry,
-            )
-        else:
-            result = self._run_sharded(
-                registered,
-                table_name,
-                epochs,
-                segments=segments,
-                partition_strategy=partition_strategy,
-                aggregation=aggregation,
-                execution=execution,
-                shuffle=shuffle,
-                seed=seed,
-                sync=sync,
-                staleness=staleness,
-                stream=stream,
-                retry=retry,
-            )
-        if recorder is not None:
-            recorder.record_train(
-                udf=udf_name,
-                table=table_name,
-                config={
-                    "epochs": epochs,
-                    "segments": segments,
-                    "partition_strategy": partition_strategy,
-                    "aggregation": aggregation,
-                    "execution": execution,
-                    "shuffle": shuffle,
-                    "seed": seed,
-                    "sync": sync,
-                    "staleness": staleness,
-                    "stream": stream,
-                    "retry": retry is not None,
-                },
-                result=result,
-                watch=watch,
-                algorithm=registered.spec.name,
-            )
-        return result
+        return self._train(plan)
 
     # ------------------------------------------------------------------ #
     # prediction serving
@@ -438,15 +360,8 @@ class DAnA:
         on the old version, later ones score with the refreshed model.
         """
         models, entry = self.registry.load(model_name, version)
-        udf_name = entry.metadata.get("udf", "")
-        if udf_name not in self._udfs:
-            raise ConfigurationError(
-                f"saved model {model_name!r} v{entry.version} was trained by "
-                f"UDF {udf_name!r}, which is not registered with this DAnA "
-                f"system; registered UDFs: {self.registered_udfs()}"
-            )
-        registered = self._udfs[udf_name]
-        spec = registered.spec
+        registered = self._udf_for_model(entry)
+        udf_name, spec = registered.name, registered.spec
         resolved_table = table_name or entry.metadata.get("trained_on", "")
         if not resolved_table:
             raise ConfigurationError(
@@ -486,41 +401,29 @@ class DAnA:
             )
         recorder = self.run_recorder
         watch = recorder.begin() if recorder is not None else None
-        binary = self.compile_udf(udf_name, resolved_table)
-        # Fresh engines on the cached binary: engine counters accumulate
-        # per instance, and a refresh's cost must be its own (the bench
-        # gate checks it scales with the delta, not the table).
-        accelerator = DAnAAccelerator(
-            binary=binary, schema=spec.schema, fpga=self.fpga
-        )
-        run_epochs = epochs or registered.epochs or spec.algo.convergence.epoch_bound
-        pool = self.database.buffer_pool
         try:
-            if self.use_striders:
-                page_images = (
-                    image
-                    for _no, image in heapfile.scan_pages(
-                        pool, new_pages, as_of_lsn=as_of
-                    )
-                )
-                run = accelerator.train_from_pages(
-                    page_images,
-                    initial_models=models,
-                    bind_tuple=spec.bind_tuple,
-                    epochs=run_epochs,
-                    bind_batch=spec.bind_batch,
-                    stream=stream,
-                    retry=retry,
-                )
-            else:
-                run = accelerator.train_from_rows(
-                    heapfile.read_pages(pool, new_pages, as_of_lsn=as_of),
-                    initial_models=models,
-                    bind_tuple=spec.bind_tuple,
-                    epochs=run_epochs,
-                    bind_batch=spec.bind_batch,
-                )
-            run.snapshot_lsn = as_of
+            binary = self.compile_udf(udf_name, resolved_table)
+            plan = TrainPlan.resolve(
+                registered,
+                resolved_table,
+                binary,
+                use_striders=self.use_striders,
+                epochs=epochs,
+                stream=stream,
+                retry=retry,
+            )
+            # Fresh engines on the cached binary: engine counters accumulate
+            # per instance, and a refresh's cost must be its own (the bench
+            # gate checks it scales with the delta, not the table).
+            run = self._train_single(
+                plan,
+                accelerator=DAnAAccelerator(
+                    binary=binary, schema=spec.schema, fpga=self.fpga
+                ),
+                initial_models=models,
+                page_nos=new_pages,
+                as_of=as_of,
+            )
             new_entry = self.save_model(
                 model_name,
                 udf_name,
@@ -541,22 +444,19 @@ class DAnA:
         if server is not None:
             server.reload(version=new_entry.version)
         if recorder is not None:
-            recorder.record_refresh(
-                model_name=model_name,
-                table=resolved_table,
-                config={
+            recorder.record_train(
+                plan,
+                run,
+                watch,
+                kind="refresh",
+                label=model_name,
+                extra_config={
                     "from_version": entry.version,
                     "watermark": watermark,
                     "snapshot_lsn": as_of,
                     "pages": len(new_pages),
-                    "epochs": epochs,
-                    "stream": stream,
-                    "retry": retry is not None,
-                    "use_striders": self.use_striders,
                 },
-                result=run,
-                watch=watch,
-                algorithm=spec.name,
+                model_name=model_name,
                 model_version=new_entry.version,
             )
         return RefreshResult(
@@ -588,7 +488,7 @@ class DAnA:
         ``rows`` is a ``(B, columns)`` block — a trailing label column is
         ignored — or a single 1-D feature row, which returns a scalar.
         """
-        _validate_serving_config(path=path, batch_size=batch_size)
+        batch_size = resolve_batching(path, batch_size)
         registered = self._registered(udf_name)
         resolved, _entry = self._resolve_models(
             registered.spec, models, model_name, version
@@ -645,35 +545,11 @@ class DAnA:
         thread — bit-identical predictions and counters, real-core overlap
         (see :mod:`repro.cluster.process_pool`).
         """
-        _validate_serving_config(
-            path=path,
-            batch_size=batch_size,
-            segments=segments,
-            partition_strategy=partition_strategy,
-            stream=stream,
-            execution=execution,
-        )
-        _validate_retry(retry)
-        registered = self._registered(udf_name)
-        binary = self.compile_udf(udf_name, table_name)
-        resolved, entry = self._resolve_models(
-            registered.spec, models, model_name, version
-        )
-        plan = self._inference_plan(registered, table_name)
-        scorer = ScanScorer(
-            database=self.database,
-            binary=binary,
-            spec=registered.spec,
-            plan=plan,
-            fpga=self.fpga,
-            use_striders=self.use_striders,
-        )
-        recorder = self.run_recorder
-        watch = recorder.begin() if recorder is not None else None
-        result = scorer.score_table(
+        plan = ScorePlan.resolve(
+            self._registered(udf_name),
             table_name,
-            resolved,
-            segments=segments or 1,
+            use_striders=self.use_striders,
+            segments=segments,
             path=path,
             batch_size=batch_size,
             partition_strategy=partition_strategy,
@@ -682,27 +558,7 @@ class DAnA:
             retry=retry,
             execution=execution,
         )
-        if recorder is not None:
-            recorder.record_score(
-                table=table_name,
-                config={
-                    "udf": udf_name,
-                    "segments": segments,
-                    "path": path,
-                    "batch_size": batch_size,
-                    "partition_strategy": partition_strategy,
-                    "seed": seed,
-                    "stream": stream,
-                    "retry": retry is not None,
-                    "execution": execution,
-                },
-                result=result,
-                watch=watch,
-                algorithm=registered.spec.name,
-                model_name=entry.name if entry is not None else "",
-                model_version=entry.version if entry is not None else None,
-            )
-        return result
+        return self._score(plan, models, model_name, version)
 
     def serve(
         self,
@@ -760,666 +616,6 @@ class DAnA:
         )
 
     # ------------------------------------------------------------------ #
-    # SQL serving surface (repro.rdbms.query.ServingRuntime)
-    # ------------------------------------------------------------------ #
-    def sql_predict(self, plan: PredictScan) -> QueryResult:
-        """Execute ``SELECT dana.predict('<model>', ...) FROM <table>``.
-
-        The whole table is scan-and-scored through :meth:`score_table`
-        (bulk Strider page walk + batched inference tape, predictions
-        bit-identical to the Python API), then the WHERE predicates and
-        LIMIT select which predictions are returned, in storage order.
-
-        Args:
-            plan: the parsed :class:`~repro.rdbms.query.PredictScan` node.
-
-        Returns:
-            One row per qualifying tuple; the single column is named by the
-            statement's ``AS`` alias (default ``prediction``).  ``payload``
-            carries the underlying :class:`~repro.serving.ScoreResult`.
-
-        Raises:
-            QueryError: when the model, its training UDF or the table is
-                missing (semantic errors of the statement).
-        """
-        entry = self._sql_model_entry(plan.model_name, plan.version)
-        udf_name = self._sql_udf_for_model(entry)
-        if not self.database.catalog.has_table(plan.table_name):
-            raise QueryError(f"table {plan.table_name!r} does not exist")
-        result = self.score_table(
-            udf_name,
-            plan.table_name,
-            model_name=entry.name,
-            version=entry.version,
-        )
-        predictions = result.predictions
-        if plan.where:
-            # Evaluate WHERE over the same snapshot the scoring run scanned,
-            # so the mask stays aligned with the predictions even when
-            # inserts landed while the statement was scoring.
-            table = self.database.table(plan.table_name)
-            mask = np.fromiter(
-                (
-                    matches_row(table.schema, row, plan.where)
-                    for row in table.scan_tuples(
-                        self.database.buffer_pool, as_of_lsn=result.snapshot_lsn
-                    )
-                ),
-                dtype=bool,
-                count=len(predictions),
-            )
-            predictions = predictions[mask]
-        if plan.limit is not None:
-            predictions = predictions[: plan.limit]
-        return QueryResult(
-            rows=[(_sql_value(p),) for p in predictions],
-            columns=(plan.alias or "prediction",),
-            payload=result,
-            stats=self._sql_score_stats(entry, result),
-        )
-
-    def sql_score(self, plan: ScoreCall) -> QueryResult:
-        """Execute ``SELECT * FROM dana.score('<model>', '<table>', ...)``.
-
-        Args:
-            plan: the parsed :class:`~repro.rdbms.query.ScoreCall` node;
-                its ``segments`` / ``batch_size`` / ``stream`` kwargs map
-                straight onto :meth:`score_table`.
-
-        Returns:
-            One ``prediction`` row per scored tuple (storage order),
-            truncated by LIMIT; ``payload`` carries the
-            :class:`~repro.serving.ScoreResult`.
-
-        Raises:
-            QueryError: when the model, its training UDF or the table is
-                missing.
-        """
-        entry = self._sql_model_entry(plan.model_name, plan.version)
-        udf_name = self._sql_udf_for_model(entry)
-        if not self.database.catalog.has_table(plan.table_name):
-            raise QueryError(f"table {plan.table_name!r} does not exist")
-        try:
-            result = self.score_table(
-                udf_name,
-                plan.table_name,
-                model_name=entry.name,
-                version=entry.version,
-                segments=plan.segments,
-                batch_size=plan.batch_size,
-                stream=True if plan.stream is None else plan.stream,
-                execution=plan.execution or "threads",
-            )
-        except ConfigurationError as error:
-            raise QueryError(f"dana.score arguments are invalid: {error}") from None
-        predictions = result.predictions
-        if plan.limit is not None:
-            predictions = predictions[: plan.limit]
-        return QueryResult(
-            rows=[(_sql_value(p),) for p in predictions],
-            columns=("prediction",),
-            payload=result,
-            stats=self._sql_score_stats(entry, result),
-        )
-
-    def sql_create_model(self, plan: CreateModel) -> QueryResult:
-        """Execute ``CREATE MODEL <name> AS TRAIN <udf> ON <table>``.
-
-        Runs :meth:`train` with the statement's ``WITH (...)`` options and
-        persists the result through :meth:`save_model` (a new version of
-        ``plan.model_name``).
-
-        Args:
-            plan: the parsed :class:`~repro.rdbms.query.CreateModel` node.
-
-        Returns:
-            One summary row ``(model, version, algorithm, epochs_run)``;
-            ``payload`` carries the new
-            :class:`~repro.rdbms.catalog.ModelEntry`.
-
-        Raises:
-            QueryError: for unknown UDFs/tables, unknown WITH options, or
-                option values :meth:`train` rejects.
-        """
-        if plan.udf_name not in self._udfs:
-            raise QueryError(
-                f"UDF {plan.udf_name!r} is not registered; registered UDFs: "
-                f"{self.registered_udfs()}"
-            )
-        if not self.database.catalog.has_table(plan.table_name):
-            raise QueryError(f"table {plan.table_name!r} does not exist")
-        options = self._sql_train_options(plan.options)
-        try:
-            run = self.train(plan.udf_name, plan.table_name, **options)
-        except ConfigurationError as error:
-            raise QueryError(f"CREATE MODEL options are invalid: {error}") from None
-        epochs_run = getattr(run, "epochs_run", None)
-        if epochs_run is None:
-            epochs_run = run.training.epochs_run
-        entry = self.save_model(
-            plan.model_name,
-            plan.udf_name,
-            run.models,
-            metadata={"trained_on": plan.table_name, "sql_options": dict(options)},
-            watermark=getattr(run, "snapshot_lsn", 0),
-        )
-        return QueryResult(
-            rows=[(entry.name, entry.version, entry.algorithm, epochs_run)],
-            columns=("model", "version", "algorithm", "epochs_run"),
-            payload=entry,
-            stats={"table": plan.table_name, "udf": plan.udf_name},
-        )
-
-    def sql_explain(self, plan: Any) -> PlanOperator:
-        """Build the ``EXPLAIN`` operator tree of one serving/training statement.
-
-        Called by :class:`~repro.rdbms.explain.PlanExplainer` for the plan
-        nodes this runtime executes (``dana.score``/``dana.predict`` scans,
-        ``CREATE MODEL``, accelerated UDF calls).  The tree carries the
-        *resolved* knobs the statement would run with (segments, execution
-        mode, sync policy, the ``min(segments, cpu count)`` worker clamp)
-        and predicted costs from :mod:`repro.perf`'s schedule-derived
-        models — without executing anything: compilation is cached, and
-        building a tree records no run and trains no model.
-
-        Raises:
-            QueryError: for the same semantic errors executing the
-                statement would raise (unknown models/UDFs/tables, invalid
-                options), so ``EXPLAIN`` is an accurate dry run.
-        """
-        if isinstance(plan, (ScoreCall, PredictScan)):
-            return self._explain_score(plan)
-        if isinstance(plan, CreateModel):
-            return self._explain_create_model(plan)
-        if isinstance(plan, UDFCall):
-            return self._explain_udf(plan)
-        raise QueryError(f"EXPLAIN does not support plan node {plan!r}")
-
-    def _explain_partitions(
-        self,
-        table_name: str,
-        segments: int,
-        partition_strategy: str = "round_robin",
-        seed: int = 0,
-    ) -> tuple[list, list[list[int]]]:
-        """Per-segment page lists and tuple counts from catalog statistics.
-
-        Uses the same :class:`~repro.cluster.Partitioner` the execution
-        paths use, so the predicted per-segment page sets are exactly the
-        executed ones — but prices them from the catalog's tuple count
-        instead of scanning heap pages.
-        """
-        if not self.database.catalog.has_table(table_name):
-            raise QueryError(f"table {table_name!r} does not exist")
-        entry = self.database.catalog.table(table_name)
-        heapfile = self.database.table(table_name)
-        parts = Partitioner(partition_strategy, seed=seed).partition_table(
-            self.database, table_name, segments
-        )
-        counts = [
-            page_tuple_counts(
-                part.page_nos, entry.tuple_count, heapfile.tuples_per_page()
-            )
-            for part in parts
-        ]
-        return parts, counts
-
-    def _measure_score(self, result: QueryResult) -> dict:
-        """Actual-side counters of an executed scoring statement."""
-        score: ScoreResult = result.payload
-        cost = ScoreRunCost.from_result(score)
-        return {
-            "rows": len(result.rows),
-            "tuples": score.tuples_scored,
-            "wall_cycles": cost.wall_cycles,
-            "seconds": cost.seconds(self.fpga),
-            "forward_cycles": score.inference_stats.forward_cycles,
-            "retries": score.retry.retries,
-            "workers": score.worker_limit,
-        }
-
-    def _explain_score(self, plan: ScoreCall | PredictScan) -> PlanOperator:
-        """Operator tree of a ``dana.score``/``dana.predict`` statement."""
-        if isinstance(plan, ScoreCall):
-            segments = plan.segments or 1
-            batch_size = plan.batch_size
-            stream = True if plan.stream is None else plan.stream
-            execution = plan.execution or "threads"
-            where: tuple = ()
-        else:
-            segments, batch_size, stream, execution = 1, None, True, "threads"
-            where = plan.where
-        entry = self._sql_model_entry(plan.model_name, plan.version)
-        udf_name = self._sql_udf_for_model(entry)
-        try:
-            _validate_serving_config(
-                path="batched",
-                batch_size=batch_size,
-                segments=segments,
-                stream=stream,
-                execution=execution,
-            )
-        except ConfigurationError as error:
-            raise QueryError(f"dana.score arguments are invalid: {error}") from None
-        parts, counts = self._explain_partitions(plan.table_name, segments)
-        registered = self._registered(udf_name)
-        self.compile_udf(udf_name, plan.table_name)
-        accelerator = registered.accelerators[plan.table_name]
-        inference = self._inference_plan(registered, plan.table_name)
-        cost = predict_score_cost(
-            accelerator.access_engine,
-            inference,
-            counts,
-            batch_size=batch_size,
-            stream=stream,
-        )
-        total_pages = sum(len(part) for part in parts)
-        root = PlanOperator(
-            name="ScanScore",
-            label=f"{plan.table_name} ({entry.name} v{entry.version})",
-            knobs={
-                "algorithm": entry.algorithm,
-                "udf": udf_name,
-                "segments": segments,
-                "execution": execution,
-                "stream": stream,
-                "batch_size": batch_size or DEFAULT_SCORE_BATCH,
-                "workers": worker_limit(len(parts)),
-                "pages": total_pages,
-                "tuples": cost.tuples_scored,
-            },
-            predicted={
-                "tuples": cost.tuples_scored,
-                "wall_cycles": cost.wall_cycles,
-                "critical_path_cycles": cost.critical_path_cycles,
-                "pipelined_cycles": cost.pipelined_critical_path_cycles,
-                "seconds": cost.seconds(self.fpga),
-                "inference_cycles_per_tuple": round(
-                    cost.inference_cycles_per_tuple, 2
-                ),
-            },
-            # The parent-side scorer span fires for threads *and* process
-            # fan-outs, so the root always has a measured counterpart.
-            span_site="serving.scorer.segment",
-            measure=self._measure_score,
-        )
-        for part, part_counts in zip(parts, counts):
-            i = part.segment_id
-            root.children.append(
-                PlanOperator(
-                    name="Segment",
-                    label=f"#{i}",
-                    knobs={"pages": len(part), "tuples": sum(part_counts)},
-                    predicted={
-                        "access_cycles": cost.segment_access_cycles[i],
-                        "forward_cycles": cost.segment_forward_cycles[i],
-                    },
-                    span_site="serving.scorer.segment",
-                    span_attrs={"segment": i},
-                )
-            )
-        root.children.append(
-            PlanOperator(
-                name="StriderPageWalk",
-                knobs={
-                    "pages": total_pages,
-                    "striders": accelerator.access_engine.config.num_striders,
-                },
-                predicted={"access_cycles": sum(cost.segment_access_cycles)},
-                # Page-walk spans surface only when extraction happens in
-                # the armed parent process: thread fan-outs with striders
-                # on.  One-shot score workers walk pages in child startup,
-                # outside any armed capture.
-                span_site=(
-                    "hw.strider.page_walk"
-                    if execution == "threads" and self.use_striders
-                    else None
-                ),
-            )
-        )
-        root.children.extend(filter_limit_ops(where, plan.limit))
-        return root
-
-    def _explain_create_model(self, plan: CreateModel) -> PlanOperator:
-        """Operator tree of a ``CREATE MODEL ... AS TRAIN`` statement."""
-        if plan.udf_name not in self._udfs:
-            raise QueryError(
-                f"UDF {plan.udf_name!r} is not registered; registered UDFs: "
-                f"{self.registered_udfs()}"
-            )
-        if not self.database.catalog.has_table(plan.table_name):
-            raise QueryError(f"table {plan.table_name!r} does not exist")
-        options = self._sql_train_options(plan.options)
-        try:
-            _validate_train_config(
-                epochs=options.get("epochs"),
-                segments=options.get("segments"),
-                partition_strategy=options.get("partition_strategy", "round_robin"),
-                aggregation=options.get("aggregation"),
-                execution=options.get("execution", "auto"),
-                sync=options.get("sync", "bulk_synchronous"),
-                staleness=options.get("staleness", 1),
-            )
-        except ConfigurationError as error:
-            raise QueryError(f"CREATE MODEL options are invalid: {error}") from None
-        registered = self._udfs[plan.udf_name]
-        spec = registered.spec
-        epochs = (
-            options.get("epochs")
-            or registered.epochs
-            or spec.algo.convergence.epoch_bound
-        )
-        segments = options.get("segments")
-        if segments is None:
-            train_op = self._explain_single_train(
-                registered,
-                plan.table_name,
-                epochs,
-                stream=options.get("stream", True),
-            )
-        else:
-            train_op = self._explain_sharded_train(
-                registered, plan.table_name, epochs, segments, options
-            )
-        return PlanOperator(
-            name="CreateModel",
-            label=plan.model_name,
-            knobs={
-                "udf": plan.udf_name,
-                "table": plan.table_name,
-                "algorithm": spec.name,
-            },
-            measure=lambda result: {
-                "version": result.rows[0][1],
-                "epochs_run": result.rows[0][3],
-            },
-            children=[train_op],
-        )
-
-    def _explain_udf(self, plan: UDFCall) -> PlanOperator:
-        """Operator tree of a ``SELECT * FROM dana.<udf>('<table>')`` call."""
-        if plan.udf_name not in self._udfs:
-            raise QueryError(
-                f"UDF {plan.udf_name!r} is not registered; registered UDFs: "
-                f"{self.registered_udfs()}"
-            )
-        if not self.database.catalog.has_table(plan.table_name):
-            raise QueryError(f"table {plan.table_name!r} does not exist")
-        registered = self._udfs[plan.udf_name]
-        epochs = registered.epochs or registered.spec.algo.convergence.epoch_bound
-        return PlanOperator(
-            name="AcceleratedUDF",
-            label=f"dana.{plan.udf_name}({plan.table_name!r})",
-            knobs={"algorithm": registered.spec.name, "epochs": epochs},
-            measure=lambda result: {
-                "tuples_extracted": result.payload.tuples_extracted,
-                "engine_cycles": result.payload.engine_stats.total_cycles,
-            },
-            children=[
-                self._explain_single_train(registered, plan.table_name, epochs)
-            ],
-        )
-
-    def _explain_single_train(
-        self,
-        registered: RegisteredUDF,
-        table_name: str,
-        epochs: int,
-        stream: bool = True,
-    ) -> PlanOperator:
-        """The single-accelerator training operator (``segments=None``)."""
-        self.compile_udf(registered.name, table_name)
-        accelerator = registered.accelerators[table_name]
-        parts, counts = self._explain_partitions(table_name, 1)
-        cost = predict_train_cost(
-            accelerator.access_engine,
-            accelerator.execution_engine,
-            counts,
-            epochs,
-            _model_elements(registered.spec),
-        )
-        return PlanOperator(
-            name="Train",
-            label=registered.name,
-            knobs={
-                "mode": "single",
-                "epochs": epochs,
-                "stream": stream,
-                "pages": len(parts[0]),
-                "tuples": sum(counts[0]),
-            },
-            predicted={
-                "access_cycles": cost.segment_access_cycles[0],
-                "engine_cycles": cost.segment_engine_cycles[0],
-                "critical_path_cycles": cost.critical_path_cycles,
-                "seconds": cost.seconds(self.fpga),
-                "pipelined_seconds": cost.pipelined_seconds(self.fpga),
-            },
-            # The classic single-accelerator path drives its epochs inline
-            # (no EpochDriver), so there is no runtime.epoch span to match.
-            span_site=None,
-            children=[
-                PlanOperator(
-                    name="StriderPageWalk",
-                    knobs={
-                        "pages": len(parts[0]),
-                        "striders": accelerator.access_engine.config.num_striders,
-                    },
-                    predicted={"access_cycles": cost.segment_access_cycles[0]},
-                    span_site=(
-                        "hw.strider.page_walk" if self.use_striders else None
-                    ),
-                )
-            ],
-        )
-
-    def _explain_sharded_train(
-        self,
-        registered: RegisteredUDF,
-        table_name: str,
-        epochs: int,
-        segments: int,
-        options: dict[str, Any],
-    ) -> PlanOperator:
-        """The sharded training operator (``segments=N``) with merge/IPC costs."""
-        binary = self.compile_udf(registered.name, table_name)
-        spec = registered.spec
-        try:
-            sharded = ShardedDAnA(
-                database=self.database,
-                binary=binary,
-                spec=spec,
-                segments=segments,
-                fpga=self.fpga,
-                partition_strategy=options.get("partition_strategy", "round_robin"),
-                aggregation=options.get("aggregation"),
-                execution=options.get("execution", "auto"),
-                seed=options.get("seed", 0),
-                use_striders=self.use_striders,
-                sync=options.get("sync", "bulk_synchronous"),
-                staleness=options.get("staleness", 1),
-                stream=options.get("stream", True),
-            )
-        except ConfigurationError as error:
-            raise QueryError(f"CREATE MODEL options are invalid: {error}") from None
-        mode = sharded.mode
-        parts, counts = self._explain_partitions(
-            table_name,
-            segments,
-            partition_strategy=sharded.partitioner.strategy,
-            seed=sharded.partitioner.seed,
-        )
-        accelerator = registered.accelerators[table_name]
-        sync_name = sharded.sync_policy.name
-        staleness = sharded.sync_policy.staleness
-        cost = predict_train_cost(
-            accelerator.access_engine,
-            accelerator.execution_engine,
-            counts,
-            epochs,
-            _model_elements(spec),
-            sync=sync_name,
-            staleness=staleness,
-            tree_bus_alus=binary.design.aus_per_cluster,
-            execution=mode,
-        )
-        predicted: dict[str, Any] = {
-            "critical_path_cycles": cost.critical_path_cycles,
-            "pipelined_cycles": cost.pipelined_critical_path_cycles,
-            "seconds": cost.seconds(self.fpga),
-            "pipelined_seconds": cost.pipelined_seconds(self.fpga),
-            "epochs": epochs,
-        }
-        if mode == "processes":
-            predicted["ipc_bytes"] = cost.ipc_bytes
-            predicted["ipc_round_trips"] = cost.ipc_round_trips
-        op = PlanOperator(
-            name="EpochLoop",
-            knobs={
-                "mode": mode,
-                "segments": segments,
-                "epochs": epochs,
-                "sync": sync_name,
-                "staleness": staleness,
-                "stream": sharded.stream,
-                "partition_strategy": sharded.partitioner.strategy,
-                # Lockstep evaluates all segments on one vectorized tape —
-                # no fan-out, so no worker clamp applies.
-                "workers": 0 if mode == "lockstep" else worker_limit(segments),
-            },
-            predicted=predicted,
-            # Every sharded mode schedules epochs through the EpochDriver.
-            span_site="runtime.epoch",
-        )
-        for part, part_counts in zip(parts, counts):
-            i = part.segment_id
-            op.children.append(
-                PlanOperator(
-                    name="SegmentTrain",
-                    label=f"#{i}",
-                    knobs={"pages": len(part), "tuples": sum(part_counts)},
-                    predicted={
-                        "access_cycles": cost.segment_access_cycles[i],
-                        "engine_cycles": cost.segment_engine_cycles[i],
-                    },
-                    # Per-segment training spans exist only for real
-                    # fan-outs; lockstep's segment axis lives inside one
-                    # vectorized tape run, and a segment with no pages
-                    # never reaches its training loop.
-                    span_site=(
-                        "cluster.segment.train"
-                        if mode != "lockstep" and part
-                        else None
-                    ),
-                    span_attrs={"segment": i},
-                )
-            )
-        if segments > 1:
-            op.children.append(
-                PlanOperator(
-                    name="MergeModels",
-                    knobs={
-                        "aggregation": sharded.aggregation_strategy,
-                        "merges": cost.merges_performed,
-                        "model_elements": cost.model_elements,
-                    },
-                    predicted={"cross_merge_cycles": cost.cross_merge_cycles},
-                    span_site="cluster.segment.merge",
-                )
-            )
-        op.children.append(
-            PlanOperator(
-                name="StriderPageWalk",
-                knobs={
-                    "pages": sum(len(part) for part in parts),
-                    "striders": accelerator.access_engine.config.num_striders,
-                },
-                predicted={"access_cycles": sum(cost.segment_access_cycles)},
-                # Process workers walk their pages during un-armed child
-                # startup, so only in-process modes surface these spans.
-                span_site=(
-                    "hw.strider.page_walk"
-                    if mode in ("lockstep", "threads") and self.use_striders
-                    else None
-                ),
-            )
-        )
-        return op
-
-    # -- SQL helpers --------------------------------------------------- #
-    def _sql_model_entry(self, model_name: str, version: int | None) -> ModelEntry:
-        """Registry lookup with SQL-flavoured (QueryError) failures."""
-        try:
-            return self.registry.entry(model_name, version)
-        except ConfigurationError as error:
-            raise QueryError(str(error)) from None
-
-    def _sql_udf_for_model(self, entry: ModelEntry) -> str:
-        """The registered UDF a saved model was trained by."""
-        udf_name = entry.metadata.get("udf", "")
-        if udf_name not in self._udfs:
-            raise QueryError(
-                f"saved model {entry.name!r} v{entry.version} was trained by "
-                f"UDF {udf_name!r}, which is not registered with this DAnA "
-                f"system; registered UDFs: {self.registered_udfs()}"
-            )
-        return udf_name
-
-    def _sql_score_stats(self, entry: ModelEntry, result: ScoreResult) -> dict:
-        """The ``stats`` block SQL scoring statements report."""
-        return {
-            "model": entry.name,
-            "version": entry.version,
-            "algorithm": entry.algorithm,
-            "segments": len(result.segments),
-            "stream": result.stream,
-            "tuples_scored": result.tuples_scored,
-            "forward_cycles": result.inference_stats.forward_cycles,
-            "critical_path_cycles": result.critical_path_cycles,
-        }
-
-    def _sql_train_options(
-        self, options: tuple[tuple[str, Any], ...]
-    ) -> dict[str, Any]:
-        """Validate and coerce CREATE MODEL WITH options into train kwargs."""
-        allowed = {
-            "epochs": int,
-            "segments": int,
-            "partition_strategy": str,
-            "aggregation": str,
-            "execution": str,
-            "shuffle": bool,
-            "seed": int,
-            "sync": str,
-            "staleness": int,
-            "stream": bool,
-        }
-        kwargs: dict[str, Any] = {}
-        for key, value in options:
-            if key not in allowed:
-                raise QueryError(
-                    f"unknown CREATE MODEL option {key!r}; expected one of "
-                    f"{sorted(allowed)}"
-                )
-            expected = allowed[key]
-            if expected is int and isinstance(value, (int, float)) and not isinstance(value, bool):
-                if float(value) != int(value):
-                    raise QueryError(
-                        f"option {key!r} must be an integer, got {value!r}"
-                    )
-                kwargs[key] = int(value)
-            elif expected is bool and isinstance(value, bool):
-                kwargs[key] = value
-            elif expected is str and isinstance(value, str):
-                kwargs[key] = value
-            else:
-                raise QueryError(
-                    f"option {key!r} expects a {expected.__name__} value, "
-                    f"got {value!r}"
-                )
-        return kwargs
-
-    # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
     def _registered(self, udf_name: str) -> RegisteredUDF:
@@ -1428,72 +624,120 @@ class DAnA:
         except KeyError:
             raise ConfigurationError(f"UDF {udf_name!r} is not registered") from None
 
-    def _execute_udf(self, registered: RegisteredUDF, table_name: str) -> QueryResult:
-        run = self._run_accelerator(registered, table_name, registered.epochs)
-        rows = [(name, np.asarray(value).tolist()) for name, value in run.models.items()]
-        return QueryResult(
-            rows=rows,
-            columns=("model", "coefficients"),
-            payload=run,
-            stats={
-                "system": "DAnA+PostgreSQL",
-                "tuples_extracted": run.tuples_extracted,
-                "engine_cycles": run.engine_stats.total_cycles,
-                "strider_cycles": run.access_stats.strider_cycles_critical,
-            },
-        )
+    def _udf_for_model(self, entry: ModelEntry) -> RegisteredUDF:
+        """The registered UDF a saved model was trained by."""
+        udf_name = entry.metadata.get("udf", "")
+        if udf_name not in self._udfs:
+            raise ConfigurationError(
+                f"saved model {entry.name!r} v{entry.version} was trained by "
+                f"UDF {udf_name!r}, which is not registered with this DAnA "
+                f"system; registered UDFs: {self.registered_udfs()}"
+            )
+        return self._udfs[udf_name]
 
-    def _run_accelerator(
+    def _train(self, plan: TrainPlan) -> AcceleratorRunResult | ShardedRunResult:
+        """Execute (and, when recording, record) one resolved training plan."""
+        recorder = self.run_recorder
+        watch = recorder.begin() if recorder is not None else None
+        if plan.segments is None:
+            result = self._train_single(plan)
+        else:
+            # One accelerator per segment, trained with epoch merges.
+            result = ShardedDAnA(
+                self.database,
+                self.compile_udf(plan.udf, plan.table),
+                self._udfs[plan.udf].spec,
+                plan,
+                self.fpga,
+            ).train()
+        if recorder is not None:
+            recorder.record_train(plan, result, watch)
+        return result
+
+    def _train_single(
         self,
-        registered: RegisteredUDF,
-        table_name: str,
-        epochs: int | None,
-        shuffle: bool = False,
-        seed: int = 0,
-        stream: bool = True,
-        retry: RetryPolicy | None = None,
+        plan: TrainPlan,
+        accelerator: DAnAAccelerator | None = None,
+        initial_models: Mapping[str, np.ndarray] | None = None,
+        page_nos: list[int] | None = None,
+        as_of: int | None = None,
     ) -> AcceleratorRunResult:
-        self.compile_udf(registered.name, table_name)
-        accelerator = registered.accelerators[table_name]
-        spec = registered.spec
-        table = self.database.table(table_name)
-        run_epochs = epochs or registered.epochs or spec.algo.convergence.epoch_bound
-        rng = np.random.default_rng(seed) if shuffle else None
-        # Pin the scan to the heap as of now: concurrent inserts land in
-        # the WAL but stay invisible to this run, and the run's LSN becomes
-        # the saved model's refresh watermark.
-        as_of = self.database.wal.current_lsn
-        page_images = (
-            image
-            for _no, image in table.scan_pages(
-                self.database.buffer_pool, as_of_lsn=as_of
-            )
-        )
-        if self.use_striders:
-            result = accelerator.train_from_pages(
-                page_images,
-                initial_models=spec.initial_models,
-                bind_tuple=spec.bind_tuple,
-                epochs=run_epochs,
-                bind_batch=spec.bind_batch,
-                shuffle=shuffle,
-                rng=rng,
-                stream=stream,
-                retry=retry,
-            )
-            result.snapshot_lsn = as_of
-            return result
-        rows = table.read_all(self.database.buffer_pool, as_of_lsn=as_of)
-        result = accelerator.train_from_rows(
-            rows,
-            initial_models=spec.initial_models,
+        """The single-accelerator routine behind train, UDF calls and refresh.
+
+        Defaults train the UDF's cached accelerator from the spec's initial
+        models over every page as of now; :meth:`refresh_model` passes a
+        fresh accelerator, the saved parameters, the pages past its
+        watermark and the LSN it computed them at.
+        """
+        spec = self._udfs[plan.udf].spec
+        if accelerator is None:
+            accelerator = self.accelerator_for(plan.udf, plan.table)
+        table = self.database.table(plan.table)
+        pool = self.database.buffer_pool
+        if as_of is None:
+            # Pin the scan to the heap as of now: concurrent inserts land in
+            # the WAL but stay invisible to this run, and the run's LSN
+            # becomes the saved model's refresh watermark.
+            as_of = self.database.wal.current_lsn
+        training = dict(
+            initial_models=(
+                spec.initial_models if initial_models is None else initial_models
+            ),
             bind_tuple=spec.bind_tuple,
-            epochs=run_epochs,
+            epochs=plan.epochs,
             bind_batch=spec.bind_batch,
-            shuffle=shuffle,
-            rng=rng,
+            shuffle=plan.shuffle,
+            rng=np.random.default_rng(plan.seed) if plan.shuffle else None,
         )
+        if plan.use_striders:
+            page_images = (
+                image
+                for _no, image in table.scan_pages(pool, page_nos, as_of_lsn=as_of)
+            )
+            result = accelerator.train_from_pages(
+                page_images, stream=plan.stream, retry=plan.retry, **training
+            )
+        else:
+            rows = (
+                table.read_all(pool, as_of_lsn=as_of)
+                if page_nos is None
+                else table.read_pages(pool, page_nos, as_of_lsn=as_of)
+            )
+            result = accelerator.train_from_rows(rows, **training)
         result.snapshot_lsn = as_of
+        return result
+
+    def _score(
+        self,
+        plan: ScorePlan,
+        models: Mapping[str, np.ndarray] | None = None,
+        model_name: str | None = None,
+        version: int | None = None,
+    ) -> ScoreResult:
+        """Execute (and, when recording, record) one resolved scoring plan."""
+        registered = self._udfs[plan.udf]
+        resolved, entry = self._resolve_models(
+            registered.spec, models, model_name, version
+        )
+        scorer = ScanScorer(
+            self.database,
+            self.compile_udf(plan.udf, plan.table),
+            registered.spec,
+            self._inference_plan(registered, plan.table),
+            plan,
+            self.fpga,
+        )
+        recorder = self.run_recorder
+        watch = recorder.begin() if recorder is not None else None
+        result = scorer.score_table(resolved)
+        if recorder is not None:
+            recorder.record_score(
+                plan,
+                result,
+                watch,
+                model_name=entry.name if entry is not None else "",
+                model_version=entry.version if entry is not None else None,
+            )
         return result
 
     def _inference_plan(
@@ -1514,24 +758,11 @@ class DAnA:
         spec = registered.spec
         if table_name is not None:
             binary = self.compile_udf(registered.name, table_name)
-            plan = InferencePlan.from_binary(binary, spec)
         else:
-            graph = translate(spec.algo)
-            generator = HardwareGenerator(
-                graph,
-                self.database.layout,
-                spec.schema,
-                self.fpga,
-                merge_coefficient=spec.algo.merge_coefficient,
-                n_tuples=4096,
+            binary = ExecutionBinary.compile(
+                registered.name, spec, self.database.layout, self.fpga, n_tuples=4096
             )
-            design = generator.generate()
-            plan = InferencePlan(
-                graph,
-                spec,
-                threads=design.threads,
-                acs_per_thread=design.acs_per_thread,
-            )
+        plan = InferencePlan.from_binary(binary, spec)
         registered.inference_plans[key] = plan
         return plan
 
@@ -1592,171 +823,3 @@ class DAnA:
                     f"{context}: parameter {name!r} has shape {got[name]} but "
                     f"the algorithm expects {shape}"
                 )
-
-    def _run_sharded(
-        self,
-        registered: RegisteredUDF,
-        table_name: str,
-        epochs: int | None,
-        segments: int,
-        partition_strategy: str,
-        aggregation: str | None,
-        execution: str,
-        shuffle: bool,
-        seed: int,
-        sync: str = "bulk_synchronous",
-        staleness: int = 1,
-        stream: bool = True,
-        retry: RetryPolicy | None = None,
-    ) -> ShardedRunResult:
-        """Deploy one accelerator per segment and train with epoch merges."""
-        binary = self.compile_udf(registered.name, table_name)
-        spec = registered.spec
-        run_epochs = epochs or registered.epochs or spec.algo.convergence.epoch_bound
-        sharded = ShardedDAnA(
-            database=self.database,
-            binary=binary,
-            spec=spec,
-            segments=segments,
-            fpga=self.fpga,
-            partition_strategy=partition_strategy,
-            aggregation=aggregation,
-            execution=execution,
-            seed=seed,
-            use_striders=self.use_striders,
-            sync=sync,
-            staleness=staleness,
-            stream=stream,
-            retry=retry,
-        )
-        return sharded.train(table_name, epochs=run_epochs, shuffle=shuffle)
-
-
-def _model_elements(spec: AlgorithmSpec) -> int:
-    """Total scalar elements across an algorithm's model parameters."""
-    return sum(int(np.asarray(v).size) for v in spec.initial_models.values())
-
-
-def _sql_value(prediction: np.ndarray) -> float | list:
-    """One prediction as a SQL result value (scalar float or list)."""
-    array = np.asarray(prediction)
-    if array.ndim == 0:
-        return float(array)
-    return array.tolist()
-
-
-def _validate_train_config(
-    epochs: int | None,
-    segments: int | None,
-    partition_strategy: str,
-    aggregation: str | None,
-    execution: str,
-    sync: str,
-    staleness: int,
-) -> None:
-    """Fail fast on invalid ``DAnA.train`` configuration.
-
-    Every invalid value raises :class:`ConfigurationError` naming the valid
-    choices, instead of surfacing later as a deep ``KeyError``/``IndexError``
-    from the cluster or runtime internals.
-    """
-    if epochs is not None and (not isinstance(epochs, int) or epochs < 1):
-        raise ConfigurationError(
-            f"epochs must be an integer >= 1 (or None for the registered / "
-            f"convergence-bound default), got {epochs!r}"
-        )
-    if segments is not None and (not isinstance(segments, int) or segments < 1):
-        raise ConfigurationError(
-            f"segments must be an integer >= 1 (or None for the "
-            f"single-accelerator path), got {segments!r}"
-        )
-    if partition_strategy not in PARTITION_STRATEGIES:
-        raise ConfigurationError(
-            f"unknown partition strategy {partition_strategy!r}; "
-            f"expected one of {PARTITION_STRATEGIES}"
-        )
-    if execution not in EXECUTION_STRATEGIES:
-        raise ConfigurationError(
-            f"unknown execution strategy {execution!r}; "
-            f"expected one of {EXECUTION_STRATEGIES}"
-        )
-    if aggregation is not None and aggregation not in AGGREGATION_STRATEGIES:
-        raise ConfigurationError(
-            f"unknown aggregation strategy {aggregation!r}; "
-            f"expected one of {AGGREGATION_STRATEGIES} (or None to auto-select)"
-        )
-    if sync not in SYNC_POLICIES:
-        raise ConfigurationError(
-            f"unknown sync policy {sync!r}; expected one of {SYNC_POLICIES}"
-        )
-    if not isinstance(staleness, int) or staleness < 1:
-        raise ConfigurationError(
-            f"staleness must be an integer >= 1, got {staleness!r}"
-        )
-
-
-def _validate_serving_config(
-    path: str,
-    batch_size: int | None,
-    segments: int | None = None,
-    partition_strategy: str | None = None,
-    stream: bool = True,
-    execution: str = "threads",
-) -> None:
-    """Fail fast on invalid ``predict``/``score_table`` configuration.
-
-    Mirrors :func:`_validate_train_config`: every invalid value raises
-    :class:`ConfigurationError` naming the valid choices up front.
-    """
-    if path not in SERVING_PATHS:
-        raise ConfigurationError(
-            f"unknown serving path {path!r}; expected one of {SERVING_PATHS}"
-        )
-    if batch_size is not None and (not isinstance(batch_size, int) or batch_size < 1):
-        raise ConfigurationError(
-            f"batch_size must be an integer >= 1 (or None for the default "
-            f"scoring micro-batch), got {batch_size!r}"
-        )
-    if segments is not None and (not isinstance(segments, int) or segments < 1):
-        raise ConfigurationError(
-            f"segments must be an integer >= 1 (or None for a single "
-            f"scan-and-score segment), got {segments!r}"
-        )
-    if partition_strategy is not None and partition_strategy not in PARTITION_STRATEGIES:
-        raise ConfigurationError(
-            f"unknown partition strategy {partition_strategy!r}; "
-            f"expected one of {PARTITION_STRATEGIES}"
-        )
-    if not isinstance(stream, bool):
-        raise ConfigurationError(
-            f"stream must be a bool (True = overlap the page walk with the "
-            f"forward tape, False = materialized oracle), got {stream!r}"
-        )
-    if execution not in SCORING_EXECUTION_STRATEGIES:
-        raise ConfigurationError(
-            f"unknown scoring execution strategy {execution!r}; "
-            f"expected one of {SCORING_EXECUTION_STRATEGIES}"
-        )
-
-
-def _validate_retry(retry: RetryPolicy | None, allow_redistribute: bool = True) -> None:
-    """Fail fast on an invalid ``retry=`` argument.
-
-    Mirrors :func:`_validate_train_config`: a wrong type (or a degradation
-    mode the call cannot honour) raises :class:`ConfigurationError` up
-    front instead of surfacing deep inside the retried subsystem.
-    """
-    if retry is None:
-        return
-    if not isinstance(retry, RetryPolicy):
-        raise ConfigurationError(
-            f"retry must be a repro.reliability.RetryPolicy (or None to "
-            f"fail fast on the first transient fault), got {retry!r}"
-        )
-    if not allow_redistribute and retry.degradation == "redistribute":
-        raise ConfigurationError(
-            "degradation='redistribute' applies to scoring only: training "
-            "retries each segment in place, because redistributing a failed "
-            "segment's pages would change the cross-segment merge schedule "
-            "(and with it the trained models)"
-        )

@@ -1,0 +1,348 @@
+"""One resolved plan per run: every knob is decided once, here.
+
+DAnA's workflow (paper Figure 2) resolves a UDF into one accelerator design,
+stores it in the catalog, and every later query executes that stored
+decision.  :class:`TrainPlan` and :class:`ScorePlan` are the run-level twin:
+a frozen record of how one run executes, built by a single ``resolve(...)``
+from the public call's keyword arguments (or a SQL statement's options) plus
+the registered UDF.  ``resolve`` does all validation, defaulting and
+derivation — the epoch default chain, ``execution="auto"`` → a concrete
+strategy, the *effective* ``stream``, the aggregation auto-select, the sync
+policy, retry legality, the worker clamp — and nothing downstream re-decides
+any of it: :class:`~repro.cluster.ShardedDAnA` and
+:class:`~repro.serving.ScanScorer` execute the plan, ``EXPLAIN``
+(:mod:`repro.core.explain`) prints and prices its fields, and the run
+recorder, ``ClusterStats`` and ``ScoreResult`` report them.  So ``EXPLAIN``
+knobs, run report and recorded config agree by construction, and an invalid
+option fails with one message through the Python API, SQL and ``EXPLAIN``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING, Any, get_args, get_type_hints
+
+from repro.cluster import EXECUTION_STRATEGIES, ModelAggregator, Partitioner
+from repro.cluster.process_pool import builder_metadata
+from repro.exceptions import ConfigurationError
+from repro.perf.plan_cost import worker_limit
+from repro.reliability import RetryPolicy
+from repro.runtime import SyncPolicy, make_sync_policy
+from repro.serving import (
+    DEFAULT_SCORE_BATCH,
+    SCORING_EXECUTION_STRATEGIES,
+    SERVING_PATHS,
+)
+from repro.translator.hdfg import NodeKind
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.compiler import ExecutionBinary
+    from repro.core.dana import RegisteredUDF
+
+
+def _option() -> Any:
+    """A plan field that is also a user-settable run option.
+
+    The field's name is the option's spelling in ``DAnA.train`` kwargs and
+    in ``CREATE MODEL ... WITH (...)``; its annotation is the option's type.
+    """
+    return field(metadata={"option": True})
+
+
+def option_types(plan_class: type) -> dict[str, type]:
+    """``{option name: scalar type}`` of a plan class's settable options."""
+    hints = get_type_hints(plan_class)
+    return {
+        f.name: next(
+            t
+            for t in get_args(hints[f.name]) or (hints[f.name],)
+            if t is not type(None)
+        )
+        for f in fields(plan_class)
+        if f.metadata.get("option")
+    }
+
+
+class _Plan:
+    """Shared reporting surface of the two plan dataclasses."""
+
+    def as_config(self) -> dict[str, Any]:
+        """The resolved knobs as the flat dict recorded with the run.
+
+        ``retry`` collapses to whether a policy was supplied, and the
+        sync-policy object is left out — ``sync``/``staleness`` describe it.
+        """
+        config = {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name != "sync_policy"
+        }
+        config["retry"] = self.retry is not None
+        return config
+
+
+def _check_segments(segments: int | None, none_means: str) -> None:
+    if segments is not None and (not isinstance(segments, int) or segments < 1):
+        raise ConfigurationError(
+            f"segments must be an integer >= 1 (or None for {none_means}), "
+            f"got {segments!r}"
+        )
+
+
+def _check_retry(retry: RetryPolicy | None, allow_redistribute: bool) -> None:
+    """Reject a ``retry=`` the call cannot honour, before anything runs."""
+    if retry is None:
+        return
+    if not isinstance(retry, RetryPolicy):
+        raise ConfigurationError(
+            f"retry must be a repro.reliability.RetryPolicy (or None to "
+            f"fail fast on the first transient fault), got {retry!r}"
+        )
+    if not allow_redistribute and retry.degradation == "redistribute":
+        raise ConfigurationError(
+            "degradation='redistribute' applies to scoring only: training "
+            "retries each segment in place, because redistributing a failed "
+            "segment's pages would change the cross-segment merge schedule "
+            "(and with it the trained models)"
+        )
+
+
+def resolve_batching(path: str, batch_size: int | None) -> int:
+    """Validate a serving ``path`` / ``batch_size`` pair; returns the batch.
+
+    ``None`` resolves to the default scoring micro-batch.
+    """
+    if path not in SERVING_PATHS:
+        raise ConfigurationError(
+            f"unknown serving path {path!r}; expected one of {SERVING_PATHS}"
+        )
+    if batch_size is not None and (not isinstance(batch_size, int) or batch_size < 1):
+        raise ConfigurationError(
+            f"batch_size must be an integer >= 1 (or None for the default "
+            f"scoring micro-batch), got {batch_size!r}"
+        )
+    return batch_size or DEFAULT_SCORE_BATCH
+
+
+@dataclass(frozen=True)
+class TrainPlan(_Plan):
+    """How one training run executes (``DAnA.train``, ``CREATE MODEL``, a
+    UDF call, ``refresh_model``).
+
+    The ten option fields carry *resolved* values: ``epochs`` is never
+    ``None``, ``execution`` is never ``"auto"``, and a single-accelerator
+    run (``segments=None``) has no partitioning, aggregation or sync.
+    """
+
+    udf: str
+    table: str
+    algorithm: str
+    use_striders: bool
+    epochs: int = _option()
+    #: ``None`` = the classic single-accelerator path.
+    segments: int | None = _option()
+    partition_strategy: str | None = _option()
+    aggregation: str | None = _option()
+    #: ``"single"``, ``"lockstep"``, ``"threads"`` or ``"processes"``.
+    execution: str = _option()
+    shuffle: bool = _option()
+    seed: int = _option()
+    sync: str | None = _option()
+    staleness: int | None = _option()
+    #: *effective* streaming: off when the run's extraction cannot stream
+    #: (worker processes materialise their partitions; the single
+    #: accelerator's CPU-decode path trains from materialised rows).
+    stream: bool = _option()
+    retry: RetryPolicy | None
+    #: concurrent fan-out width (0: no fan-out — single or lock-step).
+    workers: int
+    sync_policy: SyncPolicy | None = field(repr=False, compare=False)
+
+    @classmethod
+    def resolve(
+        cls,
+        registered: "RegisteredUDF",
+        table_name: str,
+        binary: "ExecutionBinary",
+        *,
+        use_striders: bool = True,
+        epochs: int | None = None,
+        segments: int | None = None,
+        partition_strategy: str = "round_robin",
+        aggregation: str | None = None,
+        execution: str = "auto",
+        shuffle: bool = False,
+        seed: int = 0,
+        sync: str = "bulk_synchronous",
+        staleness: int = 1,
+        stream: bool = True,
+        retry: RetryPolicy | None = None,
+    ) -> "TrainPlan":
+        """Validate the run's knobs and derive everything execution needs.
+
+        Every knob is validated whether or not the run consumes it (a
+        single-accelerator run still rejects an unknown ``sync``); the
+        ones it does not consume are then normalised away.
+
+        Raises:
+            ConfigurationError: naming the valid choices of the offending
+                knob.
+        """
+        spec = registered.spec
+        if epochs is not None and (not isinstance(epochs, int) or epochs < 1):
+            raise ConfigurationError(
+                f"epochs must be an integer >= 1 (or None for the registered / "
+                f"convergence-bound default), got {epochs!r}"
+            )
+        _check_segments(segments, "the single-accelerator path")
+        Partitioner(partition_strategy, seed=seed)  # owns the strategy check
+        if execution not in EXECUTION_STRATEGIES:
+            raise ConfigurationError(
+                f"unknown execution strategy {execution!r}; "
+                f"expected one of {EXECUTION_STRATEGIES}"
+            )
+        if aggregation is not None:
+            ModelAggregator(aggregation)  # owns the strategy check
+        if not isinstance(staleness, int) or staleness < 1:
+            raise ConfigurationError(
+                f"staleness must be an integer >= 1, got {staleness!r}"
+            )
+        sync_policy = make_sync_policy(sync, staleness)  # owns the name check
+        _check_retry(retry, allow_redistribute=False)
+        common = dict(
+            udf=registered.name,
+            table=table_name,
+            algorithm=spec.name,
+            use_striders=use_striders,
+            epochs=epochs or registered.epochs or spec.algo.convergence.epoch_bound,
+            segments=segments,
+            shuffle=shuffle,
+            seed=seed,
+            retry=retry,
+        )
+        if segments is None:
+            return cls(
+                **common,
+                partition_strategy=None,
+                aggregation=None,
+                execution="single",
+                sync=None,
+                staleness=None,
+                stream=stream and use_striders,
+                workers=0,
+                sync_policy=None,
+            )
+        # Row-addressed (gather) graphs cannot carry a segment axis: they
+        # train per segment and merge by summed deltas, not averaging.
+        row_addressed = any(
+            node.kind is NodeKind.GATHER for node in binary.graph.nodes()
+        )
+        lockstep_capable = (
+            segments > 1
+            and spec.bind_batch is not None
+            and execution in ("auto", "lockstep")
+            and binary.segment_tape is not None
+        )
+        if execution == "lockstep" and not lockstep_capable:
+            raise ConfigurationError(
+                "lockstep execution requires a merge-based graph with a batch "
+                "binder and at least two segments"
+            )
+        if execution == "processes":
+            # Worker processes rebuild the spec from its registry recipe,
+            # which hand-written specs lack: fail before anything spawns.
+            builder_metadata(spec)
+        elif execution == "auto":
+            execution = "lockstep" if lockstep_capable else "threads"
+        return cls(
+            **common,
+            partition_strategy=partition_strategy,
+            aggregation=aggregation
+            or ("gradient_sum" if row_addressed else "average"),
+            execution=execution,
+            sync=sync_policy.name,
+            staleness=sync_policy.staleness,
+            stream=stream and execution != "processes",
+            # Lock-step evaluates all segments on one vectorized tape.
+            workers=0 if execution == "lockstep" else worker_limit(segments),
+            sync_policy=sync_policy,
+        )
+
+
+@dataclass(frozen=True)
+class ScorePlan(_Plan):
+    """How one scan-and-score run executes (``DAnA.score_table``,
+    ``dana.score``, ``dana.predict``)."""
+
+    udf: str
+    table: str
+    algorithm: str
+    use_striders: bool
+    segments: int
+    path: str
+    batch_size: int
+    partition_strategy: str
+    seed: int
+    #: *effective* streaming: the CPU-decode model materialises each
+    #: segment's rows, so nothing overlaps when Striders are off.
+    stream: bool
+    #: ``"threads"`` or ``"processes"``.
+    execution: str
+    retry: RetryPolicy | None
+    #: concurrent fan-out width: ``worker_limit(segments)``.
+    workers: int
+
+    @classmethod
+    def resolve(
+        cls,
+        registered: "RegisteredUDF",
+        table_name: str,
+        *,
+        use_striders: bool = True,
+        segments: int | None = None,
+        path: str = "batched",
+        batch_size: int | None = None,
+        partition_strategy: str = "round_robin",
+        seed: int = 0,
+        stream: bool = True,
+        retry: RetryPolicy | None = None,
+        execution: str = "threads",
+    ) -> "ScorePlan":
+        """Validate a scoring run's knobs and derive what execution needs.
+
+        Raises:
+            ConfigurationError: naming the valid choices of the offending
+                knob.
+        """
+        batch_size = resolve_batching(path, batch_size)
+        _check_segments(segments, "a single scan-and-score segment")
+        Partitioner(partition_strategy, seed=seed)  # owns the strategy check
+        if not isinstance(stream, bool):
+            raise ConfigurationError(
+                f"stream must be a bool (True = overlap the page walk with the "
+                f"forward tape, False = materialized oracle), got {stream!r}"
+            )
+        if execution not in SCORING_EXECUTION_STRATEGIES:
+            raise ConfigurationError(
+                f"unknown scoring execution strategy {execution!r}; "
+                f"expected one of {SCORING_EXECUTION_STRATEGIES}"
+            )
+        _check_retry(retry, allow_redistribute=True)
+        if execution == "processes":
+            builder_metadata(registered.spec)  # fail before exporting pages
+        segments = segments or 1
+        return cls(
+            udf=registered.name,
+            table=table_name,
+            algorithm=registered.spec.name,
+            use_striders=use_striders,
+            segments=segments,
+            path=path,
+            batch_size=batch_size,
+            partition_strategy=partition_strategy,
+            seed=seed,
+            stream=stream and use_striders,
+            execution=execution,
+            retry=retry,
+            workers=worker_limit(segments),
+        )

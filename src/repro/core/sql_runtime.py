@@ -1,0 +1,326 @@
+"""The SQL face of a DAnA system (:class:`repro.rdbms.query.ServingRuntime`).
+
+:class:`SqlRuntime` is what a :class:`~repro.core.dana.DAnA` system attaches
+to its database: the executor routes ``dana.predict`` / ``dana.score``
+scans, ``CREATE MODEL``, accelerated UDF calls and their ``EXPLAIN`` forms
+here.  Each statement is turned into the same resolved
+:class:`~repro.core.plan.TrainPlan` / :class:`~repro.core.plan.ScorePlan`
+the Python API builds — option names and types are read off the plan
+dataclass — and that one plan is then either executed
+(:meth:`DAnA._train` / :meth:`DAnA._score`) or rendered
+(:mod:`repro.core.explain`).  Execution and ``EXPLAIN`` therefore share
+every semantic check and every resolved knob.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Any, Iterator
+
+import numpy as np
+
+from repro.core.explain import explain_score, explain_train_statement
+from repro.core.plan import ScorePlan, TrainPlan, option_types
+from repro.exceptions import ConfigurationError, QueryError
+from repro.rdbms import ModelEntry
+from repro.rdbms.explain import PlanOperator
+from repro.rdbms.query import (
+    CreateModel,
+    PredictScan,
+    QueryResult,
+    ScoreCall,
+    UDFCall,
+    matches_row,
+)
+from repro.serving import ScoreResult
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.dana import DAnA
+    from repro.obs.recorder import RunRecorder
+
+#: ``CREATE MODEL ... WITH (...)`` option names and their scalar types.
+TRAIN_OPTIONS = option_types(TrainPlan)
+
+
+@contextmanager
+def _invalid(what: str) -> Iterator[None]:
+    """Re-raise a :class:`ConfigurationError` as the statement's QueryError."""
+    try:
+        yield
+    except ConfigurationError as error:
+        raise QueryError(f"{what} are invalid: {error}") from None
+
+
+def _coerce_train_options(options: tuple[tuple[str, Any], ...]) -> dict[str, Any]:
+    """Type-check ``WITH`` options against the :class:`TrainPlan` option fields."""
+    kwargs: dict[str, Any] = {}
+    for key, value in options:
+        expected = TRAIN_OPTIONS.get(key)
+        if expected is None:
+            raise QueryError(
+                f"unknown CREATE MODEL option {key!r}; expected one of "
+                f"{sorted(TRAIN_OPTIONS)}"
+            )
+        # bool is an int subclass: ``segments => true`` is not a number.
+        numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if expected is int and numeric:
+            if float(value) != int(value):
+                raise QueryError(f"option {key!r} must be an integer, got {value!r}")
+            kwargs[key] = int(value)
+        elif expected is not int and isinstance(value, expected):
+            kwargs[key] = value
+        else:
+            raise QueryError(
+                f"option {key!r} expects a {expected.__name__} value, got {value!r}"
+            )
+    return kwargs
+
+
+class SqlRuntime:
+    """Executes and explains serving/training statements for one DAnA system."""
+
+    def __init__(self, system: "DAnA") -> None:
+        """Bind the runtime to the system whose UDFs and registry it serves."""
+        self.system = system
+
+    @property
+    def run_recorder(self) -> "RunRecorder | None":
+        """The system's run recorder (``EXPLAIN ANALYZE`` attaches traces to it)."""
+        return self.system.run_recorder
+
+    # ------------------------------------------------------------------ #
+    # statement -> plan (shared by execution and EXPLAIN)
+    # ------------------------------------------------------------------ #
+    def _require_table(self, table_name: str) -> None:
+        if not self.system.database.catalog.has_table(table_name):
+            raise QueryError(f"table {table_name!r} does not exist")
+
+    def score_plan(
+        self, statement: ScoreCall | PredictScan
+    ) -> tuple[ModelEntry, ScorePlan]:
+        """The registry entry and resolved plan of a scoring statement.
+
+        A ``dana.score`` call's kwargs the statement left unset keep
+        :meth:`ScorePlan.resolve`'s defaults; ``dana.predict`` takes none.
+
+        Raises:
+            QueryError: when the model, its training UDF or the table is
+                missing, or a kwarg value is invalid.
+        """
+        system = self.system
+        try:
+            entry = system.registry.entry(statement.model_name, statement.version)
+            registered = system._udf_for_model(entry)
+        except ConfigurationError as error:
+            raise QueryError(str(error)) from None
+        self._require_table(statement.table_name)
+        kwargs = {
+            name: getattr(statement, name)
+            for name in ("segments", "batch_size", "stream", "execution")
+            if getattr(statement, name, None) is not None
+        }
+        with _invalid("dana.score arguments"):
+            plan = ScorePlan.resolve(
+                registered,
+                statement.table_name,
+                use_striders=system.use_striders,
+                **kwargs,
+            )
+        return entry, plan
+
+    def train_plan(
+        self, statement: CreateModel | UDFCall
+    ) -> tuple[TrainPlan, dict[str, Any]]:
+        """The resolved plan (and coerced ``WITH`` options) of a training statement.
+
+        Raises:
+            QueryError: for unknown UDFs/tables, unknown ``WITH`` options,
+                or option values :meth:`TrainPlan.resolve` rejects.
+        """
+        system = self.system
+        registered = system._udfs.get(statement.udf_name)
+        if registered is None:
+            raise QueryError(
+                f"UDF {statement.udf_name!r} is not registered; registered UDFs: "
+                f"{system.registered_udfs()}"
+            )
+        self._require_table(statement.table_name)
+        options = _coerce_train_options(getattr(statement, "options", ()))
+        with _invalid("CREATE MODEL options"):
+            plan = TrainPlan.resolve(
+                registered,
+                statement.table_name,
+                system.compile_udf(registered.name, statement.table_name),
+                use_striders=system.use_striders,
+                **options,
+            )
+        return plan, options
+
+    # ------------------------------------------------------------------ #
+    # execution
+    # ------------------------------------------------------------------ #
+    def _score_result(
+        self,
+        entry: ModelEntry,
+        result: ScoreResult,
+        predictions: np.ndarray,
+        limit: int | None,
+        column: str,
+    ) -> QueryResult:
+        """The result set SQL scoring statements return: one row per
+        prediction (a scalar float or a list), converted in one ``tolist``."""
+        if limit is not None:
+            predictions = predictions[:limit]
+        return QueryResult(
+            rows=[(value,) for value in predictions.tolist()],
+            columns=(column,),
+            payload=result,
+            stats={
+                "model": entry.name,
+                "version": entry.version,
+                "algorithm": entry.algorithm,
+                "segments": len(result.segments),
+                "stream": result.stream,
+                "tuples_scored": result.tuples_scored,
+                "forward_cycles": result.inference_stats.forward_cycles,
+                "critical_path_cycles": result.critical_path_cycles,
+            },
+        )
+
+    def sql_predict(self, statement: PredictScan) -> QueryResult:
+        """Execute ``SELECT dana.predict('<model>', ...) FROM <table>``.
+
+        The whole table is scan-and-scored exactly like
+        :meth:`DAnA.score_table` (bulk Strider page walk + batched
+        inference tape, bit-identical predictions), then the WHERE
+        predicates and LIMIT select which predictions are returned, in
+        storage order.
+
+        Returns:
+            One row per qualifying tuple; the single column is named by the
+            statement's ``AS`` alias (default ``prediction``).  ``payload``
+            carries the underlying :class:`~repro.serving.ScoreResult`.
+
+        Raises:
+            QueryError: when the model, its training UDF or the table is
+                missing (semantic errors of the statement).
+        """
+        system = self.system
+        entry, plan = self.score_plan(statement)
+        result = system._score(plan, model_name=entry.name, version=entry.version)
+        predictions = result.predictions
+        if statement.where:
+            # Evaluate WHERE over the same snapshot the scoring run scanned,
+            # so the mask stays aligned with the predictions even when
+            # inserts landed while the statement was scoring.
+            table = system.database.table(statement.table_name)
+            mask = np.fromiter(
+                (
+                    matches_row(table.schema, row, statement.where)
+                    for row in table.scan_tuples(
+                        system.database.buffer_pool, as_of_lsn=result.snapshot_lsn
+                    )
+                ),
+                dtype=bool,
+                count=len(predictions),
+            )
+            predictions = predictions[mask]
+        return self._score_result(
+            entry, result, predictions, statement.limit, statement.alias or "prediction"
+        )
+
+    def sql_score(self, statement: ScoreCall) -> QueryResult:
+        """Execute ``SELECT * FROM dana.score('<model>', '<table>', ...)``.
+
+        Returns:
+            One ``prediction`` row per scored tuple (storage order),
+            truncated by LIMIT; ``payload`` carries the
+            :class:`~repro.serving.ScoreResult`.
+
+        Raises:
+            QueryError: when the model, its training UDF or the table is
+                missing, or a kwarg value is invalid.
+        """
+        entry, plan = self.score_plan(statement)
+        with _invalid("dana.score arguments"):
+            result = self.system._score(
+                plan, model_name=entry.name, version=entry.version
+            )
+        return self._score_result(
+            entry, result, result.predictions, statement.limit, "prediction"
+        )
+
+    def sql_create_model(self, statement: CreateModel) -> QueryResult:
+        """Execute ``CREATE MODEL <name> AS TRAIN <udf> ON <table>``.
+
+        Trains with the statement's resolved plan and persists the result
+        through :meth:`DAnA.save_model` (a new version of the model).
+
+        Returns:
+            One summary row ``(model, version, algorithm, epochs_run)``;
+            ``payload`` carries the new
+            :class:`~repro.rdbms.catalog.ModelEntry`.
+
+        Raises:
+            QueryError: for unknown UDFs/tables, unknown WITH options, or
+                option values training rejects.
+        """
+        system = self.system
+        plan, options = self.train_plan(statement)
+        with _invalid("CREATE MODEL options"):
+            run = system._train(plan)
+        epochs_run = getattr(run, "epochs_run", None)
+        if epochs_run is None:
+            epochs_run = run.training.epochs_run
+        entry = system.save_model(
+            statement.model_name,
+            plan.udf,
+            run.models,
+            metadata={"trained_on": plan.table, "sql_options": options},
+            watermark=getattr(run, "snapshot_lsn", 0),
+        )
+        return QueryResult(
+            rows=[(entry.name, entry.version, entry.algorithm, epochs_run)],
+            columns=("model", "version", "algorithm", "epochs_run"),
+            payload=entry,
+            stats={"table": plan.table, "udf": plan.udf},
+        )
+
+    def udf_call(self, udf_name: str, table_name: str) -> QueryResult:
+        """Execute ``SELECT * FROM dana.<udf>('<table>')``: train, return the models."""
+        plan, _options = self.train_plan(UDFCall(udf_name, table_name))
+        run = self.system._train_single(plan)
+        return QueryResult(
+            rows=[
+                (name, np.asarray(value).tolist()) for name, value in run.models.items()
+            ],
+            columns=("model", "coefficients"),
+            payload=run,
+            stats={
+                "system": "DAnA+PostgreSQL",
+                "tuples_extracted": run.tuples_extracted,
+                "engine_cycles": run.engine_stats.total_cycles,
+                "strider_cycles": run.access_stats.strider_cycles_critical,
+            },
+        )
+
+    # ------------------------------------------------------------------ #
+    # EXPLAIN
+    # ------------------------------------------------------------------ #
+    def sql_explain(self, statement: Any) -> PlanOperator:
+        """Build the ``EXPLAIN`` operator tree of one serving/training statement.
+
+        Called by :class:`~repro.rdbms.explain.PlanExplainer` for the plan
+        nodes this runtime executes.  The statement is resolved into the
+        plan it would execute with — so the tree carries the run's real
+        knobs and ``EXPLAIN`` raises the same ``QueryError`` executing the
+        statement would — and nothing runs: compilation is cached, and
+        building a tree records no run and trains no model.
+        """
+        if isinstance(statement, (ScoreCall, PredictScan)):
+            entry, plan = self.score_plan(statement)
+            return explain_score(self.system, statement, entry, plan)
+        if isinstance(statement, (CreateModel, UDFCall)):
+            plan, _options = self.train_plan(statement)
+            return explain_train_statement(self.system, statement, plan)
+        raise QueryError(f"EXPLAIN does not support plan node {statement!r}")

@@ -128,20 +128,26 @@ class RunRecorder:
 
     def record_train(
         self,
-        udf: str,
-        table: str,
-        config: Mapping[str, Any],
+        plan,
         result,
         watch: RunWatch,
-        algorithm: str = "",
+        kind: str = "train",
+        label: str | None = None,
+        extra_config: Mapping[str, Any] | None = None,
         model_name: str = "",
         model_version: int | None = None,
     ) -> RunEntry:
-        """Record one completed ``DAnA.train`` invocation.
+        """Record one completed training run (``DAnA.train`` or a refresh).
 
-        ``result`` is either an ``AcceleratorRunResult`` (single engine)
-        or a ``ShardedRunResult`` (segments); both expose the aggregate
-        ``engine_stats`` / ``access_stats`` surface.
+        ``plan`` is the run's resolved :class:`~repro.core.plan.TrainPlan`;
+        its :meth:`~repro.core.plan.TrainPlan.as_config` is the recorded
+        config (plus ``extra_config``), so the registry reports the knobs
+        the run actually executed with.  ``result`` is either an
+        ``AcceleratorRunResult`` (single engine) or a ``ShardedRunResult``
+        (segments); both expose the aggregate ``engine_stats`` /
+        ``access_stats`` surface.  ``DAnA.refresh_model`` records its
+        warm-start run with ``kind="refresh"`` under the model's name
+        (no-op refreshes record nothing — there was no run).
         """
         cluster = getattr(result, "cluster", None)
         training = getattr(result, "training", None)
@@ -165,80 +171,35 @@ class RunRecorder:
             metrics["cluster.merges_performed"] = cluster.merges_performed
             metrics["cluster.cross_merge_cycles"] = cluster.cross_merge_cycles
         return self._record(
-            kind="train",
-            label=udf,
-            table_name=table,
+            kind=kind,
+            label=plan.udf if label is None else label,
+            table_name=plan.table,
             segments=cluster.segments if cluster is not None else 1,
             epochs=epochs,
             tuples=result.tuples_extracted,
             cycles=engine.total_cycles,
             metrics=metrics,
-            config=config,
+            config={**plan.as_config(), **(extra_config or {})},
             retry=retry,
             watch=watch,
-            algorithm=algorithm,
-            model_name=model_name,
-            model_version=model_version,
-        )
-
-    def record_refresh(
-        self,
-        model_name: str,
-        table: str,
-        config: Mapping[str, Any],
-        result,
-        watch: RunWatch,
-        algorithm: str = "",
-        model_version: int | None = None,
-    ) -> RunEntry:
-        """Record one completed ``DAnA.refresh_model`` invocation.
-
-        ``result`` is the warm-start ``AcceleratorRunResult`` the refresh
-        trained over the pages past the model's watermark (no-op refreshes
-        record nothing — there was no run).
-        """
-        engine = result.engine_stats
-        metrics = {
-            "converged": float(bool(result.training.converged)),
-            "engine.tuples_processed": engine.tuples_processed,
-            "engine.batches_processed": engine.batches_processed,
-            "engine.update_rule_cycles": engine.update_rule_cycles,
-            "engine.merge_cycles": engine.merge_cycles,
-            "engine.post_merge_cycles": engine.post_merge_cycles,
-            "engine.convergence_cycles": engine.convergence_cycles,
-            "engine.total_cycles": engine.total_cycles,
-        }
-        metrics.update(self._access_metrics(result.access_stats))
-        return self._record(
-            kind="refresh",
-            label=model_name,
-            table_name=table,
-            segments=1,
-            epochs=result.training.epochs_run,
-            tuples=result.tuples_extracted,
-            cycles=engine.total_cycles,
-            metrics=metrics,
-            config=config,
-            retry=result.retry_stats,
-            watch=watch,
-            algorithm=algorithm,
+            algorithm=plan.algorithm,
             model_name=model_name,
             model_version=model_version,
         )
 
     def record_score(
         self,
-        table: str,
-        config: Mapping[str, Any],
+        plan,
         result,
         watch: RunWatch,
-        algorithm: str = "",
         model_name: str = "",
         model_version: int | None = None,
     ) -> RunEntry:
         """Record one completed ``DAnA.score_table`` invocation.
 
-        ``result`` is a :class:`~repro.serving.scorer.ScoreResult`.
+        ``plan`` is the run's resolved :class:`~repro.core.plan.ScorePlan`
+        (its ``as_config()`` is the recorded config); ``result`` is a
+        :class:`~repro.serving.scorer.ScoreResult`.
         """
         inference = result.inference_stats
         metrics = {
@@ -251,17 +212,17 @@ class RunRecorder:
         }
         return self._record(
             kind="score",
-            label=table,
-            table_name=table,
+            label=plan.table,
+            table_name=plan.table,
             segments=len(result.segments),
             epochs=0,
             tuples=result.tuples_scored,
             cycles=result.critical_path_cycles,
             metrics=metrics,
-            config=config,
+            config=plan.as_config(),
             retry=result.retry,
             watch=watch,
-            algorithm=algorithm,
+            algorithm=plan.algorithm,
             model_name=model_name,
             model_version=model_version,
         )

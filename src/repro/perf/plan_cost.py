@@ -32,10 +32,17 @@ IPC_MESSAGE_OVERHEAD_BYTES = 1024
 def worker_limit(segments: int) -> int:
     """Concurrent fan-out width of a ``segments``-way run on this host.
 
-    ``min(segments, cpu count)`` — the clamp every thread/process fan-out
-    site applies, surfaced here so ``EXPLAIN`` can print it.
+    ``min(segments, usable cores)`` — the one clamp every thread/process
+    fan-out applies (via the run's resolved plan).  "Usable" is the CPU
+    affinity mask where the platform exposes one, so a ``taskset`` /
+    cgroup-pinned process does not oversubscribe the cores it may not run
+    on; elsewhere it falls back to the host's CPU count.
     """
-    return min(max(1, segments), max(1, os.cpu_count() or 1))
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return min(max(1, segments), max(1, cores))
 
 
 def page_tuple_counts(
@@ -111,10 +118,11 @@ def predict_train_cost(
     partition_tuples: Sequence[Sequence[int]],
     epochs: int,
     model_elements: int,
-    sync: str = "bulk_synchronous",
-    staleness: int = 1,
-    tree_bus_alus: int = 8,
-    execution: str = "threads",
+    *,
+    sync: str | None,
+    staleness: int | None,
+    tree_bus_alus: int,
+    execution: str,
 ) -> ShardedRunCost:
     """Predict a (sharded) training run's cost before executing it.
 
@@ -128,7 +136,8 @@ def predict_train_cost(
     IPC bill — two state-sized pipe messages per segment per merge window
     plus init/shutdown handshakes — which, like the perf package's
     bandwidth constants, is a calibration-style estimate rather than a
-    measurement.
+    measurement.  The knobs are a resolved ``TrainPlan``'s: ``sync`` /
+    ``staleness`` are ``None`` for a single accelerator, which never merges.
     """
     segments = len(partition_tuples)
     access = []

@@ -49,14 +49,6 @@ class SyncPolicy:
         """
         return epoch_index
 
-    def describe(self) -> dict:
-        """The policy as a ``{sync, staleness, overlap_merge}`` dict."""
-        return {
-            "sync": self.name,
-            "staleness": self.staleness,
-            "overlap_merge": self.overlap_merge,
-        }
-
 
 class BulkSynchronous(SyncPolicy):
     """Merge every epoch behind a full barrier (the paper's semantics)."""

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import dataclasses
 import multiprocessing
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -41,7 +40,7 @@ from repro.cluster.process_pool import (
     builder_metadata,
     score_segment_in_process,
 )
-from repro.exceptions import ConfigurationError, RetryExhaustedError
+from repro.exceptions import RetryExhaustedError
 from repro.hw.access_engine import AccessEngineStats
 from repro.hw.accelerator import DAnAAccelerator
 from repro.hw.fpga import DEFAULT_FPGA, FPGASpec
@@ -49,7 +48,7 @@ from repro.obs.telemetry import telemetry
 from repro.reliability.faults import fault_point
 from repro.reliability.retry import RetryPolicy, RetryStats
 from repro.runtime.shm import SharedPageStore
-from repro.serving.inference import DEFAULT_SCORE_BATCH, InferencePlan, InferenceStats
+from repro.serving.inference import InferencePlan, InferenceStats
 
 #: fault-injection site fired once per scored segment attempt.
 SCORER_FAULT_SITE = "serving.scorer.segment"
@@ -60,6 +59,7 @@ SCORING_EXECUTION_STRATEGIES = ("threads", "processes")
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.algorithms.base import AlgorithmSpec
     from repro.compiler.execution_binary import ExecutionBinary
+    from repro.core.plan import ScorePlan
     from repro.rdbms.database import Database
 
 
@@ -111,7 +111,7 @@ class ScoreResult:
     execution: str = "threads"
     #: parent<->worker IPC volume (non-zero only for ``processes`` runs).
     ipc: IPCStats = field(default_factory=IPCStats)
-    #: concurrent fan-out width of the run: ``min(segments, cpu count)``,
+    #: concurrent fan-out width of the run (``worker_limit(segments)``),
     #: so oversubscribed hosts dispatch at most one segment per core.
     worker_limit: int = 0
     #: WAL LSN the scan was pinned to; rows inserted after it are invisible.
@@ -145,9 +145,6 @@ class _ProcessScoreEnv:
     context: multiprocessing.context.BaseContext
     store: SharedPageStore
     ipc: IPCStats
-    #: table tuple count the original hardware generation was sized for
-    #: (the workers' rebuilds must match it exactly).
-    n_tuples: int = 1
     lock: threading.Lock = field(default_factory=threading.Lock)
 
 
@@ -159,106 +156,61 @@ class ScanScorer:
         database: "Database",
         binary: "ExecutionBinary",
         spec: "AlgorithmSpec",
-        plan: InferencePlan,
+        inference: InferencePlan,
+        plan: "ScorePlan",
         fpga: FPGASpec = DEFAULT_FPGA,
-        use_striders: bool = True,
     ) -> None:
+        """Bind one resolved :class:`~repro.core.plan.ScorePlan`.
+
+        The plan carries the run's knobs (segments, path, batch size,
+        partitioning, effective stream, fan-out strategy, retry policy,
+        worker clamp) already validated; ``inference`` is the compiled
+        forward-only serving plan every segment scores with.
+        """
         self.database = database
         self.binary = binary
         self.spec = spec
+        self.inference = inference
         self.plan = plan
         self.fpga = fpga
-        self.use_striders = use_striders
 
-    def score_table(
-        self,
-        table_name: str,
-        models: Mapping[str, np.ndarray],
-        segments: int = 1,
-        path: str = "batched",
-        batch_size: int | None = None,
-        partition_strategy: str = "round_robin",
-        seed: int = 0,
-        stream: bool = True,
-        retry: RetryPolicy | None = None,
-        execution: str = "threads",
-    ) -> ScoreResult:
-        """Score every tuple of ``table_name``; predictions in storage order.
+    def score_table(self, models: Mapping[str, np.ndarray]) -> ScoreResult:
+        """Score every tuple of the plan's table; predictions in storage order.
 
-        Args:
-            table_name: the heap table to scan-and-score.
-            models: model parameter mapping the forward pass scores with.
-            segments: how many accelerators to partition the pages across.
-            path: ``"batched"`` (forward tape) or ``"per_tuple"`` (oracle).
-            batch_size: scoring micro-batch (``None`` = the default).
-            partition_strategy: how heap pages map to segments.
-            seed: partitioning seed (``hash`` strategy reproducibility).
-            stream: ``True`` (default) overlaps each segment's Strider page
-                walk with its forward tape through a bounded
-                :class:`~repro.runtime.BatchSource` double buffer —
-                mirroring the training runtime's streaming extraction;
-                ``False`` materialises each segment's extraction first (the
-                overlap oracle).  Predictions and counters are
-                bit-identical either way.
-            retry: optional :class:`~repro.reliability.RetryPolicy`.  Each
-                segment attempt runs on a fresh accelerator + engine, so a
-                retried segment's predictions and counters are
-                bit-identical to a fault-free run.  With
-                ``degradation="redistribute"``, a segment that fails every
-                attempt has its pages adopted by the surviving segments
-                (predictions stay bit-identical — reassembly is by page
-                number, independent of the partitioning).
-            execution: ``"threads"`` (default) scores segments on a thread
-                pool in this process; ``"processes"`` exports the table's
-                pages into a :class:`~repro.runtime.shm.SharedPageStore`
-                and scores each segment in a spawned one-shot worker
-                process over zero-copy page views — predictions and
-                schedule-derived counters are bit-identical to the threads
-                fan-out.  A redistributed segment (after retry exhaustion)
-                always falls back to in-parent scoring.
-
-        Returns:
-            The :class:`ScoreResult` with storage-order predictions.
+        Each segment attempt runs on a fresh accelerator + engine, so under
+        the plan's :class:`~repro.reliability.RetryPolicy` a retried
+        segment is bit-identical to a fault-free one; with
+        ``degradation="redistribute"`` the survivors adopt (and score
+        in-parent) the pages of a segment that failed every attempt —
+        reassembly is by page number, so predictions do not change.
+        ``execution="processes"`` scores each segment in a one-shot worker
+        process over a :class:`~repro.runtime.shm.SharedPageStore` instead
+        of a pool thread, with bit-identical predictions and counters.
 
         Raises:
             RetryExhaustedError: a segment failed every attempt and the
                 policy's degradation mode is ``"fail"`` (or no segment
                 survived to adopt the failed pages).
         """
-        if execution not in SCORING_EXECUTION_STRATEGIES:
-            raise ConfigurationError(
-                f"unknown scoring execution strategy {execution!r}; "
-                f"expected one of {SCORING_EXECUTION_STRATEGIES}"
-            )
-        heapfile = self.database.table(table_name)
+        plan = self.plan
+        heapfile = self.database.table(plan.table)
         pool = self.database.buffer_pool
         # Pin the whole scoring run to the heap as of this LSN: the
         # partitioning, every page image and the worker-process export all
         # come from the snapshot, so concurrent inserts cannot perturb the
         # scan (predictions cover exactly the pre-LSN rows).
         as_of = self.database.wal.current_lsn
-        partitioner = Partitioner(partition_strategy, seed=seed)
-        parts = partitioner.partition_table(
-            self.database, table_name, segments, as_of_lsn=as_of
+        parts = Partitioner(plan.partition_strategy, seed=plan.seed).partition_table(
+            self.database, plan.table, plan.segments, as_of_lsn=as_of
         )
         env: _ProcessScoreEnv | None = None
-        if execution == "processes":
-            builder_metadata(self.spec)  # fail fast before exporting pages
+        if plan.execution == "processes":
             env = _ProcessScoreEnv(
                 context=multiprocessing.get_context("spawn"),
                 store=SharedPageStore.from_heapfile(
                     heapfile, pool, as_of_lsn=as_of
                 ),
                 ipc=IPCStats(),
-                # Workers rebuild the accelerator design from this count; it
-                # must match what the parent's binary was compiled with, not
-                # the live catalog count of a table that grew since compile.
-                n_tuples=int(
-                    self.binary.metadata.get(
-                        "n_tuples",
-                        max(1, self.database.catalog.table(table_name).tuple_count),
-                    )
-                ),
             )
         try:
             if env is not None:
@@ -284,7 +236,7 @@ class ScanScorer:
                     )
                     for part in parts
                 ]
-            results = self._run_jobs(jobs, models, path, batch_size, stream, retry, env)
+            results = self._run_jobs(jobs, models, env)
             retry_total = RetryStats()
             for _outcome, stats in results:
                 retry_total.merge(stats)
@@ -302,8 +254,7 @@ class ScanScorer:
             outcomes = [outcome for _part, _images, outcome in survivors]
             if failed:
                 extra_parts, extra_outcomes = self._redistribute(
-                    failed, parts_scored, models, path, batch_size, stream, retry,
-                    retry_total,
+                    failed, parts_scored, models, retry_total
                 )
                 parts_scored.extend(extra_parts)
                 outcomes.extend(extra_outcomes)
@@ -314,15 +265,15 @@ class ScanScorer:
                 env.store.unlink()
         return ScoreResult(
             predictions=predictions,
-            path=path,
-            batch_size=batch_size or DEFAULT_SCORE_BATCH,
-            partition_strategy=partition_strategy,
+            path=plan.path,
+            batch_size=plan.batch_size,
+            partition_strategy=plan.partition_strategy,
             segments=[report for report, _preds, _sizes in outcomes],
-            stream=stream and self.use_striders,
+            stream=plan.stream,
             retry=retry_total,
-            execution=execution,
+            execution=plan.execution,
             ipc=env.ipc if env is not None else IPCStats(),
-            worker_limit=min(len(parts), max(1, os.cpu_count() or 1)),
+            worker_limit=plan.workers,
             snapshot_lsn=as_of,
         )
 
@@ -333,10 +284,6 @@ class ScanScorer:
         self,
         jobs: list[tuple[PagePartition, list[bytes]]],
         models: Mapping[str, np.ndarray],
-        path: str,
-        batch_size: int | None,
-        stream: bool,
-        retry: RetryPolicy | None,
         env: _ProcessScoreEnv | None = None,
     ) -> list[tuple[tuple | None, RetryStats]]:
         """Score every (partition, images) job, segments concurrently.
@@ -344,13 +291,13 @@ class ScanScorer:
         Each element of the returned list is ``(outcome, retry_stats)``;
         ``outcome`` is ``None`` when the segment failed every attempt and
         the policy's degradation mode allows redistribution.  Fan-out is
-        clamped to ``min(segments, cpu count)`` — with a process ``env``
-        the clamp also bounds how many one-shot worker processes are alive
-        at once, so ``segments > cores`` never oversubscribes the host.
+        clamped to the plan's ``workers`` — with a process ``env`` the
+        clamp also bounds how many one-shot worker processes are alive at
+        once, so ``segments > cores`` never oversubscribes the host.
         """
-        max_workers = min(len(jobs), max(1, os.cpu_count() or 1))
+        max_workers = self.plan.workers
         run = lambda job: self._score_segment_supervised(  # noqa: E731
-            job[0], job[1], models, path, batch_size, stream, retry, env
+            job[0], job[1], models, self.plan.retry, env
         )
         if max_workers > 1 and len(jobs) > 1:
             with ThreadPoolExecutor(max_workers=max_workers) as pool_exec:
@@ -362,21 +309,18 @@ class ScanScorer:
         part: PagePartition,
         images: list[bytes],
         models: Mapping[str, np.ndarray],
-        path: str,
-        batch_size: int | None,
-        stream: bool,
         retry: RetryPolicy | None,
         env: _ProcessScoreEnv | None = None,
     ) -> tuple[tuple | None, RetryStats]:
-        """One segment under the retry policy (fresh state per attempt)."""
+        """One segment under ``retry`` (fresh state per attempt)."""
         stats = RetryStats()
         if env is not None:
             attempt = lambda inner_retry: self._score_segment_process(  # noqa: E731
-                part, models, path, batch_size, stream, env
+                part, models, env
             )
         else:
             attempt = lambda inner_retry: self._score_segment(  # noqa: E731
-                part, images, models, path, batch_size, stream, inner_retry, stats
+                part, images, models, inner_retry, stats
             )
         if retry is None:
             return attempt(None), stats
@@ -397,10 +341,6 @@ class ScanScorer:
         failed: list[tuple[PagePartition, list[bytes]]],
         survivors: list[PagePartition],
         models: Mapping[str, np.ndarray],
-        path: str,
-        batch_size: int | None,
-        stream: bool,
-        retry: RetryPolicy,
         retry_total: RetryStats,
     ) -> tuple[list[PagePartition], list[tuple]]:
         """Reassign permanently-failed segments' pages to the survivors.
@@ -426,7 +366,7 @@ class ScanScorer:
         adopted: dict[int, list[int]] = {sid: [] for sid in survivor_ids}
         for i, page_no in enumerate(sorted(image_by_page)):
             adopted[survivor_ids[i % len(survivor_ids)]].append(page_no)
-        must_succeed = dataclasses.replace(retry, degradation="fail")
+        must_succeed = dataclasses.replace(self.plan.retry, degradation="fail")
         extra_parts: list[PagePartition] = []
         extra_outcomes: list[tuple] = []
         for sid in survivor_ids:
@@ -435,7 +375,7 @@ class ScanScorer:
             part = PagePartition(segment_id=sid, page_nos=tuple(adopted[sid]))
             images = [image_by_page[page_no] for page_no in part.page_nos]
             outcome, stats = self._score_segment_supervised(
-                part, images, models, path, batch_size, stream, must_succeed
+                part, images, models, must_succeed
             )
             retry_total.merge(stats)
             extra_parts.append(part)
@@ -447,12 +387,10 @@ class ScanScorer:
         part: PagePartition,
         images: list[bytes],
         models: Mapping[str, np.ndarray],
-        path: str,
-        batch_size: int | None,
-        stream: bool,
         retry: RetryPolicy | None = None,
         retry_stats: RetryStats | None = None,
     ) -> tuple[SegmentScoreReport, np.ndarray, list[int]]:
+        plan = self.plan
         fault_point(SCORER_FAULT_SITE)
         obs = telemetry()
         span = (
@@ -464,24 +402,24 @@ class ScanScorer:
             if obs is not None
             else None
         )
-        engine = self.plan.new_engine()
-        if self.use_striders:
+        engine = self.inference.new_engine()
+        if plan.use_striders:
             accelerator = DAnAAccelerator(
                 binary=self.binary, schema=self.spec.schema, fpga=self.fpga
             )
-            if stream:
+            if plan.stream:
                 predictions, sizes = accelerator.score_stream_from_pages(
                     images,
                     models,
                     engine,
-                    batch_size=batch_size or DEFAULT_SCORE_BATCH,
-                    path=path,
+                    batch_size=plan.batch_size,
+                    path=plan.path,
                     retry=retry,
                     retry_stats=retry_stats,
                 )
             else:
                 predictions, sizes = accelerator.score_from_pages(
-                    images, models, engine, path=path, batch_size=batch_size
+                    images, models, engine, path=plan.path, batch_size=plan.batch_size
                 )
             access_stats = accelerator.access_engine.stats
         else:
@@ -492,7 +430,9 @@ class ScanScorer:
                 if chunks
                 else np.empty((0, len(self.spec.schema)))
             )
-            predictions = engine.score(rows, models, path=path, batch_size=batch_size)
+            predictions = engine.score(
+                rows, models, path=plan.path, batch_size=plan.batch_size
+            )
             access_stats = AccessEngineStats()
         report = SegmentScoreReport(
             segment_id=part.segment_id,
@@ -509,9 +449,6 @@ class ScanScorer:
         self,
         part: PagePartition,
         models: Mapping[str, np.ndarray],
-        path: str,
-        batch_size: int | None,
-        stream: bool,
         env: _ProcessScoreEnv,
     ) -> tuple[SegmentScoreReport, np.ndarray, list[int]]:
         """One segment attempt in a fresh one-shot worker process.
@@ -545,12 +482,15 @@ class ScanScorer:
             hyperparameters=self.spec.hyperparameters,
             layout=self.database.layout,
             fpga=self.fpga,
-            n_tuples=env.n_tuples,
+            # Workers rebuild the accelerator design from the count the
+            # parent's binary was compiled with, not the live catalog count
+            # of a table that grew since compile.
+            n_tuples=self.binary.metadata["n_tuples"],
             page_nos=tuple(part.page_nos),
-            use_striders=self.use_striders,
-            path=path,
-            batch_size=batch_size,
-            stream=stream,
+            use_striders=self.plan.use_striders,
+            path=self.plan.path,
+            batch_size=self.plan.batch_size,
+            stream=self.plan.stream,
         )
         payload = score_segment_in_process(
             env.context, task, env.store.handle(), models, ipc=env.ipc

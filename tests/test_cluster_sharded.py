@@ -28,7 +28,7 @@ from repro.cluster import (
     Partitioner,
     ShardedDAnA,
 )
-from repro.core import DAnA
+from repro.core import DAnA, TrainPlan
 from repro.data.synthetic import generate_for_algorithm
 from repro.exceptions import ConfigurationError
 from repro.hw.tree_bus import TreeBus
@@ -364,9 +364,14 @@ class TestFacade:
     def test_invalid_configuration(self):
         system, spec, _algo, _data = _system("linear")
         binary = system.compile_udf("linear", "train")
+        registered = system._registered("linear")
         with pytest.raises(ConfigurationError):
-            ShardedDAnA(system.database, binary, spec, segments=0)
+            TrainPlan.resolve(registered, "train", binary, segments=0)
         with pytest.raises(ConfigurationError):
-            ShardedDAnA(system.database, binary, spec, segments=2, execution="warp")
+            TrainPlan.resolve(registered, "train", binary, segments=2, execution="warp")
+        single = TrainPlan.resolve(registered, "train", binary)
+        with pytest.raises(ConfigurationError):
+            # a single-accelerator plan carries no partitioning to shard by
+            ShardedDAnA(system.database, binary, spec, single)
         with pytest.raises(ConfigurationError):
             system.train("linear", "train", epochs=2, segments=2, aggregation="median")

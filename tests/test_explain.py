@@ -8,8 +8,6 @@ trees must also stay honest: every operator that claims a telemetry span
 site has to find matching spans in the captured statement trace.
 """
 
-import os
-
 import numpy as np
 import pytest
 
@@ -17,6 +15,7 @@ from repro.algorithms import Hyperparameters, get_algorithm
 from repro.core.dana import DAnA
 from repro.data.synthetic import generate_for_algorithm
 from repro.exceptions import QueryError
+from repro.perf import worker_limit
 from repro.rdbms import Database
 from repro.rdbms.explain import ExplainReport, PlanOperator
 from repro.rdbms.query import CreateModel, Explain, ScoreCall, SeqScan, parse
@@ -167,7 +166,7 @@ class TestExplainIsDryRun:
         assert loop.name == "EpochLoop"
         assert loop.predicted["critical_path_cycles"] > 0
         assert loop.predicted["seconds"] > 0.0
-        assert loop.knobs["workers"] == min(2, max(1, os.cpu_count() or 1))
+        assert loop.knobs["workers"] == worker_limit(2)
 
     def test_explain_score_scores_nothing(self):
         system = _system("linear")
@@ -184,7 +183,7 @@ class TestExplainIsDryRun:
         assert root.predicted["tuples"] == 192
         assert root.predicted["wall_cycles"] > 0
         assert root.predicted["seconds"] > 0.0
-        assert root.knobs["workers"] == min(2, max(1, os.cpu_count() or 1))
+        assert root.knobs["workers"] == worker_limit(2)
         segment_ops = [op for op in root.children if op.name == "Segment"]
         assert len(segment_ops) == 2
         assert sum(op.knobs["tuples"] for op in segment_ops) == 192
@@ -339,7 +338,7 @@ class TestExplainAnalyzeScoring:
         assert root.actual["wall_seconds"] > 0.0
         assert root.actual["rows"] == 192
         assert root.actual["retries"] == 0
-        assert root.actual["workers"] == min(2, max(1, os.cpu_count() or 1))
+        assert root.actual["workers"] == worker_limit(2)
         rendered = "\n".join(row[0] for row in result.rows)
         assert "predicted:" in rendered and "actual:" in rendered
         _assert_span_coverage(report)
@@ -392,12 +391,12 @@ class TestWorkerClamp:
             score = system.score_table(
                 "linear", "train", model_name="m", segments=2, execution=execution
             )
-            assert score.worker_limit == min(2, max(1, os.cpu_count() or 1))
+            assert score.worker_limit == worker_limit(2)
 
     def test_cluster_stats_worker_limit(self):
         system = _system("linear")
         run = system.train("linear", "train", segments=4, execution="threads")
-        assert run.cluster.worker_limit == min(4, max(1, os.cpu_count() or 1))
+        assert run.cluster.worker_limit == worker_limit(4)
         system = _system("linear")
         run = system.train("linear", "train", segments=2, execution="lockstep")
         assert run.cluster.worker_limit == 0
@@ -405,7 +404,7 @@ class TestWorkerClamp:
     def test_process_pool_worker_limit(self):
         system = _system("linear")
         run = system.train("linear", "train", segments=2, execution="processes")
-        assert run.cluster.worker_limit == min(2, max(1, os.cpu_count() or 1))
+        assert run.cluster.worker_limit == worker_limit(2)
 
 
 class TestExplainReportShape:

@@ -1,0 +1,253 @@
+"""One resolved plan per run: EXPLAIN == run report == recorded config.
+
+``TrainPlan`` / ``ScorePlan`` (``repro.core.plan``) are resolved once per
+run and consumed by execution, ``EXPLAIN`` and the run recorder.  The grid
+below pins that contract over the whole knob space: whatever ``EXPLAIN``
+prints for a statement must be what the executed run reports in
+``ClusterStats`` / ``ScoreResult`` and what ``repro_runs`` records — and an
+invalid option must fail with the same message through the Python API, SQL
+and ``EXPLAIN``.
+"""
+
+import dataclasses
+import itertools
+
+import numpy as np
+import pytest
+
+from repro.algorithms import Hyperparameters
+from repro.core import DAnA, ScorePlan, TrainPlan
+from repro.core.plan import option_types
+from repro.data.synthetic import generate_for_algorithm
+from repro.exceptions import ConfigurationError, QueryError
+from repro.rdbms import Database
+
+N_FEATURES = 6
+EXECUTIONS = ("auto", "lockstep", "threads", "processes")
+SYNCS = ("bulk_synchronous", "stale_synchronous", "async_merge")
+SEGMENTS = (None, 1, 3)
+
+
+def _system(use_striders=True):
+    """A recording DAnA system with one registry-built linear UDF."""
+    hyper = Hyperparameters(learning_rate=0.05, merge_coefficient=8, epochs=2)
+    data = generate_for_algorithm("linear", 96, N_FEATURES, seed=5)
+    database = Database(page_size=2048)
+    system = DAnA(database, use_striders=use_striders, record_runs=True)
+    registered = system.register_algorithm_udf(
+        "linear", "linear", N_FEATURES, hyper, epochs=2
+    )
+    database.load_table("train", registered.spec.schema, data)
+    return system
+
+
+def _sql_literal(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, str) else str(value)
+
+
+def _with_clause(options):
+    if not options:
+        return ""
+    body = ", ".join(f"{k} => {_sql_literal(v)}" for k, v in options.items())
+    return f" WITH ({body})"
+
+
+def _first_line(error) -> str:
+    """The diagnostic line of a QueryError (drops the echoed statement)."""
+    return str(error).splitlines()[0]
+
+
+def _last_config(system):
+    recorder = system.run_recorder
+    return recorder.run_detail(recorder.runs()[-1]["run_id"])["config"]
+
+
+# ---------------------------------------------------------------------- #
+# training: execution x sync x stream x use_striders x segments
+# ---------------------------------------------------------------------- #
+@pytest.mark.parametrize("use_striders", (True, False))
+@pytest.mark.parametrize(
+    "execution,sync,stream,segments",
+    [
+        combo
+        for combo in itertools.product(EXECUTIONS, SYNCS, (True, False), SEGMENTS)
+        # spawned workers dominate the grid's wall time and the merge
+        # cadence is orthogonal to the fan-out mechanism: one sync for them
+        if combo[0] != "processes" or combo[1] == "bulk_synchronous"
+    ],
+)
+def test_train_explain_equals_report_equals_recorded_config(
+    use_striders, execution, sync, stream, segments
+):
+    system = _system(use_striders)
+    options = {"execution": execution, "sync": sync, "staleness": 2, "stream": stream}
+    if segments is not None:
+        options["segments"] = segments
+    explain_sql = (
+        "EXPLAIN CREATE MODEL m AS TRAIN linear ON train" + _with_clause(options)
+    )
+
+    if execution == "lockstep" and segments == 1:
+        # the one illegal cell: same diagnostic from EXPLAIN and execution
+        with pytest.raises(ConfigurationError) as api_error:
+            system.train("linear", "train", **options)
+        with pytest.raises(QueryError) as explain_error:
+            system.database.execute(explain_sql)
+        assert str(api_error.value) in _first_line(explain_error.value)
+        return
+
+    train_op = system.database.execute(explain_sql).payload.root.children[0]
+    knobs = train_op.knobs
+    run = system.train("linear", "train", **options)
+    config = _last_config(system)
+
+    assert knobs["mode"] == config["execution"]
+    assert knobs["stream"] == config["stream"]
+    assert knobs["epochs"] == config["epochs"] == 2
+    if segments is None:
+        # the knobs a single accelerator ignores are normalised away
+        assert knobs["mode"] == "single"
+        assert knobs["stream"] == (stream and use_striders)
+        for name in ("sync", "staleness", "partition_strategy", "aggregation"):
+            assert config[name] is None
+        assert config["workers"] == 0
+        return
+    cluster = run.cluster
+    assert knobs["mode"] == cluster.mode != "auto"
+    assert knobs["stream"] == cluster.stream
+    assert cluster.stream == (stream and cluster.mode != "processes")
+    assert knobs["sync"] == cluster.sync == config["sync"] == sync
+    assert knobs["staleness"] == cluster.staleness == config["staleness"]
+    assert knobs["workers"] == cluster.worker_limit == config["workers"]
+    assert knobs["segments"] == cluster.segments == config["segments"] == segments
+    assert (
+        knobs["partition_strategy"]
+        == cluster.partition_strategy
+        == config["partition_strategy"]
+    )
+    assert cluster.aggregation_strategy == config["aggregation"]
+    merge_ops = [op for op in train_op.children if op.name == "MergeModels"]
+    assert len(merge_ops) == (1 if segments > 1 else 0)
+    for op in merge_ops:
+        assert op.knobs["aggregation"] == cluster.aggregation_strategy
+
+
+# ---------------------------------------------------------------------- #
+# scoring: execution x stream x use_striders x segments
+# ---------------------------------------------------------------------- #
+@pytest.mark.parametrize("use_striders", (True, False))
+@pytest.mark.parametrize(
+    "execution,stream,segments",
+    list(itertools.product(("threads", "processes"), (True, False), SEGMENTS)),
+)
+def test_score_explain_equals_report_equals_recorded_config(
+    use_striders, execution, stream, segments
+):
+    system = _system(use_striders)
+    system.save_model("m", "linear", {"mo": np.zeros(N_FEATURES)})
+    kwargs = {"execution": execution, "stream": stream, "batch_size": 32}
+    if segments is not None:
+        kwargs["segments"] = segments
+    args = "".join(f", {k} => {_sql_literal(v)}" for k, v in kwargs.items())
+    knobs = system.database.execute(
+        f"EXPLAIN SELECT * FROM dana.score('m', 'train'{args})"
+    ).payload.root.knobs
+    score = system.score_table("linear", "train", model_name="m", **kwargs)
+    config = _last_config(system)
+
+    assert knobs["stream"] == score.stream == config["stream"]
+    assert score.stream == (stream and use_striders)
+    assert knobs["execution"] == score.execution == config["execution"] == execution
+    assert knobs["workers"] == score.worker_limit == config["workers"]
+    assert knobs["batch_size"] == score.batch_size == config["batch_size"] == 32
+    assert knobs["segments"] == len(score.segments) == config["segments"]
+    assert config["segments"] == (segments or 1)
+
+
+def test_predict_scan_explain_reports_effective_stream():
+    system = _system(use_striders=False)
+    system.save_model("m", "linear", {"mo": np.zeros(N_FEATURES)})
+    knobs = system.database.execute(
+        "EXPLAIN SELECT dana.predict('m') FROM train"
+    ).payload.root.knobs
+    result = system.database.execute("SELECT dana.predict('m') FROM train")
+    assert knobs["stream"] is result.payload.stream is False
+
+
+# ---------------------------------------------------------------------- #
+# one diagnostic per invalid option, whichever door it came through
+# ---------------------------------------------------------------------- #
+INVALID_TRAIN_OPTIONS = (
+    {"epochs": 0},
+    {"segments": 0},
+    {"segments": 2, "partition_strategy": "range"},
+    {"segments": 2, "aggregation": "median"},
+    {"segments": 2, "execution": "warp"},
+    {"sync": "gossip"},
+    {"segments": 2, "staleness": 0},
+    {"segments": 1, "execution": "lockstep"},
+)
+
+
+@pytest.mark.parametrize("options", INVALID_TRAIN_OPTIONS, ids=repr)
+def test_invalid_train_option_same_message_everywhere(options):
+    system = _system()
+    with pytest.raises(ConfigurationError) as api_error:
+        system.train("linear", "train", **options)
+    statement = "CREATE MODEL m AS TRAIN linear ON train" + _with_clause(options)
+    expected = f"CREATE MODEL options are invalid: {api_error.value}"
+    for sql in (statement, "EXPLAIN " + statement):
+        with pytest.raises(QueryError) as sql_error:
+            system.database.execute(sql)
+        assert _first_line(sql_error.value) == expected
+    assert system.registry.names() == []
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    ({"segments": 0}, {"batch_size": 0}, {"execution": "warp"}),
+    ids=repr,
+)
+def test_invalid_score_kwarg_same_message_everywhere(kwargs):
+    system = _system()
+    system.save_model("m", "linear", {"mo": np.zeros(N_FEATURES)})
+    with pytest.raises(ConfigurationError) as api_error:
+        system.score_table("linear", "train", model_name="m", **kwargs)
+    args = "".join(f", {k} => {_sql_literal(v)}" for k, v in kwargs.items())
+    statement = f"SELECT * FROM dana.score('m', 'train'{args})"
+    expected = f"dana.score arguments are invalid: {api_error.value}"
+    for sql in (statement, "EXPLAIN " + statement):
+        with pytest.raises(QueryError) as sql_error:
+            system.database.execute(sql)
+        assert _first_line(sql_error.value) == expected
+
+
+def test_unknown_option_lists_exactly_the_plan_option_fields():
+    system = _system()
+    option_fields = sorted(
+        f.name for f in dataclasses.fields(TrainPlan) if f.metadata.get("option")
+    )
+    assert option_fields == sorted(option_types(TrainPlan))
+    assert len(option_fields) == 10
+    with pytest.raises(QueryError) as error:
+        system.database.execute(
+            "CREATE MODEL m AS TRAIN linear ON train WITH (epoks => 2)"
+        )
+    assert f"expected one of {option_fields}" in _first_line(error.value)
+    # every option is a DAnA.train keyword with the advertised scalar type
+    for name, kind in option_types(TrainPlan).items():
+        assert kind in (int, bool, str), name
+
+
+def test_plans_are_frozen():
+    system = _system()
+    registered = system._registered("linear")
+    binary = system.compile_udf("linear", "train")
+    train_plan = TrainPlan.resolve(registered, "train", binary, segments=3)
+    score_plan = ScorePlan.resolve(registered, "train")
+    for plan in (train_plan, score_plan):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.stream = False
+    assert train_plan.as_config()["retry"] is False

@@ -26,7 +26,7 @@ import pytest
 from repro.algorithms import Hyperparameters, get_algorithm
 from repro.cluster import ShardedDAnA
 from repro.cluster.sharded import _LockstepStep
-from repro.core import DAnA
+from repro.core import DAnA, TrainPlan
 from repro.data.synthetic import generate_for_algorithm
 from repro.exceptions import ConfigurationError, HardwareError
 from repro.perf.segment_model import ShardedRunCost
@@ -407,11 +407,17 @@ class TestLockstepPlanCache:
     def _sharded(self):
         system, spec, _algo, _data = _system("linear")
         binary = system.compile_udf("linear", "train")
-        sharded = ShardedDAnA(
-            system.database, binary, spec, segments=4, stream=False
+        plan = TrainPlan.resolve(
+            system._registered("linear"),
+            "train",
+            binary,
+            epochs=1,
+            segments=4,
+            stream=False,
         )
+        sharded = ShardedDAnA(system.database, binary, spec, plan)
         # One run materialises workers + aggregator for direct step access.
-        sharded.train("train", epochs=1)
+        sharded.train()
         return sharded
 
     def test_static_epoch_plan_is_reused(self):
