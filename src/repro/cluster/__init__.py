@@ -3,7 +3,9 @@
 The functional counterpart of the paper's Greenplum deployment (Figure 13):
 heap pages are partitioned across segments, each segment runs its own
 Strider page walk and execution engine, and per-segment models are merged
-every epoch on a cluster-level tree bus.
+every epoch on a cluster-level tree bus.  One
+:class:`~repro.cluster.fanout.SegmentFanout` carries every fan-out — threads
+or worker processes, training or scan-and-score.
 """
 
 from repro.cluster.aggregator import AGGREGATION_STRATEGIES, ModelAggregator
@@ -12,17 +14,11 @@ from repro.cluster.partitioner import (
     PagePartition,
     Partitioner,
 )
-from repro.cluster.process_pool import (
-    IPCStats,
-    ProcessSegmentPool,
-    ProcessSegmentWorker,
-    SegmentTask,
-)
-from repro.cluster.segment_worker import SegmentWorker
+from repro.cluster.fanout import IPCStats, SegmentFanout, SegmentJob, SegmentProcess
+from repro.cluster.segment_worker import SegmentReport, SegmentWorker
 from repro.cluster.sharded import (
     ClusterStats,
     EXECUTION_STRATEGIES,
-    SegmentReport,
     ShardedDAnA,
     ShardedRunResult,
 )
@@ -36,10 +32,10 @@ __all__ = [
     "PARTITION_STRATEGIES",
     "PagePartition",
     "Partitioner",
-    "ProcessSegmentPool",
-    "ProcessSegmentWorker",
+    "SegmentFanout",
+    "SegmentJob",
+    "SegmentProcess",
     "SegmentReport",
-    "SegmentTask",
     "SegmentWorker",
     "ShardedDAnA",
     "ShardedRunResult",

@@ -4,14 +4,17 @@ The paper's Greenplum deployment attaches one DAnA accelerator to every
 segment; a :class:`SegmentWorker` is that pairing in the reproduction.  It
 owns a full :class:`~repro.hw.accelerator.DAnAAccelerator` instance
 (access engine with its own Striders + execution engine with its own
-thread schedule and tree bus), streams only its partition's heap pages,
+thread schedule and tree bus), extracts only its partition's heap pages,
 and trains one or more epochs at a time from whatever global model the
 cross-segment merge produced — so per-segment hardware counters are
 exactly what a stand-alone accelerator over the same pages would report.
 
-Extraction comes in two flavours: :meth:`extract` materialises the whole
-partition up front (the PR-2 behaviour, kept as the pipelining oracle),
-while :meth:`open_source` starts a streaming
+A worker never touches the heap file or the buffer pool: the caller (the
+:class:`~repro.cluster.fanout.SegmentFanout`'s thread, or a worker process
+reading its shared page store) pulls the partition's page images and hands
+them over.  Extraction comes in two flavours: :meth:`SegmentWorker.extract`
+materialises the whole partition up front (the pipelining oracle), while
+:meth:`SegmentWorker.open_source` starts a streaming
 :class:`~repro.runtime.BatchSource` whose producer thread runs this
 segment's Strider walk concurrently with training — and concurrently with
 every *other* segment's extraction.
@@ -21,78 +24,71 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 import numpy as np
 
+from repro.algorithms.base import AlgorithmSpec
 from repro.cluster.partitioner import PagePartition
+from repro.hw.access_engine import AccessEngineStats, stack_chunks
 from repro.hw.accelerator import DAnAAccelerator
-from repro.hw.execution_engine import TrainingResult
+from repro.hw.execution_engine import EngineRunStats, ExecutionEngine, TrainingResult
 from repro.obs.telemetry import telemetry
-from repro.rdbms.buffer_pool import BufferPool
-from repro.rdbms.heapfile import HeapFile
+from repro.rdbms.heapfile import decode_page_rows
+from repro.rdbms.page import PageLayout
+from repro.rdbms.types import Schema
 from repro.reliability.faults import fault_point
 from repro.reliability.retry import RetryPolicy, RetryStats
 from repro.runtime import BatchSource
-
-from repro.algorithms.base import AlgorithmSpec
 
 #: fault-injection site fired once per segment training window.
 SEGMENT_EPOCH_FAULT_SITE = "cluster.segment_worker.epoch"
 
 
-def run_stale_window(
-    worker: "SegmentWorker",
-    spec: AlgorithmSpec,
-    models: dict[str, np.ndarray],
-    count: int,
-    shuffle: bool,
-    convergence_check: bool,
-    retry: RetryPolicy | None = None,
-    retry_stats: RetryStats | None = None,
-) -> TrainingResult:
-    """One stale-synchronous window of ``count`` local epochs on ``worker``.
+def cpu_decode_chunks(
+    images: Iterable[bytes], layout: PageLayout, schema: Schema
+) -> Iterator[np.ndarray]:
+    """Per-page RDBMS-side decode (the ``use_striders=False`` model).
 
-    Convergence is judged only at the merge boundary (the window's last
-    epoch): the merge-free prefix runs without an early exit so every
-    segment trains exactly ``count`` epochs per window — no segment can
-    stop mid-window and smuggle a less-trained model into the merge.  This
-    is the single definition both the thread-pool strategy and the worker
-    *processes* execute, which is what keeps the two bit-identical.
+    The CPU feeds the engine directly: tuples are decoded by the RDBMS
+    layer and no Strider activity is booked.  Training segments and the
+    scan scorer share this one decode.
     """
-    if count > 1 and convergence_check:
-        prefix = worker.train_epochs(
-            models,
-            spec,
-            count - 1,
-            shuffle,
-            convergence_check=False,
-            retry=retry,
-            retry_stats=retry_stats,
+    return (decode_page_rows(image, layout, schema) for image in images)
+
+
+@dataclass
+class SegmentReport:
+    """One segment's contribution to a sharded run."""
+
+    segment_id: int
+    pages: int
+    tuples_extracted: int
+    engine_stats: EngineRunStats
+    access_stats: AccessEngineStats
+
+    @property
+    def access_cycles(self) -> int:
+        """This segment's extraction stage: AXI transfer + Strider walk."""
+        return (
+            self.access_stats.strider_cycles_critical + self.access_stats.axi_cycles
         )
-        boundary = worker.train_epochs(
-            prefix.models,
-            spec,
-            1,
-            shuffle,
-            convergence_check,
-            retry=retry,
-            retry_stats=retry_stats,
-        )
-        return TrainingResult(
-            models=boundary.models,
-            epochs_run=prefix.epochs_run + boundary.epochs_run,
-            converged=boundary.converged,
-            stats=boundary.stats,
-        )
-    return worker.train_epochs(
-        models,
-        spec,
-        count,
-        shuffle,
-        convergence_check,
-        retry=retry,
-        retry_stats=retry_stats,
-    )
+
+    @property
+    def engine_cycles(self) -> int:
+        """This segment's compute stage (schedule-derived engine cycles)."""
+        return self.engine_stats.total_cycles
+
+    @property
+    def cycles(self) -> int:
+        """This segment's serial path: AXI transfer + Striders + engine.
+
+        The single definition of a segment's cycle cost — the run result
+        and :mod:`repro.perf.segment_model` both derive their critical
+        paths from it (the perf model also books the *pipelined* variant,
+        ``max(access, engine)``, for streaming runs).
+        """
+        return self.engine_cycles + self.access_cycles
 
 
 @dataclass
@@ -109,15 +105,18 @@ class SegmentWorker:
     _rows: np.ndarray | None = field(default=None, repr=False)
 
     @property
-    def engine(self):
+    def engine(self) -> ExecutionEngine:
+        """This segment's execution engine."""
         return self.accelerator.execution_engine
 
     @property
-    def engine_stats(self):
+    def engine_stats(self) -> EngineRunStats:
+        """Schedule-derived counters of this segment's execution engine."""
         return self.engine.stats
 
     @property
-    def access_stats(self):
+    def access_stats(self) -> AccessEngineStats:
+        """Counters of this segment's access engine (Striders + AXI)."""
         return self.accelerator.access_engine.stats
 
     @property
@@ -129,6 +128,7 @@ class SegmentWorker:
 
     @property
     def tuples_extracted(self) -> int:
+        """Tuples this segment extracted (drains the stream if needed)."""
         if self._rows is None and self.source is None:
             return 0
         return len(self.rows)
@@ -145,85 +145,46 @@ class SegmentWorker:
             return self.source.has_rows()
         return False
 
-    # ------------------------------------------------------------------ #
-    # access engine: partition extraction
-    # ------------------------------------------------------------------ #
-    def _page_images(
-        self,
-        heapfile: HeapFile,
-        pool: BufferPool,
-        as_of_lsn: int | None = None,
-    ) -> list[bytes]:
-        # The buffer pool is not thread-safe; images are pulled on the
-        # caller's thread so producer threads only run Strider/decode work.
-        # Pulling up front is also what pins the run to its snapshot: with
-        # as_of_lsn set, these are the bytes the heap held at that LSN, and
-        # concurrent inserts cannot reach the producer or the chunk cache.
-        return [
-            image
-            for _no, image in heapfile.scan_pages(
-                pool, self.partition.page_nos, as_of_lsn=as_of_lsn
-            )
-        ]
+    def report(self) -> SegmentReport:
+        """This segment's line of the run result (drains the stream)."""
+        return SegmentReport(
+            segment_id=self.segment_id,
+            pages=len(self.partition),
+            tuples_extracted=self.tuples_extracted,
+            engine_stats=self.engine_stats,
+            access_stats=self.access_stats,
+        )
 
+    # ------------------------------------------------------------------ #
+    # access engine: partition extraction from already-pulled page images
+    # ------------------------------------------------------------------ #
     def extract(
-        self,
-        heapfile: HeapFile,
-        pool: BufferPool,
-        use_striders: bool = True,
-        as_of_lsn: int | None = None,
+        self, images: list[bytes], use_striders: bool, layout: PageLayout
     ) -> np.ndarray:
-        """Materialise this segment's pages as the training-tuple matrix.
+        """Materialise this segment's page images as the training-tuple matrix.
 
         ``use_striders=True`` streams the raw page images through this
         segment's access engine (the paper's path, with cycle accounting);
-        ``False`` models the CPU feeding the engine directly — the tuples
-        are decoded by the RDBMS layer and no Strider activity is booked.
-        ``as_of_lsn`` pins the page pulls to a snapshot of the heap.
+        ``False`` is the :func:`cpu_decode_chunks` model.  The images are
+        what pins the run to its snapshot: they are the bytes the heap held
+        at the run's LSN, whether they came through the buffer pool or out
+        of a :class:`~repro.runtime.shm.SharedPageStore`.
         """
         if use_striders:
-            self._rows = self.accelerator.access_engine.extract_table(
-                self._page_images(heapfile, pool, as_of_lsn=as_of_lsn)
+            self._rows = self.accelerator.access_engine.extract_table(images)
+        else:
+            schema = self.accelerator.schema
+            self._rows = stack_chunks(
+                list(cpu_decode_chunks(images, layout, schema)), len(schema)
             )
-            return self._rows
-        chunks = list(self._cpu_decode_chunks(heapfile, pool, as_of_lsn=as_of_lsn))
-        self._rows = (
-            np.vstack(chunks) if chunks else np.empty((0, len(heapfile.schema)))
-        )
-        return self._rows
-
-    def extract_pages(
-        self,
-        page_images,
-        use_striders: bool = True,
-        layout=None,
-        schema=None,
-    ) -> np.ndarray:
-        """Materialise the partition from already-pulled page images.
-
-        Worker *processes* use this: their pages come as zero-copy views
-        of a :class:`~repro.runtime.shm.SharedPageStore` rather than from
-        a heap file + buffer pool, and the Strider bulk walk (or the
-        ``use_striders=False`` RDBMS decode, which needs ``layout`` and
-        ``schema``) runs over them unchanged.
-        """
-        if use_striders:
-            self._rows = self.accelerator.access_engine.extract_table(page_images)
-            return self._rows
-        from repro.rdbms.heapfile import decode_page_rows
-
-        chunks = [decode_page_rows(image, layout, schema) for image in page_images]
-        self._rows = np.vstack(chunks) if chunks else np.empty((0, len(schema)))
         return self._rows
 
     def open_source(
         self,
-        heapfile: HeapFile,
-        pool: BufferPool,
-        use_striders: bool = True,
-        queue_depth: int = 2,
+        images: list[bytes],
+        use_striders: bool,
+        layout: PageLayout,
         retry: RetryPolicy | None = None,
-        as_of_lsn: int | None = None,
     ) -> BatchSource:
         """Start this segment's streaming extraction (producer thread).
 
@@ -232,37 +193,20 @@ class SegmentWorker:
         later pages are still being cleansed.  Payloads and counters are
         identical to :meth:`extract`.  A ``retry`` policy makes the
         producer restartable after transient faults (page walk or
-        producer site) with bit-identical chunks and counters.
-        ``as_of_lsn`` pins the page pulls to a snapshot, so a producer
-        restart (and the source's chunk cache) re-walks the same images
-        even if the table has grown since the stream opened.
+        producer site) with bit-identical chunks and counters; a restart
+        (and the source's chunk cache) re-walks the same ``images`` even
+        if the table has grown since the stream opened.
         """
         if use_striders:
             self.source = self.accelerator.access_engine.stream_table(
-                self._page_images(heapfile, pool, as_of_lsn=as_of_lsn),
-                queue_depth=queue_depth,
-                retry=retry,
+                images, retry=retry
             )
         else:
+            schema = self.accelerator.schema
             self.source = BatchSource(
-                self._cpu_decode_chunks(heapfile, pool, as_of_lsn=as_of_lsn),
-                n_columns=len(heapfile.schema),
-                queue_depth=queue_depth,
+                cpu_decode_chunks(images, layout, schema), n_columns=len(schema)
             )
         return self.source
-
-    def _cpu_decode_chunks(
-        self,
-        heapfile: HeapFile,
-        pool: BufferPool,
-        as_of_lsn: int | None = None,
-    ):
-        """Per-page RDBMS-side decode (the ``use_striders=False`` model)."""
-        from repro.rdbms.heapfile import decode_page_rows
-
-        schema, layout = heapfile.schema, heapfile.layout
-        images = self._page_images(heapfile, pool, as_of_lsn=as_of_lsn)
-        return (decode_page_rows(image, layout, schema) for image in images)
 
     def epoch_rows(self, shuffle: bool) -> np.ndarray:
         """This epoch's tuple order (per-segment seeded shuffle)."""
@@ -282,15 +226,41 @@ class SegmentWorker:
     # ------------------------------------------------------------------ #
     # execution engine: local epochs from the merged global model
     # ------------------------------------------------------------------ #
-    def train_epoch(
+    def train_window(
         self,
         models: dict[str, np.ndarray],
         spec: AlgorithmSpec,
-        shuffle: bool = False,
-        convergence_check: bool = True,
+        count: int,
+        shuffle: bool,
+        convergence_check: bool,
+        retry: RetryPolicy | None = None,
     ) -> TrainingResult:
-        """Run one local epoch starting from the merged global model."""
-        return self.train_epochs(models, spec, 1, shuffle, convergence_check)
+        """One stale-synchronous window of ``count`` local epochs.
+
+        Convergence is judged only at the merge boundary (the window's last
+        epoch): the merge-free prefix runs without an early exit so every
+        segment trains exactly ``count`` epochs per window — no segment can
+        stop mid-window and smuggle a less-trained model into the merge.
+        This is the single definition both the thread fan-out and the
+        worker *processes* execute, which is what keeps the two
+        bit-identical.
+        """
+        if count > 1 and convergence_check:
+            prefix = self.train_epochs(
+                models, spec, count - 1, shuffle, convergence_check=False, retry=retry
+            )
+            boundary = self.train_epochs(
+                prefix.models, spec, 1, shuffle, convergence_check, retry=retry
+            )
+            return TrainingResult(
+                models=boundary.models,
+                epochs_run=prefix.epochs_run + boundary.epochs_run,
+                converged=boundary.converged,
+                stats=boundary.stats,
+            )
+        return self.train_epochs(
+            models, spec, count, shuffle, convergence_check, retry=retry
+        )
 
     def train_epochs(
         self,
@@ -300,9 +270,8 @@ class SegmentWorker:
         shuffle: bool = False,
         convergence_check: bool = True,
         retry: RetryPolicy | None = None,
-        retry_stats: RetryStats | None = None,
     ) -> TrainingResult:
-        """Run ``epochs`` local epochs (one stale-synchronous window).
+        """Run ``epochs`` local epochs starting from the merged global model.
 
         When the partition is still streaming, the first epoch consumes
         batches straight off the source; the stream is materialised before
@@ -328,29 +297,38 @@ class SegmentWorker:
                 if obs is not None
                 else None
             )
-            result = self.engine.train(
-                rows=self._rows,
-                initial_models=models,
-                bind_tuple=spec.bind_tuple,
-                epochs=epochs,
-                convergence_check=convergence_check,
-                bind_batch=spec.bind_batch,
-                shuffle=shuffle,
-                rng=self.rng,
-                source=self.source if self._rows is None else None,
-            )
-            if self._rows is None:
-                self._rows = self.source.rows()
-            if span is not None:
-                obs.finish(span, epochs_run=result.epochs_run)
-            return result
+            late = {}
+            try:
+                result = self.engine.train(
+                    rows=self._rows,
+                    initial_models=models,
+                    bind_tuple=spec.bind_tuple,
+                    epochs=epochs,
+                    convergence_check=convergence_check,
+                    bind_batch=spec.bind_batch,
+                    shuffle=shuffle,
+                    rng=self.rng,
+                    source=self.source if self._rows is None else None,
+                )
+                if self._rows is None:
+                    self._rows = self.source.rows()
+                late["epochs_run"] = result.epochs_run
+                return result
+            except BaseException as error:
+                late["error"] = type(error).__name__
+                raise
+            finally:
+                # Closed on failure too: an abandoned span would stay the
+                # thread's top and the retried attempt would nest under it.
+                if span is not None:
+                    obs.finish(span, **late)
 
         if retry is None:
             return window()
         checkpoint = self.checkpoint()
         return retry.run(
             window,
-            stats=retry_stats,
+            stats=self.retry_stats,
             reset=lambda: self.restore(checkpoint),
             label=f"segment {self.segment_id} training window",
         )
@@ -360,7 +338,7 @@ class SegmentWorker:
     # ------------------------------------------------------------------ #
     def checkpoint(self) -> dict:
         """Snapshot the counters/RNG state a retried window must restore."""
-        state = {
+        return {
             "engine_stats": copy.copy(self.engine.stats),
             "bus_stats": copy.copy(self.engine.tree_bus.stats),
             "rng_state": (
@@ -369,7 +347,6 @@ class SegmentWorker:
                 else None
             ),
         }
-        return state
 
     def restore(self, state: dict) -> None:
         """Roll the worker back to a :meth:`checkpoint` before a re-attempt.

@@ -19,8 +19,8 @@ deployment functionally on top of the PR-1 batched pipeline:
   FPGAs.
 
 Epoch scheduling lives in the shared pipeline runtime
-(:mod:`repro.runtime`): both execution strategies are
-:class:`~repro.runtime.EpochStep` plugins for the one
+(:mod:`repro.runtime`): every execution strategy is an
+:class:`~repro.runtime.EpochStep` plugin for the one
 :class:`~repro.runtime.EpochDriver` loop, extraction streams through
 bounded :class:`~repro.runtime.BatchSource` double buffers (each segment's
 Strider walk overlaps training and the other segments' walks), and a
@@ -28,8 +28,11 @@ Strider walk overlaps training and the other segments' walks), and a
 ``bulk_synchronous`` (barriered, bit-identical to the pre-runtime path),
 ``stale_synchronous`` (windows of merge-free local epochs) or
 ``async_merge`` (per-epoch merge overlapped with next-epoch preparation).
+Partitioning, page pulls, dispatch, worker processes and every resource
+lifetime belong to the run's :class:`~repro.cluster.fanout.SegmentFanout`
+— the same one scan-and-score uses.
 
-The two strategies produce identical per-segment counters:
+The strategies produce identical per-segment counters:
 
 * ``lockstep`` (default for merge-based graphs with 2+ segments) — all
   segments advance through their batch streams in lock step, and each step
@@ -37,37 +40,38 @@ The two strategies produce identical per-segment counters:
   ``(B, S, ...)`` block.  This amortises the Python-side per-batch cost
   over the segment axis, so sharding speeds the simulation up even on a
   single core — and the NumPy kernels still release the GIL, so it scales
-  further with real cores;
-* ``threads`` — each segment trains its window independently on a thread
-  pool (NumPy kernels drop the GIL).  This is the only strategy for
+  further with real cores.  It is a different algorithm, not a different
+  fan-out, so it keeps its own step;
+* ``threads`` — each segment trains its window independently on a fan-out
+  thread (NumPy kernels drop the GIL).  This is the only strategy for
   row-addressed graphs (LRMF gathers cannot carry a segment axis) and the
-  parity oracle for ``lockstep``.
+  parity oracle for ``lockstep``;
+* ``processes`` — the same windows, each in the segment's worker process
+  over shared-memory pages (real-core overlap; see
+  :mod:`repro.cluster.fanout`).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro.cluster.aggregator import ModelAggregator
-from repro.cluster.partitioner import Partitioner
-from repro.cluster.process_pool import (
+from repro.cluster.fanout import (
     IPCStats,
-    ProcessSegmentPool,
-    SegmentTask,
-    builder_metadata,
-    chaos_from_active_injector,
+    SegmentFanout,
+    SegmentProcess,
     segment_rngs,
 )
+from repro.cluster.partitioner import PagePartition
 from repro.cluster.segment_worker import (
     SEGMENT_EPOCH_FAULT_SITE,
+    SegmentReport,
     SegmentWorker,
-    run_stale_window,
 )
-from repro.runtime.shm import SharedPageStore
+from repro.exceptions import ConfigurationError
 from repro.reliability.faults import fault_point
 from repro.reliability.retry import RetryStats
 from repro.hw.access_engine import AccessEngineStats
@@ -75,6 +79,7 @@ from repro.hw.accelerator import DAnAAccelerator
 from repro.hw.execution_engine import EngineRunStats, TrainingResult
 from repro.hw.fpga import DEFAULT_FPGA, FPGASpec
 from repro.hw.tree_bus import TreeBus, TreeBusStats
+from repro.obs.telemetry import telemetry
 from repro.runtime import EpochDriver, EpochStep
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -84,40 +89,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.rdbms.database import Database
 
 EXECUTION_STRATEGIES = ("auto", "lockstep", "threads", "processes")
-
-
-@dataclass
-class SegmentReport:
-    """One segment's contribution to a sharded run."""
-
-    segment_id: int
-    pages: int
-    tuples_extracted: int
-    engine_stats: EngineRunStats
-    access_stats: AccessEngineStats
-
-    @property
-    def access_cycles(self) -> int:
-        """This segment's extraction stage: AXI transfer + Strider walk."""
-        return (
-            self.access_stats.strider_cycles_critical + self.access_stats.axi_cycles
-        )
-
-    @property
-    def engine_cycles(self) -> int:
-        """This segment's compute stage (schedule-derived engine cycles)."""
-        return self.engine_stats.total_cycles
-
-    @property
-    def cycles(self) -> int:
-        """This segment's serial path: AXI transfer + Striders + engine.
-
-        The single definition of a segment's cycle cost — the run result
-        and :mod:`repro.perf.segment_model` both derive their critical
-        paths from it (the perf model also books the *pipelined* variant,
-        ``max(access, engine)``, for streaming runs).
-        """
-        return self.engine_cycles + self.access_cycles
 
 
 @dataclass
@@ -146,6 +117,7 @@ class ClusterStats:
 
     @property
     def cross_merge_cycles(self) -> int:
+        """Cycles the cluster tree bus spent merging per-segment models."""
         return self.tree_bus.cycles
 
 
@@ -164,6 +136,7 @@ class ShardedRunResult:
     # -- AcceleratorRunResult-compatible surface ------------------------ #
     @property
     def tuples_extracted(self) -> int:
+        """Total tuples extracted across all segments."""
         return sum(s.tuples_extracted for s in self.segments)
 
     @property
@@ -230,169 +203,129 @@ class ShardedDAnA:
         The plan already carries every decision (strategy, aggregation,
         sync policy, effective stream, worker clamp); nothing is
         re-validated or re-derived here.
+
+        Raises:
+            ConfigurationError: for a single-accelerator plan, which
+                carries no partitioning to shard by.
         """
+        if plan.segments is None:
+            raise ConfigurationError(
+                "ShardedDAnA needs a sharded plan (segments >= 1); a "
+                "single-accelerator plan carries no partitioning to shard by"
+            )
         self.database = database
         self.binary = binary
         self.spec = spec
         self.plan = plan
         self.fpga = fpga
-        self.partitioner = Partitioner(plan.partition_strategy, seed=plan.seed)
-        #: workers of the most recent :meth:`train` call (for introspection).
+        #: in-process workers of the most recent :meth:`train` call (for
+        #: introspection; a ``processes`` run's workers live in children).
         self.workers: list[SegmentWorker] = []
 
     # ------------------------------------------------------------------ #
     # public API
     # ------------------------------------------------------------------ #
     def train(self, convergence_check: bool = True) -> ShardedRunResult:
-        """Run the plan's sync-policy-scheduled epochs over its table."""
-        plan = self.plan
-        if plan.execution == "processes":
-            return self._train_processes(convergence_check)
-        heapfile = self.database.table(plan.table)
-        pool = self.database.buffer_pool
-        # Pin the whole run to the heap as of this LSN: partitioning and
-        # every segment's page pulls use the snapshot, so concurrent
-        # inserts cannot perturb an in-flight run.
-        as_of = self.database.wal.current_lsn
-        # One accelerator per segment, all generated from the same compiled
-        # binary (same design, same Strider program, same schedule).  Fresh
-        # instances per run keep per-segment counters clean, and re-deriving
-        # the per-segment generators (the recipe worker processes share)
-        # makes repeated runs bit-identical.
-        parts = self.partitioner.partition_table(
-            self.database, plan.table, plan.segments, as_of_lsn=as_of
-        )
-        self.workers = [
-            SegmentWorker(
-                segment_id=part.segment_id,
-                accelerator=DAnAAccelerator(
-                    binary=self.binary, schema=self.spec.schema, fpga=self.fpga
-                ),
-                partition=part,
-                rng=rng,
-            )
-            for part, rng in zip(parts, segment_rngs(plan.seed, plan.segments))
-        ]
-        for worker in self.workers:
-            if plan.stream:
-                # Streaming: every segment's Strider walk starts now, on its
-                # own producer thread; the first epoch consumes batches as
-                # pages decode instead of waiting for full materialisation.
-                worker.open_source(
-                    heapfile,
-                    pool,
-                    use_striders=plan.use_striders,
-                    retry=plan.retry,
-                    as_of_lsn=as_of,
-                )
-            else:
-                worker.extract(
-                    heapfile, pool, use_striders=plan.use_striders, as_of_lsn=as_of
-                )
-        cluster, models = self._begin_run()
-        if plan.execution == "lockstep":
-            step: EpochStep = _LockstepStep(self, plan.shuffle, convergence_check)
-        else:
-            step = _ThreadsStep(self, plan.shuffle, convergence_check)
-        driver = EpochDriver(step, plan.sync_policy, convergence_check)
-        try:
-            result = driver.run(models, plan.epochs)
-        except BaseException:
-            # Error path: release producer threads still blocked on their
-            # bounded queues (successful runs drain every source instead).
-            for worker in self.workers:
-                if worker.source is not None:
-                    worker.source.abort()
-            raise
-        finally:
-            step.finish()
-        # Fold every recovery the run performed into one counter set:
-        # per-worker window retries, producer restarts, lockstep retries.
-        for worker in self.workers:
-            cluster.retry.merge(worker.retry_stats)
-            if worker.source is not None:
-                cluster.retry.merge(worker.source.retry_stats)
-        step_stats = getattr(step, "retry_stats", None)
-        if step_stats is not None:
-            cluster.retry.merge(step_stats)
-        return self._finish_run(result, cluster, self.workers, as_of)
+        """Run the plan's sync-policy-scheduled epochs over its table.
 
-    def _train_processes(self, convergence_check: bool) -> ShardedRunResult:
-        """Train with one worker *process* per segment over shared pages.
-
-        The table's page images are exported once into a
-        :class:`~repro.runtime.shm.SharedPageStore`; each spawned worker
-        attaches, rebuilds its accelerator from the spec's registry recipe,
-        extracts its partition from the zero-copy views, and trains stale
-        windows on command.  Merge and convergence decisions stay here in
+        One :class:`~repro.cluster.fanout.SegmentFanout` carries the run:
+        it pins the snapshot, partitions the table and owns every thread,
+        child process, page store and streaming source until the run ends
+        — normally or not.  Merge and convergence decisions stay here in
         the parent, driven by the same :class:`~repro.runtime.EpochDriver`
-        + :class:`~repro.runtime.SyncPolicy` loop as the in-process
-        strategies — which (with the shared per-segment RNG recipe) is what
-        makes the three strategies bit-identical.  Workers always
-        materialise their partitions (no cross-process streaming), which is
-        why the plan resolves ``stream`` to ``False`` for these runs.
+        + :class:`~repro.runtime.SyncPolicy` loop for all three strategies
+        — which (with the shared per-segment RNG recipe) is what makes them
+        bit-identical.
         """
         plan = self.plan
-        heapfile = self.database.table(plan.table)
-        pool = self.database.buffer_pool
-        builder = builder_metadata(self.spec)
-        as_of = self.database.wal.current_lsn
-        parts = list(
-            self.partitioner.partition_table(
-                self.database, plan.table, plan.segments, as_of_lsn=as_of
+        with SegmentFanout(
+            self.database, self.binary, self.spec, plan, self.fpga
+        ) as fanout:
+            cluster, models = self._begin_run(fanout)
+            if plan.execution == "processes":
+                # Each child attaches the shared page store, rebuilds its
+                # accelerator and materialises its partition (no
+                # cross-process streaming — the plan resolved ``stream``
+                # off), then trains stale windows on command.
+                self.workers = []
+                fanout.map(
+                    lambda process: fanout.supervise(
+                        lambda: _spawn_extract(process),
+                        process.retry_stats,
+                        label=f"segment {process.segment_id} worker process start",
+                    ),
+                    fanout.processes,
+                )
+                step: EpochStep = _WindowedStep(
+                    self.aggregator,
+                    fanout,
+                    [p for p in fanout.processes if p.last["has_rows"]],
+                    self._process_window(fanout, convergence_check),
+                )
+            else:
+                # One accelerator per segment, all generated from the same
+                # compiled binary (same design, same Strider program, same
+                # schedule).  Fresh instances per run keep per-segment
+                # counters clean, and re-deriving the per-segment generators
+                # (the recipe worker processes share) makes repeated runs
+                # bit-identical.
+                self.workers = [
+                    self._open_worker(fanout, part, rng)
+                    for part, rng in zip(
+                        fanout.parts, segment_rngs(plan.seed, plan.segments)
+                    )
+                ]
+                if plan.execution == "lockstep":
+                    step = _LockstepStep(self, plan.shuffle, convergence_check)
+                else:
+                    step = _WindowedStep(
+                        self.aggregator,
+                        fanout,
+                        [w for w in self.workers if w.has_rows()],
+                        lambda worker, models, count: worker.train_window(
+                            models,
+                            self.spec,
+                            count,
+                            plan.shuffle,
+                            convergence_check,
+                            plan.retry,
+                        ),
+                    )
+            result = EpochDriver(step, plan.sync_policy, convergence_check).run(
+                models, plan.epochs
             )
+            # Fold every recovery the run performed into one counter set:
+            # window retries (in-process or in-child), producer restarts,
+            # process-death supervision, lockstep retries.
+            for worker in self.workers:
+                cluster.retry.merge(worker.retry_stats)
+                if worker.source is not None:
+                    cluster.retry.merge(worker.source.retry_stats)
+            for process in fanout.processes:
+                cluster.retry.merge(process.last["retry_stats"])
+                cluster.retry.merge(process.retry_stats)
+            if isinstance(step, _LockstepStep):
+                cluster.retry.merge(step.retry_stats)
+            reports = [w.report() for w in self.workers] or [
+                p.last["report"] for p in fanout.processes
+            ]
+        cluster.epochs_run = result.epochs_run
+        cluster.merges_performed = result.merges_performed
+        return ShardedRunResult(
+            models=result.models,
+            epochs_run=result.epochs_run,
+            converged=result.converged,
+            segments=reports,
+            cluster=cluster,
+            snapshot_lsn=fanout.as_of,
         )
-        tasks = [
-            SegmentTask(
-                segment_id=i,
-                udf_name=self.binary.udf_name,
-                algorithm=builder["algorithm"],
-                n_features=builder["n_features"],
-                model_topology=tuple(builder["model_topology"]),
-                hyperparameters=self.spec.hyperparameters,
-                layout=heapfile.layout,
-                fpga=self.fpga,
-                # The count the parent's binary was *compiled* for, not the
-                # live catalog count: a table that grew since compile would
-                # rebuild a different design and break counter bit-identity
-                # with the threads strategy.
-                n_tuples=self.binary.metadata["n_tuples"],
-                page_nos=tuple(part.page_nos),
-                seed=plan.seed,
-                segments=plan.segments,
-                use_striders=plan.use_striders,
-                shuffle=plan.shuffle,
-                retry=plan.retry,
-            )
-            for i, part in enumerate(parts)
-        ]
-        self.workers = []  # in-process workers exist only in children
-        cluster, models = self._begin_run()
-        store = SharedPageStore.from_heapfile(heapfile, pool, as_of_lsn=as_of)
-        process_pool = ProcessSegmentPool(
-            tasks,
-            store.handle(),
-            worker_limit=plan.workers,
-            retry=plan.retry,
-            chaos=chaos_from_active_injector(),
-            storage_sink=self.database.storage.stats,
-        )
-        cluster.ipc = process_pool.ipc
-        try:
-            process_pool.start()
-            step = _ProcessesStep(self, process_pool, convergence_check)
-            driver = EpochDriver(step, plan.sync_policy, convergence_check)
-            result = driver.run(models, plan.epochs)
-        finally:
-            process_pool.shutdown()
-            store.close()
-            store.unlink()
-        for worker in process_pool.workers:
-            cluster.retry.merge(worker.child_retry_stats)
-            cluster.retry.merge(worker.supervision_retry_stats)
-        return self._finish_run(result, cluster, process_pool.workers, as_of)
 
-    def _begin_run(self) -> tuple[ClusterStats, dict[str, np.ndarray]]:
+    # ------------------------------------------------------------------ #
+    # internals
+    # ------------------------------------------------------------------ #
+    def _begin_run(
+        self, fanout: SegmentFanout
+    ) -> tuple[ClusterStats, dict[str, np.ndarray]]:
         """Per-run state: the cluster report (seeded from the plan's knobs)
         and a fresh copy of the initial models.  Bus + aggregator are
         rebuilt per run so their counters describe this run only.
@@ -409,6 +342,7 @@ class ShardedDAnA:
             sync=plan.sync,
             staleness=plan.staleness,
             stream=plan.stream,
+            ipc=fanout.ipc,
             worker_limit=plan.workers,
         )
         models = {
@@ -416,173 +350,122 @@ class ShardedDAnA:
         }
         return cluster, models
 
-    @staticmethod
-    def _finish_run(
-        result, cluster: ClusterStats, workers, as_of: int
-    ) -> ShardedRunResult:
-        """Fold the driver's outcome and every worker's counters into the result."""
-        cluster.epochs_run = result.epochs_run
-        cluster.merges_performed = result.merges_performed
-        return ShardedRunResult(
-            models=result.models,
-            epochs_run=result.epochs_run,
-            converged=result.converged,
-            segments=[
-                SegmentReport(
-                    segment_id=w.segment_id,
-                    pages=len(w.partition),
-                    tuples_extracted=w.tuples_extracted,
-                    engine_stats=w.engine_stats,
-                    access_stats=w.access_stats,
-                )
-                for w in workers
-            ],
-            cluster=cluster,
-            snapshot_lsn=as_of,
+    def _open_worker(
+        self, fanout: SegmentFanout, part: PagePartition, rng: np.random.Generator
+    ) -> SegmentWorker:
+        """One in-process segment with its extraction started (or done)."""
+        plan, layout = self.plan, fanout.heapfile.layout
+        worker = SegmentWorker(
+            segment_id=part.segment_id,
+            accelerator=DAnAAccelerator(
+                binary=self.binary, schema=self.spec.schema, fpga=self.fpga
+            ),
+            partition=part,
+            rng=rng,
         )
+        images = fanout.images(part)
+        if plan.stream:
+            # Streaming: every segment's Strider walk starts now, on its
+            # own producer thread; the first epoch consumes batches as
+            # pages decode instead of waiting for full materialisation.
+            fanout.adopt(
+                worker.open_source(images, plan.use_striders, layout, plan.retry)
+            )
+        else:
+            worker.extract(images, plan.use_striders, layout)
+        return worker
+
+    @staticmethod
+    def _process_window(
+        fanout: SegmentFanout, convergence_check: bool
+    ) -> Callable[[SegmentProcess, dict, int], TrainingResult]:
+        """How a stale window reaches a worker process: one command/reply
+        round trip; a dead child is respawned from its last checkpoint."""
+
+        def window(process: SegmentProcess, models, count: int) -> TrainingResult:
+            capture = telemetry() is not None
+            command = ("window", models, count, convergence_check, capture)
+            return fanout.supervise(
+                lambda: process.request(command),
+                process.retry_stats,
+                label=f"segment {process.segment_id} worker process window",
+                reset=lambda: _spawn_extract(process),
+            )["result"]
+
+        return window
+
+
+def _spawn_extract(process: SegmentProcess) -> None:
+    """(Re)spawn a segment's child and run its extract handshake.
+
+    A respawn resumes from the dead incarnation's last reported state, so
+    counters, RNG stream and in-window retry counts continue bit-identically.
+    """
+    last = process.last
+    resume = (
+        {"checkpoint": last["checkpoint"], "retry_stats": last["retry_stats"]}
+        if last
+        else None
+    )
+    process.spawn(("extract", resume))
 
 
 # ---------------------------------------------------------------------- #
-# processes strategy (one OS process per segment, shared-memory pages)
+# threads + processes strategies (per-segment windows through the fan-out)
 # ---------------------------------------------------------------------- #
-class _ProcessesStep(EpochStep):
-    """Per-segment worker processes trained window-by-window.
+class _WindowedStep(EpochStep):
+    """Per-segment models trained window by window through the fan-out.
 
-    The state contract matches :class:`_ThreadsStep` exactly — a list of
-    each active segment's current model mapping — but a window dispatch
-    crosses a pipe instead of a thread pool, and each reply carries the
-    child's counters/telemetry alongside its models (the pool merges those
-    as replies arrive).
+    State is the list of each active segment's current model mapping.  A
+    stale-synchronous window of ``k`` epochs is one dispatch per segment —
+    ``k``× fewer barrier joins than the per-epoch bulk-synchronous cadence
+    — and ``window`` says how it reaches the segment: a
+    :meth:`SegmentWorker.train_window` call on a fan-out thread (the only
+    strategy for row-addressed LRMF graphs, and lockstep's parity oracle)
+    or a command/reply round trip with its worker process.
     """
 
     merges = True
 
     def __init__(
         self,
-        sharded: ShardedDAnA,
-        pool: ProcessSegmentPool,
-        convergence_check: bool,
+        aggregator: ModelAggregator,
+        fanout: SegmentFanout,
+        segments: list,
+        window: Callable[[object, dict, int], TrainingResult],
     ) -> None:
-        self.aggregator = sharded.aggregator
-        self.convergence_check = convergence_check
-        self.pool = pool
-        self.workers = pool.active
+        self.aggregator = aggregator
+        self.fanout = fanout
+        self.segments = segments
+        self.window = window
 
     @property
     def active(self) -> bool:
-        return bool(self.workers)
+        return bool(self.segments)
 
     def begin(self, models):
-        return [models for _ in self.workers]
+        return [models for _ in self.segments]
 
     def run_epoch(self, state, epoch_index):
         state, converged, _executed = self.run_window(state, epoch_index, 1)
         return state, converged
 
     def run_window(self, state, epoch_index, count):
-        if not self.workers:
+        if not self.segments:
             return state, False, count
-        payloads = self.pool.run_window(state, count, self.convergence_check)
-        state = [p["models"] for p in payloads]
-        executed = max(p["epochs_run"] for p in payloads)
-        return state, all(p["converged"] for p in payloads), executed
-
-    def merge(self, state, base):
-        return self.aggregator.merge(state, base=base)
-
-    def broadcast(self, models, state):
-        return [models for _ in self.workers]
-
-    def finish(self) -> None:
-        # The pool itself is shut down by the facade (it owns the store
-        # lifecycle too); nothing per-run to release here.
-        pass
-
-
-# ---------------------------------------------------------------------- #
-# threads strategy (per-segment engines on a pool; LRMF + oracle)
-# ---------------------------------------------------------------------- #
-class _ThreadsStep(EpochStep):
-    """Per-segment engines trained concurrently on a thread pool.
-
-    State is the list of each active segment's current model mapping.  A
-    stale-synchronous window of ``k`` epochs is one pool dispatch per
-    segment (``engine.train(epochs=k)``) — ``k``× fewer barrier joins than
-    the per-epoch bulk-synchronous cadence, which is where the measured
-    pipeline speedup of the threads mode comes from.
-    """
-
-    merges = True
-
-    def __init__(
-        self, sharded: ShardedDAnA, shuffle: bool, convergence_check: bool
-    ) -> None:
-        self.spec = sharded.spec
-        self.aggregator = sharded.aggregator
-        self.shuffle = shuffle
-        self.convergence_check = convergence_check
-        self.retry = sharded.plan.retry
-        self.workers = [w for w in sharded.workers if w.has_rows()]
-        self.executor: ThreadPoolExecutor | None = None
-        max_workers = sharded.plan.workers
-        if max_workers > 1 and len(self.workers) > 1:
-            # NumPy kernels release the GIL, so per-segment windows run
-            # with real wall-clock overlap on multicore hosts; one
-            # executor serves every window of the run.
-            self.executor = ThreadPoolExecutor(max_workers=max_workers)
-
-    @property
-    def active(self) -> bool:
-        return bool(self.workers)
-
-    def begin(self, models):
-        return [models for _ in self.workers]
-
-    def run_epoch(self, state, epoch_index):
-        state, converged, _executed = self.run_window(state, epoch_index, 1)
-        return state, converged
-
-    def run_window(self, state, epoch_index, count):
-        if not self.workers:
-            return state, False, count
-        if self.executor is not None:
-            futures = [
-                self.executor.submit(self._worker_window, w, state[i], count)
-                for i, w in enumerate(self.workers)
-            ]
-            results = [f.result() for f in futures]
-        else:
-            results = [
-                self._worker_window(w, state[i], count)
-                for i, w in enumerate(self.workers)
-            ]
+        results = self.fanout.map(
+            lambda pair: self.window(pair[0], pair[1], count),
+            list(zip(self.segments, state)),
+        )
         state = [r.models for r in results]
         executed = max(r.epochs_run for r in results)
         return state, all(r.converged for r in results), executed
 
-    def _worker_window(self, worker: SegmentWorker, models, count: int):
-        """One segment's stale window as a single pool task (see
-        :func:`~repro.cluster.segment_worker.run_stale_window`)."""
-        return run_stale_window(
-            worker,
-            self.spec,
-            models,
-            count,
-            self.shuffle,
-            self.convergence_check,
-            retry=self.retry,
-            retry_stats=worker.retry_stats,
-        )
-
     def merge(self, state, base):
         return self.aggregator.merge(state, base=base)
 
     def broadcast(self, models, state):
-        return [models for _ in self.workers]
-
-    def finish(self) -> None:
-        if self.executor is not None:
-            self.executor.shutdown(wait=True)
+        return [models for _ in self.segments]
 
 
 # ---------------------------------------------------------------------- #
@@ -651,9 +534,9 @@ class _LockstepStep(EpochStep):
 
     def run_window(self, state, epoch_index, count):
         """Run ``count`` merge-free epochs, judging convergence only on the
-        window's last epoch — the merge boundary — exactly like the threads
-        strategy's :meth:`_ThreadsStep._worker_window`, so the two
-        strategies stay parity oracles under ``stale_synchronous`` too."""
+        window's last epoch — the merge boundary — exactly like
+        :meth:`SegmentWorker.train_window`, so the strategies stay parity
+        oracles under ``stale_synchronous`` too."""
         converged = False
         for offset in range(count):
             state, converged = self.run_epoch(

@@ -543,7 +543,7 @@ class DAnA:
         ``execution="processes"`` scores each segment in a spawned worker
         process over zero-copy shared-memory page views instead of a
         thread — bit-identical predictions and counters, real-core overlap
-        (see :mod:`repro.cluster.process_pool`).
+        (see :mod:`repro.cluster.fanout`).
         """
         plan = ScorePlan.resolve(
             self._registered(udf_name),

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, get_args, get_type_hints
 
 from repro.cluster import EXECUTION_STRATEGIES, ModelAggregator, Partitioner
-from repro.cluster.process_pool import builder_metadata
+from repro.cluster.fanout import builder_metadata
 from repro.exceptions import ConfigurationError
 from repro.perf.plan_cost import worker_limit
 from repro.reliability import RetryPolicy

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 import numpy as np
 
-from repro.hw.access_engine import AccessEngine, AccessEngineStats
+from repro.hw.access_engine import AccessEngine, AccessEngineStats, stack_chunks
 from repro.hw.execution_engine import EngineRunStats, ExecutionEngine, TrainingResult
 from repro.hw.fpga import FPGASpec
 from repro.hw.tree_bus import TreeBus
@@ -168,9 +168,7 @@ class DAnAAccelerator:
         """
         chunks = list(self.access_engine.process_pages(page_images))
         sizes = [len(chunk) for chunk in chunks]
-        rows = (
-            np.vstack(chunks) if chunks else np.empty((0, len(self.schema)))
-        )
+        rows = stack_chunks(chunks, len(self.schema))
         predictions = inference.score(rows, models, path=path, batch_size=batch_size)
         return predictions, sizes
 

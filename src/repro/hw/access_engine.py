@@ -147,6 +147,11 @@ class PayloadDecoder:
         return out
 
 
+def stack_chunks(chunks: Sequence[np.ndarray], n_columns: int) -> np.ndarray:
+    """Per-page chunks as one tuple matrix (``(0, n_columns)`` when empty)."""
+    return np.vstack(chunks) if len(chunks) else np.empty((0, n_columns))
+
+
 class AccessEngine:
     """Streams buffer-pool pages through page buffers and Striders."""
 
@@ -190,10 +195,7 @@ class AccessEngine:
 
     def extract_table(self, page_images: Iterable[bytes]) -> np.ndarray:
         """Materialise every tuple of the supplied pages as one array."""
-        chunks = list(self.process_pages(page_images))
-        if not chunks:
-            return np.empty((0, len(self.schema)))
-        return np.vstack(chunks)
+        return stack_chunks(list(self.process_pages(page_images)), len(self.schema))
 
     def stream_table(
         self,

@@ -55,7 +55,7 @@ class ShardedRunCost:
     #: host-side IPC the run paid to ship state over worker pipes.  Both
     #: are zero for lockstep/threads runs (everything stays in one address
     #: space); ``execution="processes"`` books pickled model/stat payloads
-    #: here via :class:`~repro.cluster.process_pool.IPCStats`.
+    #: here via :class:`~repro.cluster.fanout.IPCStats`.
     ipc_bytes: int = 0
     ipc_round_trips: int = 0
 

@@ -31,6 +31,13 @@ class StorageStats:
         self.bytes_read = 0
         self.bytes_written = 0
 
+    def merge(self, other: "StorageStats") -> None:
+        """Accumulate another manager's (or worker process's) counters."""
+        self.page_reads += other.page_reads
+        self.page_writes += other.page_writes
+        self.bytes_read += other.bytes_read
+        self.bytes_written += other.bytes_written
+
 
 @dataclass
 class _FileEntry:

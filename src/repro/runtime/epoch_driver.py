@@ -85,9 +85,6 @@ class EpochStep:
         """Prepare the next epoch's inputs; runs concurrently with an
         overlapped merge under ``async_merge`` (no-op by default)."""
 
-    def finish(self) -> None:
-        """Release resources owned by the step (thread pools, sources)."""
-
 
 @dataclass
 class DriverResult:

@@ -298,6 +298,43 @@ class TestInstrumentationSites:
         assert rollup["cluster.segment.merge"]["count"] >= 1
         assert rollup["runtime.epoch"]["count"] >= 2
 
+    def test_failed_attempt_closes_its_span_and_retry_is_top_level(self):
+        """A faulted segment attempt records its own span (``error=`` set)
+        and the retried attempt opens at depth 0, not nested under it."""
+        from repro.exceptions import TransientError
+        from repro.reliability import FaultPlan, RetryPolicy, inject_faults
+
+        fault = FaultPlan.transient(("hw.strider.page_walk", 1))
+        system = _system("linear")
+        models = system.train("linear", "train").models
+        with enable_telemetry() as session, inject_faults(fault):
+            system.score_table(
+                "linear",
+                "train",
+                models=models,
+                stream=False,
+                retry=RetryPolicy(max_attempts=3, backoff_s=0.0),
+            )
+        spans = [
+            (s["depth"], s["parent"], s["attrs"].get("error"))
+            for s in session.tracer.to_list()
+            if s["name"] == "serving.scorer.segment"
+        ]
+        assert spans == [(0, None, "TransientError"), (0, None, None)]
+        # Training: the producer faults on its second page, i.e. after the
+        # run picked its active segments and inside the first window's span.
+        system = _system("linear", n_tuples=1024)
+        fault = FaultPlan.transient(("runtime.batch_source.producer", 2))
+        with enable_telemetry() as session, inject_faults(fault):
+            with pytest.raises(TransientError):
+                system.train("linear", "train", segments=1, execution="threads")
+        spans = [
+            s["attrs"].get("error")
+            for s in session.tracer.to_list()
+            if s["name"] == "cluster.segment.train"
+        ]
+        assert spans == ["TransientError"]
+
     def test_streaming_wait_histograms(self):
         system = _system("linear")
         with enable_telemetry() as session:

@@ -11,11 +11,13 @@ and ``EXPLAIN``.
 
 import dataclasses
 import itertools
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.algorithms import Hyperparameters
+from repro.cluster import SegmentFanout, SegmentJob
 from repro.core import DAnA, ScorePlan, TrainPlan
 from repro.core.plan import option_types
 from repro.data.synthetic import generate_for_algorithm
@@ -251,3 +253,92 @@ def test_plans_are_frozen():
         with pytest.raises(dataclasses.FrozenInstanceError):
             plan.stream = False
     assert train_plan.as_config()["retry"] is False
+
+
+# ---------------------------------------------------------------------- #
+# the plan is the wire format of a worker process
+# ---------------------------------------------------------------------- #
+def test_every_grid_plan_round_trips_through_pickle():
+    system = _system()
+    registered = system._registered("linear")
+    binary = system.compile_udf("linear", "train")
+    plans = []
+    for execution, sync, stream, segments in itertools.product(
+        EXECUTIONS, SYNCS, (True, False), SEGMENTS
+    ):
+        if execution == "lockstep" and segments == 1:
+            continue
+        plans.append(
+            TrainPlan.resolve(
+                registered,
+                "train",
+                binary,
+                execution=execution,
+                sync=sync,
+                staleness=2,
+                stream=stream,
+                segments=segments,
+                shuffle=True,
+                seed=7,
+            )
+        )
+    for execution, stream, segments in itertools.product(
+        ("threads", "processes"), (True, False), SEGMENTS
+    ):
+        plans.append(
+            ScorePlan.resolve(
+                registered,
+                "train",
+                execution=execution,
+                stream=stream,
+                segments=segments,
+                batch_size=32,
+            )
+        )
+    for plan in plans:
+        clone = pickle.loads(pickle.dumps(plan))
+        assert clone == plan
+        assert clone.as_config() == plan.as_config()
+        # compare=False field: the policy object itself must survive too
+        assert type(getattr(clone, "sync_policy", None)) is type(
+            getattr(plan, "sync_policy", None)
+        )
+
+
+def test_worker_process_job_ships_the_plan_not_a_copy_of_its_fields():
+    system = _system()
+    registered = system._registered("linear")
+    plan = ScorePlan.resolve(registered, "train", segments=2, execution="processes")
+    knobs = {f.name for f in dataclasses.fields(TrainPlan)}
+    knobs |= {f.name for f in dataclasses.fields(ScorePlan)}
+    # identity of the design to rebuild, not knobs of the run
+    knobs -= {"udf", "table", "algorithm"}
+    assert knobs.isdisjoint(f.name for f in dataclasses.fields(SegmentJob))
+    binary = system.compile_udf("linear", "train")
+    with SegmentFanout(
+        system.database, binary, registered.spec, plan, system.fpga
+    ) as fanout:
+        jobs = [process.job for process in fanout.processes]
+        assert [job.part for job in jobs] == fanout.parts
+        for job in jobs:
+            assert job.plan is plan
+            assert pickle.loads(pickle.dumps(job)) == job
+
+
+def test_worker_process_executes_the_shipped_plan():
+    """Non-default knobs reach the child only through the plan: the
+    per-segment counters they shape must match the in-process fan-out."""
+    system = _system()
+    models = {"mo": np.linspace(-1.0, 1.0, N_FEATURES)}
+    kwargs = dict(models=models, segments=2, batch_size=7, stream=False)
+    threads = system.score_table("linear", "train", execution="threads", **kwargs)
+    processes = system.score_table("linear", "train", execution="processes", **kwargs)
+    np.testing.assert_array_equal(processes.predictions, threads.predictions)
+    assert processes.inference_stats == threads.inference_stats
+    assert processes.inference_stats.batches_scored > len(processes.segments)
+    kwargs = dict(segments=2, shuffle=True, seed=7, sync="stale_synchronous", staleness=2)
+    threads = system.train("linear", "train", execution="threads", **kwargs)
+    processes = system.train("linear", "train", execution="processes", **kwargs)
+    for name in threads.models:
+        np.testing.assert_array_equal(processes.models[name], threads.models[name])
+    assert processes.engine_stats == threads.engine_stats

@@ -190,6 +190,15 @@ def _chaos_system(key, n_tuples=192, epochs=2, seed=11):
     return system, spec
 
 
+def _lingering_threads():
+    """Producer / fan-out dispatch threads that outlived their run."""
+    return [
+        t.name
+        for t in threading.enumerate()
+        if t.name == "batch-source-producer" or t.name.startswith("segment-fanout")
+    ]
+
+
 def _assert_models_equal(expected, actual):
     assert set(expected) == set(actual)
     for name in expected:
@@ -292,10 +301,23 @@ class TestChaosTrainingParity:
         plan = FaultPlan.transient(("runtime.batch_source.producer", 1))
         with inject_faults(plan):
             system.train("linear", "train", segments=2, retry=RETRY)
-        lingering = [
-            t for t in threading.enumerate() if t.name == "batch-source-producer"
-        ]
-        assert lingering == []
+        assert _lingering_threads() == []
+
+    @pytest.mark.parametrize("execution", ["lockstep", "threads"])
+    def test_no_producer_threads_leak_when_run_fails_before_first_epoch(
+        self, execution
+    ):
+        """Without retry a page-walk fault surfaces while the run is still
+        picking its active segments; the other segments' producers, parked
+        on their bounded queues, must be released all the same."""
+        system, _spec = _chaos_system("linear", n_tuples=2048)
+        for _ in range(2):
+            with inject_faults(FaultPlan.transient(("hw.strider.page_walk", 1))):
+                with pytest.raises(TransientError):
+                    system.train(
+                        "linear", "train", segments=4, execution=execution
+                    )
+        assert _lingering_threads() == []
 
 
 @pytest.mark.chaos
@@ -751,3 +773,67 @@ class TestProcessChaosParity:
         with inject_faults(plan):
             with pytest.raises(TransientError, match="died"):
                 system.train("linear", "train", segments=2, execution="processes")
+
+
+# ---------------------------------------------------------------------- #
+# fan-out lifecycle: repeated failure leaks no store, child or thread
+# ---------------------------------------------------------------------- #
+@pytest.mark.chaos
+class TestFanoutLifecycle:
+    """Whatever way a fanned-out run ends, its resources end with it."""
+
+    #: a segment is *killed* in its worker process (``kind="exit"`` fires in
+    #: the child), *faulted* on a thread (transient sites).
+    FAULTS = {
+        ("train", "processes"): [
+            FaultSpec("cluster.segment_worker.epoch", 1, kind="exit")
+        ],
+        ("score", "processes"): [FaultSpec("hw.strider.page_walk", 1, kind="exit")],
+        ("train", "threads"): [FaultSpec("hw.strider.page_walk", 1)],
+        ("score", "threads"): [FaultSpec("hw.strider.page_walk", 1)],
+    }
+
+    @pytest.mark.parametrize("retry", [None, RETRY], ids=["fail_fast", "retry"])
+    @pytest.mark.parametrize("execution", ["threads", "processes"])
+    @pytest.mark.parametrize("kind", ["train", "score"])
+    def test_repeated_failure_releases_everything(self, kind, execution, retry):
+        import multiprocessing
+
+        from repro.runtime import live_store_names
+
+        system, spec = _chaos_system("linear", n_tuples=2048)
+        if kind == "train":
+            run = lambda **kw: system.train(  # noqa: E731
+                "linear", "train", segments=4, execution=execution, **kw
+            )
+        else:
+            # stream=False: the walk fault fails the attempt itself (a
+            # streaming producer would absorb it without a segment retry).
+            run = lambda **kw: system.score_table(  # noqa: E731
+                "linear",
+                "train",
+                models=spec.initial_models,
+                segments=4,
+                execution=execution,
+                stream=False,
+                **kw,
+            )
+        baseline = run()
+        for _ in range(2):
+            with inject_faults(FaultPlan(self.FAULTS[kind, execution])):
+                if retry is None:
+                    with pytest.raises(TransientError):
+                        run()
+                    continue
+                recovered = run(retry=retry)
+            stats = recovered.cluster.retry if kind == "train" else recovered.retry
+            assert stats.faults >= 1
+            if kind == "train":
+                _assert_sharded_parity(baseline, recovered)
+            else:
+                np.testing.assert_array_equal(
+                    baseline.predictions, recovered.predictions
+                )
+        assert live_store_names() == []
+        assert multiprocessing.active_children() == []
+        assert _lingering_threads() == []
