@@ -36,6 +36,7 @@ from repro.hw.execution_engine import EngineRunStats, ExecutionEngine, TrainingR
 from repro.obs.telemetry import telemetry
 from repro.rdbms.heapfile import decode_page_rows
 from repro.rdbms.page import PageLayout
+from repro.rdbms.predicate import ColumnPredicate
 from repro.rdbms.types import Schema
 from repro.reliability.faults import fault_point
 from repro.reliability.retry import RetryPolicy, RetryStats
@@ -46,15 +47,23 @@ SEGMENT_EPOCH_FAULT_SITE = "cluster.segment_worker.epoch"
 
 
 def cpu_decode_chunks(
-    images: Iterable[bytes], layout: PageLayout, schema: Schema
+    images: Iterable[bytes],
+    layout: PageLayout,
+    schema: Schema,
+    predicate: ColumnPredicate | None = None,
 ) -> Iterator[np.ndarray]:
     """Per-page RDBMS-side decode (the ``use_striders=False`` model).
 
     The CPU feeds the engine directly: tuples are decoded by the RDBMS
     layer and no Strider activity is booked.  Training segments and the
-    scan scorer share this one decode.
+    scan scorer share this one decode; a scoring statement's ``predicate``
+    keeps only each page's qualifying tuples, like the access engine does
+    when Striders are on.
     """
-    return (decode_page_rows(image, layout, schema) for image in images)
+    chunks = (decode_page_rows(image, layout, schema) for image in images)
+    if predicate is None:
+        return chunks
+    return (chunk[predicate.mask(chunk)] for chunk in chunks)
 
 
 @dataclass

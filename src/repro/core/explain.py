@@ -108,6 +108,7 @@ def explain_score(
         actual = ScoreRunCost.from_result(score)
         return {
             "rows": len(result.rows),
+            "tuples_scanned": score.tuples_scanned,
             "tuples": score.tuples_scored,
             "wall_cycles": actual.wall_cycles,
             "seconds": actual.seconds(system.fpga),
@@ -158,17 +159,25 @@ def explain_score(
                 span_attrs={"segment": i},
             )
         )
-    root.children.append(
-        _page_walk(
-            accelerator,
-            total_pages,
-            sum(cost.segment_access_cycles),
-            spans=plan.execution == "threads" and plan.use_striders,
+    walk = _page_walk(
+        accelerator,
+        total_pages,
+        sum(cost.segment_access_cycles),
+        spans=plan.execution == "threads" and plan.use_striders,
+    )
+    root.children.append(walk)
+    if plan.where is not None:
+        # The access path filters each decoded page, so only qualifying
+        # tuples reach the forward tape; with no selectivity statistics the
+        # tree still prices the forward pass as if every tuple qualified.
+        walk.children.append(
+            PlanOperator(
+                name="Filter",
+                knobs={"predicates": plan.where.sql, "pushed_down": True},
+                predicted={"forward_cycles": "upper bound (no selectivity statistics)"},
+            )
         )
-    )
-    root.children.extend(
-        filter_limit_ops(getattr(statement, "where", ()), statement.limit)
-    )
+    root.children.extend(filter_limit_ops(None, statement.limit))
     return root
 
 

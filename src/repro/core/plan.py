@@ -26,6 +26,7 @@ from repro.cluster import EXECUTION_STRATEGIES, ModelAggregator, Partitioner
 from repro.cluster.fanout import builder_metadata
 from repro.exceptions import ConfigurationError
 from repro.perf.plan_cost import worker_limit
+from repro.rdbms.predicate import ColumnPredicate
 from repro.reliability import RetryPolicy
 from repro.runtime import SyncPolicy, make_sync_policy
 from repro.serving import (
@@ -291,6 +292,16 @@ class ScorePlan(_Plan):
     retry: RetryPolicy | None
     #: concurrent fan-out width: ``worker_limit(segments)``.
     workers: int
+    #: the statement's compiled WHERE (``dana.predict ... WHERE``), applied
+    #: on the access path before the forward tape; ``None`` scores every
+    #: tuple.  Filled from the statement, not a user-settable option.
+    where: ColumnPredicate | None = None
+
+    def as_config(self) -> dict[str, Any]:
+        """The resolved knobs, with the predicate rendered as its SQL text."""
+        config = super().as_config()
+        config["where"] = None if self.where is None else self.where.sql
+        return config
 
     @classmethod
     def resolve(
@@ -307,8 +318,12 @@ class ScorePlan(_Plan):
         stream: bool = True,
         retry: RetryPolicy | None = None,
         execution: str = "threads",
+        where: ColumnPredicate | None = None,
     ) -> "ScorePlan":
         """Validate a scoring run's knobs and derive what execution needs.
+
+        ``where`` is a statement's WHERE already compiled against the
+        table's schema (:meth:`ColumnPredicate.compile` owns its checks).
 
         Raises:
             ConfigurationError: naming the valid choices of the offending
@@ -345,4 +360,5 @@ class ScorePlan(_Plan):
             execution=execution,
             retry=retry,
             workers=worker_limit(segments),
+            where=where,
         )

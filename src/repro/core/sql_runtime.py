@@ -24,14 +24,8 @@ from repro.core.plan import ScorePlan, TrainPlan, option_types
 from repro.exceptions import ConfigurationError, QueryError
 from repro.rdbms import ModelEntry
 from repro.rdbms.explain import PlanOperator
-from repro.rdbms.query import (
-    CreateModel,
-    PredictScan,
-    QueryResult,
-    ScoreCall,
-    UDFCall,
-    matches_row,
-)
+from repro.rdbms.predicate import ColumnPredicate
+from repro.rdbms.query import CreateModel, PredictScan, QueryResult, ScoreCall, UDFCall
 from repro.serving import ScoreResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -101,11 +95,14 @@ class SqlRuntime:
         """The registry entry and resolved plan of a scoring statement.
 
         A ``dana.score`` call's kwargs the statement left unset keep
-        :meth:`ScorePlan.resolve`'s defaults; ``dana.predict`` takes none.
+        :meth:`ScorePlan.resolve`'s defaults; ``dana.predict`` takes none,
+        and its WHERE is compiled against the table's schema here, so the
+        plan carries the predicate execution pushes below the forward tape.
 
         Raises:
             QueryError: when the model, its training UDF or the table is
-                missing, or a kwarg value is invalid.
+                missing, a kwarg value is invalid, or the WHERE names an
+                unknown column or compares a column with a string.
         """
         system = self.system
         try:
@@ -119,11 +116,16 @@ class SqlRuntime:
             for name in ("segments", "batch_size", "stream", "execution")
             if getattr(statement, name, None) is not None
         }
+        where = ColumnPredicate.compile(
+            system.database.table(statement.table_name).schema,
+            getattr(statement, "where", ()),
+        )
         with _invalid("dana.score arguments"):
             plan = ScorePlan.resolve(
                 registered,
                 statement.table_name,
                 use_striders=system.use_striders,
+                where=where,
                 **kwargs,
             )
         return entry, plan
@@ -163,12 +165,12 @@ class SqlRuntime:
         self,
         entry: ModelEntry,
         result: ScoreResult,
-        predictions: np.ndarray,
         limit: int | None,
         column: str,
     ) -> QueryResult:
         """The result set SQL scoring statements return: one row per
         prediction (a scalar float or a list), converted in one ``tolist``."""
+        predictions = result.predictions
         if limit is not None:
             predictions = predictions[:limit]
         return QueryResult(
@@ -181,6 +183,7 @@ class SqlRuntime:
                 "algorithm": entry.algorithm,
                 "segments": len(result.segments),
                 "stream": result.stream,
+                "tuples_scanned": result.tuples_scanned,
                 "tuples_scored": result.tuples_scored,
                 "forward_cycles": result.inference_stats.forward_cycles,
                 "critical_path_cycles": result.critical_path_cycles,
@@ -190,11 +193,11 @@ class SqlRuntime:
     def sql_predict(self, statement: PredictScan) -> QueryResult:
         """Execute ``SELECT dana.predict('<model>', ...) FROM <table>``.
 
-        The whole table is scan-and-scored exactly like
-        :meth:`DAnA.score_table` (bulk Strider page walk + batched
-        inference tape, bit-identical predictions), then the WHERE
-        predicates and LIMIT select which predictions are returned, in
-        storage order.
+        The table is scanned exactly like :meth:`DAnA.score_table` (bulk
+        Strider page walk), the statement's WHERE keeps each decoded page's
+        qualifying tuples before they reach the batched inference tape —
+        predictions are bit-identical to the same rows of ``score_table`` —
+        and LIMIT truncates the storage-ordered result.
 
         Returns:
             One row per qualifying tuple; the single column is named by the
@@ -203,30 +206,13 @@ class SqlRuntime:
 
         Raises:
             QueryError: when the model, its training UDF or the table is
-                missing (semantic errors of the statement).
+                missing, or the WHERE is invalid (semantic errors of the
+                statement).
         """
-        system = self.system
         entry, plan = self.score_plan(statement)
-        result = system._score(plan, model_name=entry.name, version=entry.version)
-        predictions = result.predictions
-        if statement.where:
-            # Evaluate WHERE over the same snapshot the scoring run scanned,
-            # so the mask stays aligned with the predictions even when
-            # inserts landed while the statement was scoring.
-            table = system.database.table(statement.table_name)
-            mask = np.fromiter(
-                (
-                    matches_row(table.schema, row, statement.where)
-                    for row in table.scan_tuples(
-                        system.database.buffer_pool, as_of_lsn=result.snapshot_lsn
-                    )
-                ),
-                dtype=bool,
-                count=len(predictions),
-            )
-            predictions = predictions[mask]
+        result = self.system._score(plan, model_name=entry.name, version=entry.version)
         return self._score_result(
-            entry, result, predictions, statement.limit, statement.alias or "prediction"
+            entry, result, statement.limit, statement.alias or "prediction"
         )
 
     def sql_score(self, statement: ScoreCall) -> QueryResult:
@@ -246,9 +232,7 @@ class SqlRuntime:
             result = self.system._score(
                 plan, model_name=entry.name, version=entry.version
             )
-        return self._score_result(
-            entry, result, result.predictions, statement.limit, "prediction"
-        )
+        return self._score_result(entry, result, statement.limit, "prediction")
 
     def sql_create_model(self, statement: CreateModel) -> QueryResult:
         """Execute ``CREATE MODEL <name> AS TRAIN <udf> ON <table>``.

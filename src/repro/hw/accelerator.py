@@ -19,6 +19,7 @@ from repro.hw.access_engine import AccessEngine, AccessEngineStats, stack_chunks
 from repro.hw.execution_engine import EngineRunStats, ExecutionEngine, TrainingResult
 from repro.hw.fpga import FPGASpec
 from repro.hw.tree_bus import TreeBus
+from repro.rdbms.predicate import ColumnPredicate
 from repro.rdbms.types import Schema
 from repro.reliability.retry import RetryPolicy, RetryStats
 
@@ -55,6 +56,8 @@ class DAnAAccelerator:
     binary: ExecutionBinary
     schema: Schema
     fpga: FPGASpec
+    #: a scoring statement's WHERE, applied by the access engine per page.
+    predicate: ColumnPredicate | None = None
     access_engine: AccessEngine = field(init=False)
     execution_engine: ExecutionEngine = field(init=False)
 
@@ -65,6 +68,7 @@ class DAnAAccelerator:
             program=self.binary.strider.program,
             schema=self.schema,
             fpga=self.fpga,
+            predicate=self.predicate,
         )
         self.execution_engine = ExecutionEngine(
             graph=self.binary.graph,
@@ -164,7 +168,9 @@ class DAnAAccelerator:
         no dependency on the serving layer — evaluates the forward pass and
         books its schedule-derived cycles.  Returns the predictions plus
         the per-page tuple counts (the scorer needs them to reassemble
-        partitioned predictions in storage order).
+        partitioned predictions in storage order).  With a
+        :attr:`predicate` the access engine emits each page's qualifying
+        tuples only, so both are over qualifying tuples.
         """
         chunks = list(self.access_engine.process_pages(page_images))
         sizes = [len(chunk) for chunk in chunks]

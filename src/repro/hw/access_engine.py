@@ -32,6 +32,7 @@ from repro.hw.fpga import FPGASpec
 from repro.hw.strider import Strider, StriderResult
 from repro.isa.strider_isa import StriderProgram
 from repro.obs.telemetry import telemetry
+from repro.rdbms.predicate import ColumnPredicate
 from repro.rdbms.types import Schema
 from repro.reliability.faults import fault_point
 from repro.reliability.retry import RetryPolicy
@@ -92,22 +93,12 @@ class PayloadDecoder:
     float feature vectors regardless of the on-page column types.
     """
 
-    #: struct format character → little-endian NumPy dtype string
-    _NP_DTYPES = {"f": "<f4", "d": "<f8", "h": "<i2", "i": "<i4", "q": "<i8"}
-
     def __init__(self, schema: Schema) -> None:
         self.schema = schema
         self._struct = struct.Struct(
             "<" + "".join(col.ctype.struct_code for col in schema.columns)
         )
         self.payload_bytes = schema.row_width
-        codes = [self._NP_DTYPES[col.ctype.struct_code] for col in schema.columns]
-        # Homogeneous schemas (the common dense-training layout) decode as
-        # one flat reinterpret; mixed schemas go through a record dtype.
-        self._flat_dtype = np.dtype(codes[0]) if len(set(codes)) == 1 else None
-        self._record_dtype = np.dtype(
-            [(f"c{i}", code) for i, code in enumerate(codes)]
-        )
 
     def decode(self, payload: bytes) -> np.ndarray:
         if len(payload) != self.payload_bytes:
@@ -135,16 +126,8 @@ class PayloadDecoder:
                 f"payload is {bad} bytes but the schema expects "
                 f"{self.payload_bytes}"
             )
-        buffer = b"".join(payloads)
-        n_rows, n_cols = len(payloads), len(self.schema)
-        if self._flat_dtype is not None:
-            flat = np.frombuffer(buffer, dtype=self._flat_dtype)
-            return flat.reshape(n_rows, n_cols).astype(np.float64)
-        records = np.frombuffer(buffer, dtype=self._record_dtype)
-        out = np.empty((n_rows, n_cols), dtype=np.float64)
-        for i, name in enumerate(records.dtype.names):
-            out[:, i] = records[name]
-        return out
+        records = np.frombuffer(b"".join(payloads), dtype=self.schema.record_dtype)
+        return self.schema.as_matrix(records)
 
 
 def stack_chunks(chunks: Sequence[np.ndarray], n_columns: int) -> np.ndarray:
@@ -161,12 +144,17 @@ class AccessEngine:
         program: StriderProgram,
         schema: Schema,
         fpga: FPGASpec,
+        predicate: ColumnPredicate | None = None,
     ) -> None:
         self.config = config
         self.program = program
         self.schema = schema
         self.fpga = fpga
         self.decoder = PayloadDecoder(schema)
+        #: a scoring statement's WHERE: every page is still walked and
+        #: decoded (the Strider/AXI counters do not move), but only the
+        #: qualifying tuples leave the access engine.
+        self.predicate = predicate
         self._striders = [
             Strider(program, read_width_bytes=config.read_width_bytes)
             for _ in range(config.num_striders)
@@ -267,7 +255,13 @@ class AccessEngine:
             span = obs.span("hw.decode", pages=len(results))
         decoded = [self.decoder.decode_many(result.payloads) for result in results]
         if span is not None:
-            obs.finish(span, tuples=sum(len(chunk) for chunk in decoded))
+            late = {"tuples": sum(len(chunk) for chunk in decoded)}
+        if self.predicate is not None:
+            decoded = [chunk[self.predicate.mask(chunk)] for chunk in decoded]
+            if span is not None:
+                late["tuples_out"] = sum(len(chunk) for chunk in decoded)
+        if span is not None:
+            obs.finish(span, **late)
         return decoded
 
     # ------------------------------------------------------------------ #

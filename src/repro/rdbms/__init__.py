@@ -14,7 +14,7 @@ from repro.rdbms.catalog import (
     TableEntry,
 )
 from repro.rdbms.database import Database
-from repro.rdbms.heapfile import HeapFile, decode_page_rows
+from repro.rdbms.heapfile import HeapFile, decode_page_records, decode_page_rows
 from repro.rdbms.heaptuple import TUPLE_HEADER_SIZE, TupleHeader, decode_tuple, encode_tuple
 from repro.rdbms.page import (
     DEFAULT_PAGE_SIZE,
@@ -24,8 +24,8 @@ from repro.rdbms.page import (
     HeapPage,
     PageLayout,
 )
+from repro.rdbms.predicate import ColumnPredicate, Comparison
 from repro.rdbms.query import (
-    Comparison,
     CountScan,
     CreateModel,
     DropModel,
@@ -53,6 +53,7 @@ __all__ = [
     "BufferPoolStats",
     "Catalog",
     "Column",
+    "ColumnPredicate",
     "ColumnType",
     "Comparison",
     "CountScan",
@@ -87,6 +88,7 @@ __all__ = [
     "WalRecord",
     "WriteAheadLog",
     "caret_message",
+    "decode_page_records",
     "decode_page_rows",
     "decode_tuple",
     "encode_tuple",

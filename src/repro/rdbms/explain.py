@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, TYPE_CHECKING
 
 from repro.exceptions import CatalogError, QueryError
+from repro.rdbms.predicate import ColumnPredicate
 from repro.rdbms.query import (
     CountScan,
     CreateModel,
@@ -171,15 +172,14 @@ def _attrs_match(span_attrs: dict, wanted: dict) -> bool:
     return all(span_attrs.get(key) == value for key, value in wanted.items())
 
 
-def filter_limit_ops(where, limit: int | None) -> list[PlanOperator]:
-    """Filter/Limit child operators shared by scans and serving statements."""
+def filter_limit_ops(
+    predicate: ColumnPredicate | None, limit: int | None
+) -> list[PlanOperator]:
+    """Filter/Limit child operators of a scan."""
     children: list[PlanOperator] = []
-    if where:
-        predicates = " AND ".join(
-            f"{c.column} {c.op} {_format_value(c.value)}" for c in where
-        )
+    if predicate is not None:
         children.append(
-            PlanOperator(name="Filter", knobs={"predicates": predicates})
+            PlanOperator(name="Filter", knobs={"predicates": predicate.sql})
         )
     if limit is not None:
         children.append(PlanOperator(name="Limit", knobs={"rows": limit}))
@@ -218,19 +218,23 @@ class PlanExplainer:
             return self._serving_explain(statement)
         raise QueryError(f"EXPLAIN does not support plan node {statement!r}")
 
-    def _table_stats(self, table_name: str) -> dict[str, int]:
-        """Catalogued page/tuple statistics of one table (QueryError-flavoured)."""
+    def _scan_inputs(
+        self, statement: SeqScan | CountScan
+    ) -> tuple[dict[str, int], ColumnPredicate | None]:
+        """Catalogued page/tuple statistics of a scan's table and its compiled
+        WHERE — raising the ``QueryError`` executing the scan would."""
         catalog = self.database.catalog
-        if not catalog.has_table(table_name):
-            raise QueryError(f"table {table_name!r} does not exist")
-        entry = catalog.table(table_name)
-        return {
+        if not catalog.has_table(statement.table_name):
+            raise QueryError(f"table {statement.table_name!r} does not exist")
+        entry = catalog.table(statement.table_name)
+        stats = {
             "pages": self.database.storage.page_count(entry.file_name),
             "tuples": entry.tuple_count,
         }
+        return stats, ColumnPredicate.compile(entry.schema, statement.where)
 
     def _build_scan(self, statement: SeqScan) -> PlanOperator:
-        stats = self._table_stats(statement.table_name)
+        stats, predicate = self._scan_inputs(statement)
         columns = "*" if statement.columns is None else ",".join(statement.columns)
         return PlanOperator(
             name="SeqScan",
@@ -238,18 +242,18 @@ class PlanExplainer:
             knobs={"columns": columns, **stats},
             predicted={"rows": stats["tuples"]},
             measure=lambda result: {"rows": len(result.rows)},
-            children=filter_limit_ops(statement.where, statement.limit),
+            children=filter_limit_ops(predicate, statement.limit),
         )
 
     def _build_count(self, statement: CountScan) -> PlanOperator:
-        stats = self._table_stats(statement.table_name)
+        stats, predicate = self._scan_inputs(statement)
         return PlanOperator(
             name="CountScan",
             label=statement.table_name,
             knobs=stats,
             predicted={"rows": 1},
             measure=lambda result: {"count": result.rows[0][0]},
-            children=filter_limit_ops(statement.where, None),
+            children=filter_limit_ops(predicate, None),
         )
 
     def _build_drop(self, statement: DropModel) -> PlanOperator:

@@ -16,30 +16,66 @@ not part of any bit-identity contract.
 
 from __future__ import annotations
 
+import math
 import threading
 from bisect import bisect_right
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.exceptions import RDBMSError
+from repro.exceptions import PageError, RDBMSError
 from repro.rdbms.buffer_pool import BufferPool
+from repro.rdbms.heaptuple import TUPLE_HEADER_SIZE, decode_tuple, tuple_size
 from repro.rdbms.page import HeapPage, PageLayout
 from repro.rdbms.storage import StorageManager
 from repro.rdbms.types import Schema
+
+
+def decode_page_records(image: bytes, layout: PageLayout, schema: Schema) -> np.ndarray:
+    """Decode one raw page image into ``schema.record_dtype`` records, in slot order.
+
+    The line-pointer array is one ``np.frombuffer`` and the tuples are
+    gathered by offset in one indexing operation; the checks
+    :func:`~repro.rdbms.heaptuple.decode_tuple` applies per tuple
+    (``t_len`` against the line pointer, ``attr_count`` against the
+    schema) run vectorised, and the first tuple that fails them is handed
+    to ``decode_tuple`` so it raises the error it always raised.
+    """
+    page = HeapPage.from_bytes(image, layout)
+    count = page.tuple_count
+    pointers_end = layout.line_pointer_start + count * layout.line_pointer_size
+    if pointers_end > layout.page_size:
+        raise PageError(
+            f"page header declares {count} tuples, whose line pointers would "
+            f"end at byte {pointers_end} of a {layout.page_size}-byte page"
+        )
+    pointers = np.frombuffer(
+        image, dtype="<u2", count=2 * count, offset=layout.line_pointer_start
+    ).reshape(count, 2)
+    offsets = pointers[:, :1].astype(np.intp)
+    width = tuple_size(schema)
+    data = np.frombuffer(image, dtype=np.uint8)
+    malformed = (pointers[:, 1] != width) | (offsets[:, 0] + width > len(data))
+    if not malformed.any():
+        headers = data[offsets + np.arange(4)].view("<u2")  # t_len, attr_count
+        malformed = (headers[:, 0] != width) | (headers[:, 1] != len(schema))
+    if malformed.any():
+        slot = int(np.argmax(malformed))
+        decode_tuple(schema, page.read_raw(slot))
+        raise PageError(f"tuple in slot {slot} is malformed")
+    payloads = data[offsets + np.arange(TUPLE_HEADER_SIZE, width)]
+    return payloads.view(schema.record_dtype).reshape(count)
 
 
 def decode_page_rows(image: bytes, layout: PageLayout, schema: Schema) -> np.ndarray:
     """Decode one raw page image into a ``(tuples, columns)`` float64 matrix.
 
     The RDBMS-side per-page decode shared by every ``use_striders=False``
-    path (training segment workers, the serving scan scorer) — one
-    implementation so the CPU-decode model cannot drift between them.
+    path (training segment workers, the serving scan scorer) and by
+    :meth:`HeapFile.read_pages` — one implementation so the CPU-decode
+    model cannot drift between them.
     """
-    tuples = list(HeapPage.from_bytes(image, layout).tuples(schema))
-    if not tuples:
-        return np.empty((0, len(schema)))
-    return np.asarray(tuples, dtype=np.float64)
+    return schema.as_matrix(decode_page_records(image, layout, schema))
 
 
 class HeapFile:
@@ -228,8 +264,8 @@ class HeapFile:
 
     def tuple_count_as_of(self, as_of_lsn: int) -> int:
         """Total tuples the table held at LSN ``as_of_lsn``."""
-        lsns = [lsn for lsn, _count in self._count_history]
-        i = bisect_right(lsns, as_of_lsn)
+        # (lsn, inf) sorts after every (lsn, count) entry of that LSN.
+        i = bisect_right(self._count_history, (as_of_lsn, math.inf))
         return self._count_history[i - 1][1] if i else 0
 
     def page_lsn_as_of(self, page_no: int, as_of_lsn: int) -> int:
@@ -342,29 +378,24 @@ class HeapFile:
         self, pool: BufferPool, as_of_lsn: int | None = None
     ) -> np.ndarray:
         """Materialise the whole table as a float64 NumPy array."""
-        rows = list(self.scan_tuples(pool, as_of_lsn=as_of_lsn))
-        if not rows:
-            return np.empty((0, len(self.schema)))
-        return np.asarray(rows, dtype=np.float64)
+        return self.read_pages(pool, None, as_of_lsn=as_of_lsn)
 
     def read_pages(
         self,
         pool: BufferPool,
-        page_nos: Sequence[int],
+        page_nos: Sequence[int] | None,
         as_of_lsn: int | None = None,
     ) -> np.ndarray:
         """Materialise a subset of pages as a float64 array (storage order).
 
-        The CPU-decode twin of a partial :meth:`scan_pages`: incremental
-        refresh uses it to train on only the pages past a model's
-        watermark when Striders are disabled.
+        The CPU-decode twin of a partial :meth:`scan_pages` (``None`` reads
+        every page): incremental refresh uses it to train on only the pages
+        past a model's watermark when Striders are disabled.
         """
-        rows: list[tuple[float | int, ...]] = []
-        for _page_no, image in self.scan_pages(
-            pool, list(page_nos), as_of_lsn=as_of_lsn
-        ):
-            page = HeapPage.from_bytes(image, self.layout)
-            rows.extend(page.tuples(self.schema))
-        if not rows:
+        chunks = [
+            decode_page_rows(image, self.layout, self.schema)
+            for _page_no, image in self.scan_pages(pool, page_nos, as_of_lsn=as_of_lsn)
+        ]
+        if not chunks:
             return np.empty((0, len(self.schema)))
-        return np.asarray(rows, dtype=np.float64)
+        return np.vstack(chunks)

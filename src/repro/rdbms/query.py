@@ -45,16 +45,21 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Protocol, Sequence
+
+import numpy as np
 
 from repro.exceptions import CatalogError, QueryError
 from repro.obs.telemetry import telemetry
+from repro.rdbms.heapfile import decode_page_records
+from repro.rdbms.predicate import COMPARISON_UFUNCS, ColumnPredicate, Comparison
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.rdbms.heapfile import HeapFile
     from repro.rdbms.types import Schema
 
-#: comparison operators accepted in WHERE predicates, source → semantics.
-COMPARISON_OPS = ("=", "!=", "<>", "<", "<=", ">", ">=")
+#: comparison operators accepted in WHERE predicates.
+COMPARISON_OPS = tuple(COMPARISON_UFUNCS)
 
 #: statement keywords that may start a statement (used for error hints).
 _STATEMENT_STARTERS = ("SELECT", "CREATE", "DROP", "SHOW", "EXPLAIN")
@@ -174,15 +179,6 @@ def tokenize(sql: str) -> list[Token]:
 # logical plan nodes
 # ---------------------------------------------------------------------- #
 @dataclass(frozen=True)
-class Comparison:
-    """One ``<column> <op> <literal>`` predicate of a WHERE clause."""
-
-    column: str
-    op: str
-    value: float | str | bool
-
-
-@dataclass(frozen=True)
 class SeqScan:
     """Plan node for ``SELECT [cols|*] FROM <table> [WHERE][LIMIT]``."""
 
@@ -212,9 +208,10 @@ class UDFCall:
 class PredictScan:
     """Plan node for ``SELECT dana.predict('<model>', ...) FROM <table>``.
 
-    Executed by the serving runtime: the whole table is scan-and-scored
-    through the batched inference tape (bit-identical to
-    ``DAnA.score_table``), then WHERE / LIMIT select the returned rows.
+    Executed by the serving runtime: WHERE is evaluated per decoded page
+    on the access path, the qualifying tuples are scored through the
+    batched inference tape (bit-identical to the same rows of
+    ``DAnA.score_table``), then LIMIT truncates the returned rows.
     """
 
     model_name: str
@@ -685,12 +682,17 @@ def parse(sql: str) -> LogicalPlan:
 
 
 # ---------------------------------------------------------------------- #
-# predicate evaluation (shared by the executor and the serving runtime)
+# predicate evaluation: the per-row reference
 # ---------------------------------------------------------------------- #
 def matches_row(
     schema: "Schema", row: Sequence[Any], comparisons: Iterable[Comparison]
 ) -> bool:
     """True when ``row`` satisfies every comparison (AND semantics).
+
+    The per-row reference of :class:`~repro.rdbms.predicate.ColumnPredicate`:
+    no statement evaluates its WHERE through this function (they filter a
+    decoded page at a time); the property tests and the frozen benchmark's
+    staged replay do.
 
     Args:
         schema: the table schema (resolves column names to positions).
@@ -701,7 +703,8 @@ def matches_row(
         Whether all comparisons hold for the row.
 
     Raises:
-        QueryError: when a comparison names a column the schema lacks.
+        QueryError: when a comparison names a column the schema lacks or
+            compares a numeric value with a string literal.
     """
     for comparison in comparisons:
         try:
@@ -715,6 +718,9 @@ def matches_row(
         target = comparison.value
         op = comparison.op
         try:
+            if isinstance(target, str):
+                # ``=`` / ``!=`` would answer silently where ``<`` raises.
+                raise TypeError
             if op == "=":
                 ok = value == target
             elif op in ("!=", "<>"):
@@ -892,23 +898,37 @@ class QueryExecutor:
         handler = catalog.udf(plan.udf_name)
         return handler(self.database, plan.table_name)
 
-    def _scan_rows(
-        self, table_name: str, where: tuple[Comparison, ...]
-    ) -> tuple[list[tuple[Any, ...]], "Schema"]:
-        """Scan a table through the buffer pool, applying WHERE predicates."""
+    def _table(self, table_name: str) -> "HeapFile":
         if not self.database.catalog.has_table(table_name):
             raise QueryError(f"table {table_name!r} does not exist")
-        table = self.database.table(table_name)
+        return self.database.table(table_name)
+
+    def _scan_pages(
+        self, table: "HeapFile", predicate: ColumnPredicate | None
+    ) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+        """``(records, qualifying mask)`` of each page, via the buffer pool.
+
+        One vectorised decode and one predicate evaluation per page; the
+        mask is ``None`` when the statement has no WHERE.
+        """
         schema = table.schema
-        rows = [
-            row
-            for row in table.scan_tuples(self.database.buffer_pool)
-            if not where or matches_row(schema, row, where)
-        ]
-        return rows, schema
+        for _page_no, image in table.scan_pages(self.database.buffer_pool):
+            records = decode_page_records(image, table.layout, schema)
+            if predicate is None:
+                yield records, None
+            else:
+                yield records, predicate.mask(schema.as_matrix(records))
 
     def _execute_scan(self, plan: SeqScan) -> QueryResult:
-        rows, schema = self._scan_rows(plan.table_name, plan.where)
+        table = self._table(plan.table_name)
+        schema = table.schema
+        predicate = ColumnPredicate.compile(schema, plan.where)
+        # Python tuples are materialised for qualifying rows only.
+        rows = [
+            row
+            for records, mask in self._scan_pages(table, predicate)
+            for row in (records if mask is None else records[mask]).tolist()
+        ]
         if plan.limit is not None:
             rows = rows[: plan.limit]
         if plan.columns is not None:
@@ -920,16 +940,15 @@ class QueryExecutor:
         return QueryResult(rows=rows, columns=columns)
 
     def _execute_count(self, plan: CountScan) -> QueryResult:
-        # Counting never materializes the scan: O(1) memory with or
-        # without WHERE predicates.
-        if not self.database.catalog.has_table(plan.table_name):
-            raise QueryError(f"table {plan.table_name!r} does not exist")
-        table = self.database.table(plan.table_name)
-        count = sum(
-            1
-            for row in table.scan_tuples(self.database.buffer_pool)
-            if not plan.where or matches_row(table.schema, row, plan.where)
-        )
+        table = self._table(plan.table_name)
+        predicate = ColumnPredicate.compile(table.schema, plan.where)
+        if predicate is None:
+            # The live count an un-pinned scan would produce, no tuple decoded.
+            count = table.tuple_count
+        else:
+            count = sum(
+                int(mask.sum()) for _records, mask in self._scan_pages(table, predicate)
+            )
         return QueryResult(rows=[(count,)], columns=("count",))
 
     def _execute_drop_model(self, plan: DropModel) -> QueryResult:

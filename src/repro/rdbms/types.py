@@ -12,7 +12,10 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from repro.exceptions import RDBMSError
 
@@ -35,6 +38,11 @@ class ColumnType(Enum):
     def struct_code(self) -> str:
         """``struct`` format character used for encoding."""
         return _STRUCT_CODES[self]
+
+    @property
+    def np_dtype(self) -> str:
+        """Little-endian NumPy dtype string of the on-page encoding."""
+        return _NP_DTYPES[self]
 
     @property
     def is_integer(self) -> bool:
@@ -74,6 +82,14 @@ _STRUCT_CODES = {
     ColumnType.INT2: "h",
     ColumnType.INT4: "i",
     ColumnType.INT8: "q",
+}
+
+_NP_DTYPES = {
+    ColumnType.FLOAT4: "<f4",
+    ColumnType.FLOAT8: "<f8",
+    ColumnType.INT2: "<i2",
+    ColumnType.INT4: "<i4",
+    ColumnType.INT8: "<i8",
 }
 
 
@@ -126,6 +142,43 @@ class Schema:
     def row_width(self) -> int:
         """Total width of the fixed-size attribute payload, in bytes."""
         return sum(c.width for c in self.columns)
+
+    @cached_property
+    def record_dtype(self) -> np.dtype:
+        """Packed record dtype of one attribute payload (fields ``c0, c1, ...``).
+
+        ``np.frombuffer(payloads, dtype=schema.record_dtype)`` reinterprets
+        a run of fixed-width payloads without touching a tuple in Python;
+        ``.tolist()`` on such records yields the tuples ``decode_row`` would
+        (INT columns as ``int``, FLOAT4 widened to the double ``struct``
+        gives).
+        """
+        return np.dtype(
+            [(f"c{i}", col.ctype.np_dtype) for i, col in enumerate(self.columns)]
+        )
+
+    @cached_property
+    def _flat_dtype(self) -> np.dtype | None:
+        """The single column dtype of a homogeneous schema, else ``None``."""
+        codes = {col.ctype.np_dtype for col in self.columns}
+        return np.dtype(codes.pop()) if len(codes) == 1 else None
+
+    def as_matrix(self, records: np.ndarray) -> np.ndarray:
+        """Widen :attr:`record_dtype` records to a ``(tuples, columns)`` float64 matrix.
+
+        Homogeneous schemas (the common dense-training layout) convert with
+        one flat reinterpret; mixed schemas copy column by column.  INT8
+        magnitudes beyond 2**53 round to the nearest double, exactly as
+        ``np.asarray(rows, dtype=np.float64)`` rounds the decoded ints.
+        """
+        n_rows, n_cols = len(records), len(self.columns)
+        if self._flat_dtype is not None:
+            flat = records.view(self._flat_dtype)
+            return flat.reshape(n_rows, n_cols).astype(np.float64)
+        out = np.empty((n_rows, n_cols), dtype=np.float64)
+        for i, name in enumerate(records.dtype.names):
+            out[:, i] = records[name]
+        return out
 
     def column_offset(self, index: int) -> int:
         """Byte offset of column ``index`` within the attribute payload."""

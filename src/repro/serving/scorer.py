@@ -22,6 +22,12 @@ materialises each segment's extraction first and is kept as the overlap
 oracle: predictions and schedule-derived counters are bit-identical across
 the two modes by construction (identical batch boundaries, identical page
 walk).
+
+A ``dana.predict`` statement's WHERE rides on the plan
+(:attr:`~repro.core.plan.ScorePlan.where`) and is evaluated by the access
+path, per decoded page: every page is walked (the access counters are the
+unfiltered scan's) but only qualifying tuples are batched, scored and
+booked, and reassembly runs over the per-page qualifying counts.
 """
 
 from __future__ import annotations
@@ -110,10 +116,13 @@ class ScoreResult:
     ipc: IPCStats = field(default_factory=IPCStats)
     #: WAL LSN the scan was pinned to; rows inserted after it are invisible.
     snapshot_lsn: int = 0
+    #: tuples the scan walked and decoded: the table as of ``snapshot_lsn``.
+    #: Exceeds :attr:`tuples_scored` by what the plan's WHERE filtered out.
+    tuples_scanned: int = 0
 
     @property
     def tuples_scored(self) -> int:
-        """Total tuples scored across all segments."""
+        """Total tuples scored across all segments (the qualifying ones)."""
         return len(self.predictions)
 
     @property
@@ -151,12 +160,16 @@ def score_segment(
     the two fan-outs cannot drift.  Striders × {streaming, materialized}
     or the CPU-decode model, as the plan says; a streaming producer
     restarts under ``plan.retry`` and books its restarts into
-    ``retry_stats``.  Returns the segment's report, its predictions and
-    the per-page tuple counts reassembly needs.
+    ``retry_stats``.  ``plan.where`` goes to whichever access path decodes
+    the pages, so the engine scores — and books — qualifying tuples only.
+    Returns the segment's report, its predictions and the per-page
+    (qualifying) tuple counts reassembly needs.
     """
     engine = inference.new_engine()
     if plan.use_striders:
-        accelerator = DAnAAccelerator(binary=binary, schema=spec.schema, fpga=fpga)
+        accelerator = DAnAAccelerator(
+            binary=binary, schema=spec.schema, fpga=fpga, predicate=plan.where
+        )
         if plan.stream:
             predictions, sizes = accelerator.score_stream_from_pages(
                 images,
@@ -173,7 +186,7 @@ def score_segment(
             )
         access_stats = accelerator.access_engine.stats
     else:
-        chunks = list(cpu_decode_chunks(images, layout, spec.schema))
+        chunks = list(cpu_decode_chunks(images, layout, spec.schema, plan.where))
         sizes = [len(chunk) for chunk in chunks]
         predictions = engine.score(
             stack_chunks(chunks, len(spec.schema)),
@@ -283,6 +296,9 @@ class ScanScorer:
             ipc=fanout.ipc,
             worker_limit=plan.workers,
             snapshot_lsn=fanout.as_of,
+            tuples_scanned=self.database.table(plan.table).tuple_count_as_of(
+                fanout.as_of
+            ),
         )
 
     # ------------------------------------------------------------------ #
@@ -425,11 +441,9 @@ class ScanScorer:
         for page_no in sorted(counts):
             offsets[page_no] = total
             total += counts[page_no]
-        trailing: tuple[int, ...] = ()
-        for _part, (_report, preds, _sizes) in scored:
-            if len(preds):
-                trailing = preds.shape[1:]
-                break
+        # Every segment's predictions carry the score dims, even when a
+        # predicate left it (or the whole table) no tuple to score.
+        trailing = scored[0][1][1].shape[1:] if scored else ()
         predictions = np.empty((total,) + trailing, dtype=np.float64)
         for part, (_report, preds, sizes) in scored:
             position = 0

@@ -380,6 +380,38 @@ class TestExplainAnalyzeScoring:
         assert "Filter" in names and "Limit" in names
         assert report.root.actual["rows"] <= 5
         _assert_span_coverage(report)
+        # the filter is pushed below the forward tape: it hangs off the page
+        # walk, and LIMIT alone still applies to the predictions
+        walk = next(op for op in report.root.children if op.name == "StriderPageWalk")
+        (filter_op,) = walk.children
+        assert filter_op.name == "Filter"
+        assert filter_op.knobs == {"predicates": "x0 > 0.0", "pushed_down": True}
+        assert "upper bound" in filter_op.predicted["forward_cycles"]
+        assert [op.name for op in report.root.children][-1] == "Limit"
+        assert "pushed_down=on" in "\n".join(row[0] for row in result.rows)
+        # predicted forward cycles price every scanned tuple; the run scored
+        # (and booked) the qualifying ones only
+        actual = report.root.actual
+        assert actual["tuples_scanned"] == report.root.predicted["tuples"] == 192
+        assert 5 <= actual["tuples"] < actual["tuples_scanned"]
+        assert actual["forward_cycles"] < sum(
+            op.predicted["forward_cycles"]
+            for op in report.root.children
+            if op.name == "Segment"
+        )
+        assert report.result.stats["tuples_scanned"] == 192
+        assert report.result.stats["tuples_scored"] == actual["tuples"]
+
+    def test_storage_scan_trees_keep_their_shape(self):
+        system = _system("linear")
+        for sql, root_name, children in (
+            ("SELECT * FROM train WHERE x0 > 0.5 LIMIT 3", "SeqScan", ["Filter", "Limit"]),
+            ("SELECT count(*) FROM train WHERE x0 > 0.5", "CountScan", ["Filter"]),
+        ):
+            root = system.database.execute("EXPLAIN " + sql).payload.root
+            assert root.name == root_name
+            assert [op.name for op in root.children] == children
+            assert root.children[0].knobs == {"predicates": "x0 > 0.5"}
 
 
 class TestWorkerClamp:

@@ -342,3 +342,34 @@ def test_worker_process_executes_the_shipped_plan():
     for name in threads.models:
         np.testing.assert_array_equal(processes.models[name], threads.models[name])
     assert processes.engine_stats == threads.engine_stats
+
+
+# ---------------------------------------------------------------------- #
+# a predict statement's WHERE rides on the plan, and is not a knob
+# ---------------------------------------------------------------------- #
+def test_where_rides_on_the_score_plan_from_statement_to_record():
+    import json
+
+    from repro.rdbms import parse
+
+    system = _system()
+    system.save_model("m", "linear", {"mo": np.ones(N_FEATURES)})
+    sql = "SELECT dana.predict('m') FROM train WHERE x0 > 0.25 AND y <= 9"
+    _entry, plan = system.sql.score_plan(parse(sql))
+    assert plan.where.sql == "x0 > 0.25 AND y <= 9.0"
+    assert [f.metadata.get("option") for f in dataclasses.fields(ScorePlan)] == [
+        None
+    ] * len(dataclasses.fields(ScorePlan))
+    assert option_types(ScorePlan) == {}
+
+    clone = pickle.loads(pickle.dumps(plan))
+    assert clone == plan and clone.where == plan.where
+    assert json.loads(json.dumps(plan.as_config()))["where"] == plan.where.sql
+
+    system.database.execute(sql)
+    assert _last_config(system)["where"] == plan.where.sql
+    system.database.execute("SELECT dana.predict('m') FROM train")
+    assert _last_config(system)["where"] is None
+    # the Python API gained no predicate argument
+    with pytest.raises(TypeError):
+        system.score_table("linear", "train", model_name="m", where=plan.where)

@@ -501,3 +501,220 @@ def test_empty_table_scores_empty():
     )
     assert result.tuples_scored == 0
     assert result.predictions.shape[0] == 0
+
+
+# ---------------------------------------------------------------------- #
+# predicate push-down: WHERE below the forward tape
+# ---------------------------------------------------------------------- #
+FILTER_BATCH = 16
+#: x0 holds the storage position, so these pick page ranges: the first
+#: leaves three of fifteen pages non-empty (and one of four round-robin
+#: segments with nothing to score), the second matches nothing.
+FILTER_SOME = "x0 >= 200 AND x0 < 260 AND x1 > 0"
+FILTER_NONE = "x0 < 0"
+FILTER_MODELS = {"mo": np.linspace(-1.0, 1.0, N_FEATURES)}
+
+
+def build_filter_system(use_striders: bool = True, key: str = "linear") -> DAnA:
+    """A registry-built UDF (process workers can rebuild it) over 15 small pages."""
+    hyper = Hyperparameters(learning_rate=0.05, merge_coefficient=16, epochs=2)
+    data = generate_for_algorithm(key, N_TUPLES, N_FEATURES, seed=0)
+    data[:, 0] = np.arange(N_TUPLES)
+    database = Database(page_size=2048)
+    system = DAnA(database, use_striders=use_striders)
+    registered = system.register_algorithm_udf(key, key, N_FEATURES, hyper, epochs=2)
+    database.load_table("t", registered.spec.schema, data)
+    return system
+
+
+def filter_plan(system: DAnA, where_sql: str, **kwargs):
+    """The plan ``SELECT dana.predict(...) FROM t WHERE <where_sql>`` resolves
+    to, with the serving knobs the SQL surface does not expose."""
+    from repro.core import ScorePlan
+    from repro.rdbms import parse
+    from repro.rdbms.predicate import ColumnPredicate
+
+    (udf,) = system.registered_udfs()
+    where = parse(f"SELECT * FROM t WHERE {where_sql}").where
+    return ScorePlan.resolve(
+        system._registered(udf),
+        "t",
+        use_striders=system.use_striders,
+        where=ColumnPredicate.compile(system.database.table("t").schema, where),
+        **{"batch_size": FILTER_BATCH, **kwargs},
+    )
+
+
+def reference_mask(system: DAnA, where_sql: str) -> np.ndarray:
+    """The per-row oracle: ``matches_row`` over a tuple-at-a-time scan."""
+    from repro.rdbms import matches_row, parse
+
+    table = system.database.table("t")
+    where = parse(f"SELECT * FROM t WHERE {where_sql}").where
+    return np.array(
+        [
+            matches_row(table.schema, row, where)
+            for row in table.scan_tuples(system.database.buffer_pool)
+        ]
+    )
+
+
+@pytest.mark.parametrize("use_striders", (True, False))
+@pytest.mark.parametrize("segments", (1, 4))
+def test_filtered_scan_and_score_parity_grid(use_striders, segments):
+    from repro.cluster import Partitioner
+
+    system = build_filter_system(use_striders)
+    mask = reference_mask(system, FILTER_SOME)
+    assert 0 < mask.sum() < 60
+    unfiltered = system.score_table(
+        "linear",
+        "t",
+        models=FILTER_MODELS,
+        segments=segments,
+        stream=False,
+        batch_size=FILTER_BATCH,
+    )
+    # qualifying tuples per segment, from the page partition alone
+    per_page = system.database.table("t").tuples_per_page()
+    parts = Partitioner("round_robin").partition_table(system.database, "t", segments)
+    qualifying = [
+        sum(int(mask[no * per_page : (no + 1) * per_page].sum()) for no in part.page_nos)
+        for part in parts
+    ]
+    assert sum(qualifying) == mask.sum()
+    if segments == 4:
+        assert min(qualifying) == 0  # a whole segment is filtered away
+    inference = system._inference_plan(system._registered("linear"), "t")
+
+    cells = {}
+    for stream in (True, False):
+        for execution in ("threads", "processes"):
+            plan = filter_plan(
+                system, FILTER_SOME, segments=segments, stream=stream, execution=execution
+            )
+            cells[stream, execution] = result = system._score(plan, FILTER_MODELS)
+            np.testing.assert_array_equal(
+                result.predictions, unfiltered.predictions[mask]
+            )
+            assert result.stream == (stream and use_striders)
+            assert result.tuples_scanned == N_TUPLES
+            assert result.tuples_scored == mask.sum()
+            for seg, seg_all, n in zip(result.segments, unfiltered.segments, qualifying):
+                # every page is still walked: the access counters do not move
+                assert seg.access_stats == seg_all.access_stats
+                # the engine books dense micro-batches of qualifying tuples
+                assert seg.tuples_scored == seg.inference_stats.tuples_scored == n
+                assert seg.inference_stats.batches_scored == -(-n // FILTER_BATCH)
+                assert seg.inference_stats.forward_cycles == (
+                    inference.predict_forward_cycles(n, FILTER_BATCH)
+                )
+            if use_striders:
+                assert (
+                    sum(seg.access_stats.tuples_extracted for seg in result.segments)
+                    == N_TUPLES
+                )
+    first = cells[True, "threads"]
+    for result in cells.values():
+        assert result.inference_stats == first.inference_stats
+        assert [s.inference_stats for s in result.segments] == [
+            s.inference_stats for s in first.segments
+        ]
+    assert first.inference_stats.forward_cycles < unfiltered.inference_stats.forward_cycles
+
+
+@pytest.mark.parametrize("key", ("linear", "lrmf"))
+@pytest.mark.parametrize("stream", (True, False))
+@pytest.mark.parametrize("segments", (1, 4))
+def test_predicate_matching_nothing_returns_zero_rows(key, stream, segments):
+    if key == "lrmf":
+        system, _spec, _data = build_system("lrmf")
+        where_sql, models = "value < 0 AND value > 0", trained_models(system, "lrmf")
+    else:
+        system, where_sql, models = build_filter_system(), FILTER_NONE, FILTER_MODELS
+    everything = system.score_table(key, "t", models=models, segments=segments)
+    plan = filter_plan(system, where_sql, segments=segments, stream=stream)
+    result = system._score(plan, models)
+    assert result.predictions.shape == (0,) + everything.predictions.shape[1:]
+    assert result.tuples_scanned == everything.tuples_scored > 0
+    assert result.inference_stats == type(result.inference_stats)()
+    assert [seg.access_stats for seg in result.segments] == [
+        seg.access_stats for seg in everything.segments
+    ]
+
+
+def test_sql_predict_where_is_the_filtered_plan():
+    """The statement and the plan-level grid above are the same run."""
+    system = build_filter_system()
+    system.save_model("m", "linear", FILTER_MODELS)
+    statement = system.database.execute(
+        f"SELECT dana.predict('m') FROM t WHERE {FILTER_SOME}"
+    )
+    direct = system._score(filter_plan(system, FILTER_SOME, batch_size=None), FILTER_MODELS)
+    np.testing.assert_array_equal(
+        [row[0] for row in statement.rows], direct.predictions
+    )
+    assert statement.payload.inference_stats == direct.inference_stats
+
+
+def test_hw_decode_span_reports_the_filter_output_only_when_armed():
+    from repro.obs import enable_telemetry
+
+    system = build_filter_system()
+    mask = reference_mask(system, FILTER_SOME)
+    with enable_telemetry() as session:
+        system._score(filter_plan(system, FILTER_SOME, stream=False), FILTER_MODELS)
+    spans = [s for s in session.tracer.to_list() if s["name"] == "hw.decode"]
+    assert sum(s["attrs"]["tuples"] for s in spans) == N_TUPLES
+    assert sum(s["attrs"]["tuples_out"] for s in spans) == mask.sum()
+    with enable_telemetry() as session:
+        system.score_table("linear", "t", models=FILTER_MODELS, stream=False)
+    spans = [s for s in session.tracer.to_list() if s["name"] == "hw.decode"]
+    assert spans and all("tuples_out" not in s["attrs"] for s in spans)
+
+
+@pytest.mark.chaos
+class TestChaosFilteredScoring:
+    """A re-walk re-filters: recovered filtered runs stay bit-identical."""
+
+    def _baseline(self, system, **kwargs):
+        return system._score(filter_plan(system, FILTER_SOME, **kwargs), FILTER_MODELS)
+
+    def test_streaming_producer_restart_refilters(self):
+        from repro.reliability import FaultPlan, RetryPolicy, inject_faults
+
+        system = build_filter_system()
+        baseline = self._baseline(system, segments=2, stream=True)
+        plan = filter_plan(
+            system,
+            FILTER_SOME,
+            segments=2,
+            stream=True,
+            retry=RetryPolicy(max_attempts=3, backoff_s=0.0),
+        )
+        with inject_faults(FaultPlan.transient(("hw.strider.page_walk", 1))) as injector:
+            chaotic = system._score(plan, FILTER_MODELS)
+        assert len(injector.fired) == 1
+        assert chaotic.retry.retries >= 1
+        np.testing.assert_array_equal(chaotic.predictions, baseline.predictions)
+        assert chaotic.inference_stats == baseline.inference_stats
+        assert [s.access_stats for s in chaotic.segments] == [
+            s.access_stats for s in baseline.segments
+        ]
+
+    def test_redistributed_pages_are_filtered_by_their_adopters(self):
+        from repro.reliability import FaultPlan, RetryPolicy, inject_faults
+
+        system = build_filter_system()
+        baseline = self._baseline(system, segments=4)
+        plan = filter_plan(
+            system,
+            FILTER_SOME,
+            segments=4,
+            retry=RetryPolicy(max_attempts=1, degradation="redistribute"),
+        )
+        with inject_faults(FaultPlan.transient(("serving.scorer.segment", 1))):
+            chaotic = system._score(plan, FILTER_MODELS)
+        assert chaotic.retry.redistributed >= 1
+        np.testing.assert_array_equal(chaotic.predictions, baseline.predictions)
+        assert chaotic.inference_stats.tuples_scored == baseline.tuples_scored

@@ -462,6 +462,123 @@ class TestEdgeCases:
 # ---------------------------------------------------------------------- #
 # streaming scan-and-score parity
 # ---------------------------------------------------------------------- #
+class TestPredicatePushdown:
+    """WHERE is compiled once, validated up front and evaluated per page."""
+
+    BAD_PREDICATES = (
+        ("nope = 1", "unknown column 'nope'"),
+        ("x0 < 'abc'", "not valid for a column"),
+        ("x0 = 'abc'", "not valid for a column"),
+        ("x0 <> 'abc'", "not valid for a column"),
+    )
+
+    @staticmethod
+    def _system_with_empty_table():
+        system, spec, _data = build_system()
+        system.save_model("m", "linear", {"mo": np.zeros(N_FEATURES)})
+        system.database.load_table("empty", spec.schema, np.empty((0, N_FEATURES + 1)))
+        return system
+
+    @pytest.mark.parametrize("predicate,message", BAD_PREDICATES)
+    @pytest.mark.parametrize(
+        "statement",
+        (
+            "SELECT * FROM {table} WHERE {predicate}",
+            "SELECT * FROM {table} WHERE {predicate} LIMIT 0",
+            "SELECT count(*) FROM {table} WHERE {predicate}",
+            "SELECT dana.predict('m') FROM {table} WHERE {predicate}",
+            "SELECT dana.predict('m') FROM {table} WHERE {predicate} LIMIT 0",
+        ),
+    )
+    @pytest.mark.parametrize("table", ("t", "empty"))
+    def test_bad_predicate_raises_whatever_the_table_holds(
+        self, table, statement, predicate, message
+    ):
+        """Validation used to happen per scanned row, so an empty table, a
+        LIMIT 0 or an ``=`` against a string slipped through — and EXPLAIN
+        rendered plans for statements that raise when executed."""
+        system = self._system_with_empty_table()
+        sql = statement.format(table=table, predicate=predicate)
+        for door in (sql, "EXPLAIN " + sql):
+            with pytest.raises(QueryError, match=message):
+                system.database.execute(door)
+
+    def test_count_star_without_where_decodes_no_tuple(self, monkeypatch):
+        from repro.rdbms.heapfile import HeapFile
+
+        system, _spec, data = build_system()
+        database = system.database
+
+        def count():
+            return database.execute("SELECT count(*) FROM t").rows[0][0]
+
+        assert count() == len(database.execute("SELECT * FROM t")) == N_TUPLES
+        database.insert_rows("t", data[:5])
+        scanned = len(database.execute("SELECT * FROM t"))
+
+        def no_scan(*_args, **_kwargs):
+            raise AssertionError("count(*) decoded the table")
+
+        monkeypatch.setattr(HeapFile, "scan_tuples", no_scan)
+        monkeypatch.setattr(HeapFile, "scan_pages", no_scan)
+        assert count() == scanned == N_TUPLES + 5
+
+    def test_no_per_tuple_python_on_the_statement_path(self, monkeypatch):
+        """A structural gate, not a timing one: the tuple-at-a-time scan,
+        the per-slot page iterator and the per-row predicate are all
+        unreachable from filtered statements."""
+        import repro.rdbms.query as query
+        from repro.rdbms.heapfile import HeapFile
+        from repro.rdbms.page import HeapPage
+
+        system, _spec, data = build_system()
+        system.save_model("m", "linear", system.train("linear", "t", epochs=2).models)
+        database = system.database
+        expected = int((data.astype(np.float32)[:, 0] > 0).sum())
+        full = system.score_table("linear", "t", model_name="m", stream=False)
+
+        def per_tuple(*_args, **_kwargs):
+            raise AssertionError("per-tuple Python on the statement path")
+
+        monkeypatch.setattr(HeapFile, "scan_tuples", per_tuple)
+        monkeypatch.setattr(HeapPage, "tuples", per_tuple)
+        monkeypatch.setattr(query, "matches_row", per_tuple)
+        predicted = database.execute("SELECT dana.predict('m') FROM t WHERE x0 > 0")
+        selected = database.execute("SELECT * FROM t WHERE x0 > 0")
+        counted = database.execute("SELECT count(*) FROM t WHERE x0 > 0")
+        assert len(predicted) == len(selected) == counted.rows[0][0] == expected
+        assert all(row[0] > 0 for row in selected.rows)
+        mask = data.astype(np.float32)[:, 0] > 0
+        np.testing.assert_array_equal(
+            [row[0] for row in predicted.rows], full.predictions[mask]
+        )
+
+    def test_no_source_module_calls_matches_row(self):
+        """``matches_row`` is the tests' and the frozen benchmark's reference."""
+        import pathlib
+        import repro
+
+        root = pathlib.Path(repro.__file__).parent
+        users = sorted(
+            str(path.relative_to(root))
+            for path in root.rglob("*.py")
+            if "matches_row" in path.read_text()
+        )
+        # its definition, the package re-export, and the docstring that
+        # names it as the vectorised predicate's reference
+        assert users == ["rdbms/__init__.py", "rdbms/predicate.py", "rdbms/query.py"]
+
+    def test_predict_stats_report_scanned_next_to_scored(self):
+        system, _spec, data = build_system()
+        system.save_model("m", "linear", {"mo": np.ones(N_FEATURES)})
+        result = system.database.execute("SELECT dana.predict('m') FROM t WHERE x0 > 0")
+        assert result.stats["tuples_scanned"] == N_TUPLES
+        assert result.stats["tuples_scored"] == len(result) < N_TUPLES
+        unfiltered = system.database.execute("SELECT dana.predict('m') FROM t")
+        assert unfiltered.stats["tuples_scanned"] == N_TUPLES
+        assert unfiltered.stats["tuples_scored"] == N_TUPLES
+
+
 class TestStreamingScan:
     @pytest.mark.parametrize("key", ALL_ALGORITHMS)
     @pytest.mark.parametrize("segments", [1, 2])
