@@ -24,8 +24,8 @@ multicore, where the thread-pool path overlaps segments for real).
 
 Finally, the ``pipeline_sweep`` measures the pipelined epoch runtime
 (:mod:`repro.runtime`) on the barrier-heavy ``threads`` execution mode:
-extraction overlap on/off × merge staleness (``sync="stale_synchronous"``)
-plus the overlapped ``async_merge`` policy.  The pipelined configurations
+extraction overlap on/off × merge staleness (``sync="stale_synchronous"``).
+The pipelined configurations
 must beat the fully barriered threads mode (the CI smoke gate) while the
 stale-synchronous final loss stays within tolerance of bulk-synchronous.
 
@@ -240,9 +240,6 @@ def bench_pipeline_sweep(
         dict(stream=stream, sync="stale_synchronous", staleness=staleness)
         for stream in (False, True)
         for staleness in (1, 2, 8)
-    ] + [
-        dict(stream=False, sync="async_merge", staleness=1),
-        dict(stream=True, sync="async_merge", staleness=1),
     ]
     rows = []
     baseline_s = None
@@ -1259,7 +1256,7 @@ def main() -> None:
     report["pipeline_sweep"] = {
         "description": (
             "Pipelined epoch runtime on the barrier-heavy threads mode: "
-            "extraction overlap on/off x merge staleness (plus async_merge); "
+            "extraction overlap on/off x merge staleness; "
             "speedups are vs the fully barriered stream=False/staleness=1 row"
         ),
         "rows": pipeline,
@@ -1358,12 +1355,12 @@ def main() -> None:
         min(args.min_pipeline_speedup, 1.02) if args.smoke else args.min_pipeline_speedup
     )
     # "Pipelined" = any non-barriered configuration the runtime offers
-    # (streaming overlap, stale windows, overlapped merges).  Multicore
+    # (streaming overlap, stale windows).  Multicore
     # hosts favour the streamed rows; single-core hosts the stale windows.
     pipelined_best = max(
         r["speedup_vs_barriered"]
         for r in pipeline
-        if r["stream"] or r["staleness"] > 1 or r["sync"] == "async_merge"
+        if r["stream"] or r["staleness"] > 1
     )
     if pipelined_best < pipeline_required:
         raise SystemExit(

@@ -57,7 +57,6 @@ from repro.exceptions import (
     RetryExhaustedError,
     TransientError,
 )
-from repro.hw.accelerator import DAnAAccelerator
 from repro.hw.fpga import FPGASpec
 from repro.obs.telemetry import Telemetry, enable_telemetry, telemetry
 from repro.rdbms.page import PageLayout
@@ -260,22 +259,22 @@ class _SegmentChild:
         return payload
 
     def _extract(self, resume: dict | None) -> dict:
-        """Build the segment worker and materialise its partition.
+        """Build the segment worker and open its partition.
 
         ``resume`` is a dead incarnation's last reported state: counters,
         RNG stream and in-window retry counters continue from it (the
         extraction counters need no restore — the re-walk re-books them).
         """
         job, plan = self.job, self.job.plan
-        self.worker = worker = SegmentWorker(
-            segment_id=job.part.segment_id,
-            accelerator=DAnAAccelerator(
-                binary=self.binary, schema=self.spec.schema, fpga=job.fpga
-            ),
-            partition=job.part,
-            rng=segment_rngs(plan.seed, plan.segments)[job.part.segment_id],
+        self.worker = worker = SegmentWorker.open(
+            job.part,
+            self.images,
+            self.binary,
+            self.spec,
+            job.fpga,
+            plan,
+            segment_rngs(plan.seed, plan.segments)[job.part.segment_id],
         )
-        worker.extract(self.images, plan.use_striders, job.layout)
         if resume is not None:
             worker.restore(resume["checkpoint"])
             worker.retry_stats = resume["retry_stats"]
@@ -315,7 +314,6 @@ class _SegmentChild:
             job.plan,
             self.binary,
             self.spec,
-            job.layout,
             job.fpga,
             InferencePlan.from_binary(self.binary, self.spec),
             job.part,

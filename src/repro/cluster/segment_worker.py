@@ -11,59 +11,40 @@ exactly what a stand-alone accelerator over the same pages would report.
 
 A worker never touches the heap file or the buffer pool: the caller (the
 :class:`~repro.cluster.fanout.SegmentFanout`'s thread, or a worker process
-reading its shared page store) pulls the partition's page images and hands
-them over.  Extraction comes in two flavours: :meth:`SegmentWorker.extract`
-materialises the whole partition up front (the pipelining oracle), while
-:meth:`SegmentWorker.open_source` starts a streaming
-:class:`~repro.runtime.BatchSource` whose producer thread runs this
-segment's Strider walk concurrently with training — and concurrently with
-every *other* segment's extraction.
+reading its shared page store) pulls the partition's page images and
+:meth:`SegmentWorker.open` hands them to the segment's extraction seam
+(:meth:`~repro.hw.access_engine.AccessEngine.open`).  The worker only ever
+consumes the :class:`~repro.runtime.BatchSource` that comes back — whether
+its producer thread is still walking pages concurrently with training (and
+with every *other* segment's extraction) or the partition is already in
+memory is the seam's business.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.algorithms.base import AlgorithmSpec
 from repro.cluster.partitioner import PagePartition
-from repro.hw.access_engine import AccessEngineStats, stack_chunks
+from repro.hw.access_engine import AccessEngineStats
 from repro.hw.accelerator import DAnAAccelerator
 from repro.hw.execution_engine import EngineRunStats, ExecutionEngine, TrainingResult
+from repro.hw.fpga import FPGASpec
 from repro.obs.telemetry import telemetry
-from repro.rdbms.heapfile import decode_page_rows
-from repro.rdbms.page import PageLayout
-from repro.rdbms.predicate import ColumnPredicate
-from repro.rdbms.types import Schema
 from repro.reliability.faults import fault_point
 from repro.reliability.retry import RetryPolicy, RetryStats
 from repro.runtime import BatchSource
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.compiler.execution_binary import ExecutionBinary
+    from repro.core.plan import TrainPlan
+
 #: fault-injection site fired once per segment training window.
 SEGMENT_EPOCH_FAULT_SITE = "cluster.segment_worker.epoch"
-
-
-def cpu_decode_chunks(
-    images: Iterable[bytes],
-    layout: PageLayout,
-    schema: Schema,
-    predicate: ColumnPredicate | None = None,
-) -> Iterator[np.ndarray]:
-    """Per-page RDBMS-side decode (the ``use_striders=False`` model).
-
-    The CPU feeds the engine directly: tuples are decoded by the RDBMS
-    layer and no Strider activity is booked.  Training segments and the
-    scan scorer share this one decode; a scoring statement's ``predicate``
-    keeps only each page's qualifying tuples, like the access engine does
-    when Striders are on.
-    """
-    chunks = (decode_page_rows(image, layout, schema) for image in images)
-    if predicate is None:
-        return chunks
-    return (chunk[predicate.mask(chunk)] for chunk in chunks)
 
 
 @dataclass
@@ -107,11 +88,40 @@ class SegmentWorker:
     segment_id: int
     accelerator: DAnAAccelerator
     partition: PagePartition
+    #: the partition's extraction, as opened by the seam.
+    source: BatchSource = field(repr=False)
     rng: np.random.Generator | None = None
-    source: BatchSource | None = field(default=None, repr=False)
     #: fault/retry counters booked by this worker's retried windows.
     retry_stats: RetryStats = field(default_factory=RetryStats, repr=False)
-    _rows: np.ndarray | None = field(default=None, repr=False)
+
+    @classmethod
+    def open(
+        cls,
+        part: PagePartition,
+        images: list,
+        binary: "ExecutionBinary",
+        spec: AlgorithmSpec,
+        fpga: FPGASpec,
+        plan: "TrainPlan",
+        rng: np.random.Generator,
+    ) -> "SegmentWorker":
+        """One segment on a fresh accelerator, its extraction opened.
+
+        The one construction both the in-process strategies and the worker
+        *processes* use: same design (every accelerator is generated from
+        the same compiled binary), fresh counters, and ``images`` — the
+        bytes the heap held at the run's LSN, whether they came through the
+        buffer pool or out of a :class:`~repro.runtime.shm.SharedPageStore`
+        — handed to the extraction seam with the plan's extraction knobs.
+        """
+        accelerator = DAnAAccelerator(binary=binary, schema=spec.schema, fpga=fpga)
+        return cls(
+            segment_id=part.segment_id,
+            accelerator=accelerator,
+            partition=part,
+            source=accelerator.access_engine.open(images, **plan.extraction()),
+            rng=rng,
+        )
 
     @property
     def engine(self) -> ExecutionEngine:
@@ -128,99 +138,27 @@ class SegmentWorker:
         """Counters of this segment's access engine (Striders + AXI)."""
         return self.accelerator.access_engine.stats
 
-    @property
-    def rows(self) -> np.ndarray | None:
-        """The partition's tuple matrix (drains the stream if needed)."""
-        if self._rows is None and self.source is not None:
-            self._rows = self.source.rows()
-        return self._rows
-
-    @property
-    def tuples_extracted(self) -> int:
-        """Tuples this segment extracted (drains the stream if needed)."""
-        if self._rows is None and self.source is None:
-            return 0
-        return len(self.rows)
-
     def has_rows(self) -> bool:
         """True once the partition is known to hold at least one tuple.
 
-        On a streaming source this peeks only as far as the first decoded
-        page — the whole partition is *not* materialised.
+        On a source that is still streaming this peeks only as far as the
+        first decoded page — the whole partition is *not* materialised.
         """
-        if self._rows is not None:
-            return len(self._rows) > 0
-        if self.source is not None:
-            return self.source.has_rows()
-        return False
+        return self.source.has_rows()
 
     def report(self) -> SegmentReport:
         """This segment's line of the run result (drains the stream)."""
         return SegmentReport(
             segment_id=self.segment_id,
             pages=len(self.partition),
-            tuples_extracted=self.tuples_extracted,
+            tuples_extracted=len(self.source.rows()),
             engine_stats=self.engine_stats,
             access_stats=self.access_stats,
         )
 
-    # ------------------------------------------------------------------ #
-    # access engine: partition extraction from already-pulled page images
-    # ------------------------------------------------------------------ #
-    def extract(
-        self, images: list[bytes], use_striders: bool, layout: PageLayout
-    ) -> np.ndarray:
-        """Materialise this segment's page images as the training-tuple matrix.
-
-        ``use_striders=True`` streams the raw page images through this
-        segment's access engine (the paper's path, with cycle accounting);
-        ``False`` is the :func:`cpu_decode_chunks` model.  The images are
-        what pins the run to its snapshot: they are the bytes the heap held
-        at the run's LSN, whether they came through the buffer pool or out
-        of a :class:`~repro.runtime.shm.SharedPageStore`.
-        """
-        if use_striders:
-            self._rows = self.accelerator.access_engine.extract_table(images)
-        else:
-            schema = self.accelerator.schema
-            self._rows = stack_chunks(
-                list(cpu_decode_chunks(images, layout, schema)), len(schema)
-            )
-        return self._rows
-
-    def open_source(
-        self,
-        images: list[bytes],
-        use_striders: bool,
-        layout: PageLayout,
-        retry: RetryPolicy | None = None,
-    ) -> BatchSource:
-        """Start this segment's streaming extraction (producer thread).
-
-        The returned source yields decoded per-page chunks through a
-        bounded double buffer; training can consume the first batch while
-        later pages are still being cleansed.  Payloads and counters are
-        identical to :meth:`extract`.  A ``retry`` policy makes the
-        producer restartable after transient faults (page walk or
-        producer site) with bit-identical chunks and counters; a restart
-        (and the source's chunk cache) re-walks the same ``images`` even
-        if the table has grown since the stream opened.
-        """
-        if use_striders:
-            self.source = self.accelerator.access_engine.stream_table(
-                images, retry=retry
-            )
-        else:
-            schema = self.accelerator.schema
-            self.source = BatchSource(
-                cpu_decode_chunks(images, layout, schema), n_columns=len(schema)
-            )
-        return self.source
-
     def epoch_rows(self, shuffle: bool) -> np.ndarray:
         """This epoch's tuple order (per-segment seeded shuffle)."""
-        rows = self.rows
-        assert rows is not None, "extract()/open_source() must run before training"
+        rows = self.source.rows()
         if not shuffle or len(rows) == 0:
             return rows
         if self.rng is None:
@@ -282,9 +220,10 @@ class SegmentWorker:
     ) -> TrainingResult:
         """Run ``epochs`` local epochs starting from the merged global model.
 
-        When the partition is still streaming, the first epoch consumes
-        batches straight off the source; the stream is materialised before
-        the call returns so later windows train from memory.
+        When the partition is still streaming, the engine's first epoch
+        consumes batches straight off the source; the stream is
+        materialised before the call returns so later windows train from
+        memory.
 
         With a ``retry`` policy, a :class:`~repro.exceptions.TransientError`
         raised by this window is retried from a checkpoint of the worker's
@@ -292,10 +231,6 @@ class SegmentWorker:
         books exactly what a fault-free window would have (the epoch driver
         copies the input models per attempt, so they need no restore).
         """
-        assert self._rows is not None or self.source is not None, (
-            "extract()/open_source() must run before training"
-        )
-
         def window() -> TrainingResult:
             fault_point(SEGMENT_EPOCH_FAULT_SITE)
             obs = telemetry()
@@ -309,7 +244,7 @@ class SegmentWorker:
             late = {}
             try:
                 result = self.engine.train(
-                    rows=self._rows,
+                    self.source,
                     initial_models=models,
                     bind_tuple=spec.bind_tuple,
                     epochs=epochs,
@@ -317,10 +252,8 @@ class SegmentWorker:
                     bind_batch=spec.bind_batch,
                     shuffle=shuffle,
                     rng=self.rng,
-                    source=self.source if self._rows is None else None,
                 )
-                if self._rows is None:
-                    self._rows = self.source.rows()
+                self.source.rows()  # later windows train from memory
                 late["epochs_run"] = result.epochs_run
                 return result
             except BaseException as error:

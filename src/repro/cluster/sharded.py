@@ -21,14 +21,13 @@ deployment functionally on top of the PR-1 batched pipeline:
 Epoch scheduling lives in the shared pipeline runtime
 (:mod:`repro.runtime`): every execution strategy is an
 :class:`~repro.runtime.EpochStep` plugin for the one
-:class:`~repro.runtime.EpochDriver` loop, extraction streams through
-bounded :class:`~repro.runtime.BatchSource` double buffers (each segment's
-Strider walk overlaps training and the other segments' walks), and a
-:class:`~repro.runtime.SyncPolicy` decides the merge cadence —
-``bulk_synchronous`` (barriered, bit-identical to the pre-runtime path),
-``stale_synchronous`` (windows of merge-free local epochs) or
-``async_merge`` (per-epoch merge overlapped with next-epoch preparation).
-Partitioning, page pulls, dispatch, worker processes and every resource
+:class:`~repro.runtime.EpochDriver` loop, every segment consumes the
+:class:`~repro.runtime.BatchSource` its extraction seam opened (when it
+streams, each segment's Strider walk overlaps training and the other
+segments' walks), and a :class:`~repro.runtime.SyncPolicy` decides the
+merge cadence — ``bulk_synchronous`` (barriered, bit-identical to the
+pre-runtime path) or ``stale_synchronous`` (windows of merge-free local
+epochs).  Partitioning, page pulls, dispatch, worker processes and every resource
 lifetime belong to the run's :class:`~repro.cluster.fanout.SegmentFanout`
 — the same one scan-and-score uses.
 
@@ -65,7 +64,6 @@ from repro.cluster.fanout import (
     SegmentProcess,
     segment_rngs,
 )
-from repro.cluster.partitioner import PagePartition
 from repro.cluster.segment_worker import (
     SEGMENT_EPOCH_FAULT_SITE,
     SegmentReport,
@@ -75,7 +73,6 @@ from repro.exceptions import ConfigurationError
 from repro.reliability.faults import fault_point
 from repro.reliability.retry import RetryStats
 from repro.hw.access_engine import AccessEngineStats
-from repro.hw.accelerator import DAnAAccelerator
 from repro.hw.execution_engine import EngineRunStats, TrainingResult
 from repro.hw.fpga import DEFAULT_FPGA, FPGASpec
 from repro.hw.tree_bus import TreeBus, TreeBusStats
@@ -242,12 +239,11 @@ class ShardedDAnA:
             self.database, self.binary, self.spec, plan, self.fpga
         ) as fanout:
             cluster, models = self._begin_run(fanout)
+            self.workers = []
             if plan.execution == "processes":
                 # Each child attaches the shared page store, rebuilds its
-                # accelerator and materialises its partition (no
-                # cross-process streaming — the plan resolved ``stream``
-                # off), then trains stale windows on command.
-                self.workers = []
+                # accelerator and opens its partition, then trains stale
+                # windows on command.
                 fanout.map(
                     lambda process: fanout.supervise(
                         lambda: _spawn_extract(process),
@@ -263,18 +259,25 @@ class ShardedDAnA:
                     self._process_window(fanout, convergence_check),
                 )
             else:
-                # One accelerator per segment, all generated from the same
-                # compiled binary (same design, same Strider program, same
-                # schedule).  Fresh instances per run keep per-segment
-                # counters clean, and re-deriving the per-segment generators
-                # (the recipe worker processes share) makes repeated runs
-                # bit-identical.
-                self.workers = [
-                    self._open_worker(fanout, part, rng)
-                    for part, rng in zip(
-                        fanout.parts, segment_rngs(plan.seed, plan.segments)
+                # One fresh accelerator per segment (clean counters), every
+                # extraction opened now — streaming ones start their walks
+                # on their own producer threads, owned by the fan-out.
+                # Re-deriving the per-segment generators (the recipe worker
+                # processes share) makes repeated runs bit-identical.
+                for part, rng in zip(
+                    fanout.parts, segment_rngs(plan.seed, plan.segments)
+                ):
+                    worker = SegmentWorker.open(
+                        part,
+                        fanout.images(part),
+                        self.binary,
+                        self.spec,
+                        self.fpga,
+                        plan,
+                        rng,
                     )
-                ]
+                    fanout.adopt(worker.source)
+                    self.workers.append(worker)
                 if plan.execution == "lockstep":
                     step = _LockstepStep(self, plan.shuffle, convergence_check)
                 else:
@@ -299,8 +302,7 @@ class ShardedDAnA:
             # process-death supervision, lockstep retries.
             for worker in self.workers:
                 cluster.retry.merge(worker.retry_stats)
-                if worker.source is not None:
-                    cluster.retry.merge(worker.source.retry_stats)
+                cluster.retry.merge(worker.source.retry_stats)
             for process in fanout.processes:
                 cluster.retry.merge(process.last["retry_stats"])
                 cluster.retry.merge(process.retry_stats)
@@ -349,31 +351,6 @@ class ShardedDAnA:
             k: np.array(v, dtype=np.float64) for k, v in self.spec.initial_models.items()
         }
         return cluster, models
-
-    def _open_worker(
-        self, fanout: SegmentFanout, part: PagePartition, rng: np.random.Generator
-    ) -> SegmentWorker:
-        """One in-process segment with its extraction started (or done)."""
-        plan, layout = self.plan, fanout.heapfile.layout
-        worker = SegmentWorker(
-            segment_id=part.segment_id,
-            accelerator=DAnAAccelerator(
-                binary=self.binary, schema=self.spec.schema, fpga=self.fpga
-            ),
-            partition=part,
-            rng=rng,
-        )
-        images = fanout.images(part)
-        if plan.stream:
-            # Streaming: every segment's Strider walk starts now, on its
-            # own producer thread; the first epoch consumes batches as
-            # pages decode instead of waiting for full materialisation.
-            fanout.adopt(
-                worker.open_source(images, plan.use_striders, layout, plan.retry)
-            )
-        else:
-            worker.extract(images, plan.use_striders, layout)
-        return worker
 
     @staticmethod
     def _process_window(
@@ -476,10 +453,11 @@ class _LockstepStep(EpochStep):
 
     State is the stacked ``(segments, ...)`` model block; between merge
     boundaries it simply keeps diverging per segment (that is
-    stale-synchronous training).  The first epoch of a streaming run zips
-    the per-segment batch streams — vector step ``k`` runs as soon as every
-    segment's ``k``-th batch has decoded — and the epoch block of a
-    ``shuffle=False`` run is planned once and reused every later epoch.
+    stale-synchronous training).  While the segments' sources are still
+    streaming, the first epoch zips the per-segment batch streams — vector
+    step ``k`` runs as soon as every segment's ``k``-th batch has decoded —
+    and the epoch block of a ``shuffle=False`` run is planned once and
+    reused every later epoch.
     """
 
     merges = True
@@ -496,12 +474,10 @@ class _LockstepStep(EpochStep):
         self.retry_stats = RetryStats()
         self.workers = [w for w in sharded.workers if w.has_rows()]
         self.batch_size = sharded.workers[0].engine.batch_size
-        self.streaming = sharded.plan.stream
         #: cached (epoch_rows, steps, block) of the static shuffle=False
         #: epoch — stacked once, reused every epoch (satellite: no
         #: re-trimming / re-stacking of identical blocks).
         self._static_plan: tuple[list[np.ndarray], int, np.ndarray | None] | None = None
-        self._prefetched_rows: list[np.ndarray] | None = None
 
     @property
     def active(self) -> bool:
@@ -522,16 +498,6 @@ class _LockstepStep(EpochStep):
     def merge(self, state, base):
         return self.aggregator.merge_stacked(state, base=base)
 
-    def prefetch(self, epoch_index: int) -> None:
-        """Prepare the next epoch's row orders while the merge overlaps.
-
-        Consumes each segment's rng exactly once, in epoch order — the
-        same stream a non-overlapped run would consume — so ``async_merge``
-        stays bit-identical to ``bulk_synchronous``.
-        """
-        if self.workers and self._static_plan is None:
-            self._prefetched_rows = [w.epoch_rows(self.shuffle) for w in self.workers]
-
     def run_window(self, state, epoch_index, count):
         """Run ``count`` merge-free epochs, judging convergence only on the
         window's last epoch — the merge boundary — exactly like
@@ -550,19 +516,16 @@ class _LockstepStep(EpochStep):
         if self.retry is None:
             return self._run_epoch_attempt(state, epoch_index, check_convergence)
         # Checkpoint everything one lock-step epoch mutates: the stacked
-        # model block (the tape updates it in place), every worker's
-        # counters + RNG stream, and the prefetched row orders — so a
-        # retried epoch replays bit-identically.
+        # model block (the tape updates it in place) and every worker's
+        # counters + RNG stream — so a retried epoch replays bit-identically.
         snapshot = {name: np.array(value) for name, value in state.items()}
         worker_states = [w.checkpoint() for w in self.workers]
-        prefetched = self._prefetched_rows
 
         def reset() -> None:
             for name, value in snapshot.items():
                 np.copyto(state[name], value)
             for worker, saved in zip(self.workers, worker_states):
                 worker.restore(saved)
-            self._prefetched_rows = prefetched
 
         return self.retry.run(
             lambda: self._run_epoch_attempt(state, epoch_index, check_convergence),
@@ -585,9 +548,8 @@ class _LockstepStep(EpochStep):
         env = None
         if (
             epoch_index == 0
-            and self.streaming
             and not self.shuffle
-            and all(w.source is not None for w in workers)
+            and not all(w.source.materialised for w in workers)
         ):
             # Pipelined first epoch: zip the per-segment batch streams.
             # Vector step k runs as soon as every segment's k-th full batch
@@ -598,9 +560,7 @@ class _LockstepStep(EpochStep):
             if self._static_plan is not None:
                 epoch_rows, steps, block = self._static_plan
             else:
-                epoch_rows = self._prefetched_rows or [
-                    w.epoch_rows(self.shuffle) for w in workers
-                ]
+                epoch_rows = [w.epoch_rows(self.shuffle) for w in workers]
                 steps = min(len(rows) // batch_size for rows in epoch_rows)
                 block = (
                     np.stack(
@@ -611,7 +571,6 @@ class _LockstepStep(EpochStep):
                 )
                 if not self.shuffle:
                     self._static_plan = (epoch_rows, steps, block)
-            self._prefetched_rows = None
             for k in range(steps):
                 chunk = block[k * batch_size : (k + 1) * batch_size]
                 env = tape.run(bind_batch(chunk), stacked_models)

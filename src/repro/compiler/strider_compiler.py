@@ -65,6 +65,9 @@ class StriderCompilationResult:
     """Program plus the per-page statistics the performance model needs."""
 
     program: StriderProgram
+    #: the page layout the program walks (the CPU-decode model reads the
+    #: same pages through it).
+    layout: PageLayout
     header_instructions: int
     loop_instructions: int
     tuple_payload_bytes: int
@@ -183,6 +186,7 @@ class StriderCompiler:
         loop_dynamic = len(loop) - 1
         return StriderCompilationResult(
             program=program,
+            layout=self.layout,
             header_instructions=len(header),
             loop_instructions=loop_dynamic,
             tuple_payload_bytes=self.schema.row_width,

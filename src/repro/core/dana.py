@@ -251,10 +251,8 @@ class DAnA:
         ``stream=True`` (default) extraction feeds training through bounded
         double buffers, and ``sync`` picks the cross-segment merge policy —
         ``"bulk_synchronous"`` (barriered every epoch; bit-identical to the
-        unpipelined path), ``"stale_synchronous"`` (merge every
-        ``staleness`` epochs; fast segments run ahead between merges) or
-        ``"async_merge"`` (per-epoch merges overlapped with the next
-        epoch's preparation; models bit-identical to bulk-synchronous).
+        unpipelined path) or ``"stale_synchronous"`` (merge every
+        ``staleness`` epochs; fast segments run ahead between merges).
 
         A ``retry`` policy (:class:`~repro.reliability.RetryPolicy`) makes
         the run fault-tolerant: transient faults in the Strider page walk,
@@ -672,14 +670,19 @@ class DAnA:
         spec = self._udfs[plan.udf].spec
         if accelerator is None:
             accelerator = self.accelerator_for(plan.udf, plan.table)
-        table = self.database.table(plan.table)
-        pool = self.database.buffer_pool
         if as_of is None:
             # Pin the scan to the heap as of now: concurrent inserts land in
             # the WAL but stay invisible to this run, and the run's LSN
             # becomes the saved model's refresh watermark.
             as_of = self.database.wal.current_lsn
-        training = dict(
+        page_images = (
+            image
+            for _no, image in self.database.table(plan.table).scan_pages(
+                self.database.buffer_pool, page_nos, as_of_lsn=as_of
+            )
+        )
+        result = accelerator.train(
+            accelerator.access_engine.open(page_images, **plan.extraction()),
             initial_models=(
                 spec.initial_models if initial_models is None else initial_models
             ),
@@ -689,21 +692,6 @@ class DAnA:
             shuffle=plan.shuffle,
             rng=np.random.default_rng(plan.seed) if plan.shuffle else None,
         )
-        if plan.use_striders:
-            page_images = (
-                image
-                for _no, image in table.scan_pages(pool, page_nos, as_of_lsn=as_of)
-            )
-            result = accelerator.train_from_pages(
-                page_images, stream=plan.stream, retry=plan.retry, **training
-            )
-        else:
-            rows = (
-                table.read_all(pool, as_of_lsn=as_of)
-                if page_nos is None
-                else table.read_pages(pool, page_nos, as_of_lsn=as_of)
-            )
-            result = accelerator.train_from_rows(rows, **training)
         result.snapshot_lsn = as_of
         return result
 

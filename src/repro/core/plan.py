@@ -7,9 +7,10 @@ a frozen record of how one run executes, built by a single ``resolve(...)``
 from the public call's keyword arguments (or a SQL statement's options) plus
 the registered UDF.  ``resolve`` does all validation, defaulting and
 derivation — the epoch default chain, ``execution="auto"`` → a concrete
-strategy, the *effective* ``stream``, the aggregation auto-select, the sync
-policy, retry legality, the worker clamp — and nothing downstream re-decides
-any of it: :class:`~repro.cluster.ShardedDAnA` and
+strategy, the *effective* ``stream`` (one rule, :func:`_effective_stream`),
+the aggregation auto-select, the sync policy, retry legality, the worker
+clamp — and nothing downstream re-decides any of it: the extraction seam
+takes :meth:`_Plan.extraction`, :class:`~repro.cluster.ShardedDAnA` and
 :class:`~repro.serving.ScanScorer` execute the plan, ``EXPLAIN``
 (:mod:`repro.core.explain`) prints and prices its fields, and the run
 recorder, ``ClusterStats`` and ``ScoreResult`` report them.  So ``EXPLAIN``
@@ -81,6 +82,35 @@ class _Plan:
         config["retry"] = self.retry is not None
         return config
 
+    def extraction(self) -> dict[str, Any]:
+        """The knobs the extraction seam consumes, as its keyword arguments.
+
+        Every executor opens its pages with
+        ``AccessEngine.open(images, **plan.extraction())`` and from then on
+        only consumes the returned source; nothing else reads them to
+        decide how a run executes.
+        """
+        return {
+            "use_striders": self.use_striders,
+            "stream": self.stream,
+            "retry": self.retry,
+        }
+
+
+def _effective_stream(stream: bool, use_striders: bool, execution: str) -> bool:
+    """Whether a run's extraction overlaps its compute — the one rule.
+
+    Only the Strider walk streams: the CPU-decode model feeds the engine
+    from materialised rows, and worker processes materialise their
+    partitions (no cross-process streaming).
+    """
+    return stream and use_striders and execution != "processes"
+
+
+def _check_bool(name: str, value: Any) -> None:
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"{name} must be a bool, got {value!r}")
+
 
 def _check_segments(segments: int | None, none_means: str) -> None:
     if segments is not None and (not isinstance(segments, int) or segments < 1):
@@ -150,9 +180,7 @@ class TrainPlan(_Plan):
     seed: int = _option()
     sync: str | None = _option()
     staleness: int | None = _option()
-    #: *effective* streaming: off when the run's extraction cannot stream
-    #: (worker processes materialise their partitions; the single
-    #: accelerator's CPU-decode path trains from materialised rows).
+    #: *effective* streaming (see :func:`_effective_stream`).
     stream: bool = _option()
     retry: RetryPolicy | None
     #: concurrent fan-out width (0: no fan-out — single or lock-step).
@@ -209,6 +237,8 @@ class TrainPlan(_Plan):
                 f"staleness must be an integer >= 1, got {staleness!r}"
             )
         sync_policy = make_sync_policy(sync, staleness)  # owns the name check
+        _check_bool("shuffle", shuffle)
+        _check_bool("stream", stream)
         _check_retry(retry, allow_redistribute=False)
         common = dict(
             udf=registered.name,
@@ -229,7 +259,7 @@ class TrainPlan(_Plan):
                 execution="single",
                 sync=None,
                 staleness=None,
-                stream=stream and use_striders,
+                stream=_effective_stream(stream, use_striders, "single"),
                 workers=0,
                 sync_policy=None,
             )
@@ -263,7 +293,7 @@ class TrainPlan(_Plan):
             execution=execution,
             sync=sync_policy.name,
             staleness=sync_policy.staleness,
-            stream=stream and execution != "processes",
+            stream=_effective_stream(stream, use_striders, execution),
             # Lock-step evaluates all segments on one vectorized tape.
             workers=0 if execution == "lockstep" else worker_limit(segments),
             sync_policy=sync_policy,
@@ -284,8 +314,7 @@ class ScorePlan(_Plan):
     batch_size: int
     partition_strategy: str
     seed: int
-    #: *effective* streaming: the CPU-decode model materialises each
-    #: segment's rows, so nothing overlaps when Striders are off.
+    #: *effective* streaming (see :func:`_effective_stream`).
     stream: bool
     #: ``"threads"`` or ``"processes"``.
     execution: str
@@ -332,11 +361,7 @@ class ScorePlan(_Plan):
         batch_size = resolve_batching(path, batch_size)
         _check_segments(segments, "a single scan-and-score segment")
         Partitioner(partition_strategy, seed=seed)  # owns the strategy check
-        if not isinstance(stream, bool):
-            raise ConfigurationError(
-                f"stream must be a bool (True = overlap the page walk with the "
-                f"forward tape, False = materialized oracle), got {stream!r}"
-            )
+        _check_bool("stream", stream)
         if execution not in SCORING_EXECUTION_STRATEGIES:
             raise ConfigurationError(
                 f"unknown scoring execution strategy {execution!r}; "
@@ -356,7 +381,7 @@ class ScorePlan(_Plan):
             batch_size=batch_size,
             partition_strategy=partition_strategy,
             seed=seed,
-            stream=stream and use_striders,
+            stream=_effective_stream(stream, use_striders, execution),
             execution=execution,
             retry=retry,
             workers=worker_limit(segments),

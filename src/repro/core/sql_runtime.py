@@ -46,7 +46,8 @@ def _invalid(what: str) -> Iterator[None]:
 
 
 def _coerce_train_options(options: tuple[tuple[str, Any], ...]) -> dict[str, Any]:
-    """Type-check ``WITH`` options against the :class:`TrainPlan` option fields."""
+    """Name-check ``WITH`` options against the :class:`TrainPlan` option
+    fields and coerce the numeric ones (SQL numbers may arrive as floats)."""
     kwargs: dict[str, Any] = {}
     for key, value in options:
         expected = TRAIN_OPTIONS.get(key)
@@ -55,18 +56,17 @@ def _coerce_train_options(options: tuple[tuple[str, Any], ...]) -> dict[str, Any
                 f"unknown CREATE MODEL option {key!r}; expected one of "
                 f"{sorted(TRAIN_OPTIONS)}"
             )
-        # bool is an int subclass: ``segments => true`` is not a number.
-        numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if expected is int and numeric:
-            if float(value) != int(value):
-                raise QueryError(f"option {key!r} must be an integer, got {value!r}")
-            kwargs[key] = int(value)
-        elif expected is not int and isinstance(value, expected):
+        if expected is not int:
+            # Choice lists and bools are the plan's to check, so a bad value
+            # fails with the message ``DAnA.train`` raises for it.
             kwargs[key] = value
-        else:
-            raise QueryError(
-                f"option {key!r} expects a {expected.__name__} value, got {value!r}"
-            )
+            continue
+        # bool is an int subclass: ``segments => true`` is not a number.
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise QueryError(f"option {key!r} expects a int value, got {value!r}")
+        if float(value) != int(value):
+            raise QueryError(f"option {key!r} must be an integer, got {value!r}")
+        kwargs[key] = int(value)
     return kwargs
 
 

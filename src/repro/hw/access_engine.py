@@ -16,13 +16,19 @@ a cycle account:
   bandwidth of the FPGA;
 * Strider cycles — per-instruction cycle counts from the Strider simulator,
   where striders working on different pages run concurrently.
+
+:meth:`AccessEngine.open` is the **one extraction seam** between the two
+halves of the accelerator: it alone decides Strider walk vs CPU decode,
+overlapped vs materialised and how a faulted producer restarts, and hands
+every trainer and scorer the same :class:`~repro.runtime.BatchSource`.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -32,6 +38,8 @@ from repro.hw.fpga import FPGASpec
 from repro.hw.strider import Strider, StriderResult
 from repro.isa.strider_isa import StriderProgram
 from repro.obs.telemetry import telemetry
+from repro.rdbms.heapfile import decode_page_rows
+from repro.rdbms.page import PageLayout
 from repro.rdbms.predicate import ColumnPredicate
 from repro.rdbms.types import Schema
 from repro.reliability.faults import fault_point
@@ -130,11 +138,6 @@ class PayloadDecoder:
         return self.schema.as_matrix(records)
 
 
-def stack_chunks(chunks: Sequence[np.ndarray], n_columns: int) -> np.ndarray:
-    """Per-page chunks as one tuple matrix (``(0, n_columns)`` when empty)."""
-    return np.vstack(chunks) if len(chunks) else np.empty((0, n_columns))
-
-
 class AccessEngine:
     """Streams buffer-pool pages through page buffers and Striders."""
 
@@ -145,6 +148,7 @@ class AccessEngine:
         schema: Schema,
         fpga: FPGASpec,
         predicate: ColumnPredicate | None = None,
+        layout: PageLayout | None = None,
     ) -> None:
         self.config = config
         self.program = program
@@ -155,6 +159,9 @@ class AccessEngine:
         #: decoded (the Strider/AXI counters do not move), but only the
         #: qualifying tuples leave the access engine.
         self.predicate = predicate
+        #: the RDBMS page layout the Strider program was compiled for; only
+        #: the CPU-decode model (``use_striders=False``) reads it.
+        self.layout = layout
         self._striders = [
             Strider(program, read_width_bytes=config.read_width_bytes)
             for _ in range(config.num_striders)
@@ -181,53 +188,74 @@ class AccessEngine:
         if batch:
             yield from self._process_batch(batch)
 
-    def extract_table(self, page_images: Iterable[bytes]) -> np.ndarray:
-        """Materialise every tuple of the supplied pages as one array."""
-        return stack_chunks(list(self.process_pages(page_images)), len(self.schema))
+    def cpu_decode_pages(self, page_images: Iterable[bytes]) -> Iterator[np.ndarray]:
+        """Per-page RDBMS-side decode: the ``use_striders=False`` model.
 
-    def stream_table(
+        The CPU feeds the engine directly: tuples are decoded by the RDBMS
+        layer and no Strider or AXI activity is booked.  A :attr:`predicate`
+        keeps each page's qualifying tuples only, like :meth:`process_pages`.
+        """
+        for image in page_images:
+            chunk = decode_page_rows(image, self.layout, self.schema)
+            if self.predicate is not None:
+                chunk = chunk[self.predicate.mask(chunk)]
+            yield chunk
+
+    def open(
         self,
         page_images: Iterable[bytes],
-        queue_depth: int = 2,
+        *,
+        use_striders: bool = True,
+        stream: bool = True,
         retry: RetryPolicy | None = None,
     ) -> BatchSource:
-        """Stream the page walk through a bounded double buffer.
+        """Open the extraction of ``page_images``: the one seam to the engines.
 
-        The returned :class:`~repro.runtime.BatchSource` runs
-        :meth:`process_pages` on a producer thread, so Strider extraction
-        overlaps the execution engine's compute exactly like the paper's
-        page buffers feed the engine while later pages are still being
-        cleansed.  Payloads and cycle counters are identical to
-        :meth:`extract_table` (read :attr:`stats` only after the stream is
-        drained — the producer thread owns them until then).
+        Every trainer and scorer gets its tuples from the source returned
+        here and never re-decides how they were produced:
 
-        With a ``retry`` policy the source is **restartable**: a transient
-        producer fault resets :attr:`stats` and re-walks the (materialised)
-        page list from the top, replaying already-delivered chunks from the
-        consumer cache — so the delivered tuples and the final counters are
-        bit-identical to a fault-free run.
+        * ``use_striders`` picks the decode: the Strider bulk walk
+          (:meth:`process_pages`, with cycle accounting) or the CPU-decode
+          model (:meth:`cpu_decode_pages`).  :attr:`predicate` filters
+          either, per decoded page.
+        * ``stream`` picks the schedule: an overlapped producer thread
+          behind a bounded double buffer (the paper's page buffers feeding
+          the engine while later pages are still being cleansed), or the
+          whole table decoded before this call returns — the overlap
+          oracle.  Tuples, batches, per-page :attr:`BatchSource.sizes` and
+          counters are identical either way.  An overlapped walk takes the
+          page list up front (the buffer pool is not thread-safe, so pages
+          are pulled on the caller's thread); a materialised one consumes
+          ``page_images`` lazily.  Read :attr:`stats` only once an
+          overlapped source is drained — its producer owns them until then.
+        * ``retry`` makes an overlapped producer **restartable**: a
+          transient fault resets :attr:`stats` to their value at this call
+          and re-walks the same page list from the top — even if the table
+          has grown since — while the source replays delivered chunks from
+          its cache, so tuples and final counters are bit-identical to a
+          fault-free run.
         """
-        if retry is None:
-            return BatchSource(
-                self.process_pages(page_images),
-                n_columns=len(self.schema),
-                queue_depth=queue_depth,
-            )
+        walk = self.process_pages if use_striders else self.cpu_decode_pages
+        if not stream:
+            return BatchSource.from_chunks(list(walk(page_images)), len(self.schema))
         images = list(page_images)
+        opened = copy.copy(self.stats)
 
-        def fresh() -> Iterator[np.ndarray]:
-            # Restart hook: the fresh walk re-books every page, so the
-            # counters restart from zero to stay bit-identical.
-            self.stats = AccessEngineStats()
-            return self.process_pages(images)
+        def rewalk() -> Iterator[np.ndarray]:
+            self.stats = copy.copy(opened)
+            return walk(images)
 
         return BatchSource(
-            self.process_pages(images),
-            n_columns=len(self.schema),
-            queue_depth=queue_depth,
-            chunk_factory=fresh,
-            retry=retry,
+            walk(images), len(self.schema), chunk_factory=rewalk, retry=retry
         )
+
+    def extract_table(self, page_images: Iterable[bytes]) -> np.ndarray:
+        """Materialise every tuple of the supplied pages as one array."""
+        return self.open(page_images, stream=False).rows()
+
+    def stream_table(self, page_images: Iterable[bytes]) -> BatchSource:
+        """The Strider walk streamed through the double buffer (see :meth:`open`)."""
+        return self.open(page_images)
 
     def _process_batch(self, batch: list[bytes]) -> list[np.ndarray]:
         fault_point(PAGE_WALK_FAULT_SITE)

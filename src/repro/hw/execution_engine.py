@@ -156,7 +156,7 @@ class ExecutionEngine:
     # ------------------------------------------------------------------ #
     def train(
         self,
-        rows: np.ndarray | None,
+        rows: np.ndarray | BatchSource,
         initial_models: Mapping[str, np.ndarray],
         bind_tuple: TupleBinder | None,
         epochs: int,
@@ -164,25 +164,25 @@ class ExecutionEngine:
         rng: np.random.Generator | None = None,
         shuffle: bool = False,
         bind_batch: BatchBinder | None = None,
-        source: BatchSource | None = None,
     ) -> TrainingResult:
-        """Train over ``rows`` (or a streaming ``source``) for up to ``epochs``.
+        """Train over ``rows`` for up to ``epochs``.
+
+        ``rows`` is the extraction to consume: a
+        :class:`~repro.runtime.BatchSource` from the extraction seam, or a
+        plain tuple matrix (wrapped as the pre-extracted source).  The
+        first epoch of an unshuffled run consumes batches straight off a
+        source that is still streaming — the access engine's page walk
+        overlaps this engine's compute — and every other epoch trains from
+        the materialised matrix.  Models, batch boundaries and cycle
+        counters do not depend on which.
 
         When ``bind_batch`` is supplied and the graph lowered to a
         :class:`CompiledTape`, whole merge batches are evaluated in one
         NumPy shot; otherwise each tuple is bound with ``bind_tuple`` and
         evaluated through the per-tuple oracle.  Both paths produce the
         same models and the same schedule-derived cycle counters.
-
-        With ``source`` (a :class:`~repro.runtime.BatchSource`) and no
-        pre-extracted ``rows``, the first epoch consumes batches straight
-        off the streaming extraction — the access engine's page walk
-        overlaps this engine's compute — and later epochs train from the
-        matrix the stream materialized.  Models, batch boundaries and cycle
-        counters are identical to the fully-extracted path.
         """
-        if rows is None and source is None:
-            raise ExecutionEngineError("train needs rows or a batch source")
+        source = rows if isinstance(rows, BatchSource) else BatchSource.from_rows(rows)
         use_tape = bind_batch is not None and self.tape is not None
         if not use_tape and bind_tuple is None:
             raise ExecutionEngineError(
@@ -190,7 +190,6 @@ class ExecutionEngine:
             )
         step = _SingleEngineStep(
             engine=self,
-            rows=rows,
             source=source,
             bind_tuple=bind_tuple,
             bind_batch=bind_batch,
@@ -527,9 +526,9 @@ class _SingleEngineStep(EpochStep):
 
     The state *is* the model dict (the tape / evaluator update it in
     place), there is nothing to merge, and the only pipelining decision is
-    whether the first epoch may consume batches straight off a streaming
-    :class:`BatchSource` (possible when the epoch order is the storage
-    order, i.e. ``shuffle=False``).
+    whether the first epoch may consume batches straight off a
+    :class:`BatchSource` that is still streaming (possible when the epoch
+    order is the storage order, i.e. ``shuffle=False``).
     """
 
     merges = False
@@ -537,8 +536,7 @@ class _SingleEngineStep(EpochStep):
     def __init__(
         self,
         engine: ExecutionEngine,
-        rows: np.ndarray | None,
-        source: BatchSource | None,
+        source: BatchSource,
         bind_tuple: TupleBinder | None,
         bind_batch: BatchBinder | None,
         use_tape: bool,
@@ -547,8 +545,7 @@ class _SingleEngineStep(EpochStep):
         convergence_check: bool,
     ) -> None:
         self.engine = engine
-        self._rows = rows
-        self._source = source
+        self.source = source
         self.bind_tuple = bind_tuple
         self.bind_batch = bind_batch
         self.use_tape = use_tape
@@ -556,23 +553,12 @@ class _SingleEngineStep(EpochStep):
         self.rng = rng
         self.convergence_check = convergence_check
 
-    def _materialized_rows(self) -> np.ndarray:
-        if self._rows is None:
-            self._rows = self._source.rows()
-        return self._rows
-
     def run_epoch(self, models: dict[str, np.ndarray], epoch_index: int):
-        engine = self.engine
-        stream = (
-            epoch_index == 0
-            and self._rows is None
-            and self._source is not None
-            and not self.shuffle
-        )
-        if stream:
-            batches = self._source.batches(engine.batch_size)
+        engine, source = self.engine, self.source
+        if epoch_index == 0 and not self.shuffle and not source.materialised:
+            batches = source.batches(engine.batch_size)
         else:
-            epoch_rows = self._materialized_rows()
+            epoch_rows = source.rows()
             if self.shuffle:
                 order = np.arange(len(epoch_rows))
                 (self.rng or np.random.default_rng(0)).shuffle(order)

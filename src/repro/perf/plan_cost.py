@@ -66,8 +66,8 @@ def page_tuple_counts(
 def predicted_merges(sync: str, staleness: int, epochs: int) -> int:
     """How many cross-segment merges a sync policy performs over a run.
 
-    ``bulk_synchronous`` and ``async_merge`` merge once per epoch;
-    ``stale_synchronous`` merges once per ``staleness``-epoch window.
+    ``bulk_synchronous`` merges once per epoch; ``stale_synchronous``
+    merges once per ``staleness``-epoch window.
     """
     if epochs < 1:
         return 0
@@ -171,7 +171,6 @@ def predict_train_cost(
         model_elements=model_elements,
         segment_access_cycles=tuple(access),
         segment_engine_cycles=tuple(engine),
-        sync=sync,
         merges_performed=merges,
         ipc_bytes=ipc_bytes,
         ipc_round_trips=ipc_round_trips,

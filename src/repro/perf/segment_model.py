@@ -13,7 +13,6 @@ segment counts — with the cross-segment merge cost taken from the same
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, TYPE_CHECKING
 
@@ -48,9 +47,7 @@ class ShardedRunCost:
     #: (AXI + Strider) vs execution-engine cycles, in segment order.
     segment_access_cycles: tuple[int, ...] = ()
     segment_engine_cycles: tuple[int, ...] = ()
-    #: the run's synchronization policy and merge count (drive how much of
-    #: the cross-segment merge the pipelined path can hide).
-    sync: str = "bulk_synchronous"
+    #: cross-segment merges the run performed (or is predicted to).
     merges_performed: int = 0
     #: host-side IPC the run paid to ship state over worker pipes.  Both
     #: are zero for lockstep/threads runs (everything stays in one address
@@ -73,7 +70,6 @@ class ShardedRunCost:
             model_elements=elements,
             segment_access_cycles=tuple(seg.access_cycles for seg in run.segments),
             segment_engine_cycles=tuple(seg.engine_cycles for seg in run.segments),
-            sync=run.cluster.sync,
             merges_performed=run.cluster.merges_performed,
             ipc_bytes=run.cluster.ipc.bytes_shipped,
             ipc_round_trips=run.cluster.ipc.round_trips,
@@ -92,10 +88,7 @@ class ShardedRunCost:
         compute, so a pipelined segment books ``max(extract, exec)`` per
         stage instead of their sum (the serial book-keeping of
         :attr:`critical_path_cycles`).  The cross-segment merge stays
-        serial under ``bulk_synchronous``/``stale_synchronous``; with
-        ``async_merge`` every merge but the run's final drain merge hides
-        under the next epoch's first batches, so only one merge's cycles
-        remain exposed.
+        serial under every sync policy.
         """
         if not self.segment_access_cycles and not self.segment_engine_cycles:
             slowest = 0
@@ -107,10 +100,7 @@ class ShardedRunCost:
                     self.segment_engine_cycles or (0,) * len(self.segment_access_cycles),
                 )
             )
-        merge = self.cross_merge_cycles
-        if self.sync == "async_merge" and self.merges_performed > 1:
-            merge = math.ceil(merge / self.merges_performed)
-        return slowest + merge
+        return slowest + self.cross_merge_cycles
 
     @property
     def pipeline_speedup(self) -> float:

@@ -1,8 +1,13 @@
 """Bounded retry with exponential backoff, seeded jitter and a deadline.
 
-:class:`RetryPolicy` is the one retry loop shared by every recoverable
-path: segment training windows, per-segment scan-and-score, and the
-:class:`~repro.runtime.BatchSource` producer restart.  It retries only
+:class:`RetryPolicy` owns the one piece of retry bookkeeping every
+recoverable path shares: a :class:`RetryBudget` counts attempts, books
+faults, sleeps the backoff and enforces the deadline.
+:meth:`RetryPolicy.run` — the loop around segment training windows and
+per-segment scan-and-score — and the :class:`~repro.runtime.BatchSource`
+producer restart (whose "attempt" is a producer thread, so it cannot be a
+``run`` callback) both draw on a budget, so they give up on the same
+conditions with the same errors.  The policy retries only
 :class:`~repro.exceptions.TransientError` (any other exception is a real
 bug and propagates immediately), sleeps an exponentially growing backoff
 with **seeded** jitter (so a chaos run's sleep schedule is reproducible,
@@ -132,34 +137,65 @@ class RetryPolicy:
                 :class:`~repro.exceptions.TransientError`, or the deadline
                 expired; chains the last transient fault.
         """
-        own = stats if stats is not None else RetryStats()
-        schedule = self.sleeps()
-        started = time.monotonic()
-        last: TransientError | None = None
-        for attempt in range(1, self.max_attempts + 1):
-            if attempt > 1 and reset is not None:
+        budget = self.budget(stats, label)
+        while True:
+            if budget.attempt and reset is not None:
                 reset()
-            own.attempts += 1
+            budget.begin()
             try:
                 return fn()
             except TransientError as error:
-                own.faults += 1
-                last = error
-                if attempt == self.max_attempts:
-                    break
-                if (
-                    self.deadline_s is not None
-                    and time.monotonic() - started >= self.deadline_s
-                ):
-                    raise RetryExhaustedError(
-                        f"{label} missed its {self.deadline_s}s retry deadline "
-                        f"after {attempt} attempt(s)"
-                    ) from error
-                own.retries += 1
-                schedule.sleep(attempt)
-        raise RetryExhaustedError(
-            f"{label} failed on all {self.max_attempts} attempt(s)"
-        ) from last
+                budget.failed(error)
+
+    def budget(
+        self, stats: RetryStats | None = None, label: str = "operation"
+    ) -> "RetryBudget":
+        """Fresh attempt/deadline bookkeeping for one supervised call."""
+        return RetryBudget(self, stats if stats is not None else RetryStats(), label)
+
+
+class RetryBudget:
+    """Attempts, backoff and deadline of one supervised call.
+
+    The deadline clock starts when the budget is created.  Usage is
+    ``begin()`` before every attempt and ``failed(error)`` after one that
+    raised a transient fault: ``failed`` either returns (another attempt
+    is allowed; the backoff has been slept) or raises
+    :class:`~repro.exceptions.RetryExhaustedError` chaining the fault.
+    """
+
+    def __init__(self, policy: RetryPolicy, stats: RetryStats, label: str) -> None:
+        self.policy = policy
+        self.stats = stats
+        self.label = label
+        #: attempts begun so far (1-based index of the current attempt).
+        self.attempt = 0
+        self._schedule = policy.sleeps()
+        self._started = time.monotonic()
+
+    def begin(self) -> None:
+        """Book the start of one attempt."""
+        self.attempt += 1
+        self.stats.attempts += 1
+
+    def failed(self, error: TransientError) -> None:
+        """Book a transient fault; sleep the backoff or give up."""
+        policy = self.policy
+        self.stats.faults += 1
+        if self.attempt >= policy.max_attempts:
+            raise RetryExhaustedError(
+                f"{self.label} failed on all {policy.max_attempts} attempt(s)"
+            ) from error
+        if (
+            policy.deadline_s is not None
+            and time.monotonic() - self._started >= policy.deadline_s
+        ):
+            raise RetryExhaustedError(
+                f"{self.label} missed its {policy.deadline_s}s retry deadline "
+                f"after {self.attempt} attempt(s)"
+            ) from error
+        self.stats.retries += 1
+        self._schedule.sleep(self.attempt)
 
 
 @dataclass

@@ -3,7 +3,7 @@
 This layer turns the reproduction's epoch execution into the pipeline the
 paper's hardware actually is: a :class:`BatchSource` overlaps the access
 engine's page walk with the execution engine's compute through a bounded
-double-buffer queue, a :class:`SyncPolicy` decides when (and how eagerly)
+double-buffer queue, a :class:`SyncPolicy` decides when
 per-segment models are merged, and the :class:`EpochDriver` is the single
 epoch loop shared by the single-engine, sharded lock-step and sharded
 thread-pool execution strategies.
@@ -21,7 +21,6 @@ from repro.runtime.shm import (
     live_store_names,
 )
 from repro.runtime.sync_policy import (
-    AsyncMerge,
     BulkSynchronous,
     StaleSynchronous,
     SYNC_POLICIES,
@@ -30,7 +29,6 @@ from repro.runtime.sync_policy import (
 )
 
 __all__ = [
-    "AsyncMerge",
     "BatchSource",
     "BulkSynchronous",
     "DEFAULT_QUEUE_DEPTH",

@@ -20,8 +20,20 @@ Two invariants make streaming safe to use on the default path:
   same page order, so Strider/AXI counters are byte-for-byte those of the
   up-front extraction.
 
-A source built with :meth:`from_rows` is the degenerate, already-extracted
-case (overlap off); it lets every execution path consume one interface.
+A source built with :meth:`from_chunks` / :meth:`from_rows` is the
+degenerate, already-extracted case (overlap off), so every trainer and
+scorer consumes this one interface whatever the extraction seam
+(:meth:`repro.hw.access_engine.AccessEngine.open`, the only place that
+constructs a live source) decided.  :attr:`BatchSource.sizes` keeps the
+per-chunk (per-page) tuple counts scan-and-score reassembles by.
+
+A transient producer fault restarts the producer under the source's
+:class:`~repro.reliability.RetryPolicy`: attempts, backoff and the retry
+deadline are the policy's own bookkeeping
+(:meth:`~repro.reliability.RetryPolicy.budget`, shared with
+:meth:`~repro.reliability.RetryPolicy.run`), the chunk stream is rebuilt
+from the source's ``chunk_factory`` and fast-forwarded past the chunks the
+consumer already cached.
 """
 
 from __future__ import annotations
@@ -29,7 +41,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -78,7 +90,8 @@ class BatchSource:
             chunks: the chunk stream the producer thread walks.
             n_columns: columns of every chunk (for the empty-stream case).
             queue_depth: bounded queue capacity (the double buffer).
-            start: spawn the producer immediately (default).
+            start: spawn the producer thread (default; the pre-extracted
+                constructors pass ``False``).
             chunk_factory: optional zero-argument callable returning a
                 *fresh* chunk stream with reset upstream state; required
                 for producer restart after a transient fault.  Delivered
@@ -91,11 +104,15 @@ class BatchSource:
         self.n_columns = n_columns
         self._chunk_iter = iter(chunks)
         self._chunk_factory = chunk_factory
-        self._retry = retry
-        self._sleeps = retry.sleeps() if retry is not None else None
         #: restart/fault counters of this source's producer.
         self.retry_stats = RetryStats()
-        self._restarts = 0
+        #: the policy's attempt/deadline bookkeeping for this producer
+        #: (one attempt per producer thread); ``None`` = not restartable.
+        self._budget = (
+            retry.budget(self.retry_stats, "batch-source producer")
+            if retry is not None and chunk_factory is not None
+            else None
+        )
         #: chunks the next producer run discards before delivering (the
         #: consumer already holds them in the cache).
         self._skip = 0
@@ -103,6 +120,11 @@ class BatchSource:
         #: iteration reads from this cache first, so the stream can be
         #: re-walked (later epochs, tail batches) without re-extraction.
         self._cache: list[np.ndarray] = []
+        #: tuple count of every chunk pulled so far, in stream order — one
+        #: entry per page of the walk.  Recorded on the consumer side, so a
+        #: producer restart (which replays the cache) never re-counts;
+        #: complete once the stream is drained.
+        self.sizes: list[int] = []
         self._exhausted = False
         #: the unrecovered producer error, re-raised on any later pull so
         #: a retried consumer can never silently read a truncated stream.
@@ -121,36 +143,56 @@ class BatchSource:
         #: side (consumer thread only), so neither list is shared.
         self._wait_buf: tuple[None, list, list] = (None, [], [])
         if start:
-            self.start(queue_depth)
+            self._spawn()
 
     # ------------------------------------------------------------------ #
     # construction helpers
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_rows(cls, rows: np.ndarray) -> "BatchSource":
-        """A pre-extracted source (the overlap-off / oracle configuration)."""
-        rows = np.asarray(rows)
-        n_columns = rows.shape[1] if rows.ndim > 1 else 0
+    def from_chunks(cls, chunks: Sequence[np.ndarray], n_columns: int) -> "BatchSource":
+        """A pre-extracted source over per-page chunks (overlap off).
+
+        The materialised twin of a live stream: same :meth:`batches`,
+        :meth:`rows` and :attr:`sizes`, no producer thread.
+        """
+        if len(chunks) == 1:
+            rows = chunks[0]  # no copy: from_rows wraps the caller's matrix
+        else:
+            rows = np.vstack(chunks) if len(chunks) else np.empty((0, n_columns))
         source = cls(iter(()), n_columns=n_columns, start=False)
         source._cache = [rows]
+        source.sizes = [len(chunk) for chunk in chunks]
         source._exhausted = True
         source._rows = rows
         return source
 
+    @classmethod
+    def from_rows(cls, rows: np.ndarray) -> "BatchSource":
+        """A pre-extracted source over one tuple matrix (a single chunk)."""
+        rows = np.asarray(rows)
+        return cls.from_chunks([rows], rows.shape[1] if rows.ndim > 1 else 0)
+
+    @property
+    def materialised(self) -> bool:
+        """True once the whole tuple matrix is in memory.
+
+        Always for :meth:`from_chunks` / :meth:`from_rows` sources, and for
+        a live stream after :meth:`rows`; consumers use it to skip the
+        chunk-by-chunk path when there is no extraction left to overlap.
+        """
+        return self._rows is not None
+
     # ------------------------------------------------------------------ #
     # producer
     # ------------------------------------------------------------------ #
-    def start(self, queue_depth: int = DEFAULT_QUEUE_DEPTH) -> None:
-        """Spawn the producer thread filling the bounded chunk queue."""
-        if self._thread is not None or self._exhausted:
-            return
-        self._queue_depth = max(1, queue_depth)
+    def _spawn(self) -> None:
+        """One producer attempt: a fresh queue and thread over ``_chunk_iter``."""
         self._queue = queue.Queue(maxsize=self._queue_depth)
         self._thread = threading.Thread(
             target=self._produce, name="batch-source-producer", daemon=True
         )
-        if self._retry is not None and self.retry_stats.attempts == 0:
-            self.retry_stats.attempts = 1
+        if self._budget is not None:
+            self._budget.begin()
         self._thread.start()
 
     def _produce(self) -> None:
@@ -203,35 +245,27 @@ class BatchSource:
     def _restart_producer(self, error: TransientError) -> None:
         """Restart the producer after a transient fault (bounded by policy).
 
-        The dead producer is joined, a fresh chunk stream is built from
-        the factory (which resets upstream counters), fast-forwarded past
-        the chunks the cache already holds, and a new producer thread
-        resumes delivery — so the chunk sequence and upstream counters the
-        consumer observes are bit-identical to a fault-free run.
+        The dead producer is joined and the fault booked against the
+        policy's budget — which sleeps the backoff, or raises
+        :class:`~repro.exceptions.RetryExhaustedError` once attempts or the
+        retry deadline run out, exactly like
+        :meth:`~repro.reliability.RetryPolicy.run`.  Then a fresh chunk
+        stream is built from the factory (which resets upstream counters),
+        fast-forwarded past the chunks the cache already holds, and a new
+        producer thread resumes delivery — so the chunk sequence and
+        upstream counters the consumer observes are bit-identical to a
+        fault-free run.
         """
-        self.retry_stats.faults += 1
-        self._restarts += 1
-        if self._restarts >= self._retry.max_attempts:
-            self._exhausted = True
-            self._join_producer()
-            exhausted = RetryExhaustedError(
-                f"batch-source producer failed on all "
-                f"{self._retry.max_attempts} attempt(s)"
-            )
-            exhausted.__cause__ = error
-            self._error = exhausted
-            raise exhausted
-        self.retry_stats.retries += 1
         self._join_producer()
-        self._sleeps.sleep(self._restarts)
+        try:
+            self._budget.failed(error)
+        except RetryExhaustedError as exhausted:
+            self._exhausted = True
+            self._error = exhausted
+            raise
         self._chunk_iter = iter(self._chunk_factory())
         self._skip = len(self._cache)
-        self._queue = queue.Queue(maxsize=self._queue_depth)
-        self._thread = threading.Thread(
-            target=self._produce, name="batch-source-producer", daemon=True
-        )
-        self.retry_stats.attempts += 1
-        self._thread.start()
+        self._spawn()
 
     def _note_wait(self, obs, side: int, seconds: float) -> None:
         """Buffer one queue-wait observation (1 = produce, 2 = consume).
@@ -322,13 +356,14 @@ class BatchSource:
                 self._flush_waits(2)
                 self._exhausted = True
                 self._join_producer()
+                # Nothing can restart a finished stream: drop the factory
+                # (it pins the whole page-image list) with the iterator.
+                self._chunk_factory = self._chunk_iter = None
                 return None
             if isinstance(item, _ProducerError):
                 self._flush_waits(2)
-                if (
-                    self._chunk_factory is not None
-                    and self._retry is not None
-                    and isinstance(item.error, TransientError)
+                if self._budget is not None and isinstance(
+                    item.error, TransientError
                 ):
                     self._restart_producer(item.error)
                     continue
@@ -337,6 +372,7 @@ class BatchSource:
                 self._join_producer()
                 raise item.error
             self._cache.append(item)
+            self.sizes.append(len(item))
         return self._cache[index]
 
     def _get(self):

@@ -6,20 +6,17 @@ and the sharded thread-pool runner.  :class:`EpochDriver` is the single
 loop they all share now.  A path plugs in an :class:`EpochStep` — its
 strategy for computing one local epoch — and a
 :class:`~repro.runtime.sync_policy.SyncPolicy` deciding when per-segment
-models are merged into a global one and whether that merge may overlap with
-the next epoch's preparation.
+models are merged into a global one.
 
 The driver is deliberately dumb about *what* an epoch computes: the step
 owns batch iteration, cycle accounting and convergence evaluation.  The
 driver owns the schedule — window sizing from the sync policy, the merge /
-broadcast cadence, the overlap executor, and the run-level counters — so a
-scheduling change (a new sync policy, a different overlap strategy) never
-touches engine code again.
+broadcast cadence and the run-level counters — so a scheduling change (a
+new sync policy) never touches engine code again.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -81,10 +78,6 @@ class EpochStep:
         """Re-seed the state from a freshly merged global model."""
         return models
 
-    def prefetch(self, epoch_index: int) -> None:
-        """Prepare the next epoch's inputs; runs concurrently with an
-        overlapped merge under ``async_merge`` (no-op by default)."""
-
 
 @dataclass
 class DriverResult:
@@ -121,50 +114,29 @@ class EpochDriver:
         epochs_run = 0
         merges = 0
         converged = False
-        overlap_pool: ThreadPoolExecutor | None = None
-        try:
-            epoch = 0
-            while epoch < epochs:
-                boundary = policy.next_boundary(epoch, epochs)
-                window = max(1, boundary - epoch + 1)
-                obs = telemetry()
-                span = (
-                    obs.span("runtime.epoch", epoch=epoch, window=window)
-                    if obs is not None
-                    else None
-                )
-                state, window_converged, executed = step.run_window(
-                    state, epoch, window
-                )
-                if span is not None:
-                    obs.finish(span, executed=executed)
-                executed = max(1, executed)
-                epochs_run += executed
-                epoch += executed
-                stop = self.convergence_check and window_converged
-                if step.merges and step.active:
-                    if policy.overlap_merge and epoch < epochs and not stop:
-                        # Pipelined merge: combine the segments on a
-                        # background thread while the step prepares the next
-                        # epoch's first batches, then block on the merged
-                        # model right before it is actually consumed.
-                        if overlap_pool is None:
-                            overlap_pool = ThreadPoolExecutor(
-                                max_workers=1, thread_name_prefix="merge-overlap"
-                            )
-                        future = overlap_pool.submit(step.merge, state, models)
-                        step.prefetch(epoch)
-                        models = future.result()
-                    else:
-                        models = step.merge(state, models)
-                    merges += 1
-                    state = step.broadcast(models, state)
-                if stop:
-                    converged = True
-                    break
-        finally:
-            if overlap_pool is not None:
-                overlap_pool.shutdown(wait=True)
+        epoch = 0
+        while epoch < epochs:
+            boundary = policy.next_boundary(epoch, epochs)
+            window = max(1, boundary - epoch + 1)
+            obs = telemetry()
+            span = (
+                obs.span("runtime.epoch", epoch=epoch, window=window)
+                if obs is not None
+                else None
+            )
+            state, window_converged, executed = step.run_window(state, epoch, window)
+            if span is not None:
+                obs.finish(span, executed=executed)
+            executed = max(1, executed)
+            epochs_run += executed
+            epoch += executed
+            if step.merges and step.active:
+                models = step.merge(state, models)
+                merges += 1
+                state = step.broadcast(models, state)
+            if self.convergence_check and window_converged:
+                converged = True
+                break
         return DriverResult(
             models=models,
             epochs_run=epochs_run,

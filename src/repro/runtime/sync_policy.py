@@ -12,33 +12,26 @@ the :class:`~repro.runtime.epoch_driver.EpochDriver` relax that barrier:
 * :class:`StaleSynchronous` — segments run up to ``staleness`` local epochs
   between global merges (merge boundaries at every ``staleness``-th epoch,
   plus the final epoch), trading bounded model staleness for far fewer
-  synchronization points;
-* :class:`AsyncMerge` — merge after every epoch like BSP, but the merge is
-  *overlapped* with the next epoch's batch preparation on a background
-  thread.  It computes bit-identical models to ``bulk_synchronous`` — the
-  merge order is unchanged — only the wall-clock (and the modelled critical
-  path, see :mod:`repro.perf.segment_model`) is pipelined.
+  synchronization points.
 
-Policies are pure schedule objects: they decide *when* a merge happens and
-whether it may overlap; the driver and the execution steps own the how.
+Policies are pure schedule objects: they decide *when* a merge happens; the
+driver and the execution steps own the how.
 """
 
 from __future__ import annotations
 
 from repro.exceptions import ConfigurationError
 
-SYNC_POLICIES = ("bulk_synchronous", "stale_synchronous", "async_merge")
+SYNC_POLICIES = ("bulk_synchronous", "stale_synchronous")
 
 
 class SyncPolicy:
-    """When to merge per-segment models, and whether the merge may overlap."""
+    """When to merge per-segment models."""
 
     #: policy name as accepted by ``DAnA.train(sync=...)``.
     name: str = "bulk_synchronous"
     #: maximum number of local epochs a segment may run past the last merge.
     staleness: int = 1
-    #: True when the merge may run concurrently with next-epoch preparation.
-    overlap_merge: bool = False
 
     def next_boundary(self, epoch_index: int, epochs: int) -> int:
         """Index of the next merge epoch at or after ``epoch_index``.
@@ -81,13 +74,6 @@ class StaleSynchronous(SyncPolicy):
         return min(boundary, epochs - 1)
 
 
-class AsyncMerge(SyncPolicy):
-    """Per-epoch merge overlapped with the next epoch's first batches."""
-
-    name = "async_merge"
-    overlap_merge = True
-
-
 def make_sync_policy(name: str, staleness: int = 1) -> SyncPolicy:
     """Build a policy by name, failing fast with the valid choices.
 
@@ -98,8 +84,6 @@ def make_sync_policy(name: str, staleness: int = 1) -> SyncPolicy:
         return BulkSynchronous()
     if name == "stale_synchronous":
         return StaleSynchronous(staleness)
-    if name == "async_merge":
-        return AsyncMerge()
     raise ConfigurationError(
         f"unknown sync policy {name!r}; expected one of {SYNC_POLICIES}"
     )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
@@ -154,29 +154,48 @@ class InferenceEngine:
     ) -> np.ndarray:
         """Predictions for ``rows`` (one score per tuple, storage order).
 
-        ``path="batched"`` evaluates whole micro-batches on the compiled
-        forward tape; ``path="per_tuple"`` walks the per-tuple evaluator —
-        the oracle.  Both paths slice ``rows`` into the same micro-batches
-        and book the same schedule-derived cycles.
+        Slices ``rows`` into micro-batches of ``batch_size`` (default
+        :data:`DEFAULT_SCORE_BATCH`) and scores them with
+        :meth:`score_batches`.
         """
-        if path not in SERVING_PATHS:
-            raise ConfigurationError(
-                f"unknown serving path {path!r}; expected one of {SERVING_PATHS}"
-            )
-        fault_point(INFERENCE_FAULT_SITE)
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 2:
             raise ConfigurationError(
                 f"score expects a (tuples, columns) matrix, got shape {rows.shape}"
             )
         size = batch_size or DEFAULT_SCORE_BATCH
+        return self.score_batches(
+            (rows[start : start + size] for start in range(0, len(rows), size)),
+            models,
+            path=path,
+        )
+
+    def score_batches(
+        self,
+        batches: Iterable[np.ndarray],
+        models: Mapping[str, np.ndarray],
+        path: str = "batched",
+    ) -> np.ndarray:
+        """Predictions for a stream of micro-batches, concatenated in order.
+
+        The one scoring loop: :meth:`score` feeds it slices of a matrix and
+        scan-and-score the batches of its extraction source (which may
+        still be decoding later pages).  ``path="batched"`` evaluates each
+        micro-batch on the compiled forward tape; ``path="per_tuple"``
+        walks the per-tuple evaluator — the oracle.  Both book the same
+        schedule-derived cycles per batch.
+        """
+        if path not in SERVING_PATHS:
+            raise ConfigurationError(
+                f"unknown serving path {path!r}; expected one of {SERVING_PATHS}"
+            )
+        fault_point(INFERENCE_FAULT_SITE)
+        score_batch = (
+            self._score_batch_tape if path == "batched" else self._score_batch_oracle
+        )
         chunks: list[np.ndarray] = []
-        for start in range(0, len(rows), size):
-            batch = rows[start : start + size]
-            if path == "batched":
-                chunks.append(self._score_batch_tape(batch, models))
-            else:
-                chunks.append(self._score_batch_oracle(batch, models))
+        for batch in batches:
+            chunks.append(score_batch(batch, models))
             self.account_batch(len(batch))
         if not chunks:
             return np.empty((0,) + self.plan.forward.score_dims)

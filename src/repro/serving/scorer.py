@@ -12,16 +12,17 @@ kernels release the GIL — or one-shot worker processes).
 Per-segment predictions are scattered back into **storage order**, so the
 result is independent of the partitioning.
 
-Scoring is **streaming** by default (``stream=True``): within each segment
-the bulk Strider page walk runs on a
-:class:`~repro.runtime.BatchSource` producer thread — the same bounded
-double buffer the training runtime uses for pipelined extraction — while
-the forward tape scores micro-batches as they assemble, so extraction
-overlaps inference exactly like training's epoch 0.  ``stream=False``
-materialises each segment's extraction first and is kept as the overlap
-oracle: predictions and schedule-derived counters are bit-identical across
-the two modes by construction (identical batch boundaries, identical page
-walk).
+Every segment opens its pages through the extraction seam
+(:meth:`~repro.hw.access_engine.AccessEngine.open`) and scores the
+micro-batches of the :class:`~repro.runtime.BatchSource` that comes back.
+Scoring is **streaming** by default (``stream=True``): the bulk Strider
+page walk runs on the source's producer thread — the same bounded double
+buffer the training runtime uses — while the forward tape scores
+micro-batches as they assemble, so extraction overlaps inference exactly
+like training's epoch 0.  ``stream=False`` opens a materialised source and
+is kept as the overlap oracle: predictions and schedule-derived counters
+are bit-identical across the two by construction (one scoring loop,
+identical batch boundaries, identical page walk).
 
 A ``dana.predict`` statement's WHERE rides on the plan
 (:attr:`~repro.core.plan.ScorePlan.where`) and is evaluated by the access
@@ -39,13 +40,11 @@ import numpy as np
 
 from repro.cluster.fanout import IPCStats, SegmentFanout, SegmentProcess
 from repro.cluster.partitioner import PagePartition
-from repro.cluster.segment_worker import cpu_decode_chunks
 from repro.exceptions import RetryExhaustedError
-from repro.hw.access_engine import AccessEngineStats, stack_chunks
+from repro.hw.access_engine import AccessEngineStats
 from repro.hw.accelerator import DAnAAccelerator
 from repro.hw.fpga import DEFAULT_FPGA, FPGASpec
 from repro.obs.telemetry import telemetry
-from repro.rdbms.page import PageLayout
 from repro.reliability.faults import fault_point
 from repro.reliability.retry import RetryStats
 from repro.serving.inference import InferencePlan, InferenceStats
@@ -145,7 +144,6 @@ def score_segment(
     plan: "ScorePlan",
     binary: "ExecutionBinary",
     spec: "AlgorithmSpec",
-    layout: PageLayout,
     fpga: FPGASpec,
     inference: InferencePlan,
     part: PagePartition,
@@ -157,52 +155,34 @@ def score_segment(
 
     The one segment-scoring body: a fan-out pool thread calls it in the
     parent and a worker process calls it over its shared-store views, so
-    the two fan-outs cannot drift.  Striders × {streaming, materialized}
-    or the CPU-decode model, as the plan says; a streaming producer
-    restarts under ``plan.retry`` and books its restarts into
-    ``retry_stats``.  ``plan.where`` goes to whichever access path decodes
-    the pages, so the engine scores — and books — qualifying tuples only.
-    Returns the segment's report, its predictions and the per-page
-    (qualifying) tuple counts reassembly needs.
+    the two fan-outs cannot drift.  The extraction seam opens the pages as
+    the plan says (applying ``plan.where``, so the engine scores — and
+    books — qualifying tuples only) and the forward engine scores the
+    source's micro-batches; producer restarts are booked into
+    ``retry_stats``.  Returns the segment's report, its predictions and
+    the per-page (qualifying) tuple counts reassembly needs.
     """
     engine = inference.new_engine()
-    if plan.use_striders:
-        accelerator = DAnAAccelerator(
-            binary=binary, schema=spec.schema, fpga=fpga, predicate=plan.where
+    accelerator = DAnAAccelerator(
+        binary=binary, schema=spec.schema, fpga=fpga, predicate=plan.where
+    )
+    source = accelerator.access_engine.open(images, **plan.extraction())
+    try:
+        predictions = engine.score_batches(
+            source.batches(plan.batch_size), models, path=plan.path
         )
-        if plan.stream:
-            predictions, sizes = accelerator.score_stream_from_pages(
-                images,
-                models,
-                engine,
-                batch_size=plan.batch_size,
-                path=plan.path,
-                retry=plan.retry,
-                retry_stats=retry_stats,
-            )
-        else:
-            predictions, sizes = accelerator.score_from_pages(
-                images, models, engine, path=plan.path, batch_size=plan.batch_size
-            )
-        access_stats = accelerator.access_engine.stats
-    else:
-        chunks = list(cpu_decode_chunks(images, layout, spec.schema, plan.where))
-        sizes = [len(chunk) for chunk in chunks]
-        predictions = engine.score(
-            stack_chunks(chunks, len(spec.schema)),
-            models,
-            path=plan.path,
-            batch_size=plan.batch_size,
-        )
-        access_stats = AccessEngineStats()
+    except BaseException:
+        source.abort()  # release a producer blocked mid-stream
+        raise
+    retry_stats.merge(source.retry_stats)
     report = SegmentScoreReport(
         segment_id=part.segment_id,
         pages=len(part),
         tuples_scored=engine.stats.tuples_scored,
-        access_stats=access_stats,
+        access_stats=accelerator.access_engine.stats,
         inference_stats=engine.stats,
     )
-    return report, predictions, sizes
+    return report, predictions, source.sizes
 
 
 #: one scored unit: (partition, its page images, its worker process or None).
@@ -368,7 +348,6 @@ class ScanScorer:
                     self.plan,
                     self.binary,
                     self.spec,
-                    self.database.layout,
                     self.fpga,
                     self.inference,
                     part,

@@ -1,5 +1,7 @@
 """Tests for the access engine, payload decoder, FPGA spec and accelerator."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -159,9 +161,16 @@ class TestDAnAAccelerator:
         with_striders = accelerator.train_from_pages(
             pages, linear_spec.initial_models, linear_spec.bind_tuple, epochs=10
         )
-        from_rows = accelerator.train_from_rows(
-            rows, linear_spec.initial_models, linear_spec.bind_tuple, epochs=10
+        # The CPU-decode model, through the same seam: the RDBMS-side rows,
+        # no Strider activity booked.
+        strider_stats = copy.copy(accelerator.access_engine.stats)
+        source = accelerator.access_engine.open(pages, use_striders=False, stream=False)
+        np.testing.assert_array_equal(source.rows(), rows)
+        from_rows = accelerator.train(
+            source, linear_spec.initial_models, linear_spec.bind_tuple, epochs=10
         )
+        assert from_rows.tuples_extracted == len(rows)
+        assert from_rows.access_stats == strider_stats
         np.testing.assert_allclose(
             with_striders.models["mo"], from_rows.models["mo"], rtol=1e-5, atol=1e-6
         )

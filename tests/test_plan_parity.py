@@ -10,6 +10,7 @@ and ``EXPLAIN``.
 """
 
 import dataclasses
+import functools
 import itertools
 import pickle
 
@@ -26,7 +27,7 @@ from repro.rdbms import Database
 
 N_FEATURES = 6
 EXECUTIONS = ("auto", "lockstep", "threads", "processes")
-SYNCS = ("bulk_synchronous", "stale_synchronous", "async_merge")
+SYNCS = ("bulk_synchronous", "stale_synchronous")
 SEGMENTS = (None, 1, 3)
 
 
@@ -119,7 +120,11 @@ def test_train_explain_equals_report_equals_recorded_config(
     cluster = run.cluster
     assert knobs["mode"] == cluster.mode != "auto"
     assert knobs["stream"] == cluster.stream
-    assert cluster.stream == (stream and cluster.mode != "processes")
+    # the one effective-stream rule: only the Strider walk streams, and
+    # worker processes materialise their partitions
+    assert cluster.stream == (
+        stream and use_striders and cluster.mode != "processes"
+    )
     assert knobs["sync"] == cluster.sync == config["sync"] == sync
     assert knobs["staleness"] == cluster.staleness == config["staleness"]
     assert knobs["workers"] == cluster.worker_limit == config["workers"]
@@ -160,7 +165,7 @@ def test_score_explain_equals_report_equals_recorded_config(
     config = _last_config(system)
 
     assert knobs["stream"] == score.stream == config["stream"]
-    assert score.stream == (stream and use_striders)
+    assert score.stream == (stream and use_striders and execution != "processes")
     assert knobs["execution"] == score.execution == config["execution"] == execution
     assert knobs["workers"] == score.worker_limit == config["workers"]
     assert knobs["batch_size"] == score.batch_size == config["batch_size"] == 32
@@ -179,6 +184,194 @@ def test_predict_scan_explain_reports_effective_stream():
 
 
 # ---------------------------------------------------------------------- #
+# the extraction seam: use_striders x stream x execution, for train, score
+# and filtered predict, all equal to the materialised oracles
+# ---------------------------------------------------------------------- #
+SEAM_EXECUTIONS = {
+    "single": {},
+    "lockstep": {"segments": 3, "execution": "lockstep"},
+    "threads": {"segments": 3, "execution": "threads"},
+    "processes": {"segments": 3, "execution": "processes"},
+}
+SEAM_MODELS = {"mo": np.linspace(-1.0, 1.0, N_FEATURES)}
+SEAM_WHERE = "x0 > 0.1 AND y <= 9"
+
+
+def _seam_predicate(system):
+    """``SEAM_WHERE`` compiled against the table, as a statement would."""
+    from repro.rdbms import parse
+    from repro.rdbms.predicate import ColumnPredicate
+
+    return ColumnPredicate.compile(
+        system.database.table("train").schema,
+        parse(f"SELECT * FROM train WHERE {SEAM_WHERE}").where,
+    )
+
+
+def _seam_run(kind, execution, use_striders, stream):
+    """One cell of the grid on a fresh system (clean cached counters)."""
+    system = _system(use_striders)
+    knobs = dict(SEAM_EXECUTIONS[execution], stream=stream)
+    if kind == "train":
+        return system.train("linear", "train", **knobs)
+    where = _seam_predicate(system) if kind == "predict" else None
+    plan = ScorePlan.resolve(
+        system._registered("linear"),
+        "train",
+        use_striders=use_striders,
+        batch_size=7,
+        where=where,
+        **knobs,
+    )
+    return system._score(plan, SEAM_MODELS)
+
+
+@functools.lru_cache(maxsize=None)
+def _seam_oracle(kind, execution):
+    """The materialised Striders-on run of the same kind and fan-out."""
+    return _seam_run(kind, execution, True, False)
+
+
+def _table_rows():
+    """The float32-stored table as the float64 matrix predicates compare."""
+    system = _system()
+    return system.database.table("train").read_all(system.database.buffer_pool)
+
+
+def _access(stats, use_striders):
+    """What a cell's access counters must equal: the Strider walk books
+    the oracle's, the CPU-decode model books nothing."""
+    from repro.hw.access_engine import AccessEngineStats
+
+    return stats if use_striders else AccessEngineStats()
+
+
+@pytest.mark.parametrize("use_striders", (True, False))
+@pytest.mark.parametrize("stream", (True, False))
+@pytest.mark.parametrize("execution", SEAM_EXECUTIONS)
+def test_seam_train_cell_equals_materialised_oracle(execution, stream, use_striders):
+    from repro.reliability import RetryStats
+
+    oracle = _seam_oracle("train", execution)
+    run = _seam_run("train", execution, use_striders, stream)
+    for name, value in oracle.models.items():
+        np.testing.assert_array_equal(run.models[name], value)
+    assert run.engine_stats == oracle.engine_stats
+    assert run.tuples_extracted == oracle.tuples_extracted == 96
+    assert run.access_stats == _access(oracle.access_stats, use_striders)
+    if execution == "single":
+        assert run.retry_stats == RetryStats()
+        return
+    assert run.cluster.retry == RetryStats()
+    assert run.cluster.tree_bus == oracle.cluster.tree_bus
+    for seg, want in zip(run.segments, oracle.segments, strict=True):
+        assert (seg.pages, seg.tuples_extracted) == (want.pages, want.tuples_extracted)
+        assert seg.engine_stats == want.engine_stats
+        assert seg.access_stats == _access(want.access_stats, use_striders)
+
+
+@pytest.mark.parametrize("use_striders", (True, False))
+@pytest.mark.parametrize("stream", (True, False))
+@pytest.mark.parametrize("execution", ("single", "threads", "processes"))
+@pytest.mark.parametrize("kind", ("score", "predict"))
+def test_seam_score_cell_equals_materialised_oracle(
+    kind, execution, stream, use_striders
+):
+    from repro.reliability import RetryStats
+
+    oracle = _seam_oracle(kind, execution)
+    result = _seam_run(kind, execution, use_striders, stream)
+    np.testing.assert_array_equal(result.predictions, oracle.predictions)
+    assert result.inference_stats == oracle.inference_stats
+    assert result.tuples_scanned == 96
+    assert result.retry == RetryStats()
+    for seg, want in zip(result.segments, oracle.segments, strict=True):
+        assert (seg.pages, seg.tuples_scored) == (want.pages, want.tuples_scored)
+        assert seg.inference_stats == want.inference_stats
+        assert seg.access_stats == _access(want.access_stats, use_striders)
+    if kind == "predict":
+        # the filter is the unfiltered scan's predictions under the mask
+        # (per-page sizes drive the storage-order reassembly)
+        data = _table_rows()
+        mask = (data[:, 0] > 0.1) & (data[:, -1] <= 9)
+        assert 0 < mask.sum() < len(mask)
+        np.testing.assert_array_equal(
+            result.predictions, _seam_oracle("score", execution).predictions[mask]
+        )
+
+
+@pytest.mark.parametrize("filtered", (False, True))
+def test_seam_sources_agree_on_rows_batches_and_page_sizes(filtered):
+    """The 2 x 2 at the seam itself: same tuples, batches and per-page
+    sizes whichever decode and schedule produced them."""
+    from repro.hw import DAnAAccelerator
+
+    system = _system()
+    table = system.database.table("train")
+    predicate = _seam_predicate(system) if filtered else None
+    images = [image for _no, image in table.scan_pages(system.database.buffer_pool)]
+    sources = {}
+    for use_striders, stream in itertools.product((True, False), repeat=2):
+        access = DAnAAccelerator(
+            system.compile_udf("linear", "train"),
+            table.schema,
+            system.fpga,
+            predicate=predicate,
+        ).access_engine
+        source = access.open(iter(images), use_striders=use_striders, stream=stream)
+        batches = list(source.batches(7))
+        assert source.materialised is (not stream)
+        sources[use_striders, stream] = (source.rows(), batches, source.sizes)
+        assert (access.stats.pages_processed == len(images)) is use_striders
+    want_rows, want_batches, want_sizes = sources[True, False]
+    assert len(want_sizes) == len(images) and sum(want_sizes) == len(want_rows)
+    assert (len(want_rows) < 96) is filtered
+    for rows, batches, sizes in sources.values():
+        np.testing.assert_array_equal(rows, want_rows)
+        assert sizes == want_sizes
+        for got, want in zip(batches, want_batches, strict=True):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_one_module_builds_batch_sources_and_the_old_entry_points_are_gone():
+    """Structural pin: the seam is the only place outside the runtime that
+    constructs a ``BatchSource``, and nothing can route around it."""
+    import pathlib
+    import re
+
+    import repro
+
+    root = pathlib.Path(repro.__file__).parent
+    builders = [
+        str(path.relative_to(root))
+        for path in sorted(root.rglob("*.py"))
+        if path != root / "runtime" / "batch_source.py"
+        and re.search(r"\bBatchSource\(", path.read_text())
+    ]
+    assert builders == ["hw/access_engine.py"]
+    source = "\n".join(path.read_text() for path in root.rglob("*.py"))
+    for name in (
+        "score_stream_from_pages",
+        "score_from_pages",
+        "train_from_rows",
+        "open_source",
+        "cpu_decode_chunks",
+        "AsyncMerge",
+        "overlap_merge",
+    ):
+        assert not re.search(rf"\b{name}\b", source), name
+    # no executor decides extraction: only the seam's caller-facing knobs
+    # (plan.extraction()) and read-only reporting mention the two fields
+    readers = sorted(
+        str(path.relative_to(root))
+        for path in root.rglob("*.py")
+        if path != root / "core" / "plan.py"
+        and re.search(r"plan\.(stream|use_striders)\b", path.read_text())
+    )
+    assert readers == ["cluster/sharded.py", "core/explain.py", "serving/scorer.py"]
+
+
+# ---------------------------------------------------------------------- #
 # one diagnostic per invalid option, whichever door it came through
 # ---------------------------------------------------------------------- #
 INVALID_TRAIN_OPTIONS = (
@@ -188,6 +381,9 @@ INVALID_TRAIN_OPTIONS = (
     {"segments": 2, "aggregation": "median"},
     {"segments": 2, "execution": "warp"},
     {"sync": "gossip"},
+    {"segments": 2, "sync": "async_merge"},  # pruned: the standard message
+    {"stream": "no"},
+    {"shuffle": "false"},
     {"segments": 2, "staleness": 0},
     {"segments": 1, "execution": "lockstep"},
 )

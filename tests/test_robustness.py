@@ -1,5 +1,7 @@
 """Robustness and failure-injection tests across the stack."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -174,7 +176,7 @@ ALGORITHMS = ("linear", "logistic", "svm", "lrmf")
 RETRY = RetryPolicy(max_attempts=3, backoff_s=0.0)
 
 
-def _chaos_system(key, n_tuples=192, epochs=2, seed=11):
+def _chaos_system(key, n_tuples=192, epochs=2, seed=11, use_striders=True):
     """A fresh DAnA system with one algorithm UDF over a loaded table."""
     algorithm = get_algorithm(key)
     n_features = 4 if key == "lrmf" else 6
@@ -185,7 +187,7 @@ def _chaos_system(key, n_tuples=192, epochs=2, seed=11):
     database = Database(page_size=8 * 1024)
     database.load_table("train", spec.schema, data)
     database.warm_cache("train")
-    system = DAnA(database)
+    system = DAnA(database, use_striders=use_striders)
     system.register_udf(key, spec, epochs=epochs)
     return system, spec
 
@@ -295,6 +297,68 @@ class TestChaosTrainingParity:
         with inject_faults(plan):
             with pytest.raises(RetryExhaustedError, match="training window"):
                 system.train("linear", "train", segments=1, retry=policy)
+
+    @pytest.mark.parametrize("execution", ["lockstep", "threads"])
+    def test_cpu_decode_run_survives_a_producer_fault(self, execution):
+        """``use_striders=False`` used to stream each segment through a
+        source built without the restart recipe, so one producer fault
+        poisoned it and every retry re-raised.  The seam materialises CPU
+        decode, so the armed site is simply never reached."""
+        system, _spec = _chaos_system("linear", n_tuples=2048, use_striders=False)
+        kwargs = dict(segments=2, execution=execution, retry=RETRY)
+        baseline = system.train("linear", "train", **kwargs)
+        plan = FaultPlan.transient(("runtime.batch_source.producer", 2))
+        with inject_faults(plan) as injector:
+            chaotic = system.train("linear", "train", **kwargs)
+        assert injector.fired == [] and not chaotic.cluster.stream
+        assert chaotic.cluster.retry == baseline.cluster.retry
+        assert chaotic.cluster.retry.faults == 0
+        _assert_sharded_parity(baseline, chaotic)
+
+    def test_overlapped_cpu_decode_source_restarts(self):
+        """The restart recipe is wired at the seam for both decodes: an
+        overlapped CPU-decode source recovers like the Strider walk."""
+        system, _spec = _chaos_system("linear", n_tuples=2048)
+        table = system.database.table("train")
+        images = [image for _no, image in table.scan_pages(system.database.buffer_pool)]
+        access = system.accelerator_for("linear", "train").access_engine
+        before = copy.copy(access.stats)
+        with inject_faults(
+            FaultPlan.transient(("runtime.batch_source.producer", 2))
+        ) as injector:
+            source = access.open(images, use_striders=False, stream=True, retry=RETRY)
+            rows = source.rows()
+        assert len(injector.fired) == 1
+        assert (source.retry_stats.faults, source.retry_stats.retries) == (1, 1)
+        np.testing.assert_array_equal(
+            rows, table.read_all(system.database.buffer_pool)
+        )
+        assert source.sizes == [len(c) for c in access.cpu_decode_pages(images)]
+        assert access.stats == before  # CPU decode books no Strider activity
+
+    def test_producer_restart_honours_the_retry_deadline(self):
+        """The producer restart draws on the policy's own budget: a fault
+        past ``deadline_s`` gives up with ``RetryPolicy.run``'s error
+        instead of restarting until ``max_attempts``."""
+        system, _spec = _chaos_system("linear", n_tuples=2048)
+        site = "runtime.batch_source.producer"
+        plan = FaultPlan(
+            [
+                FaultSpec(site=site, call=1, kind="latency", latency_s=0.2),
+                FaultSpec(site=site, call=2),
+                FaultSpec(site=site, call=3),
+            ]
+        )
+        policy = RetryPolicy(max_attempts=5, deadline_s=0.05)
+        with inject_faults(plan) as injector:
+            with pytest.raises(
+                RetryExhaustedError,
+                match=r"batch-source producer missed its 0\.05s retry deadline "
+                r"after 1 attempt",
+            ):
+                system.train("linear", "train", retry=policy)
+        assert [entry.kind for entry in injector.fired] == ["latency", "error"]
+        assert _lingering_threads() == []
 
     def test_no_producer_threads_leak(self):
         system, _spec = _chaos_system("linear")

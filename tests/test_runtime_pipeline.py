@@ -7,8 +7,6 @@ Invariants enforced here:
   shared ``EpochDriver`` loop) is bit-identical — models *and*
   schedule-derived counters — to the barriered/materialized path for all
   four algorithms at segments ∈ {1, 2, 4}, and on the single-engine path;
-* **``async_merge`` is BSP in disguise** — the overlapped merge produces
-  bit-identical models (only the schedule pipelines);
 * **``stale_synchronous`` trades merges for staleness, boundedly** — the
   merge cadence is ``ceil(epochs / staleness)`` and the final loss stays
   within tolerance of the bulk-synchronous fit;
@@ -136,7 +134,6 @@ class TestSyncPolicies:
     def test_bulk_merges_every_epoch(self):
         policy = BulkSynchronous()
         assert [policy.next_boundary(e, 10) for e in range(4)] == [0, 1, 2, 3]
-        assert not policy.overlap_merge
 
     def test_stale_boundaries_every_k_epochs_and_final(self):
         policy = StaleSynchronous(3)
@@ -147,10 +144,10 @@ class TestSyncPolicies:
         assert policy.next_boundary(7, 8) == 7
         assert StaleSynchronous(1).next_boundary(4, 10) == 4
 
-    def test_async_merge_overlaps(self):
-        policy = make_sync_policy("async_merge")
-        assert policy.overlap_merge
-        assert policy.next_boundary(2, 10) == 2
+    def test_async_merge_is_gone(self):
+        assert SYNC_POLICIES == ("bulk_synchronous", "stale_synchronous")
+        with pytest.raises(ConfigurationError, match="expected one of"):
+            make_sync_policy("async_merge")
 
 
 # ---------------------------------------------------------------------- #
@@ -197,35 +194,6 @@ class TestStreamingParity:
         for name in a.models:
             np.testing.assert_array_equal(a.models[name], b.models[name])
         assert a.engine_stats == b.engine_stats
-
-    @pytest.mark.parametrize("execution", ["auto", "threads"])
-    def test_async_merge_is_bitwise_bsp(self, execution):
-        system, spec, _algo, _data = _system("linear")
-        bsp = system.train(
-            "linear", "train", epochs=EPOCHS, segments=4, execution=execution
-        )
-        overlapped = system.train(
-            "linear",
-            "train",
-            epochs=EPOCHS,
-            segments=4,
-            execution=execution,
-            sync="async_merge",
-        )
-        for name in bsp.models:
-            np.testing.assert_array_equal(overlapped.models[name], bsp.models[name])
-        assert overlapped.engine_stats == bsp.engine_stats
-        assert overlapped.cluster.merges_performed == bsp.cluster.merges_performed
-
-    def test_async_merge_shuffled_is_bitwise_bsp(self):
-        """Prefetch must consume the per-segment rng streams in epoch order."""
-        system, spec, _algo, _data = _system("linear")
-        kwargs = dict(epochs=EPOCHS, segments=4, shuffle=True, seed=3)
-        bsp = system.train("linear", "train", **kwargs)
-        overlapped = system.train("linear", "train", sync="async_merge", **kwargs)
-        for name in bsp.models:
-            np.testing.assert_array_equal(overlapped.models[name], bsp.models[name])
-        assert overlapped.engine_stats == bsp.engine_stats
 
 
 # ---------------------------------------------------------------------- #
@@ -461,19 +429,3 @@ class TestPipelinedCostModel:
         )
         assert cost.pipelined_critical_path_cycles < cost.critical_path_cycles
         assert cost.pipeline_speedup > 1.0
-
-    def test_async_merge_hides_all_but_the_drain_merge(self):
-        system, spec, _algo, _data = _system("linear")
-        run = system.train(
-            "linear", "train", epochs=EPOCHS, segments=4, sync="async_merge"
-        )
-        cost = ShardedRunCost.from_run(run)
-        assert run.cluster.merges_performed == EPOCHS
-        exposed = cost.pipelined_critical_path_cycles - max(
-            max(a, e)
-            for a, e in zip(cost.segment_access_cycles, cost.segment_engine_cycles)
-        )
-        assert exposed == math.ceil(
-            cost.cross_merge_cycles / cost.merges_performed
-        )
-        assert cost.pipelined_seconds() < cost.seconds()

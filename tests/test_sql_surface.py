@@ -111,7 +111,7 @@ class TestParser:
     def test_create_model_with_options(self):
         plan = parse(
             "CREATE MODEL prices AS TRAIN linearR ON houses "
-            "WITH (epochs => 4, segments => 2, sync => 'async_merge', "
+            "WITH (epochs => 4, segments => 2, sync => 'stale_synchronous', "
             "shuffle => true)"
         )
         assert plan == CreateModel(
@@ -121,7 +121,7 @@ class TestParser:
             options=(
                 ("epochs", 4),
                 ("segments", 2),
-                ("sync", "async_merge"),
+                ("sync", "stale_synchronous"),
                 ("shuffle", True),
             ),
         )
