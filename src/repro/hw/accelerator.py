@@ -10,7 +10,8 @@ from binary database pages and report the hardware activity it generated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 import numpy as np
@@ -31,11 +32,20 @@ TupleBinder = Callable[[np.ndarray], dict[str, np.ndarray | float]]
 BatchBinder = Callable[[np.ndarray], dict[str, np.ndarray]]
 
 
+def _since(after, before):
+    """``after - before``, counter by counter: one run's share of cumulative stats."""
+    return type(after)(
+        **{f.name: getattr(after, f.name) - getattr(before, f.name) for f in fields(after)}
+    )
+
+
 @dataclass
 class AcceleratorRunResult:
     """Functional result + hardware activity of one accelerated training run."""
 
     training: TrainingResult
+    #: this run's own counters — the engines' cumulative stats since the
+    #: run's extraction was opened, not the live objects.
     access_stats: AccessEngineStats
     engine_stats: EngineRunStats
     tuples_extracted: int
@@ -105,8 +115,11 @@ class DAnAAccelerator:
         or CPU decode, overlapped with this training or already in memory —
         was decided there and changes neither models nor counters.  A
         source still streaming when training fails is aborted, so its
-        producer thread never outlives the call.
+        producer thread never outlives the call.  The engines' ``stats``
+        accumulate across a cached accelerator's runs; the result carries
+        this run's share of them.
         """
+        engine_before = copy.copy(self.execution_engine.stats)
         try:
             training = self.execution_engine.train(
                 source,
@@ -121,11 +134,13 @@ class DAnAAccelerator:
         except BaseException:
             source.abort()  # release a producer blocked mid-stream
             raise
+        tuples_extracted = len(source.rows())  # drained: the producer is done with the stats
+        training.stats = _since(self.execution_engine.stats, engine_before)
         return AcceleratorRunResult(
             training=training,
-            access_stats=self.access_engine.stats,
-            engine_stats=self.execution_engine.stats,
-            tuples_extracted=len(source.rows()),
+            access_stats=_since(self.access_engine.stats, self.access_engine.stats_at_open),
+            engine_stats=training.stats,
+            tuples_extracted=tuples_extracted,
             retry_stats=source.retry_stats,
         )
 

@@ -38,8 +38,7 @@ from repro.hw.fpga import FPGASpec
 from repro.hw.strider import Strider, StriderResult
 from repro.isa.strider_isa import StriderProgram
 from repro.obs.telemetry import telemetry
-from repro.rdbms.heapfile import decode_page_rows
-from repro.rdbms.page import PageLayout
+from repro.rdbms.page import PageLayout, decode_page_rows
 from repro.rdbms.predicate import ColumnPredicate
 from repro.rdbms.types import Schema
 from repro.reliability.faults import fault_point
@@ -167,6 +166,9 @@ class AccessEngine:
             for _ in range(config.num_striders)
         ]
         self.stats = AccessEngineStats()
+        #: :attr:`stats` as they stood when :meth:`open` was last called —
+        #: what a run subtracts to report its own counters.
+        self.stats_at_open = AccessEngineStats()
         #: hot path uses the bulk page walk (identical payloads and stats);
         #: set to False to force the instruction interpreter (the oracle).
         self.use_bulk_walk = True
@@ -236,10 +238,10 @@ class AccessEngine:
           fault-free run.
         """
         walk = self.process_pages if use_striders else self.cpu_decode_pages
+        opened = self.stats_at_open = copy.copy(self.stats)
         if not stream:
             return BatchSource.from_chunks(list(walk(page_images)), len(self.schema))
         images = list(page_images)
-        opened = copy.copy(self.stats)
 
         def rewalk() -> Iterator[np.ndarray]:
             self.stats = copy.copy(opened)

@@ -204,6 +204,17 @@ def _match_page_walk(program: StriderProgram) -> _PageWalkTemplate | None:
     )
 
 
+def page_walk_template(program: StriderProgram) -> _PageWalkTemplate | None:
+    """``program``'s bulk-walk template, matched once and kept on the program.
+
+    All Striders of an access engine — and every fresh accelerator built from
+    the same binary — run one program object (never edited once in use).
+    """
+    if "_page_walk_template" not in vars(program):
+        program._page_walk_template = _match_page_walk(program)
+    return program._page_walk_template
+
+
 class Strider:
     """Executes a :class:`StriderProgram` against one binary page image."""
 
@@ -218,7 +229,7 @@ class Strider:
         self.program = program
         self.read_width_bytes = read_width_bytes
         self.max_instructions = max_instructions
-        self._page_walk = _match_page_walk(program)
+        self._page_walk = page_walk_template(program)
 
     # ------------------------------------------------------------------ #
     # public API

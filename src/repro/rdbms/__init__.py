@@ -14,7 +14,7 @@ from repro.rdbms.catalog import (
     TableEntry,
 )
 from repro.rdbms.database import Database
-from repro.rdbms.heapfile import HeapFile, decode_page_records, decode_page_rows
+from repro.rdbms.heapfile import HeapFile
 from repro.rdbms.heaptuple import TUPLE_HEADER_SIZE, TupleHeader, decode_tuple, encode_tuple
 from repro.rdbms.page import (
     DEFAULT_PAGE_SIZE,
@@ -23,6 +23,8 @@ from repro.rdbms.page import (
     SUPPORTED_PAGE_SIZES,
     HeapPage,
     PageLayout,
+    decode_page_records,
+    decode_page_rows,
 )
 from repro.rdbms.predicate import ColumnPredicate, Comparison
 from repro.rdbms.query import (

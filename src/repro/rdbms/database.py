@@ -73,11 +73,7 @@ class Database:
     ) -> HeapFile:
         """Create a table and bulk load it in one step."""
         heapfile = self.create_table(name, schema)
-        if isinstance(rows, np.ndarray):
-            loaded = heapfile.bulk_load_array(rows)
-        else:
-            loaded = heapfile.bulk_load(rows)
-        self.catalog.update_tuple_count(name, loaded)
+        self.catalog.update_tuple_count(name, heapfile.bulk_load(rows))
         return heapfile
 
     def insert_rows(
@@ -85,27 +81,16 @@ class Database:
     ) -> WalRecord:
         """WAL-logged insert: log first, then stamp the rows into the heap.
 
-        The write path for *live* tables: the record is made durable by
-        :meth:`WriteAheadLog.append` (which fires the ``rdbms.wal.append``
-        fault site on both sides of durability), then applied through
-        :meth:`apply_wal_record` — the same function replay uses, so a
-        recovered heap is bit-identical to this one.  Returns the record.
+        The write path for *live* tables: the rows are validated against
+        the schema (:meth:`Schema.to_records`) so a bad row never reaches
+        the log, the record is made durable by :meth:`WriteAheadLog.append`
+        (which fires the ``rdbms.wal.append`` fault site on both sides of
+        durability), then applied through :meth:`apply_wal_record` — the
+        same function replay uses, so a recovered heap is bit-identical to
+        this one.  Returns the record.
         """
-        entry = self.catalog.table(name)
-        if isinstance(rows, np.ndarray):
-            if rows.ndim != 2:
-                raise RDBMSError(f"expected a 2-D array, got shape {rows.shape}")
-            rows = rows.tolist()
-        rows = [tuple(row) for row in rows]
-        if not rows:
+        if not len(self.catalog.table(name).schema.to_records(rows)):
             raise RDBMSError(f"cannot insert zero rows into {name!r}")
-        width = len(entry.schema)
-        for row in rows:
-            if len(row) != width:
-                raise RDBMSError(
-                    f"row has {len(row)} values but table {name!r} has "
-                    f"{width} columns"
-                )
         record = self.wal.append(name, rows)
         self.apply_wal_record(record)
         return record

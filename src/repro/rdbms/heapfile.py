@@ -2,8 +2,11 @@
 
 Mutability and snapshots
 ------------------------
-A heap file starts frozen (``bulk_load`` packs LSN-0 pages) and becomes
-*live* the first time a WAL record is applied through :meth:`append_rows`.
+Rows arrive through one funnel — :meth:`Schema.to_records` validates and
+encodes a batch, one fill loop packs it with :meth:`HeapPage.extend` —
+with two callers: a heap file starts frozen (``bulk_load`` packs LSN-0
+pages) and becomes *live* the first time a WAL record is applied through
+:meth:`append_rows`.
 Every mutation stamps the touched pages with the record's LSN and saves a
 copy-on-write pre-image of any page it overwrites, so a scan can be pinned
 to the heap *as of* any LSN: :meth:`scan_pages` with ``as_of_lsn=s`` yields
@@ -23,59 +26,11 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.exceptions import PageError, RDBMSError
+from repro.exceptions import RDBMSError
 from repro.rdbms.buffer_pool import BufferPool
-from repro.rdbms.heaptuple import TUPLE_HEADER_SIZE, decode_tuple, tuple_size
-from repro.rdbms.page import HeapPage, PageLayout
+from repro.rdbms.page import HeapPage, PageLayout, decode_page_rows
 from repro.rdbms.storage import StorageManager
 from repro.rdbms.types import Schema
-
-
-def decode_page_records(image: bytes, layout: PageLayout, schema: Schema) -> np.ndarray:
-    """Decode one raw page image into ``schema.record_dtype`` records, in slot order.
-
-    The line-pointer array is one ``np.frombuffer`` and the tuples are
-    gathered by offset in one indexing operation; the checks
-    :func:`~repro.rdbms.heaptuple.decode_tuple` applies per tuple
-    (``t_len`` against the line pointer, ``attr_count`` against the
-    schema) run vectorised, and the first tuple that fails them is handed
-    to ``decode_tuple`` so it raises the error it always raised.
-    """
-    page = HeapPage.from_bytes(image, layout)
-    count = page.tuple_count
-    pointers_end = layout.line_pointer_start + count * layout.line_pointer_size
-    if pointers_end > layout.page_size:
-        raise PageError(
-            f"page header declares {count} tuples, whose line pointers would "
-            f"end at byte {pointers_end} of a {layout.page_size}-byte page"
-        )
-    pointers = np.frombuffer(
-        image, dtype="<u2", count=2 * count, offset=layout.line_pointer_start
-    ).reshape(count, 2)
-    offsets = pointers[:, :1].astype(np.intp)
-    width = tuple_size(schema)
-    data = np.frombuffer(image, dtype=np.uint8)
-    malformed = (pointers[:, 1] != width) | (offsets[:, 0] + width > len(data))
-    if not malformed.any():
-        headers = data[offsets + np.arange(4)].view("<u2")  # t_len, attr_count
-        malformed = (headers[:, 0] != width) | (headers[:, 1] != len(schema))
-    if malformed.any():
-        slot = int(np.argmax(malformed))
-        decode_tuple(schema, page.read_raw(slot))
-        raise PageError(f"tuple in slot {slot} is malformed")
-    payloads = data[offsets + np.arange(TUPLE_HEADER_SIZE, width)]
-    return payloads.view(schema.record_dtype).reshape(count)
-
-
-def decode_page_rows(image: bytes, layout: PageLayout, schema: Schema) -> np.ndarray:
-    """Decode one raw page image into a ``(tuples, columns)`` float64 matrix.
-
-    The RDBMS-side per-page decode shared by every ``use_striders=False``
-    path (training segment workers, the serving scan scorer) and by
-    :meth:`HeapFile.read_pages` — one implementation so the CPU-decode
-    model cannot drift between them.
-    """
-    return schema.as_matrix(decode_page_records(image, layout, schema))
 
 
 class HeapFile:
@@ -142,7 +97,7 @@ class HeapFile:
     # ------------------------------------------------------------------ #
     # loading
     # ------------------------------------------------------------------ #
-    def bulk_load(self, rows: Iterable[Sequence[float | int]]) -> int:
+    def bulk_load(self, rows: Iterable[Sequence[float | int]] | np.ndarray) -> int:
         """Append rows, packing them densely into pages.  Returns row count.
 
         Bulk loads are the LSN-0 base image (an implicit checkpoint): they
@@ -157,39 +112,17 @@ class HeapFile:
                 f"table {self.name!r} has WAL-logged writes; use "
                 "Database.insert_rows instead of bulk_load"
             )
-        page = HeapPage(self.layout)
-        loaded = 0
-        for row in rows:
-            if not page.has_room(self.schema):
-                self.storage.append_page(self.name, page.to_bytes())
-                page = HeapPage(self.layout)
-            page.insert(self.schema, row)
-            loaded += 1
-        if page.tuple_count > 0:
-            self.storage.append_page(self.name, page.to_bytes())
-        self._tuple_count += loaded
-        new_pages = self.page_count - len(self._page_lsns)
-        self._page_lsns.extend([0] * new_pages)
-        self._page_create_lsns.extend([0] * new_pages)
+        records = self.schema.to_records(rows)
+        self._fill(records, 0)
         self._count_history[0] = (0, self._tuple_count)
-        return loaded
-
-    def bulk_load_array(self, data: np.ndarray) -> int:
-        """Bulk load a 2-D NumPy array where each row is one tuple."""
-        if data.ndim != 2:
-            raise RDBMSError(f"expected a 2-D array, got shape {data.shape}")
-        if data.shape[1] != len(self.schema):
-            raise RDBMSError(
-                f"array has {data.shape[1]} columns but schema has {len(self.schema)}"
-            )
-        return self.bulk_load(data.tolist())
+        return len(records)
 
     # ------------------------------------------------------------------ #
     # WAL apply (the only write path for live tables)
     # ------------------------------------------------------------------ #
     def append_rows(
         self,
-        rows: Sequence[Sequence[float | int]],
+        rows: Iterable[Sequence[float | int]] | np.ndarray,
         lsn: int,
         pool: BufferPool | None = None,
     ) -> int:
@@ -204,8 +137,8 @@ class HeapFile:
         appended.  ``pool`` (when given) has its cached frame for the
         rewritten tail page invalidated.
         """
-        rows = list(rows)
-        if not rows:
+        records = self.schema.to_records(rows)
+        if not len(records):
             return 0
         with self._mutate_lock:
             last_lsn = self._count_history[-1][0]
@@ -215,36 +148,37 @@ class HeapFile:
                     f"{lsn} is not past the last applied LSN {last_lsn}"
                 )
             self._wal_mutated = True
-            idx = 0
-            page_count = self.page_count
-            if page_count > 0:
-                tail_no = page_count - 1
-                image = self.storage.read_page(self.name, tail_no)
-                page = HeapPage.from_bytes(image, self.layout)
-                if page.has_room(self.schema):
-                    self._page_versions.setdefault(tail_no, []).append(
-                        (self._page_lsns[tail_no], bytes(image))
-                    )
-                    while idx < len(rows) and page.has_room(self.schema):
-                        page.insert(self.schema, rows[idx])
-                        idx += 1
-                    page.set_lsn(lsn)
-                    self.storage.write_page(self.name, tail_no, page.to_bytes())
-                    self._page_lsns[tail_no] = lsn
-                    if pool is not None:
-                        pool.invalidate(self.name, tail_no)
-            while idx < len(rows):
-                page = HeapPage(self.layout)
-                while idx < len(rows) and page.has_room(self.schema):
-                    page.insert(self.schema, rows[idx])
-                    idx += 1
-                page.set_lsn(lsn)
-                self.storage.append_page(self.name, page.to_bytes())
-                self._page_lsns.append(lsn)
-                self._page_create_lsns.append(lsn)
-            self._tuple_count += len(rows)
+            self._fill(records, lsn, pool)
             self._count_history.append((lsn, self._tuple_count))
-            return len(rows)
+            return len(records)
+
+    def _fill(self, records: np.ndarray, lsn: int, pool: BufferPool | None = None) -> None:
+        """The one fill loop: pack ``records`` into pages stamped ``lsn``.
+
+        A WAL apply (``lsn > 0``) tops up the tail page first, saving its
+        pre-image; the LSN-0 base image only ever starts fresh pages.
+        """
+        done = 0
+        tail_no = self.page_count - 1
+        if lsn > 0 and tail_no >= 0:
+            image = self.storage.read_page(self.name, tail_no)
+            page = HeapPage.from_bytes(image, self.layout)
+            if page.has_room(self.schema):
+                self._page_versions.setdefault(tail_no, []).append(
+                    (self._page_lsns[tail_no], bytes(image))
+                )
+                done = page.extend(self.schema, records, lsn)
+                self.storage.write_page(self.name, tail_no, page.to_bytes())
+                self._page_lsns[tail_no] = lsn
+                if pool is not None:
+                    pool.invalidate(self.name, tail_no)
+        while done < len(records):
+            page = HeapPage(self.layout)
+            done += page.extend(self.schema, records[done:], lsn)
+            self.storage.append_page(self.name, page.to_bytes())
+            self._page_lsns.append(lsn)
+            self._page_create_lsns.append(lsn)
+        self._tuple_count += len(records)
 
     # ------------------------------------------------------------------ #
     # snapshot (as-of) readers
@@ -268,23 +202,27 @@ class HeapFile:
         i = bisect_right(self._count_history, (as_of_lsn, math.inf))
         return self._count_history[i - 1][1] if i else 0
 
-    def page_lsn_as_of(self, page_no: int, as_of_lsn: int) -> int:
-        """LSN stamp ``page_no`` carried at LSN ``as_of_lsn``."""
+    def _version_as_of(self, page_no: int, as_of_lsn: int) -> tuple[int, bytes | None]:
+        """``(LSN stamp, image)`` of ``page_no`` at ``as_of_lsn``.
+
+        ``image`` is ``None`` when the live page is the answer, else the newest
+        pre-image at or before ``as_of_lsn`` (version lists are LSN-ascending).
+        """
         live = self.page_lsn(page_no)
         if live <= as_of_lsn:
-            return live
-        best: int | None = None
-        for lsn, _image in self._page_versions.get(page_no, ()):
-            if lsn <= as_of_lsn:
-                best = lsn
-            else:
-                break
-        if best is None:
+            return live, None
+        versions = self._page_versions.get(page_no, ())
+        i = bisect_right(versions, as_of_lsn, key=lambda version: version[0])
+        if i == 0:
             raise RDBMSError(
                 f"page {page_no} of table {self.name!r} has no version at "
                 f"or before LSN {as_of_lsn}"
             )
-        return best
+        return versions[i - 1]
+
+    def page_lsn_as_of(self, page_no: int, as_of_lsn: int) -> int:
+        """LSN stamp ``page_no`` carried at LSN ``as_of_lsn``."""
+        return self._version_as_of(page_no, as_of_lsn)[0]
 
     def page_image_as_of(
         self, page_no: int, as_of_lsn: int, pool: BufferPool
@@ -298,21 +236,8 @@ class HeapFile:
         the tail page between the live-LSN check and the pool pull.
         """
         with self._mutate_lock:
-            live = self.page_lsn(page_no)
-            if live <= as_of_lsn:
-                return pool.get_page(self.name, page_no)
-            best: bytes | None = None
-            for lsn, image in self._page_versions.get(page_no, ()):
-                if lsn <= as_of_lsn:
-                    best = image
-                else:
-                    break
-            if best is None:
-                raise RDBMSError(
-                    f"page {page_no} of table {self.name!r} has no version "
-                    f"at or before LSN {as_of_lsn}"
-                )
-            return best
+            _lsn, image = self._version_as_of(page_no, as_of_lsn)
+            return pool.get_page(self.name, page_no) if image is None else image
 
     def pages_newer_than(self, watermark_lsn: int, as_of_lsn: int) -> list[int]:
         """Pages (as of ``as_of_lsn``) stamped past ``watermark_lsn``.

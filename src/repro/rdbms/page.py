@@ -18,6 +18,12 @@ A page is laid out as::
 The exact byte offsets are described by :class:`PageLayout`, which is what
 DAnA's compiler consumes to emit Strider instructions — the accelerator
 never sees Python objects, only these raw bytes.
+
+The page byte format is known to this module alone, through a vectorised
+codec pair that moves whole pages, never single tuples:
+:meth:`HeapPage.extend` packs a run of ``schema.record_dtype`` records and
+:func:`decode_page_records` gathers them back.  The ``struct``-based
+``encode_tuple`` / ``decode_tuple`` stay as the independent per-row reference.
 """
 
 from __future__ import annotations
@@ -26,8 +32,10 @@ import struct
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from repro.exceptions import PageError, PageFullError
-from repro.rdbms.heaptuple import TUPLE_HEADER_SIZE, decode_tuple, encode_tuple, tuple_size
+from repro.rdbms.heaptuple import TUPLE_HEADER_SIZE, TupleHeader, decode_tuple, tuple_size
 from repro.rdbms.types import Schema
 
 DEFAULT_PAGE_SIZE = 32 * 1024
@@ -189,28 +197,49 @@ class HeapPage:
         needed = LINE_POINTER_SIZE + tuple_size(schema)
         return self.free_space >= needed
 
-    def insert(self, schema: Schema, values: Sequence[float | int]) -> int:
-        """Insert one row; returns its slot index.
+    def extend(self, schema: Schema, records: np.ndarray, lsn: int | None = None) -> int:
+        """Pack as many of ``records`` as fit; returns how many were placed.
 
-        Raises :class:`PageFullError` when the row does not fit.
+        The one routine that writes tuples into a page buffer: headers plus
+        :meth:`Schema.to_records` payloads land as one block below the
+        free-space end, their line pointers as one block above its start,
+        and the page header — stamped with ``lsn`` when given — is written
+        once.  Raises :class:`PageFullError` when not even one record fits.
         """
-        raw = encode_tuple(schema, values)
-        needed = LINE_POINTER_SIZE + len(raw)
-        if self.free_space < needed:
+        width = tuple_size(schema)
+        placed = min(len(records), self.free_space // (LINE_POINTER_SIZE + width))
+        if placed == 0 and len(records):
             raise PageFullError(
-                f"tuple of {len(raw)} bytes does not fit in {self.free_space} free bytes"
+                f"tuple of {width} bytes does not fit in {self.free_space} free bytes"
             )
-        # Tuple data grows from the end of the page toward the header.
-        self._free_end -= len(raw)
-        self._buf[self._free_end : self._free_end + len(raw)] = raw
-        # Line pointer grows from the header toward the end of the page.
-        pointer = _LINE_POINTER_STRUCT.pack(self._free_end, len(raw))
-        self._buf[self._free_start : self._free_start + LINE_POINTER_SIZE] = pointer
-        self._free_start += LINE_POINTER_SIZE
-        slot = self._tuple_count
-        self._tuple_count += 1
-        self._write_header()
-        return slot
+        tuples = np.empty((placed, width), dtype=np.uint8)
+        tuples[:, :TUPLE_HEADER_SIZE] = np.frombuffer(
+            TupleHeader(t_len=width, attr_count=len(schema)).encode(), dtype=np.uint8
+        )
+        tuples[:, TUPLE_HEADER_SIZE:] = (
+            records[:placed].view(np.uint8).reshape(placed, schema.row_width)
+        )
+        # Tuple data grows from the end of the page toward the header, so
+        # slot order is descending address order; line pointers grow up.
+        pointers = np.empty((placed, 2), dtype="<u2")
+        pointers[:, 0] = self._free_end - width * np.arange(1, placed + 1)
+        pointers[:, 1] = width
+        data_start = self._free_end - placed * width
+        self._buf[data_start : self._free_end] = tuples[::-1].tobytes()
+        pointers_end = self._free_start + placed * LINE_POINTER_SIZE
+        self._buf[self._free_start : pointers_end] = pointers.tobytes()
+        self._free_end, self._free_start = data_start, pointers_end
+        self._tuple_count += placed
+        if lsn is None:
+            self._write_header()
+        else:
+            self.set_lsn(lsn)
+        return placed
+
+    def insert(self, schema: Schema, values: Sequence[float | int]) -> int:
+        """Insert one row — a one-record :meth:`extend` — and return its slot."""
+        self.extend(schema, schema.to_records([values]))
+        return self._tuple_count - 1
 
     def line_pointer(self, slot: int) -> tuple[int, int]:
         """Return ``(offset, length)`` of the tuple in ``slot``."""
@@ -274,3 +303,50 @@ class HeapPage:
             f"HeapPage(size={self.page_size}, tuples={self._tuple_count}, "
             f"free={self.free_space})"
         )
+
+
+def decode_page_records(image: bytes, layout: PageLayout, schema: Schema) -> np.ndarray:
+    """Decode one raw page image into ``schema.record_dtype`` records, in slot order.
+
+    The line-pointer array is one ``np.frombuffer`` and the tuples are
+    gathered by offset in one indexing operation; the checks
+    :func:`~repro.rdbms.heaptuple.decode_tuple` applies per tuple
+    (``t_len`` against the line pointer, ``attr_count`` against the
+    schema) run vectorised, and the first tuple that fails them is handed
+    to ``decode_tuple`` so it raises the error it always raised.
+    """
+    page = HeapPage.from_bytes(image, layout)
+    count = page.tuple_count
+    pointers_end = layout.line_pointer_start + count * layout.line_pointer_size
+    if pointers_end > layout.page_size:
+        raise PageError(
+            f"page header declares {count} tuples, whose line pointers would "
+            f"end at byte {pointers_end} of a {layout.page_size}-byte page"
+        )
+    pointers = np.frombuffer(
+        image, dtype="<u2", count=2 * count, offset=layout.line_pointer_start
+    ).reshape(count, 2)
+    offsets = pointers[:, :1].astype(np.intp)
+    width = tuple_size(schema)
+    data = np.frombuffer(image, dtype=np.uint8)
+    malformed = (pointers[:, 1] != width) | (offsets[:, 0] + width > len(data))
+    if not malformed.any():
+        headers = data[offsets + np.arange(4)].view("<u2")  # t_len, attr_count
+        malformed = (headers[:, 0] != width) | (headers[:, 1] != len(schema))
+    if malformed.any():
+        slot = int(np.argmax(malformed))
+        decode_tuple(schema, page.read_raw(slot))
+        raise PageError(f"tuple in slot {slot} is malformed")
+    payloads = data[offsets + np.arange(TUPLE_HEADER_SIZE, width)]
+    return payloads.view(schema.record_dtype).reshape(count)
+
+
+def decode_page_rows(image: bytes, layout: PageLayout, schema: Schema) -> np.ndarray:
+    """Decode one raw page image into a ``(tuples, columns)`` float64 matrix.
+
+    The RDBMS-side per-page decode shared by every ``use_striders=False``
+    path (training segment workers, the serving scan scorer) and by
+    :meth:`HeapFile.read_pages` — one implementation so the CPU-decode
+    model cannot drift between them.
+    """
+    return schema.as_matrix(decode_page_records(image, layout, schema))

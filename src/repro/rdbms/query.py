@@ -51,7 +51,7 @@ import numpy as np
 
 from repro.exceptions import CatalogError, QueryError
 from repro.obs.telemetry import telemetry
-from repro.rdbms.heapfile import decode_page_records
+from repro.rdbms.page import decode_page_records
 from repro.rdbms.predicate import COMPARISON_UFUNCS, ColumnPredicate, Comparison
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

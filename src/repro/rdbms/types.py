@@ -19,6 +19,10 @@ import numpy as np
 
 from repro.exceptions import RDBMSError
 
+#: smallest finite magnitude that rounds to infinity as a FLOAT4 — where
+#: ``struct.pack("<f", x)`` starts raising ``OverflowError``.
+_FLOAT4_OVERFLOW = (2 - 2**-24) * 2.0**127
+
 
 class ColumnType(Enum):
     """Fixed-width column types supported by the substrate."""
@@ -179,6 +183,54 @@ class Schema:
         for i, name in enumerate(records.dtype.names):
             out[:, i] = records[name]
         return out
+
+    def to_records(self, rows: Iterable[Sequence[float | int]] | np.ndarray) -> np.ndarray:
+        """Validate a row batch and encode it as :attr:`record_dtype` records.
+
+        The storage layer's one write door, mirror of :meth:`as_matrix`: a
+        2-D array of any numeric dtype, or a sequence of rows, becomes the
+        exact on-page payload bytes (``tobytes()`` is the concatenated
+        :meth:`encode_row` payloads).  Integer columns round half to even;
+        a batch holding floats travels as float64, so INT8 is exact to
+        2**53.  The range checks ``struct.pack`` applies run vectorised —
+        NumPy casts wrap or saturate silently — and the first failing row
+        goes to :meth:`encode_row` to raise the error it always raised; a
+        batch not numeric, 2-D and schema-wide raises :class:`RDBMSError`.
+        """
+        if not isinstance(rows, np.ndarray):
+            rows = list(rows)
+        try:
+            matrix = np.asarray(rows) if len(rows) else np.empty((0, len(self)))
+            if matrix.dtype.kind not in "iu":
+                matrix = matrix.astype(np.float64, copy=False)
+        except (TypeError, ValueError) as exc:
+            raise RDBMSError(f"rows are not a rectangular numeric batch: {exc}") from None
+        if matrix.ndim != 2 or matrix.shape[1] != len(self):
+            raise RDBMSError(
+                f"expected a 2-D batch of {len(self)}-column rows, got shape {matrix.shape}"
+            )
+        columns = []
+        bad = np.zeros(len(matrix), dtype=bool)
+        for col, values in zip(self.columns, matrix.T):
+            if not col.ctype.is_integer:
+                values = values.astype(np.float64, copy=False)
+                if col.ctype is ColumnType.FLOAT4:
+                    bad |= np.isfinite(values) & (np.abs(values) >= _FLOAT4_OVERFLOW)
+            elif values.dtype.kind == "f":
+                values = np.rint(values)
+                limit = 2.0 ** (8 * col.width - 1)
+                bad |= ~((values >= -limit) & (values < limit))  # NaN fails both
+            else:
+                info = np.iinfo(col.ctype.np_dtype)
+                bad |= (values < info.min) | (values > info.max)
+            columns.append(values)
+        if bad.any():
+            self.encode_row(matrix[np.argmax(bad)].tolist())
+            raise RDBMSError(f"row {np.argmax(bad)} does not fit the schema's column types")
+        records = np.empty(len(matrix), dtype=self.record_dtype)
+        for name, values in zip(records.dtype.names, columns):
+            records[name] = values  # every value checked: the cast cannot wrap
+        return records
 
     def column_offset(self, index: int) -> int:
         """Byte offset of column ``index`` within the attribute payload."""

@@ -8,6 +8,10 @@ route the *same record object* through the *same apply function*, the heap
 bytes after recovery are bit-identical to the never-crashed heap — LSN
 stamps, tail-page packing and all — by construction, not by luck.
 
+The log is schema-free (``append`` has no catalog in reach): it freezes a
+float64 copy of the rows and the heap apply encodes them
+(:meth:`Schema.to_records`); on disk a record would be ``rows.tobytes()``.
+
 Recovery model
 --------------
 The durable truth is the LSN-0 base image (the ``bulk_load`` pages — an
@@ -33,6 +37,8 @@ import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
+import numpy as np
+
 from repro.exceptions import RDBMSError
 from repro.obs.telemetry import telemetry
 from repro.reliability.faults import fault_point
@@ -44,16 +50,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 WAL_APPEND_FAULT_SITE = "rdbms.wal.append"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WalRecord:
-    """One durable log record: *these rows were inserted into this table*."""
+    """One durable log record: *these rows were inserted into this table*.
+
+    Identified by :attr:`lsn` (``eq=False``: arrays have no scalar equality).
+    """
 
     #: log sequence number; globally monotonic per :class:`WriteAheadLog`.
     lsn: int
     #: name of the heap table the rows belong to.
     table: str
-    #: the inserted rows, frozen exactly as the client supplied them.
-    rows: tuple[tuple[float, ...], ...]
+    #: the inserted rows: one read-only ``(n, columns)`` float64 matrix, a
+    #: private copy of what the client supplied.
+    rows: np.ndarray
 
     @property
     def row_count(self) -> int:
@@ -87,7 +97,7 @@ class WriteAheadLog:
         return len(self._records)
 
     def append(
-        self, table: str, rows: Sequence[Sequence[float | int]]
+        self, table: str, rows: Sequence[Sequence[float | int]] | np.ndarray
     ) -> WalRecord:
         """Make one insert durable; returns the record to apply to the heap.
 
@@ -97,9 +107,10 @@ class WriteAheadLog:
         record; a fault raised between durability and apply is exactly the
         torn state :meth:`replay` repairs.
         """
-        frozen = tuple(tuple(float(v) for v in row) for row in rows)
-        if not frozen:
-            raise RDBMSError(f"cannot log an empty insert into {table!r}")
+        frozen = np.array(rows, dtype=np.float64)  # a copy the caller cannot reach
+        if frozen.ndim != 2 or not len(frozen):
+            raise RDBMSError(f"cannot log an empty or non-2-D insert into {table!r}")
+        frozen.flags.writeable = False
         fault_point(WAL_APPEND_FAULT_SITE)
         obs = telemetry()
         span = (

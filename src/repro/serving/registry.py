@@ -80,8 +80,8 @@ class ModelRegistry:
             )
             flat = array.ravel(order="C")
             # One (n, 3) float64 block per parameter; float64 carries the
-            # INT4 param id and INT8 element index exactly, and the array
-            # bulk-load path skips per-element Python boxing.
+            # INT4 param id and INT8 element index exactly through the
+            # storage write funnel (Schema.to_records).
             blocks.append(
                 np.column_stack(
                     [np.full(flat.size, param_id, dtype=np.float64),

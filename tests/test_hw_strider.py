@@ -180,3 +180,48 @@ class TestStriderExecution:
         out = Strider(program).process_page(bytes(page))
         # bits [1:4) of 0b10110110 are 0b011 = 3; payload = original byte + 2 inserted bytes
         assert out.payloads == [bytes([0b1011_0110, 7, 7])]
+
+
+class TestPageWalkTemplateIsMatchedOncePerProgram:
+    """An access engine's Striders — and every fresh accelerator built from
+    the same binary — share one matched template."""
+
+    def test_one_match_per_program_however_many_striders(self, layout, schema, monkeypatch):
+        import repro.hw.strider as strider_module
+        from repro.hw import DEFAULT_FPGA, AccessEngine, AccessEngineConfig
+
+        calls = []
+        match = strider_module._match_page_walk
+        monkeypatch.setattr(
+            strider_module, "_match_page_walk", lambda program: calls.append(program) or match(program)
+        )
+        program = compile_strider(layout, schema).program
+        config = AccessEngineConfig(num_striders=64, page_size=layout.page_size)
+        engines = [AccessEngine(config, program, schema, DEFAULT_FPGA) for _ in range(3)]
+        assert calls == [program]
+        templates = {id(s._page_walk) for engine in engines for s in engine._striders}
+        assert len(templates) == 1 and engines[0]._striders[0]._page_walk is not None
+        # a different program object is matched on its own
+        other = compile_strider(layout, schema).program
+        assert Strider(other)._page_walk == engines[0]._striders[0]._page_walk
+        assert calls == [program, other]
+
+    def test_shared_template_keeps_payloads_stats_and_the_interpreter_fallback(
+        self, layout, schema, page_with_rows
+    ):
+        page, _rows = page_with_rows
+        program = compile_strider(layout, schema).program
+        first, second = Strider(program), Strider(program)
+        oracle = first.process_page(page.to_bytes())
+        for strider in (first, second):
+            bulk = strider.process_page_bulk(page.to_bytes())
+            assert bulk.payloads == oracle.payloads and bulk.stats == oracle.stats
+        unmatched = StriderProgram(
+            instructions=[StriderInstruction(StriderOpcode.READB, imm(0), imm(8), tr(0))],
+            constants={},
+        )
+        assert Strider(unmatched)._page_walk is None and Strider(unmatched)._page_walk is None
+        assert (
+            Strider(unmatched).process_page_bulk(bytes(64)).stats
+            == Strider(unmatched).process_page(bytes(64)).stats
+        )

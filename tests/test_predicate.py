@@ -22,9 +22,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import PageError, QueryError
 from repro.rdbms import Database
-from repro.rdbms.heapfile import decode_page_records, decode_page_rows
 from repro.rdbms.heaptuple import TUPLE_HEADER_SIZE
-from repro.rdbms.page import HeapPage, PageLayout
+from repro.rdbms.page import HeapPage, PageLayout, decode_page_records, decode_page_rows
 from repro.rdbms.predicate import COMPARISON_UFUNCS, ColumnPredicate, Comparison
 from repro.rdbms.query import CountScan, SeqScan, matches_row
 from repro.rdbms.types import ColumnType, Schema

@@ -6,6 +6,8 @@ readable through the SQL executor, with the string-valued parts (labels,
 config, git rev, fired faults, retry counters) joined from the catalog.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,32 @@ class TestTrainAndScoreRecording:
         assert train_rec["git_rev"] == git_revision()
         assert score_rec["run_id"] == 2
         assert score_rec["model"] == "m:v1"
+
+    def test_every_statement_reports_its_own_cycles(self):
+        """A cached accelerator's counters accumulate; each run's result,
+        EXPLAIN ANALYZE ``actual`` and ``repro_runs.cycles`` must not."""
+        system = _recording_system()
+        first = system.train("linear", "train")
+        first_counters = (first.engine_stats, first.access_stats, first.training.stats)
+        first_counters = tuple(map(copy.copy, first_counters))
+        second = system.train("linear", "train")
+        assert (second.engine_stats, second.access_stats, second.training.stats) == first_counters
+        assert (first.engine_stats, first.access_stats, first.training.stats) == first_counters
+        report = system.database.execute(
+            "EXPLAIN ANALYZE SELECT * FROM dana.linear('train');"
+        ).payload
+        assert (
+            report.root.actual["engine_cycles"]
+            == report.root.children[0].predicted["engine_cycles"]
+            == first.engine_stats.total_cycles
+        )
+        assert [r["cycles"] for r in system.run_recorder.runs()] == [
+            first.engine_stats.total_cycles
+        ] * 2
+        # the engines themselves keep the running total (three statements)
+        accelerator = system.accelerator_for("linear", "train")
+        assert accelerator.execution_engine.stats.total_cycles == 3 * first.engine_stats.total_cycles
+        assert accelerator.access_engine.stats.pages_processed == 3 * first.access_stats.pages_processed
 
     def test_sql_read_back(self):
         system = _recording_system()
