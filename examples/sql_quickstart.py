@@ -15,8 +15,9 @@ drives that loop end-to-end through ``Database.execute``:
 4. ``SELECT * FROM dana.score('<model>', '<table>', segments => N)`` —
    sharded scoring with explicit serving knobs;
 5. ``EXPLAIN`` / ``EXPLAIN ANALYZE`` — the costed operator tree (predicted
-   cycles and modelled seconds from the schedule-derived cost models) and,
-   under ANALYZE, measured spans/wall/rows next to every prediction;
+   cycles and modelled seconds from the schedule-derived cost functions)
+   and, under ANALYZE, measured spans/wall/rows and the run's booked cycles
+   next to every prediction — asserted equal, operator by operator;
 6. ``DROP MODEL`` — clean up, parameter tables included.
 
 Run with:  PYTHONPATH=src python examples/sql_quickstart.py
@@ -96,12 +97,32 @@ def main() -> None:
 
     # 5. plan introspection: EXPLAIN prices the statement without running
     # it; EXPLAIN ANALYZE runs it inside a statement trace and renders
-    # predicted-vs-actual per operator.
-    run(
-        "EXPLAIN CREATE MODEL prices2 AS TRAIN linearR ON houses "
+    # predicted-vs-actual per operator.  Predicted and actual cycles come
+    # out of one cost constructor fed by the functions the run books with,
+    # so wherever an operator shows both they must be equal.
+    def assert_priced_as_run(report) -> None:
+        compared = 0
+        for op in report.root.walk():
+            for key, predicted in op.predicted.items():
+                if key.endswith("cycles") and key in op.actual:
+                    assert predicted == op.actual[key], (
+                        f"{op.name} {op.label}: predicted {key}={predicted}, "
+                        f"actual {op.actual[key]}"
+                    )
+                    compared += 1
+        assert compared, "no operator carried both a predicted and an actual cycle"
+        print(f"   predicted == actual on {compared} modelled-cycle fields: OK")
+
+    train_sql = (
+        "CREATE MODEL prices2 AS TRAIN linearR ON houses "
         "WITH (epochs => 6, segments => 2)"
     )
-    assert database.execute("SHOW MODELS").rows != [], "EXPLAIN must not DROP"
+    run("EXPLAIN " + train_sql)
+    assert [row[0] for row in database.execute("SHOW MODELS").rows] == [
+        "prices"
+    ], "EXPLAIN must neither train nor DROP"
+    assert_priced_as_run(run("EXPLAIN ANALYZE " + train_sql).payload)
+    run("DROP MODEL prices2")
     score_sql = "SELECT * FROM dana.score('prices', 'houses', segments => 2)"
     bare = database.execute(score_sql)
     explained = run("EXPLAIN ANALYZE " + score_sql)
@@ -110,6 +131,7 @@ def main() -> None:
         report.result.rows == bare.rows
     ), "EXPLAIN ANALYZE changed the statement's result"
     print("   EXPLAIN ANALYZE result bit-identical to the bare statement: OK")
+    assert_priced_as_run(report)
 
     # 6. clean up: the model and its parameter heap tables disappear
     run("DROP MODEL prices")

@@ -57,29 +57,6 @@ class SegmentReport:
     engine_stats: EngineRunStats
     access_stats: AccessEngineStats
 
-    @property
-    def access_cycles(self) -> int:
-        """This segment's extraction stage: AXI transfer + Strider walk."""
-        return (
-            self.access_stats.strider_cycles_critical + self.access_stats.axi_cycles
-        )
-
-    @property
-    def engine_cycles(self) -> int:
-        """This segment's compute stage (schedule-derived engine cycles)."""
-        return self.engine_stats.total_cycles
-
-    @property
-    def cycles(self) -> int:
-        """This segment's serial path: AXI transfer + Striders + engine.
-
-        The single definition of a segment's cycle cost — the run result
-        and :mod:`repro.perf.segment_model` both derive their critical
-        paths from it (the perf model also books the *pipelined* variant,
-        ``max(access, engine)``, for streaming runs).
-        """
-        return self.engine_cycles + self.access_cycles
-
 
 @dataclass
 class SegmentWorker:
@@ -128,16 +105,6 @@ class SegmentWorker:
         """This segment's execution engine."""
         return self.accelerator.execution_engine
 
-    @property
-    def engine_stats(self) -> EngineRunStats:
-        """Schedule-derived counters of this segment's execution engine."""
-        return self.engine.stats
-
-    @property
-    def access_stats(self) -> AccessEngineStats:
-        """Counters of this segment's access engine (Striders + AXI)."""
-        return self.accelerator.access_engine.stats
-
     def has_rows(self) -> bool:
         """True once the partition is known to hold at least one tuple.
 
@@ -152,8 +119,8 @@ class SegmentWorker:
             segment_id=self.segment_id,
             pages=len(self.partition),
             tuples_extracted=len(self.source.rows()),
-            engine_stats=self.engine_stats,
-            access_stats=self.access_stats,
+            engine_stats=self.engine.stats,
+            access_stats=self.accelerator.access_engine.stats,
         )
 
     def epoch_rows(self, shuffle: bool) -> np.ndarray:

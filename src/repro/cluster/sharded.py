@@ -75,6 +75,7 @@ from repro.reliability.retry import RetryStats
 from repro.hw.access_engine import AccessEngineStats
 from repro.hw.execution_engine import EngineRunStats, TrainingResult
 from repro.hw.fpga import DEFAULT_FPGA, FPGASpec
+from repro.hw.ledger import critical_path_cycles
 from repro.hw.tree_bus import TreeBus, TreeBusStats
 from repro.obs.telemetry import telemetry
 from repro.runtime import EpochDriver, EpochStep
@@ -139,49 +140,29 @@ class ShardedRunResult:
     @property
     def engine_stats(self) -> EngineRunStats:
         """Aggregate (summed) engine counters across segments."""
-        total = EngineRunStats()
-        for seg in self.segments:
-            total.tuples_processed += seg.engine_stats.tuples_processed
-            total.batches_processed += seg.engine_stats.batches_processed
-            total.update_rule_cycles += seg.engine_stats.update_rule_cycles
-            total.merge_cycles += seg.engine_stats.merge_cycles
-            total.post_merge_cycles += seg.engine_stats.post_merge_cycles
-            total.convergence_cycles += seg.engine_stats.convergence_cycles
-        total.epochs_completed = self.epochs_run
+        total = sum((seg.engine_stats for seg in self.segments), EngineRunStats())
+        total.epochs_completed = self.epochs_run  # segments run the same epochs
         return total
 
     @property
     def access_stats(self) -> AccessEngineStats:
         """Aggregate access counters (critical path = slowest segment)."""
-        total = AccessEngineStats()
-        for seg in self.segments:
-            total.pages_processed += seg.access_stats.pages_processed
-            total.tuples_extracted += seg.access_stats.tuples_extracted
-            total.bytes_transferred += seg.access_stats.bytes_transferred
-            total.axi_cycles += seg.access_stats.axi_cycles
-            total.strider_cycles_total += seg.access_stats.strider_cycles_total
-            total.shifter_cycles += seg.access_stats.shifter_cycles
-        if self.segments:
-            total.strider_cycles_critical = max(
-                seg.access_stats.strider_cycles_critical for seg in self.segments
-            )
-        return total
+        return AccessEngineStats.across_segments(
+            seg.access_stats for seg in self.segments
+        )
 
     @property
     def critical_path_cycles(self) -> int:
-        """Modelled wall-clock cycles: slowest segment + cross-segment merge.
-
-        Segments run concurrently (one accelerator each), so the epoch
-        critical path is the slowest segment's engine + access time plus
-        the serial cross-segment merge on the cluster tree bus.  This is
-        the *barriered* (bulk-synchronous, no-overlap) book-keeping; the
-        pipelined variant lives in
-        :meth:`repro.perf.segment_model.ShardedRunCost.pipelined_critical_path_cycles`.
-        """
-        if not self.segments:
-            return self.cluster.cross_merge_cycles
-        slowest = max(seg.cycles for seg in self.segments)
-        return slowest + self.cluster.cross_merge_cycles
+        """Modelled wall-clock cycles: slowest segment + cross-segment merge,
+        in the *barriered* (extract-then-train) book-keeping; the pipelined
+        variant is ``ShardedRunCost.pipelined_critical_path_cycles``."""
+        return critical_path_cycles(
+            (
+                (seg.access_stats.access_cycles, seg.engine_stats.total_cycles)
+                for seg in self.segments
+            ),
+            self.cluster.cross_merge_cycles,
+        )
 
 
 class ShardedDAnA:
@@ -575,8 +556,6 @@ class _LockstepStep(EpochStep):
                 chunk = block[k * batch_size : (k + 1) * batch_size]
                 env = tape.run(bind_batch(chunk), stacked_models)
                 tape.apply_updates(env, stacked_models)
-        for w in workers:
-            w.engine.account_batches(batch_size, steps)
         # Per-segment convergence verdicts from the last vector step;
         # segments with tail batches get their verdict overwritten below
         # from their true final batch — exactly what the threads oracle
@@ -599,14 +578,14 @@ class _LockstepStep(EpochStep):
                 batch = rows[start : start + batch_size]
                 tail_env = seg_tape.run(bind_batch(batch), seg_models)
                 seg_tape.apply_updates(tail_env, seg_models)
-                w.engine.account_batch(len(batch))
             if tail_env is not None:
                 for name in stacked_models:
                     stacked_models[name][s] = seg_models[name]
                 if check_convergence:
                     flags[s] = seg_tape.convergence_reached(tail_env)
-            w.engine.account_epoch_end()
-            w.engine.stats.epochs_completed += 1
+            # The segment's epoch — its share of the vector steps plus its
+            # own tail batches — is one engine epoch over its rows.
+            w.engine.book_epoch(len(rows))
         converged = check_convergence and bool(flags.all())
         return stacked_models, converged
 

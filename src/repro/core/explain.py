@@ -4,8 +4,8 @@ Every builder here takes the *same* resolved
 :class:`~repro.core.plan.TrainPlan` / :class:`~repro.core.plan.ScorePlan`
 the statement would execute with (built by
 :class:`~repro.core.sql_runtime.SqlRuntime`), prints the plan's fields as
-knobs and prices them through :mod:`repro.perf.plan_cost`'s
-schedule-derived predictors.  Nothing is defaulted or derived a second
+knobs and prices them through :mod:`repro.perf.plan_cost` — the cost
+functions the run books with.  Nothing is defaulted or derived a second
 time, so the knobs equal the executed run's ``ClusterStats`` /
 ``ScoreResult`` fields and its recorded config by construction — and
 building a tree executes nothing: compilation is cached, no cluster or
@@ -18,13 +18,15 @@ measured counterpart for exactly the operators that claim one.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
 from repro.cluster import PARTITION_STRATEGIES, PagePartition, Partitioner
+from repro.core.plan import ScorePlan, TrainPlan
 from repro.perf import (
     ScoreRunCost,
+    ShardedRunCost,
     page_tuple_counts,
     predict_score_cost,
     predict_train_cost,
@@ -35,19 +37,19 @@ from repro.rdbms.query import CreateModel, PredictScan, QueryResult, ScoreCall
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.dana import DAnA
-    from repro.core.plan import ScorePlan, TrainPlan
 
 
-def _partitions(
-    system: "DAnA", plan: "TrainPlan | ScorePlan"
-) -> tuple[list[PagePartition], list[list[int]]]:
-    """Per-segment page lists and tuple counts from catalog statistics.
+def price(
+    system: "DAnA", plan: TrainPlan | ScorePlan
+) -> tuple[list[PagePartition], list[list[int]], ShardedRunCost | ScoreRunCost]:
+    """``(partitions, per-page tuple counts, predicted cost)`` of a resolved plan.
 
-    Uses the same :class:`~repro.cluster.Partitioner` the execution paths
-    use, so the predicted per-segment page sets are exactly the executed
-    ones — but prices them from the catalog's tuple count instead of
-    scanning heap pages.  A single-accelerator plan is one partition
-    holding every page.
+    Partitions come from the :class:`~repro.cluster.Partitioner` execution
+    uses (a single accelerator is one partition) and tuple counts from
+    catalog statistics, so nothing is scanned.  The cost is the object the
+    executed run's counters lift to; a WHERE is priced as if every tuple
+    qualified (no selectivity statistics): forward cycles are an upper
+    bound, access cycles stay exact — every page is walked either way.
     """
     database = system.database
     # (any strategy deals a single partition every page)
@@ -58,26 +60,82 @@ def _partitions(
     tuple_count = database.catalog.table(plan.table).tuple_count
     per_page = database.table(plan.table).tuples_per_page()
     counts = [page_tuple_counts(part.page_nos, tuple_count, per_page) for part in parts]
-    return parts, counts
+    accelerator = system.accelerator_for(plan.udf, plan.table)
+    registered = system._registered(plan.udf)
+    if isinstance(plan, TrainPlan):
+        cost = predict_train_cost(
+            accelerator,
+            counts,
+            plan.epochs,
+            [int(np.size(v)) for v in registered.spec.initial_models.values()],
+            use_striders=plan.use_striders,
+            sync=plan.sync,
+            staleness=plan.staleness,
+            execution=plan.execution,
+        )
+    else:
+        cost = predict_score_cost(
+            accelerator.access_engine,
+            system._inference_plan(registered, plan.table),
+            counts,
+            batch_size=plan.batch_size,
+            stream=plan.stream,
+            use_striders=plan.use_striders,
+        )
+    return parts, counts, cost
 
 
-def _page_walk(
-    accelerator, pages: int, access_cycles: int, spans: bool
-) -> PlanOperator:
+def _costed(fields: Callable[[Any], dict], cost: Any, **modelled: Any) -> dict:
+    """An operator's ``predicted=`` and ``measure=``, off one field reader:
+    ``fields`` reads the priced plan's cost (plus ``modelled`` extras) for
+    the predicted line and the statement's measured cost
+    (``QueryResult.stats["cost"]``, same constructor) for the actual one."""
+    return {
+        "predicted": {**fields(cost), **modelled},
+        "measure": lambda result: fields(result.stats["cost"]),
+    }
+
+
+def _segment_ops(
+    name: str, compute: str, parts, counts, cost: Any, span_site: Callable
+) -> list[PlanOperator]:
+    """One operator per segment: its pages/tuples and its two stage costs
+    (``compute`` names the second stage: ``"engine"`` or ``"forward"``)."""
+    return [
+        PlanOperator(
+            name=name,
+            label=f"#{part.segment_id}",
+            knobs={"pages": len(part), "tuples": sum(part_counts)},
+            span_site=span_site(part),
+            span_attrs={"segment": part.segment_id},
+            **_costed(_segment_cycles(compute, part.segment_id), cost),
+        )
+        for part, part_counts in zip(parts, counts)
+    ]
+
+
+def _segment_cycles(compute: str, i: int) -> Callable[[Any], dict]:
+    return lambda c: {
+        "access_cycles": c.segment_access_cycles[i],
+        f"{compute}_cycles": getattr(c, f"segment_{compute}_cycles")[i],
+    }
+
+
+def _page_walk(accelerator, parts, cost: Any, spans: bool) -> PlanOperator:
     """The Strider page-walk operator every accelerated statement ends in.
 
     ``spans`` is whether the walk happens in the armed parent process with
     Striders on — worker processes walk their pages during un-armed child
-    startup, and the CPU-decode model walks nothing.
+    startup, and the CPU-decode model walks nothing (and costs nothing).
     """
     return PlanOperator(
         name="StriderPageWalk",
         knobs={
-            "pages": pages,
+            "pages": sum(len(part) for part in parts),
             "striders": accelerator.access_engine.config.num_striders,
         },
-        predicted={"access_cycles": access_cycles},
         span_site="hw.strider.page_walk" if spans else None,
+        **_costed(lambda c: {"access_cycles": sum(c.segment_access_cycles)}, cost),
     )
 
 
@@ -88,29 +146,28 @@ def explain_score(
     system: "DAnA",
     statement: ScoreCall | PredictScan,
     entry: ModelEntry,
-    plan: "ScorePlan",
+    plan: ScorePlan,
 ) -> PlanOperator:
     """Operator tree of a ``dana.score``/``dana.predict`` statement."""
-    parts, counts = _partitions(system, plan)
+    parts, counts, cost = price(system, plan)
     accelerator = system.accelerator_for(plan.udf, plan.table)
-    cost = predict_score_cost(
-        accelerator.access_engine,
-        system._inference_plan(system._registered(plan.udf), plan.table),
-        counts,
-        batch_size=plan.batch_size,
-        stream=plan.stream,
-    )
-    total_pages = sum(len(part) for part in parts)
+
+    def cycles(c: ScoreRunCost) -> dict:
+        return {
+            "wall_cycles": c.wall_cycles,
+            "critical_path_cycles": c.critical_path_cycles,
+            "pipelined_cycles": c.pipelined_critical_path_cycles,
+        }
 
     def measure(result: QueryResult) -> dict:
         """Actual-side counters of the executed scoring statement."""
         score = result.payload
-        actual = ScoreRunCost.from_result(score)
+        actual = result.stats["cost"]
         return {
             "rows": len(result.rows),
             "tuples_scanned": score.tuples_scanned,
             "tuples": score.tuples_scored,
-            "wall_cycles": actual.wall_cycles,
+            **cycles(actual),
             "seconds": actual.seconds(system.fpga),
             "forward_cycles": score.inference_stats.forward_cycles,
             "retries": score.retry.retries,
@@ -128,14 +185,12 @@ def explain_score(
             "stream": plan.stream,
             "batch_size": plan.batch_size,
             "workers": plan.workers,
-            "pages": total_pages,
+            "pages": sum(len(part) for part in parts),
             "tuples": cost.tuples_scored,
         },
         predicted={
             "tuples": cost.tuples_scored,
-            "wall_cycles": cost.wall_cycles,
-            "critical_path_cycles": cost.critical_path_cycles,
-            "pipelined_cycles": cost.pipelined_critical_path_cycles,
+            **cycles(cost),
             "seconds": cost.seconds(system.fpga),
             "inference_cycles_per_tuple": round(cost.inference_cycles_per_tuple, 2),
         },
@@ -144,26 +199,11 @@ def explain_score(
         span_site="serving.scorer.segment",
         measure=measure,
     )
-    for part, part_counts in zip(parts, counts):
-        i = part.segment_id
-        root.children.append(
-            PlanOperator(
-                name="Segment",
-                label=f"#{i}",
-                knobs={"pages": len(part), "tuples": sum(part_counts)},
-                predicted={
-                    "access_cycles": cost.segment_access_cycles[i],
-                    "forward_cycles": cost.segment_forward_cycles[i],
-                },
-                span_site="serving.scorer.segment",
-                span_attrs={"segment": i},
-            )
-        )
+    root.children = _segment_ops(
+        "Segment", "forward", parts, counts, cost, lambda part: "serving.scorer.segment"
+    )
     walk = _page_walk(
-        accelerator,
-        total_pages,
-        sum(cost.segment_access_cycles),
-        spans=plan.execution == "threads" and plan.use_striders,
+        accelerator, parts, cost, plan.execution == "threads" and plan.use_striders
     )
     root.children.append(walk)
     if plan.where is not None:
@@ -185,7 +225,7 @@ def explain_score(
 # training statements
 # ---------------------------------------------------------------------- #
 def explain_train_statement(
-    system: "DAnA", statement: Any, plan: "TrainPlan"
+    system: "DAnA", statement: Any, plan: TrainPlan
 ) -> PlanOperator:
     """Operator tree of ``CREATE MODEL ... AS TRAIN`` or an accelerated UDF call."""
     train_op = explain_train(system, plan)
@@ -212,23 +252,13 @@ def explain_train_statement(
     )
 
 
-def explain_train(system: "DAnA", plan: "TrainPlan") -> PlanOperator:
+def explain_train(system: "DAnA", plan: TrainPlan) -> PlanOperator:
     """The training operator of one plan, with merge/IPC costs when sharded."""
-    parts, counts = _partitions(system, plan)
-    spec = system._registered(plan.udf).spec
+    parts, counts, cost = price(system, plan)
     accelerator = system.accelerator_for(plan.udf, plan.table)
-    cost = predict_train_cost(
-        accelerator.access_engine,
-        accelerator.execution_engine,
-        counts,
-        plan.epochs,
-        sum(int(np.asarray(v).size) for v in spec.initial_models.values()),
-        sync=plan.sync,
-        staleness=plan.staleness,
-        tree_bus_alus=accelerator.binary.design.aus_per_cluster,
-        execution=plan.execution,
-    )
+    fpga = system.fpga
     in_process = plan.execution != "processes"
+
     if plan.segments is None:
         return PlanOperator(
             name="Train",
@@ -240,35 +270,30 @@ def explain_train(system: "DAnA", plan: "TrainPlan") -> PlanOperator:
                 "pages": len(parts[0]),
                 "tuples": sum(counts[0]),
             },
-            predicted={
-                "access_cycles": cost.segment_access_cycles[0],
-                "engine_cycles": cost.segment_engine_cycles[0],
-                "critical_path_cycles": cost.critical_path_cycles,
-                "seconds": cost.seconds(system.fpga),
-                "pipelined_seconds": cost.pipelined_seconds(system.fpga),
-            },
-            # The classic single-accelerator path drives its epochs inline
-            # (no EpochDriver), so there is no runtime.epoch span to match.
-            span_site=None,
-            children=[
-                _page_walk(
-                    accelerator,
-                    len(parts[0]),
-                    cost.segment_access_cycles[0],
-                    spans=plan.use_striders,
-                )
-            ],
+            # One accelerator drives its epochs through the EpochDriver too.
+            span_site="runtime.epoch",
+            children=[_page_walk(accelerator, parts, cost, plan.use_striders)],
+            **_costed(
+                lambda c: {
+                    **_segment_cycles("engine", 0)(c),
+                    "critical_path_cycles": c.critical_path_cycles,
+                },
+                cost,
+                seconds=cost.seconds(fpga),
+                pipelined_seconds=cost.pipelined_seconds(fpga),
+            ),
         )
-    predicted: dict[str, Any] = {
-        "critical_path_cycles": cost.critical_path_cycles,
-        "pipelined_cycles": cost.pipelined_critical_path_cycles,
-        "seconds": cost.seconds(system.fpga),
-        "pipelined_seconds": cost.pipelined_seconds(system.fpga),
-        "epochs": plan.epochs,
-    }
-    if not in_process:
-        predicted["ipc_bytes"] = cost.ipc_bytes
-        predicted["ipc_round_trips"] = cost.ipc_round_trips
+
+    def loop_cycles(c: ShardedRunCost) -> dict:
+        cycles = {
+            "critical_path_cycles": c.critical_path_cycles,
+            "pipelined_cycles": c.pipelined_critical_path_cycles,
+        }
+        if not in_process:
+            cycles["ipc_bytes"] = c.ipc_bytes
+            cycles["ipc_round_trips"] = c.ipc_round_trips
+        return cycles
+
     op = PlanOperator(
         name="EpochLoop",
         knobs={
@@ -281,52 +306,47 @@ def explain_train(system: "DAnA", plan: "TrainPlan") -> PlanOperator:
             "partition_strategy": plan.partition_strategy,
             "workers": plan.workers,
         },
-        predicted=predicted,
         # Every sharded mode schedules epochs through the EpochDriver.
         span_site="runtime.epoch",
+        **_costed(
+            loop_cycles,
+            cost,
+            seconds=cost.seconds(fpga),
+            pipelined_seconds=cost.pipelined_seconds(fpga),
+            epochs=plan.epochs,
+        ),
     )
-    for part, part_counts in zip(parts, counts):
-        i = part.segment_id
-        op.children.append(
-            PlanOperator(
-                name="SegmentTrain",
-                label=f"#{i}",
-                knobs={"pages": len(part), "tuples": sum(part_counts)},
-                predicted={
-                    "access_cycles": cost.segment_access_cycles[i],
-                    "engine_cycles": cost.segment_engine_cycles[i],
-                },
-                # Per-segment training spans exist only for real fan-outs;
-                # lockstep's segment axis lives inside one vectorized tape
-                # run, and a segment with no pages never reaches its
-                # training loop.
-                span_site=(
-                    "cluster.segment.train"
-                    if plan.execution != "lockstep" and part
-                    else None
-                ),
-                span_attrs={"segment": i},
-            )
-        )
+    # Per-segment training spans exist only for real fan-outs; lockstep's
+    # segment axis lives inside one vectorized tape run, and a segment with
+    # no pages never reaches its training loop.
+    fans_out = plan.execution != "lockstep"
+    op.children = _segment_ops(
+        "SegmentTrain",
+        "engine",
+        parts,
+        counts,
+        cost,
+        lambda part: "cluster.segment.train" if fans_out and part else None,
+    )
     if plan.segments > 1:
         op.children.append(
             PlanOperator(
                 name="MergeModels",
                 knobs={
                     "aggregation": plan.aggregation,
-                    "merges": cost.merges_performed,
                     "model_elements": cost.model_elements,
                 },
-                predicted={"cross_merge_cycles": cost.cross_merge_cycles},
                 span_site="cluster.segment.merge",
+                **_costed(
+                    lambda c: {
+                        "merges": c.merges_performed,
+                        "cross_merge_cycles": c.cross_merge_cycles,
+                    },
+                    cost,
+                ),
             )
         )
     op.children.append(
-        _page_walk(
-            accelerator,
-            sum(len(part) for part in parts),
-            sum(cost.segment_access_cycles),
-            spans=in_process and plan.use_striders,
-        )
+        _page_walk(accelerator, parts, cost, in_process and plan.use_striders)
     )
     return op

@@ -22,6 +22,7 @@ import numpy as np
 from repro.core.explain import explain_score, explain_train_statement
 from repro.core.plan import ScorePlan, TrainPlan, option_types
 from repro.exceptions import ConfigurationError, QueryError
+from repro.perf import ScoreRunCost, ShardedRunCost
 from repro.rdbms import ModelEntry
 from repro.rdbms.explain import PlanOperator
 from repro.rdbms.predicate import ColumnPredicate
@@ -187,6 +188,8 @@ class SqlRuntime:
                 "tuples_scored": result.tuples_scored,
                 "forward_cycles": result.inference_stats.forward_cycles,
                 "critical_path_cycles": result.critical_path_cycles,
+                # what EXPLAIN ANALYZE prints as ``actual:`` cycles
+                "cost": ScoreRunCost.from_result(result),
             },
         )
 
@@ -253,9 +256,7 @@ class SqlRuntime:
         plan, options = self.train_plan(statement)
         with _invalid("CREATE MODEL options"):
             run = system._train(plan)
-        epochs_run = getattr(run, "epochs_run", None)
-        if epochs_run is None:
-            epochs_run = run.training.epochs_run
+        cost = ShardedRunCost.from_run(run)  # ``actual:`` under EXPLAIN ANALYZE
         entry = system.save_model(
             statement.model_name,
             plan.udf,
@@ -264,10 +265,10 @@ class SqlRuntime:
             watermark=getattr(run, "snapshot_lsn", 0),
         )
         return QueryResult(
-            rows=[(entry.name, entry.version, entry.algorithm, epochs_run)],
+            rows=[(entry.name, entry.version, entry.algorithm, cost.epochs_run)],
             columns=("model", "version", "algorithm", "epochs_run"),
             payload=entry,
-            stats={"table": plan.table, "udf": plan.udf},
+            stats={"table": plan.table, "udf": plan.udf, "cost": cost},
         )
 
     def udf_call(self, udf_name: str, table_name: str) -> QueryResult:
@@ -285,6 +286,7 @@ class SqlRuntime:
                 "tuples_extracted": run.tuples_extracted,
                 "engine_cycles": run.engine_stats.total_cycles,
                 "strider_cycles": run.access_stats.strider_cycles_critical,
+                "cost": ShardedRunCost.from_run(run),
             },
         )
 

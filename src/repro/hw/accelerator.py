@@ -11,7 +11,7 @@ from binary database pages and report the hardware activity it generated.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 import numpy as np
@@ -30,13 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (compiler imports hw)
 
 TupleBinder = Callable[[np.ndarray], dict[str, np.ndarray | float]]
 BatchBinder = Callable[[np.ndarray], dict[str, np.ndarray]]
-
-
-def _since(after, before):
-    """``after - before``, counter by counter: one run's share of cumulative stats."""
-    return type(after)(
-        **{f.name: getattr(after, f.name) - getattr(before, f.name) for f in fields(after)}
-    )
 
 
 @dataclass
@@ -135,10 +128,11 @@ class DAnAAccelerator:
             source.abort()  # release a producer blocked mid-stream
             raise
         tuples_extracted = len(source.rows())  # drained: the producer is done with the stats
-        training.stats = _since(self.execution_engine.stats, engine_before)
+        # One run's share of the cached accelerator's cumulative counters.
+        training.stats = self.execution_engine.stats - engine_before
         return AcceleratorRunResult(
             training=training,
-            access_stats=_since(self.access_engine.stats, self.access_engine.stats_at_open),
+            access_stats=self.access_engine.stats - self.access_engine.stats_at_open,
             engine_stats=training.stats,
             tuples_extracted=tuples_extracted,
             retry_stats=source.retry_stats,

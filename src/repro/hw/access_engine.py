@@ -10,12 +10,17 @@ transfer" benefit comes from.
 
 The simulator is functional (it produces the exact float vectors the
 execution engine consumes, straight from the binary page images) and keeps
-a cycle account:
+a cycle account, booked wave by wave in
+:meth:`AccessEngineStats.merge_batch`:
 
 * AXI transfer cycles — bytes moved divided by the per-cycle off-chip
   bandwidth of the FPGA;
 * Strider cycles — per-instruction cycle counts from the Strider simulator,
   where striders working on different pages run concurrently.
+
+:meth:`AccessEngine.partition_cost` is this stage's entry in the cycle
+ledger (:mod:`repro.hw.ledger`): the same account from per-page tuple
+counts alone, which is what ``EXPLAIN`` prices an extraction with.
 
 :meth:`AccessEngine.open` is the **one extraction seam** between the two
 halves of the accelerator: it alone decides Strider walk vs CPU decode,
@@ -26,6 +31,7 @@ every trainer and scorer the same :class:`~repro.runtime.BatchSource`.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -35,7 +41,8 @@ import numpy as np
 
 from repro.exceptions import HardwareError
 from repro.hw.fpga import FPGASpec
-from repro.hw.strider import Strider, StriderResult
+from repro.hw.ledger import Ledger
+from repro.hw.strider import Strider, StriderResult, page_walk_template
 from repro.isa.strider_isa import StriderProgram
 from repro.obs.telemetry import telemetry
 from repro.rdbms.page import PageLayout, decode_page_rows
@@ -65,7 +72,7 @@ class AccessEngineConfig:
 
 
 @dataclass
-class AccessEngineStats:
+class AccessEngineStats(Ledger):
     """Aggregate counters for one access-engine run."""
 
     pages_processed: int = 0
@@ -76,7 +83,29 @@ class AccessEngineStats:
     strider_cycles_critical: int = 0   # max over parallel striders, summed per batch
     shifter_cycles: int = 0
 
+    @property
+    def access_cycles(self) -> int:
+        """The extraction stage's modelled cycles: AXI transfer + Strider walk."""
+        return self.strider_cycles_critical + self.axi_cycles
+
+    @classmethod
+    def across_segments(
+        cls, segments: Iterable["AccessEngineStats"]
+    ) -> "AccessEngineStats":
+        """One run's per-segment counters, summed — except
+        ``strider_cycles_critical``, the one non-additive field: segments
+        walk concurrently, so the run's is the slowest segment's."""
+        segments = list(segments)
+        total = sum(segments, cls())
+        total.strider_cycles_critical = max(
+            (seg.strider_cycles_critical for seg in segments), default=0
+        )
+        return total
+
     def merge_batch(self, batch_results: list[StriderResult], page_bytes: int, axi_bytes_per_cycle: float) -> None:
+        """Book one wave of pages walked by parallel Striders (its critical
+        path is its slowest page); the executed walk and
+        :meth:`AccessEngine.partition_cost` both book through here."""
         if not batch_results:
             return
         self.pages_processed += len(batch_results)
@@ -181,14 +210,14 @@ class AccessEngine:
 
         Each yielded array has shape ``(tuples_on_page, n_columns)``.
         """
-        batch: list[bytes] = []
-        for image in page_images:
-            batch.append(image)
-            if len(batch) == self.config.num_striders:
-                yield from self._process_batch(batch)
-                batch = []
-        if batch:
-            yield from self._process_batch(batch)
+        for wave in self._waves(page_images):
+            yield from self._process_batch(wave)
+
+    def _waves(self, items: Iterable) -> Iterator[list]:
+        """Consecutive waves of ``num_striders`` items (the last may be short)."""
+        items = iter(items)
+        while wave := list(itertools.islice(items, self.config.num_striders)):
+            yield wave
 
     def cpu_decode_pages(self, page_images: Iterable[bytes]) -> Iterator[np.ndarray]:
         """Per-page RDBMS-side decode: the ``use_striders=False`` model.
@@ -295,76 +324,38 @@ class AccessEngine:
         return decoded
 
     # ------------------------------------------------------------------ #
-    # analytic cycle model (used when pages are not materially streamed)
+    # cycle ledger
     # ------------------------------------------------------------------ #
-    def estimate_cycles_per_page(self, tuples_per_page: int) -> dict[str, float]:
-        """Estimate per-page access-engine cycles without executing a page.
+    def partition_cost(
+        self, page_tuple_counts: Sequence[int], *, use_striders: bool = True
+    ) -> AccessEngineStats:
+        """What extracting pages with these tuple counts books (``EXPLAIN``'s price).
 
-        The estimate mirrors the measured behaviour of :class:`Strider`:
-        header processing plus a per-tuple loop whose read/cleanse cost is
-        proportional to the tuple size in BRAM words.
+        The decisions an executed extraction goes through: ``use_striders``
+        as :meth:`open` takes it (CPU decode books nothing), then each
+        page's :meth:`Strider.walk_cost <repro.hw.strider.Strider.walk_cost>`
+        through :meth:`AccessEngineStats.merge_batch` in waves of
+        ``num_striders``, like :meth:`process_pages`.  The walk cost is
+        memoised by tuple count (a bulk-loaded partition has at most two),
+        so the work is per page, not per tuple.
         """
-        tuple_bytes = self.schema.row_width + 8  # payload + tuple header
-        words = max(1, math.ceil(tuple_bytes / self.config.read_width_bytes))
-        payload_words = max(1, math.ceil(self.schema.row_width / self.config.read_width_bytes))
-        header_cycles = 6
-        per_tuple_cycles = 4 + words + payload_words  # pointer read/extracts + tuple read + cleanse
-        strider_cycles = header_cycles + per_tuple_cycles * max(1, tuples_per_page)
-        axi_cycles = math.ceil(
-            self.config.page_size / max(self.fpga.axi_bytes_per_cycle, 1e-9)
-        )
-        return {
-            "strider_cycles": float(strider_cycles),
-            "axi_cycles": float(axi_cycles),
-            "per_tuple_cycles": float(per_tuple_cycles),
+        stats = AccessEngineStats()
+        if not use_striders:
+            return stats
+        template = page_walk_template(self.program)
+        if template is None:
+            raise HardwareError("only the compiled page-walk idiom has a closed form")
+        tuple_bytes = template.strip_bytes + self.decoder.payload_bytes
+        walks = {
+            count: StriderResult(
+                stats=self._striders[0].walk_cost(np.full(count, tuple_bytes))
+            )
+            for count in set(page_tuple_counts)
         }
-
-    def estimate_partition_cycles(
-        self, page_tuple_counts: Sequence[int]
-    ) -> dict[str, int]:
-        """Predict one partition's extraction stage without walking a page.
-
-        Mirrors the batched accounting of
-        :meth:`AccessEngineStats.merge_batch`: pages walk in waves of
-        ``num_striders`` parallel striders, each wave's critical strider
-        cost is its slowest page, and the AXI transfer is booked per wave
-        over the wave's full byte volume.  Returns the same stage split
-        the measured counters expose (``access_cycles`` is
-        ``strider_cycles_critical + axi_cycles``, the definition segment
-        reports use).
-        """
-        striders = max(1, self.config.num_striders)
-        if not len(page_tuple_counts):
-            return {
-                "strider_cycles_critical": 0,
-                "axi_cycles": 0,
-                "access_cycles": 0,
-            }
-        # Vectorized over pages: the per-page estimate is an affine
-        # function of the tuple count, so the whole partition reduces to
-        # one reshape + max per wave (EXPLAIN prices plans over partition
-        # tuple counts, so this runs per statement, not per run).
-        base = self.estimate_cycles_per_page(1)
-        per_tuple = int(base["per_tuple_cycles"])
-        header_cycles = int(base["strider_cycles"]) - per_tuple
-        counts = np.maximum(np.asarray(page_tuple_counts, dtype=np.int64), 1)
-        pad = (-len(counts)) % striders
-        padded = np.pad(counts, (0, pad), constant_values=0)
-        waves = padded.reshape(-1, striders)
-        per_page = header_cycles + per_tuple * waves
-        # padding rows contribute 0 tuples but still carry header cycles;
-        # mask them out of the wave maximum entirely.
-        per_page[waves == 0] = 0
-        strider_critical = int(per_page.max(axis=1).sum())
-        wave_sizes = (waves > 0).sum(axis=1)
-        axi_per_wave = np.ceil(
-            self.config.page_size
-            * wave_sizes
-            / max(self.fpga.axi_bytes_per_cycle, 1e-9)
-        )
-        axi_cycles = int(axi_per_wave.sum())
-        return {
-            "strider_cycles_critical": strider_critical,
-            "axi_cycles": axi_cycles,
-            "access_cycles": strider_critical + axi_cycles,
-        }
+        for wave in self._waves(page_tuple_counts):
+            stats.merge_batch(
+                [walks[count] for count in wave],
+                self.config.page_size,
+                self.fpga.axi_bytes_per_cycle,
+            )
+        return stats

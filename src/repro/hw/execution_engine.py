@@ -22,7 +22,14 @@ Three execution paths are provided:
 
 Cycle accounting uses the static schedule lengths: every consumed batch
 costs ``update_rule_cycles`` (all threads run in lock-step on their own
-tuple) plus the tree-bus merge cost plus ``post_merge_cycles``.
+tuple) plus the tree-bus merge cost plus ``post_merge_cycles``.  That
+arithmetic is stated once, in :meth:`ExecutionEngine.epoch_cost` (this
+stage's entry in the cycle ledger, :mod:`repro.hw.ledger`): the tape paths
+book it **once per epoch** — a pure function of the tuple count, so
+nothing is booked inside the batch loop — ``EXPLAIN`` predicts with it,
+and the per-tuple oracle keeps booking batch by batch
+(:meth:`ExecutionEngine.account_batch`), the reference the parity tests
+hold the closed form to.
 """
 
 from __future__ import annotations
@@ -37,7 +44,8 @@ from repro.exceptions import ExecutionEngineError
 from repro.dsl.operations import Operator
 from repro.hw.alu import ALU
 from repro.hw.analytic_cluster import AnalyticCluster
-from repro.hw.tree_bus import TreeBus
+from repro.hw.ledger import Ledger
+from repro.hw.tree_bus import TreeBus, TreeBusStats
 from repro.isa.engine_isa import SourceKind
 from repro.runtime import BatchSource, EpochDriver, EpochStep
 from repro.translator.evaluator import HDFGEvaluator
@@ -49,7 +57,7 @@ TupleBinder = Callable[[np.ndarray], dict[str, np.ndarray | float]]
 
 
 @dataclass
-class EngineRunStats:
+class EngineRunStats(Ledger):
     """Counters accumulated while training."""
 
     tuples_processed: int = 0
@@ -137,13 +145,11 @@ class ExecutionEngine:
         self._gather_updates = self._compute_gather_updates()
         self._merge_elements = self._merge_element_count()
         # The schedule is static, so its region lengths are too — hoist
-        # them (and the per-batch-size tree-bus merge cost) out of the
-        # per-batch accounting hot path instead of re-deriving them from
-        # the instruction stream on every consumed batch.
+        # them instead of re-deriving them from the instruction stream
+        # every time an epoch is priced.
         self._update_rule_cycles = self.schedule.update_rule_cycles
         self._post_merge_cycles = self.schedule.post_merge_cycles
         self._convergence_cycles = self.schedule.convergence_cycles
-        self._merge_cycles_by_batch: dict[int, int] = {}
         # Compile the batched tape once; graphs the tape cannot lower
         # faithfully keep the per-tuple evaluator as their only fast path.
         try:
@@ -214,81 +220,79 @@ class ExecutionEngine:
         for start in range(0, len(rows), batch_size):
             yield rows[start : start + batch_size]
 
-    def account_batch(self, batch_len: int, account_tree_bus: bool = True) -> None:
-        """Book the schedule-derived cycle cost of one consumed batch.
+    # ------------------------------------------------------------------ #
+    # cycle ledger
+    # ------------------------------------------------------------------ #
+    def epoch_cost(
+        self, n_tuples: int, batch_size: int | None = None, epoch_end: bool = True
+    ) -> tuple[EngineRunStats, TreeBusStats]:
+        """What one epoch over ``n_tuples`` tuples books: engine and thread bus.
 
-        Single source of truth for the engine cycle model: the engine's own
-        epoch loops call it per batch, and the cluster layer's lock-step
-        executor — which evaluates the same batch for many segments in one
-        tape run — calls it on each segment's engine, so sharded and
-        single-engine runs report identical per-segment counters.
-        ``account_tree_bus`` is False on paths where :meth:`TreeBus.merge`
-        itself books the bus activity.
+        The one statement of the engine cycle model: full merge batches of
+        ``batch_size`` (default :attr:`batch_size`) plus one remainder
+        batch; the threads run in lock-step, so a batch needs
+        ``ceil(batch / threads)`` rounds of the update rule, one tree-bus
+        merge per merge node and the post-merge region; ``epoch_end`` adds
+        the convergence check.  The tape paths book it once per epoch
+        (:meth:`book_epoch`), ``EXPLAIN`` prices plans with it, and the
+        per-batch adders are the same function over one batch size.
+        """
+        engine, bus = EngineRunStats(), TreeBusStats()
+        size = self.batch_size if batch_size is None else batch_size
+        full, remainder = divmod(n_tuples, size) if n_tuples > 0 else (0, 0)
+        for batch_len, count in ((size, full), (remainder, 1)):
+            if batch_len < 1 or count < 1:
+                continue
+            rounds = math.ceil(batch_len / self.threads)
+            engine.batches_processed += count
+            engine.tuples_processed += count * batch_len
+            engine.update_rule_cycles += count * rounds * self._update_rule_cycles
+            engine.merge_cycles += count * self.tree_bus.merge_cycles(
+                min(batch_len, self.threads), self._merge_elements
+            )
+            engine.post_merge_cycles += count * self._post_merge_cycles
+            for merge_node in self._merge_nodes:
+                bus += self.tree_bus.merge_cost(batch_len, merge_node.element_count) * count
+        if epoch_end:
+            engine.epochs_completed = 1
+            engine.convergence_cycles = self._convergence_cycles
+        return engine, bus
+
+    def book_epoch(self, n_tuples: int) -> None:
+        """Book one finished epoch, in place — after its last batch: a
+        streamed first epoch only knows its tuple count by then, and a
+        faulted epoch never gets here, so it books nothing."""
+        self._book(self.epoch_cost(n_tuples))
+
+    def _book(
+        self, cost: tuple[EngineRunStats, TreeBusStats], account_tree_bus: bool = True
+    ) -> None:
+        engine, bus = cost
+        self.stats += engine
+        if account_tree_bus:
+            self.tree_bus.stats += bus
+
+    def account_batch(self, batch_len: int, account_tree_bus: bool = True) -> None:
+        """Book one consumed batch — the per-batch reference for :meth:`epoch_cost`.
+
+        The per-tuple oracle books this way (``account_tree_bus=False``:
+        :meth:`TreeBus.merge` books the bus itself), which makes the
+        tape-vs-per-tuple parity tests the oracle of the closed form.
         """
         self.account_batches(batch_len, 1, account_tree_bus=account_tree_bus)
 
     def account_batches(
         self, batch_len: int, count: int, account_tree_bus: bool = True
     ) -> None:
-        """Bulk-book ``count`` identical batches of ``batch_len`` tuples.
-
-        Equivalent to ``count`` calls of :meth:`account_batch`; the sharded
-        lock-step executor uses it to book a whole epoch's full batches per
-        segment in O(1) instead of once per vector step.
-        """
-        if count < 1:
-            return
-        self.stats.batches_processed += count
-        self.stats.tuples_processed += count * batch_len
-        # Timing: the threads run in lock-step, so a batch needs
-        # ceil(batch / threads) engine rounds before the merge.
-        rounds = math.ceil(batch_len / self.threads)
-        merge_cycles = self._merge_cycles_by_batch.get(batch_len)
-        if merge_cycles is None:
-            merge_cycles = self.tree_bus.merge_cycles(
-                min(batch_len, self.threads), self._merge_elements
-            )
-            self._merge_cycles_by_batch[batch_len] = merge_cycles
-        self.stats.update_rule_cycles += count * rounds * self._update_rule_cycles
-        self.stats.merge_cycles += count * merge_cycles
-        self.stats.post_merge_cycles += count * self._post_merge_cycles
-        if account_tree_bus:
-            for merge_node in self._merge_nodes:
-                self.tree_bus.account_merge(
-                    batch_len, merge_node.element_count, repeat=count
-                )
+        """Book ``count`` identical batches of ``batch_len`` tuples."""
+        self._book(
+            self.epoch_cost(count * batch_len, batch_len, epoch_end=False),
+            account_tree_bus,
+        )
 
     def account_epoch_end(self) -> None:
-        """Book the once-per-epoch convergence-check cycles."""
-        self.stats.convergence_cycles += self._convergence_cycles
-
-    def predict_epoch_cycles(self, n_tuples: int) -> int:
-        """Predict one epoch's engine cycles over ``n_tuples`` tuples.
-
-        Applies the same schedule-derived arithmetic as
-        :meth:`account_batches` (full batches of :attr:`batch_size` plus
-        one remainder batch, ``ceil(batch / threads)`` rounds each, the
-        tree-bus merge per batch) and the once-per-epoch convergence
-        check, without mutating :attr:`stats` — this is what ``EXPLAIN``
-        prices a training statement with before anything runs.
-        """
-        if n_tuples <= 0:
-            return self._convergence_cycles
-        cycles = 0
-        full, remainder = divmod(n_tuples, self.batch_size)
-        for batch_len, count in ((self.batch_size, full), (remainder, 1)):
-            if count < 1 or batch_len < 1:
-                continue
-            rounds = math.ceil(batch_len / self.threads)
-            merge_cycles = self.tree_bus.merge_cycles(
-                min(batch_len, self.threads), self._merge_elements
-            )
-            cycles += count * (
-                rounds * self._update_rule_cycles
-                + merge_cycles
-                + self._post_merge_cycles
-            )
-        return cycles + self._convergence_cycles
+        """Book the end of an epoch: its convergence check."""
+        self._book(self.epoch_cost(0))
 
     def _train_one_epoch_tape(
         self,
@@ -299,11 +303,12 @@ class ExecutionEngine:
         """One epoch on the batched tape; accounting matches the tuple path."""
         env: list | None = None
         tape = self.tape
+        n_tuples = 0
         for batch in batches:
             env = tape.run(bind_batch(batch), models)
             tape.apply_updates(env, models)
-            self.account_batch(len(batch))
-        self.account_epoch_end()
+            n_tuples += len(batch)
+        self.book_epoch(n_tuples)
         return env
 
     def _train_one_epoch(
@@ -570,5 +575,4 @@ class _SingleEngineStep(EpochStep):
         else:
             env = engine._train_one_epoch(batches, models, self.bind_tuple)
             reached = self.convergence_check and engine._convergence_reached(env)
-        engine.stats.epochs_completed += 1
         return models, reached

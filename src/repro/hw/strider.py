@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.exceptions import StriderError
+from repro.hw.ledger import Ledger
 from repro.isa.strider_isa import (
     NUM_CONFIG_REGISTERS,
     NUM_TEMP_REGISTERS,
@@ -44,7 +45,7 @@ _WORD_MASK_64 = (1 << 64) - 1
 
 
 @dataclass
-class StriderStats:
+class StriderStats(Ledger):
     """Execution counters for one Strider run over one page."""
 
     instructions_executed: int = 0
@@ -304,42 +305,52 @@ class Strider:
         lengths = pointers[:, 1].astype(np.int64)
         if bool((offsets + lengths > page_len).any()):
             return None
-        strip = t.strip_bytes
-        payload_lengths = np.maximum(lengths - strip, 0)
-        result = StriderResult()
+        result = StriderResult(stats=self.walk_cost(lengths))
         if t.emits:
+            strip = t.strip_bytes
             result.payloads = [
                 page[o + strip : o + l]
                 for o, l in zip(offsets.tolist(), lengths.tolist())
             ]
-            result.stats.tuples_emitted = count
-            result.stats.bytes_emitted = int(payload_lengths.sum())
-        # Statistics: exactly what the interpreter charges, computed in
-        # closed form.  Per loop pass: READB pointer, EXTRB, EXTRB, READB
-        # tuple, CLN, AD, BEXIT.
+        return result
+
+    def walk_cost(self, lengths: np.ndarray) -> StriderStats:
+        """What walking a page of tuples with these on-page ``lengths`` books.
+
+        The one statement of the page-walk model: the counters the
+        interpreter (:meth:`process_page`) records for the compiled idiom,
+        in closed form.  The bulk walk books it for the lengths it parsed;
+        the access engine's partition cost prices a page from its tuple
+        count.  Per loop pass: READB pointer, EXTRB, EXTRB, READB tuple,
+        CLN, AD, BEXIT.  (Only the compiled idiom has this closed form.)
+        """
+        t = self._page_walk
+        lengths = np.asarray(lengths, dtype=np.int64)
+        count = len(lengths)
+        payload_lengths = np.maximum(lengths - t.strip_bytes, 0)
         rw = self.read_width_bytes
-        stats = result.stats
-        stats.instructions_executed = 6 + 7 * count
-        stats.loop_iterations = count - 1
-        stats.bytes_read = (
-            sum(width for _offset, width in t.header_reads)
-            + count * t.line_pointer_size
-            + int(lengths.sum())
-        )
-        header_cycles = sum(
-            max(1, -(-width // rw)) for _offset, width in t.header_reads
-        )
+        header_cycles = sum(max(1, -(-width // rw)) for _o, width in t.header_reads)
         pointer_words = max(1, -(-t.line_pointer_size // rw))
         tuple_words = np.maximum(1, -(-lengths // rw))
         cleanse_words = np.maximum(1, -(-payload_lengths // rw))
-        stats.cycles = (
-            header_cycles
-            + 2  # cursor init AD + BENTR
-            + count * (pointer_words + 4)  # two EXTRBs, AD, BEXIT per pass
-            + int(tuple_words.sum())
-            + int(cleanse_words.sum())
+        return StriderStats(
+            instructions_executed=6 + 7 * count,
+            cycles=(
+                header_cycles
+                + 2  # cursor init AD + BENTR
+                + count * (pointer_words + 4)  # two EXTRBs, AD, BEXIT per pass
+                + int(tuple_words.sum())
+                + int(cleanse_words.sum())
+            ),
+            bytes_read=(
+                sum(width for _offset, width in t.header_reads)
+                + count * t.line_pointer_size
+                + int(lengths.sum())
+            ),
+            bytes_emitted=int(payload_lengths.sum()) if t.emits else 0,
+            tuples_emitted=count if t.emits else 0,
+            loop_iterations=count - 1,
         )
-        return result
 
     # ------------------------------------------------------------------ #
     # instruction execution

@@ -20,10 +20,13 @@ import numpy as np
 from repro.exceptions import ExecutionEngineError
 from repro.dsl.operations import Operator
 from repro.hw.alu import ALU
+from repro.hw.ledger import Ledger
 
 
 @dataclass
-class TreeBusStats:
+class TreeBusStats(Ledger):
+    """Counters of the merges a tree bus performed."""
+
     merges_performed: int = 0
     levels_traversed: int = 0
     operations_executed: int = 0
@@ -61,38 +64,37 @@ class TreeBus:
         self.account_merge(value_count, element_count)
         return current[0]
 
-    def account_merge(self, value_count: int, element_count: int, repeat: int = 1) -> None:
-        """Book the stats of ``repeat`` pairwise merges of ``value_count`` values.
+    def merge_cost(self, value_count: int, element_count: int) -> TreeBusStats:
+        """What one pairwise merge of ``value_count`` values books.
 
-        Single source of truth for the bus cost model: :meth:`merge` calls
-        it after materialising the reduction, and the batched execution
-        tape — which folds the reduction into one ``ufunc.reduce`` over the
-        batch axis — calls it directly, so both paths record identical
-        counters.  ``repeat`` bulk-books a run of identical merges (the
-        sharded lock-step executor performs one per vector step) without
-        re-walking the levels per merge.
+        The one statement of the bus cost model: the values are halved level
+        by level, each level costing ``ceil(elements / ALUs)`` cycles and
+        one operation per paired element.  :meth:`merge` books it after
+        materialising the reduction, the batched tape (one ``ufunc.reduce``)
+        through the engine's epoch cost, ``EXPLAIN`` prices merges with it.
         """
         if value_count < 1:
             raise ExecutionEngineError("cannot merge an empty set of thread results")
-        if repeat < 1:
-            return
+        cost = TreeBusStats(merges_performed=1)
+        level_cycles = math.ceil(element_count / self.alu_count)
         remaining = value_count
-        levels = 0
         while remaining > 1:
             pairs = remaining // 2
-            self.stats.operations_executed += repeat * pairs * element_count
-            self.stats.cycles += repeat * math.ceil(element_count / self.alu_count)
+            cost.operations_executed += pairs * element_count
+            cost.cycles += level_cycles
+            cost.levels_traversed += 1
             remaining -= pairs
-            levels += 1
-        self.stats.merges_performed += repeat
-        self.stats.levels_traversed += repeat * levels
+        return cost
+
+    def account_merge(self, value_count: int, element_count: int, repeat: int = 1) -> None:
+        """Book ``repeat`` identical merges (see :meth:`merge_cost`)."""
+        cost = self.merge_cost(value_count, element_count)
+        if repeat >= 1:
+            self.stats += cost * repeat
 
     def merge_cycles(self, thread_count: int, element_count: int) -> int:
-        """Analytic cycle cost of merging without executing it."""
-        if thread_count <= 1:
-            return 0
-        levels = math.ceil(math.log2(thread_count))
-        return levels * math.ceil(element_count / self.alu_count)
+        """Cycles of merging ``thread_count`` values, without booking them."""
+        return self.merge_cost(max(1, thread_count), element_count).cycles
 
     def _bulk(self, operator: Operator, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Vectorised fallback for wide merges (functionally identical)."""

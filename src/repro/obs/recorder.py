@@ -26,7 +26,7 @@ import datetime
 import subprocess
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -421,15 +421,10 @@ class RunRecorder:
 
     @staticmethod
     def _access_metrics(access) -> dict[str, float]:
-        """Flatten an ``AccessEngineStats`` into named run metrics."""
+        """Flatten an ``AccessEngineStats`` into ``access.<field>`` run metrics."""
         return {
-            "access.pages_processed": access.pages_processed,
-            "access.tuples_extracted": access.tuples_extracted,
-            "access.bytes_transferred": access.bytes_transferred,
-            "access.axi_cycles": access.axi_cycles,
-            "access.strider_cycles_total": access.strider_cycles_total,
-            "access.strider_cycles_critical": access.strider_cycles_critical,
-            "access.shifter_cycles": access.shifter_cycles,
+            f"access.{f.name}": getattr(access, f.name)
+            for f in fields(access)
         }
 
     def _append(self, table_name: str, schema: Schema, rows: list[list]) -> None:

@@ -1,18 +1,14 @@
-"""Predictive statement costing for ``EXPLAIN``.
+"""Predictive statement costing for ``EXPLAIN``: the ledger, read ahead of time.
 
-The measured cost summaries in this package
-(:class:`~repro.perf.segment_model.ShardedRunCost`,
-:class:`~repro.perf.serving_model.ScoreRunCost`) lift counters out of a
-run that already happened.  This module builds the *same* cost objects
-before anything runs, from the catalog's page statistics and the
-schedule-derived predictors the hardware layer exposes
-(:meth:`~repro.hw.access_engine.AccessEngine.estimate_partition_cycles`,
-:meth:`~repro.hw.execution_engine.ExecutionEngine.predict_epoch_cycles`,
-:meth:`~repro.serving.inference.InferencePlan.predict_forward_cycles`) —
-so ``EXPLAIN`` prices a statement with exactly the cycle model the
-executed statement would report, and ``EXPLAIN ANALYZE``'s
-predicted-vs-actual deltas are a meaningful calibration signal for the
-planned cost-based optimizer.
+The cost summaries in this package (``ShardedRunCost``, ``ScoreRunCost``)
+lift per-segment reports out of a run that already happened.  This module
+builds the *same* reports before anything runs — from the catalog's page
+statistics and the one cost function each hardware stage states
+(:mod:`repro.hw.ledger`: the functions a run books with) — and lifts them
+through the *same* ``from_reports`` constructor.  So the modelled-cycle
+error of ``EXPLAIN ANALYZE``'s predicted-vs-actual is zero by construction
+(unless the run departs from its plan: early convergence, a WHERE's
+selectivity), and wall-clock is all that is left to calibrate.
 """
 
 from __future__ import annotations
@@ -21,9 +17,11 @@ import math
 import os
 from typing import Sequence
 
-from repro.hw.tree_bus import TreeBus
+from repro.cluster.segment_worker import SegmentReport
+from repro.hw.execution_engine import EngineRunStats
 from repro.perf.segment_model import ShardedRunCost
 from repro.perf.serving_model import ScoreRunCost
+from repro.serving.scorer import SegmentScoreReport
 
 #: modelled pickle framing overhead per worker-pipe message (bytes).
 IPC_MESSAGE_OVERHEAD_BYTES = 1024
@@ -82,96 +80,95 @@ def predict_score_cost(
     partition_tuples: Sequence[Sequence[int]],
     batch_size: int | None = None,
     stream: bool = True,
+    use_striders: bool = True,
 ) -> ScoreRunCost:
     """Predict a scan-and-score run's cost before executing it.
 
-    ``partition_tuples`` holds one sequence of per-page tuple counts per
-    segment (see :func:`page_tuple_counts`).  Each segment's extraction
-    stage comes from the access engine's wave-batched strider estimate
-    and its forward stage from the inference plan's micro-batch
-    arithmetic, so the returned :class:`ScoreRunCost` prices the same
-    serial / pipelined critical paths a measured run would report.
+    ``partition_tuples`` holds each segment's per-page tuple counts
+    (:func:`page_tuple_counts`).  A segment's predicted report carries the
+    ledgers the run would book — ``AccessEngine.partition_cost`` (through
+    the plan's ``use_striders`` decision) and ``InferencePlan.forward_cost``
+    — and goes through the constructor a measured run is lifted by.
     """
-    access = []
-    forward = []
-    for counts in partition_tuples:
-        access.append(
-            access_engine.estimate_partition_cycles(list(counts))["access_cycles"]
-            if counts
-            else 0
+    reports = [
+        SegmentScoreReport(
+            segment_id=i,
+            pages=len(counts),
+            tuples_scored=sum(counts),
+            access_stats=access_engine.partition_cost(counts, use_striders=use_striders),
+            inference_stats=inference_plan.forward_cost(sum(counts), batch_size),
         )
-        forward.append(
-            inference_plan.predict_forward_cycles(sum(counts), batch_size)
-        )
-    return ScoreRunCost(
-        segments=len(access),
-        tuples_scored=sum(sum(counts) for counts in partition_tuples),
-        segment_access_cycles=tuple(access),
-        segment_forward_cycles=tuple(forward),
-        stream=stream,
-    )
+        for i, counts in enumerate(partition_tuples)
+    ]
+    return ScoreRunCost.from_reports(reports, stream)
 
 
 def predict_train_cost(
-    access_engine,
-    execution_engine,
+    accelerator,
     partition_tuples: Sequence[Sequence[int]],
     epochs: int,
-    model_elements: int,
+    param_elements: Sequence[int],
     *,
+    use_striders: bool = True,
     sync: str | None,
     staleness: int | None,
-    tree_bus_alus: int,
     execution: str,
 ) -> ShardedRunCost:
     """Predict a (sharded) training run's cost before executing it.
 
-    Per segment: the extraction stage is walked once (pages are
-    materialised or streamed, either way each page is cleansed once) and
-    the engine stage repeats its schedule-derived epoch arithmetic
-    ``epochs`` times.  The cross-segment merge is priced with the same
-    :class:`~repro.hw.tree_bus.TreeBus` model the engines use, once per
-    predicted merge (:func:`predicted_merges`).  For
-    ``execution="processes"`` the returned cost also carries a modelled
-    IPC bill — two state-sized pipe messages per segment per merge window
-    plus init/shutdown handshakes — which, like the perf package's
-    bandwidth constants, is a calibration-style estimate rather than a
-    measurement.  The knobs are a resolved ``TrainPlan``'s: ``sync`` /
-    ``staleness`` are ``None`` for a single accelerator, which never merges.
+    Per segment, a predicted report: the extraction is walked once
+    (``AccessEngine.partition_cost``, through the plan's ``use_striders``
+    decision) and the engine books ``ExecutionEngine.epoch_cost`` ``epochs``
+    times.  The cluster bus books one ``TreeBus.merge_cost`` per model
+    parameter (sizes in ``param_elements``) per predicted merge over the
+    segments that hold tuples — one without rows neither trains nor merges.
+    The reports go through the constructor a measured run is lifted by, so
+    the cycles equal the executed run's unless it converges early.
+    ``execution="processes"`` adds a modelled IPC bill (two state-sized pipe
+    messages per segment per merge window plus init/shutdown handshakes): a
+    calibration-style estimate, not a ledger.  ``sync`` / ``staleness`` are
+    ``None`` for a single accelerator, which never merges.
     """
-    segments = len(partition_tuples)
-    access = []
-    engine = []
-    for counts in partition_tuples:
-        access.append(
-            access_engine.estimate_partition_cycles(list(counts))["access_cycles"]
-            if counts
-            else 0
+    sharded = sync is not None
+    engine = accelerator.execution_engine
+    reports = [
+        SegmentReport(
+            segment_id=i,
+            pages=len(counts),
+            tuples_extracted=n_tuples,
+            engine_stats=(
+                engine.epoch_cost(n_tuples)[0] * epochs
+                if n_tuples or not sharded
+                else EngineRunStats()
+            ),
+            access_stats=accelerator.access_engine.partition_cost(
+                counts, use_striders=use_striders
+            ),
         )
-        engine.append(
-            epochs * execution_engine.predict_epoch_cycles(sum(counts))
+        for i, (counts, n_tuples) in enumerate(
+            zip(partition_tuples, map(sum, partition_tuples))
         )
-    merges = predicted_merges(sync, staleness, epochs) if segments > 1 else 0
-    bus = TreeBus(alu_count=tree_bus_alus)
-    cross_merge = merges * bus.merge_cycles(segments, model_elements)
-    ipc_bytes = 0
-    ipc_round_trips = 0
+    ]
+    active = sum(1 for report in reports if report.tuples_extracted)
+    windows = predicted_merges(sync, staleness, epochs) if sharded else 0
+    merges = windows if active else 0
+    # The cluster bus is built like the engines' thread buses (the design's
+    # ``aus_per_cluster`` ALUs), so the engine's bus prices its merges.
+    merge_cycles = sum(
+        engine.tree_bus.merge_cost(active, elements).cycles
+        for elements in param_elements
+        if merges and elements
+    )
+    ipc = {}
     if execution == "processes":
-        windows = max(1, predicted_merges(sync, staleness, epochs))
-        state_bytes = model_elements * 8 + IPC_MESSAGE_OVERHEAD_BYTES
-        ipc_bytes = segments * windows * 2 * state_bytes
-        ipc_round_trips = segments * (windows + 2)
-    return ShardedRunCost(
-        segments=segments,
+        state_bytes = sum(param_elements) * 8 + IPC_MESSAGE_OVERHEAD_BYTES
+        ipc["ipc_bytes"] = len(reports) * max(1, windows) * 2 * state_bytes
+        ipc["ipc_round_trips"] = len(reports) * (max(1, windows) + 2)
+    return ShardedRunCost.from_reports(
+        reports,
         epochs_run=epochs,
-        critical_segment_cycles=max(
-            (a + e for a, e in zip(access, engine)), default=0
-        ),
-        cross_merge_cycles=cross_merge,
-        model_elements=model_elements,
-        segment_access_cycles=tuple(access),
-        segment_engine_cycles=tuple(engine),
+        model_elements=sum(param_elements),
         merges_performed=merges,
-        ipc_bytes=ipc_bytes,
-        ipc_round_trips=ipc_round_trips,
+        cross_merge_cycles=merges * merge_cycles,
+        **ipc,
     )

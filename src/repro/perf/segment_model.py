@@ -1,22 +1,25 @@
-"""Segment-sweep cost model hooked to measured sharded-run counters.
+"""Segment-sweep cost model over the ledgers of a sharded training run.
 
 The analytical Greenplum model (:class:`~repro.perf.cpu_model.GreenplumModel`)
 regenerates Figure 13 from calibrated constants.  This module is its
-functional twin for the sharded DAnA subsystem: it converts the *measured*
-schedule-derived counters of a :class:`~repro.cluster.sharded.ShardedRunResult`
-into modelled wall-clock seconds on the FPGA (segments run concurrently, so
-the critical path is the slowest segment plus the serial cross-segment
-merge), and predicts how a measured single-segment run would scale to other
-segment counts — with the cross-segment merge cost taken from the same
-:class:`~repro.hw.tree_bus.TreeBus` cycle model the engines use.
+functional twin for the sharded DAnA subsystem: :class:`ShardedRunCost`
+lifts per-segment reports — the ledgers a ``ShardedRunResult`` measured,
+or the ones :func:`~repro.perf.plan_cost.predict_train_cost` priced with
+the same cost functions — through one constructor into modelled wall-clock
+on the FPGA (segments run concurrently: the slowest one plus the serial
+cross-segment merge), and :class:`SegmentScalingModel` predicts how a
+measured single-segment run would scale to other segment counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, TYPE_CHECKING
+from typing import Iterable, Sequence, TYPE_CHECKING
+
+import numpy as np
 
 from repro.hw.fpga import DEFAULT_FPGA, FPGASpec
+from repro.hw.ledger import critical_path_cycles
 from repro.hw.tree_bus import TreeBus
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -34,17 +37,17 @@ DEFAULT_IPC_ROUND_TRIP_S = 50e-6
 
 @dataclass(frozen=True)
 class ShardedRunCost:
-    """Critical-path cycle decomposition of one measured sharded run."""
+    """Critical-path cycle decomposition of one sharded run, measured or predicted."""
 
     segments: int
     epochs_run: int
-    #: the slowest segment's AXI + Strider + engine cycles (the single
-    #: per-segment cost definition lives on ``SegmentReport.cycles``).
+    #: the slowest segment's serial AXI + Strider + engine cycles (what
+    #: :class:`SegmentScalingModel` scales down by the segment count).
     critical_segment_cycles: int
     cross_merge_cycles: int
     model_elements: int
-    #: per-segment stage split for the pipelined book-keeping: extraction
-    #: (AXI + Strider) vs execution-engine cycles, in segment order.
+    #: per-segment stage split: extraction (AXI + Strider) vs
+    #: execution-engine cycles, in segment order.
     segment_access_cycles: tuple[int, ...] = ()
     segment_engine_cycles: tuple[int, ...] = ()
     #: cross-segment merges the run performed (or is predicted to).
@@ -57,22 +60,46 @@ class ShardedRunCost:
     ipc_round_trips: int = 0
 
     @classmethod
-    def from_run(cls, run: "ShardedRunResult") -> "ShardedRunCost":
-        """Lift the measured per-segment counters into a cost summary."""
-        elements = sum(int(v.size) for v in run.models.values())
+    def from_reports(cls, reports: Sequence, **run_fields: int) -> "ShardedRunCost":
+        """Lift per-segment ledgers into a cost summary — the one door.
+
+        ``reports`` carry ``access_stats`` and ``engine_stats``: the
+        :class:`~repro.cluster.SegmentReport` objects a run measured
+        (:meth:`from_run`) or the ones ``predict_train_cost`` priced;
+        ``run_fields`` are the run-level fields (epochs, merges, IPC, ...).
+        """
+        access = tuple(r.access_stats.access_cycles for r in reports)
+        engine = tuple(r.engine_stats.total_cycles for r in reports)
         return cls(
-            segments=run.cluster.segments,
+            segments=len(reports),
+            critical_segment_cycles=critical_path_cycles(zip(access, engine)),
+            segment_access_cycles=access,
+            segment_engine_cycles=engine,
+            **run_fields,
+        )
+
+    @classmethod
+    def from_run(cls, run) -> "ShardedRunCost":
+        """Lift a measured training run, sharded or single-accelerator (an
+        :class:`~repro.hw.AcceleratorRunResult` is its own one-segment
+        report, and nothing merges)."""
+        elements = sum(int(np.size(v)) for v in run.models.values())
+        cluster = getattr(run, "cluster", None)
+        if cluster is None:
+            return cls.from_reports(
+                [run],
+                epochs_run=run.training.epochs_run,
+                cross_merge_cycles=0,
+                model_elements=elements,
+            )
+        return cls.from_reports(
+            run.segments,
             epochs_run=run.epochs_run,
-            critical_segment_cycles=max(
-                (seg.cycles for seg in run.segments), default=0
-            ),
-            cross_merge_cycles=run.cluster.cross_merge_cycles,
+            cross_merge_cycles=cluster.cross_merge_cycles,
             model_elements=elements,
-            segment_access_cycles=tuple(seg.access_cycles for seg in run.segments),
-            segment_engine_cycles=tuple(seg.engine_cycles for seg in run.segments),
-            merges_performed=run.cluster.merges_performed,
-            ipc_bytes=run.cluster.ipc.bytes_shipped,
-            ipc_round_trips=run.cluster.ipc.round_trips,
+            merges_performed=cluster.merges_performed,
+            ipc_bytes=cluster.ipc.bytes_shipped,
+            ipc_round_trips=cluster.ipc.round_trips,
         )
 
     @property
@@ -82,25 +109,14 @@ class ShardedRunCost:
 
     @property
     def pipelined_critical_path_cycles(self) -> int:
-        """Critical path when the epoch runtime pipelines its stages.
-
-        Streaming extraction overlaps the Strider page walk with engine
-        compute, so a pipelined segment books ``max(extract, exec)`` per
-        stage instead of their sum (the serial book-keeping of
-        :attr:`critical_path_cycles`).  The cross-segment merge stays
-        serial under every sync policy.
-        """
-        if not self.segment_access_cycles and not self.segment_engine_cycles:
-            slowest = 0
-        else:
-            slowest = max(
-                max(access, engine)
-                for access, engine in zip(
-                    self.segment_access_cycles or (0,) * len(self.segment_engine_cycles),
-                    self.segment_engine_cycles or (0,) * len(self.segment_access_cycles),
-                )
-            )
-        return slowest + self.cross_merge_cycles
+        """Critical path when the epoch runtime pipelines its stages:
+        streaming extraction overlaps the page walk with engine compute,
+        so a segment pays ``max(extract, exec)`` instead of their sum."""
+        return critical_path_cycles(
+            zip(self.segment_access_cycles, self.segment_engine_cycles),
+            self.cross_merge_cycles,
+            pipelined=True,
+        )
 
     @property
     def pipeline_speedup(self) -> float:

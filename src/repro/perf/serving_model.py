@@ -1,21 +1,21 @@
-"""Serving cost model hooked to measured scan-and-score counters.
+"""Serving cost model over the ledgers of a scan-and-score run.
 
-The training side of the perf package books sharded runs through
-:class:`~repro.perf.segment_model.ShardedRunCost`; this module is the
-inference twin.  It lifts the measured per-segment counters of a
-:class:`~repro.serving.scorer.ScoreResult` into modelled wall-clock
-seconds on the FPGA and exposes the **inference cost column** the
-reporting layer attaches to sweeps: schedule-derived forward cycles per
-scored tuple (the serving counterpart of the training cost model's
-cycles-per-epoch accounting).
+The inference twin of :class:`~repro.perf.segment_model.ShardedRunCost`:
+:class:`ScoreRunCost` lifts per-segment reports — the ledgers a
+``ScoreResult`` measured, or the ones
+:func:`~repro.perf.plan_cost.predict_score_cost` priced with the same cost
+functions — through one constructor into modelled wall-clock seconds on
+the FPGA, and exposes the **inference cost column** the reporting layer
+attaches to sweeps: schedule-derived forward cycles per scored tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.hw.fpga import DEFAULT_FPGA, FPGASpec
+from repro.hw.ledger import critical_path_cycles
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serving.scorer import ScoreResult
@@ -36,41 +36,38 @@ class ScoreRunCost:
     stream: bool = False
 
     @classmethod
+    def from_reports(cls, reports: Sequence, stream: bool) -> "ScoreRunCost":
+        """Lift per-segment ledgers into a cost summary — the one door:
+        the :class:`~repro.serving.SegmentScoreReport` objects a run
+        measured (:meth:`from_result`) or the ones
+        :func:`~repro.perf.plan_cost.predict_score_cost` priced."""
+        return cls(
+            segments=len(reports),
+            tuples_scored=sum(r.tuples_scored for r in reports),
+            segment_access_cycles=tuple(r.access_stats.access_cycles for r in reports),
+            segment_forward_cycles=tuple(
+                r.inference_stats.total_cycles for r in reports
+            ),
+            stream=stream,
+        )
+
+    @classmethod
     def from_result(cls, result: "ScoreResult") -> "ScoreRunCost":
         """Lift the measured per-segment counters into a cost summary."""
-        return cls(
-            segments=len(result.segments),
-            tuples_scored=result.tuples_scored,
-            segment_access_cycles=tuple(s.access_cycles for s in result.segments),
-            segment_forward_cycles=tuple(s.forward_cycles for s in result.segments),
-            stream=getattr(result, "stream", False),
-        )
+        return cls.from_reports(result.segments, result.stream)
+
+    def _stages(self) -> Iterable[tuple[int, int]]:
+        return zip(self.segment_access_cycles, self.segment_forward_cycles)
 
     @property
     def critical_path_cycles(self) -> int:
         """Slowest segment's serial extract + score path (segments overlap)."""
-        return max(
-            (
-                access + forward
-                for access, forward in zip(
-                    self.segment_access_cycles, self.segment_forward_cycles
-                )
-            ),
-            default=0,
-        )
+        return critical_path_cycles(self._stages())
 
     @property
     def pipelined_critical_path_cycles(self) -> int:
         """Critical path with the page walk overlapping the forward pass."""
-        return max(
-            (
-                max(access, forward)
-                for access, forward in zip(
-                    self.segment_access_cycles, self.segment_forward_cycles
-                )
-            ),
-            default=0,
-        )
+        return critical_path_cycles(self._stages(), pipelined=True)
 
     @property
     def wall_cycles(self) -> int:

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.compiler.scheduler import Scheduler
 from repro.exceptions import ConfigurationError
+from repro.hw.ledger import Ledger
 from repro.reliability.faults import fault_point
 from repro.translator.evaluator import HDFGEvaluator
 from repro.translator.forward import forward_slice
@@ -46,7 +47,7 @@ INFERENCE_FAULT_SITE = "serving.inference.score"
 
 
 @dataclass
-class InferenceStats:
+class InferenceStats(Ledger):
     """Counters accumulated while scoring (schedule-derived)."""
 
     tuples_scored: int = 0
@@ -100,27 +101,28 @@ class InferencePlan:
         """A fresh engine (clean counters) sharing this compiled plan."""
         return InferenceEngine(self)
 
-    def predict_forward_cycles(self, n_tuples: int, batch_size: int | None = None) -> int:
-        """Predict the forward-pass cycles of scoring ``n_tuples`` tuples.
+    def forward_cost(self, n_tuples: int, batch_size: int | None = None) -> InferenceStats:
+        """What scoring ``n_tuples`` tuples books: the forward-pass ledger.
 
-        Applies :meth:`InferenceEngine.account_batch`'s arithmetic —
-        ``ceil(batch / threads)`` engine rounds per micro-batch, each
-        costing the scheduled forward region — over full micro-batches of
-        ``batch_size`` (default :data:`DEFAULT_SCORE_BATCH`) plus the
-        remainder, without touching any engine counters.  ``EXPLAIN``
-        prices scoring statements with this before anything runs.
+        The one statement of the inference cycle model: full micro-batches
+        of ``batch_size`` (default :data:`DEFAULT_SCORE_BATCH`) plus one
+        remainder batch, each needing ``ceil(batch / threads)`` rounds of
+        the scheduled forward region.  A scoring call books it once,
+        ``EXPLAIN`` prices with it, and
+        :meth:`InferenceEngine.account_batch` is the same function over a
+        single batch.
         """
-        if n_tuples <= 0:
-            return 0
+        cost = InferenceStats()
         size = batch_size or DEFAULT_SCORE_BATCH
-        cycles = 0
-        full, remainder = divmod(n_tuples, size)
+        full, remainder = divmod(max(0, n_tuples), size)
         for batch_len, count in ((size, full), (remainder, 1)):
-            if count < 1 or batch_len < 1:
+            if batch_len < 1 or count < 1:
                 continue
             rounds = math.ceil(batch_len / self.threads)
-            cycles += count * rounds * self.forward_cycles_per_round
-        return cycles
+            cost.tuples_scored += count * batch_len
+            cost.batches_scored += count
+            cost.forward_cycles += count * rounds * self.forward_cycles_per_round
+        return cost
 
 
 class InferenceEngine:
@@ -134,13 +136,10 @@ class InferenceEngine:
     # cycle accounting (shared by both paths — counters stay identical)
     # ------------------------------------------------------------------ #
     def account_batch(self, batch_len: int) -> None:
-        """Book one scored batch: ``ceil(batch / threads)`` engine rounds."""
-        if batch_len < 1:
-            return
-        rounds = math.ceil(batch_len / self.plan.threads)
-        self.stats.tuples_scored += batch_len
-        self.stats.batches_scored += 1
-        self.stats.forward_cycles += rounds * self.plan.forward_cycles_per_round
+        """Book one scored batch — the per-batch reference for
+        :meth:`InferencePlan.forward_cost` (the per-tuple oracle books
+        this way)."""
+        self.stats += self.plan.forward_cost(batch_len, batch_len)
 
     # ------------------------------------------------------------------ #
     # scoring
@@ -180,10 +179,12 @@ class InferenceEngine:
 
         The one scoring loop: :meth:`score` feeds it slices of a matrix and
         scan-and-score the batches of its extraction source (which may
-        still be decoding later pages).  ``path="batched"`` evaluates each
+        still be decoding later pages) — either way a stream cut at one
+        batch size, only the last batch short.  ``path="batched"`` evaluates each
         micro-batch on the compiled forward tape; ``path="per_tuple"``
-        walks the per-tuple evaluator — the oracle.  Both book the same
-        schedule-derived cycles per batch.
+        walks the per-tuple evaluator — the oracle.  The tape path books
+        the call's forward cost once, after the last batch; the oracle
+        books batch by batch, and the two ledgers are identical.
         """
         if path not in SERVING_PATHS:
             raise ConfigurationError(
@@ -193,10 +194,11 @@ class InferenceEngine:
         score_batch = (
             self._score_batch_tape if path == "batched" else self._score_batch_oracle
         )
-        chunks: list[np.ndarray] = []
-        for batch in batches:
-            chunks.append(score_batch(batch, models))
-            self.account_batch(len(batch))
+        chunks = [score_batch(batch, models) for batch in batches]
+        if path == "batched" and chunks:
+            # One predictions chunk per batch: the first is a full batch.
+            tuples = sum(map(len, chunks))
+            self.stats += self.plan.forward_cost(tuples, len(chunks[0]))
         if not chunks:
             return np.empty((0,) + self.plan.forward.score_dims)
         return np.concatenate(chunks, axis=0)
@@ -223,4 +225,5 @@ class InferenceEngine:
             env = evaluator.initial_env(bound)
             env = evaluator.evaluate(env, [Region.UPDATE_RULE])
             values.append(np.asarray(env[score_id], dtype=np.float64))
+        self.account_batch(len(batch))
         return np.stack(values, axis=0)

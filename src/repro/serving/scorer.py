@@ -44,6 +44,7 @@ from repro.exceptions import RetryExhaustedError
 from repro.hw.access_engine import AccessEngineStats
 from repro.hw.accelerator import DAnAAccelerator
 from repro.hw.fpga import DEFAULT_FPGA, FPGASpec
+from repro.hw.ledger import critical_path_cycles
 from repro.obs.telemetry import telemetry
 from repro.reliability.faults import fault_point
 from repro.reliability.retry import RetryStats
@@ -71,23 +72,6 @@ class SegmentScoreReport:
     tuples_scored: int
     access_stats: AccessEngineStats
     inference_stats: InferenceStats
-
-    @property
-    def access_cycles(self) -> int:
-        """Extraction stage: AXI transfer + Strider page walk."""
-        return (
-            self.access_stats.strider_cycles_critical + self.access_stats.axi_cycles
-        )
-
-    @property
-    def forward_cycles(self) -> int:
-        """Compute stage: schedule-derived forward-pass cycles."""
-        return self.inference_stats.forward_cycles
-
-    @property
-    def cycles(self) -> int:
-        """This segment's serial path: extraction + forward compute."""
-        return self.access_cycles + self.forward_cycles
 
 
 @dataclass
@@ -127,17 +111,15 @@ class ScoreResult:
     @property
     def inference_stats(self) -> InferenceStats:
         """Aggregate (summed) inference counters across segments."""
-        total = InferenceStats()
-        for seg in self.segments:
-            total.tuples_scored += seg.inference_stats.tuples_scored
-            total.batches_scored += seg.inference_stats.batches_scored
-            total.forward_cycles += seg.inference_stats.forward_cycles
-        return total
+        return sum((seg.inference_stats for seg in self.segments), InferenceStats())
 
     @property
     def critical_path_cycles(self) -> int:
         """Modelled wall-clock cycles: segments scan-and-score concurrently."""
-        return max((seg.cycles for seg in self.segments), default=0)
+        return critical_path_cycles(
+            (seg.access_stats.access_cycles, seg.inference_stats.total_cycles)
+            for seg in self.segments
+        )
 
 
 def score_segment(

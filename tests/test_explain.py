@@ -25,7 +25,7 @@ ALGORITHMS = ("linear", "logistic", "svm", "lrmf")
 SEGMENT_COUNTS = (1, 2, 4)
 
 
-def _system(key, n_tuples=192, epochs=2, seed=11):
+def _system(key, n_tuples=192, epochs=2, seed=11, use_striders=True):
     """A fresh DAnA system with one algorithm UDF over a multi-page table."""
     algorithm = get_algorithm(key)
     n_features = 4 if key == "lrmf" else 6
@@ -36,7 +36,7 @@ def _system(key, n_tuples=192, epochs=2, seed=11):
     database = Database(page_size=2048)
     database.load_table("train", spec.schema, data)
     database.warm_cache("train")
-    system = DAnA(database)
+    system = DAnA(database, use_striders=use_striders)
     system.register_udf(key, spec, epochs=epochs)
     return system
 
@@ -188,33 +188,6 @@ class TestExplainIsDryRun:
         assert len(segment_ops) == 2
         assert sum(op.knobs["tuples"] for op in segment_ops) == 192
 
-    def test_explain_predicted_cost_matches_dedicated_predictor(self):
-        # the tree's numbers must be the perf package's, not a re-derivation
-        from repro.perf import page_tuple_counts, predict_score_cost
-
-        system = _system("linear")
-        run = system.train("linear", "train", segments=1)
-        system.save_model("m", "linear", run.models)
-        result = system.database.execute(
-            "EXPLAIN SELECT * FROM dana.score('m', 'train');"
-        )
-        root = result.payload.root
-        registered = system._registered("linear")
-        entry = system.database.catalog.table("train")
-        pages = system.database.storage.page_count(entry.file_name)
-        counts = page_tuple_counts(
-            range(pages),
-            entry.tuple_count,
-            system.database.table("train").tuples_per_page(),
-        )
-        cost = predict_score_cost(
-            registered.accelerators["train"].access_engine,
-            system._inference_plan(registered, "train"),
-            [counts],
-        )
-        assert root.predicted["wall_cycles"] == cost.wall_cycles
-        assert root.predicted["seconds"] == cost.seconds(system.fpga)
-
     def test_invalid_options_fail_like_execution(self):
         sql = _create_model_sql("linear", 1, "lockstep")
         bare = _system("linear")
@@ -279,8 +252,8 @@ class TestExplainAnalyzeTraining:
             assert loop.actual["executed"] >= 2
 
     def test_single_accelerator_tree(self):
-        # segments omitted → the classic single-accelerator path: no epoch
-        # driver (span-less Train operator), page walk measured in-process
+        # segments omitted → the classic single-accelerator path: its epochs
+        # run through the EpochDriver too, page walk measured in-process
         system = _system("linear")
         result = system.database.execute(
             "EXPLAIN ANALYZE CREATE MODEL m AS TRAIN linear ON train "
@@ -290,7 +263,8 @@ class TestExplainAnalyzeTraining:
         train = report.root.children[0]
         assert train.name == "Train"
         assert train.knobs["mode"] == "single"
-        assert train.span_site is None
+        assert train.span_site == "runtime.epoch"
+        assert train.actual["spans"] == train.actual["executed"] == 2
         walk = train.children[0]
         assert walk.name == "StriderPageWalk"
         assert walk.actual["spans"] >= 1
@@ -308,6 +282,213 @@ class TestExplainAnalyzeTraining:
         assert report.root.actual["tuples_extracted"] > 0
         assert report.root.actual["engine_cycles"] > 0
         _assert_span_coverage(report)
+
+
+# ---------------------------------------------------------------------- #
+# predict = run: EXPLAIN prices a plan with the functions the run books with
+# ---------------------------------------------------------------------- #
+def _grid_system(key, shape, use_striders, segments=3):
+    """A system whose table deals ``segments`` partitions evenly or raggedly.
+
+    ``even``: six full pages (two per segment, every batch full-sized
+    boundaries aside); ``ragged``: seven pages, the last one partial, so
+    one segment holds an extra page and the tuple counts differ.
+    """
+    algorithm = get_algorithm(key)
+    n_features = 4 if key == "lrmf" else 6
+    grid_topology = (40, 30, 4)  # enough matrix cells for seven pages of ratings
+    hyper = Hyperparameters(learning_rate=0.05, merge_coefficient=8, epochs=3)
+    spec = algorithm.build_spec(n_features, hyper, grid_topology if key == "lrmf" else ())
+    database = Database(page_size=2048)
+    per_page = database.layout.tuples_per_page(spec.schema)
+    n_tuples = 2 * segments * per_page + (per_page // 3 + 5 if shape == "ragged" else 0)
+    data = generate_for_algorithm(key, n_tuples + 40, n_features, grid_topology, seed=11)
+    assert len(data) == n_tuples + 40
+    database.load_table("train", spec.schema, data[:n_tuples])
+    system = DAnA(database, use_striders=use_striders)
+    system.register_udf(key, spec, epochs=3)
+    return system, data[n_tuples:]
+
+
+def _train_plans(system, key):
+    """Resolved plans over {single, lockstep, threads} x the two sync policies."""
+    from repro.core import TrainPlan
+
+    knob_sets = [{}]
+    for execution in ("lockstep", "threads"):
+        if execution == "lockstep" and key == "lrmf":
+            continue  # row-addressed graphs cannot carry a segment axis
+        for sync in ("bulk_synchronous", "stale_synchronous"):
+            knob_sets.append(
+                {"segments": 3, "execution": execution, "sync": sync, "staleness": 2}
+            )
+    return [
+        TrainPlan.resolve(
+            system._registered(key),
+            "train",
+            system.compile_udf(key, "train"),
+            use_striders=system.use_striders,
+            epochs=3,
+            **knobs,
+        )
+        for knobs in knob_sets
+    ]
+
+
+def _score_plans(system, key, where=None):
+    from repro.core import ScorePlan
+
+    return [
+        ScorePlan.resolve(
+            system._registered(key),
+            "train",
+            use_striders=system.use_striders,
+            batch_size=32,
+            where=where,
+            **knobs,
+        )
+        for knobs in ({}, {"segments": 3}, {"segments": 3, "stream": False})
+    ]
+
+
+class TestPredictedEqualsActual:
+    @pytest.mark.parametrize("use_striders", (True, False))
+    @pytest.mark.parametrize("shape", ("even", "ragged"))
+    @pytest.mark.parametrize("key", ALGORITHMS)
+    def test_cost_objects_are_equal_field_for_field(self, key, shape, use_striders):
+        """The grid: predicted cost == the executed run's measured cost, as
+        whole cost objects (per-segment access / engine / forward cycles,
+        cross-merge cycles, merges, both critical paths), on the bulk-loaded
+        table and again once ``insert_rows`` appended a partial tail page."""
+        from repro.core.explain import price
+        from repro.perf import ScoreRunCost, ShardedRunCost
+
+        system, extra_rows = _grid_system(key, shape, use_striders)
+        models = None
+        for inserted in (False, True):
+            if inserted:
+                system.database.insert_rows("train", extra_rows[:17])
+            for plan in _train_plans(system, key):
+                predicted = price(system, plan)[2]
+                run = system._train(plan)
+                actual = ShardedRunCost.from_run(run)
+                assert actual.epochs_run == 3, "the grid must not converge early"
+                assert predicted == actual, (plan.execution, plan.sync, inserted)
+                if plan.segments is not None:
+                    assert predicted.critical_path_cycles == run.critical_path_cycles
+                assert (predicted.segment_access_cycles[0] > 0) is use_striders
+                models = run.models
+            for plan in _score_plans(system, key):
+                predicted = price(system, plan)[2]
+                result = system._score(plan, models)
+                assert predicted == ScoreRunCost.from_result(result), (plan, inserted)
+                assert predicted.critical_path_cycles == result.critical_path_cycles
+
+    @pytest.mark.parametrize("use_striders", (True, False))
+    def test_filtered_predict_access_equal_forward_upper_bound(self, use_striders):
+        from repro.core.explain import price
+        from repro.perf import ScoreRunCost
+        from repro.rdbms.predicate import ColumnPredicate
+
+        system, _extra = _grid_system("linear", "ragged", use_striders)
+        where = ColumnPredicate.compile(
+            system.database.table("train").schema,
+            parse("SELECT * FROM train WHERE x0 > 0.2").where,
+        )
+        models = {"mo": np.linspace(-1.0, 1.0, 6)}
+        for plan in _score_plans(system, "linear", where):
+            predicted = price(system, plan)[2]
+            actual = ScoreRunCost.from_result(system._score(plan, models))
+            assert predicted.segment_access_cycles == actual.segment_access_cycles
+            assert 0 < actual.tuples_scored < predicted.tuples_scored
+            for bound, booked in zip(
+                predicted.segment_forward_cycles, actual.segment_forward_cycles
+            ):
+                assert 0 < booked <= bound
+
+    def test_page_walk_is_not_under_priced(self):
+        """Regression: the restated estimator forgot the line-pointer READB —
+        one cycle per tuple of each wave's critical page (4084 vs 4229)."""
+        system = _wide_system(3000, 10)
+        report = system.database.execute(
+            "EXPLAIN ANALYZE SELECT dana.predict('m') FROM train"
+        ).payload
+        walk = next(op for op in report.root.walk() if op.name == "StriderPageWalk")
+        segment = report.result.payload.segments[0]
+        assert segment.access_stats.access_cycles == 4229
+        assert walk.predicted["access_cycles"] == 4229 == walk.actual["access_cycles"]
+        assert report.root.predicted["wall_cycles"] == report.root.actual["wall_cycles"]
+        sharded = _wide_system(5000, 16).database.execute(
+            "EXPLAIN CREATE MODEL m2 AS TRAIN linear ON train WITH (segments => 4)"
+        ).payload.root.children[0]
+        assert [
+            op.predicted["access_cycles"]
+            for op in sharded.children
+            if op.name == "SegmentTrain"
+        ] == [3453, 3453, 3376, 3376]
+
+    def test_prediction_takes_the_extraction_decision(self):
+        """Regression: with ``use_striders=False`` EXPLAIN still priced a
+        Strider walk for a statement whose run books no access activity."""
+        system = _wide_system(3000, 10, use_striders=False)
+        report = system.database.execute(
+            "EXPLAIN ANALYZE SELECT dana.predict('m') FROM train"
+        ).payload
+        walk = next(op for op in report.root.walk() if op.name == "StriderPageWalk")
+        assert walk.span_site is None
+        assert walk.predicted == walk.actual == {"access_cycles": 0}
+        root = report.root
+        assert root.predicted["wall_cycles"] == root.actual["wall_cycles"] == 2250
+        _assert_span_coverage(report)
+
+    @pytest.mark.parametrize(
+        "options,operators",
+        [
+            ("", {"Train", "StriderPageWalk"}),
+            (
+                " WITH (segments => 3, execution => 'threads', epochs => 3, "
+                "sync => 'stale_synchronous', staleness => 2)",
+                {"EpochLoop", "SegmentTrain", "MergeModels", "StriderPageWalk"},
+            ),
+        ],
+    )
+    def test_training_statements_print_actual_cycles(self, options, operators):
+        """Regression: training trees printed ``actual: version, epochs_run,
+        wall_seconds`` only.  Every costed operator now carries the run's
+        measured cycles, built by the constructor its predicted line uses."""
+        system = _system("linear", n_tuples=500)
+        report = system.database.execute(
+            "EXPLAIN ANALYZE CREATE MODEL m AS TRAIN linear ON train" + options
+        ).payload
+        costed = set()
+        for op in report.root.walk():
+            shared = [
+                key
+                for key in op.predicted
+                if key in op.actual and (key.endswith("cycles") or key == "merges")
+            ]
+            for key in shared:
+                assert op.predicted[key] == op.actual[key], (op.name, op.label, key)
+            if shared:
+                costed.add(op.name)
+        assert costed == operators
+        cost = report.result.stats["cost"]
+        loop = report.root.children[0]
+        assert loop.actual["critical_path_cycles"] == cost.critical_path_cycles > 0
+        _assert_span_coverage(report)
+
+
+def _wide_system(n_tuples, n_features, use_striders=True):
+    """The issue's repro tables: 8 KiB pages, a saved zero model ``m``."""
+    hyper = Hyperparameters(learning_rate=0.05, merge_coefficient=8, epochs=2)
+    spec = get_algorithm("linear").build_spec(n_features, hyper, ())
+    data = generate_for_algorithm("linear", n_tuples, n_features, seed=3)
+    database = Database(page_size=8192)
+    database.load_table("train", spec.schema, data)
+    system = DAnA(database, use_striders=use_striders)
+    system.register_udf("linear", spec, epochs=2)
+    system.save_model("m", "linear", {"mo": np.zeros(n_features)})
+    return system
 
 
 class TestExplainAnalyzeScoring:

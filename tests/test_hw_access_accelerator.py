@@ -108,11 +108,30 @@ class TestAccessEngine:
         with pytest.raises(HardwareError):
             engine.extract_table([b"\x00" * 128])
 
-    def test_estimate_cycles_per_page(self, small_database, linear_spec):
-        engine = self._engine(small_database, linear_spec)
-        estimate = engine.estimate_cycles_per_page(tuples_per_page=100)
-        assert estimate["strider_cycles"] > 100
-        assert estimate["axi_cycles"] > 0
+    @pytest.mark.parametrize("num_striders", [1, 2, 3, 64])
+    def test_partition_cost_equals_the_booked_walk(self, linear_spec, rng, num_striders):
+        # The cost function prices a partition from per-page tuple counts
+        # alone; walking the pages must book exactly that, field for field
+        # (full pages plus a partial tail page; 9 pages leave a ragged last wave).
+        data = rng.normal(size=(1130, 5))
+        db = Database(page_size=4 * 1024)
+        db.load_table("big", linear_spec.schema, data)
+        table = db.table("big")
+        pages = [img for _no, img in table.scan_pages(db.buffer_pool)]
+        per_page = table.tuples_per_page()
+        counts = [min(per_page, 1130 - i * per_page) for i in range(len(pages))]
+        assert len(set(counts)) == 2 and len(pages) % 2 == 1
+        engine = self._engine(db, linear_spec, num_striders=num_striders)
+        predicted = engine.partition_cost(counts)
+        assert engine.stats == AccessEngineStats()  # pricing books nothing
+        engine.extract_table(pages)
+        assert predicted == engine.stats
+        assert predicted.access_cycles == (
+            engine.stats.strider_cycles_critical + engine.stats.axi_cycles
+        )
+        # the CPU-decode model books no access activity, so it prices none
+        assert engine.partition_cost(counts, use_striders=False) == AccessEngineStats()
+        assert engine.partition_cost([]) == AccessEngineStats()
 
     def test_invalid_config(self):
         with pytest.raises(HardwareError):

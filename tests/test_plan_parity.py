@@ -23,6 +23,7 @@ from repro.core import DAnA, ScorePlan, TrainPlan
 from repro.core.plan import option_types
 from repro.data.synthetic import generate_for_algorithm
 from repro.exceptions import ConfigurationError, QueryError
+from repro.perf import ScoreRunCost
 from repro.rdbms import Database
 
 N_FEATURES = 6
@@ -67,6 +68,36 @@ def _last_config(system):
     return recorder.run_detail(recorder.runs()[-1]["run_id"])["config"]
 
 
+def _assert_priced_like_the_run(train_op, run):
+    """EXPLAIN's predicted cycles are the executed run's, operator by operator
+    (whatever the fan-out, sync policy, stream or decode of the cell)."""
+    from repro.perf import ShardedRunCost
+
+    cost = ShardedRunCost.from_run(run)
+    assert train_op.predicted["critical_path_cycles"] == cost.critical_path_cycles
+    priced = [train_op] if train_op.name == "Train" else train_op.children
+    segment_ops = [op for op in priced if op.name in ("Train", "SegmentTrain")]
+    assert [op.predicted["access_cycles"] for op in segment_ops] == list(
+        cost.segment_access_cycles
+    )
+    assert [op.predicted["engine_cycles"] for op in segment_ops] == list(
+        cost.segment_engine_cycles
+    )
+    for op in train_op.children:
+        if op.name == "MergeModels":
+            assert op.predicted == {
+                "merges": cost.merges_performed,
+                "cross_merge_cycles": cost.cross_merge_cycles,
+            }
+        if op.name == "StriderPageWalk":
+            assert op.predicted["access_cycles"] == sum(cost.segment_access_cycles)
+    if train_op.name == "EpochLoop":
+        assert train_op.predicted["pipelined_cycles"] == (
+            cost.pipelined_critical_path_cycles
+        )
+        assert cost.critical_path_cycles == run.critical_path_cycles
+
+
 # ---------------------------------------------------------------------- #
 # training: execution x sync x stream x use_striders x segments
 # ---------------------------------------------------------------------- #
@@ -105,6 +136,7 @@ def test_train_explain_equals_report_equals_recorded_config(
     knobs = train_op.knobs
     run = system.train("linear", "train", **options)
     config = _last_config(system)
+    _assert_priced_like_the_run(train_op, run)
 
     assert knobs["mode"] == config["execution"]
     assert knobs["stream"] == config["stream"]
@@ -158,11 +190,20 @@ def test_score_explain_equals_report_equals_recorded_config(
     if segments is not None:
         kwargs["segments"] = segments
     args = "".join(f", {k} => {_sql_literal(v)}" for k, v in kwargs.items())
-    knobs = system.database.execute(
+    root = system.database.execute(
         f"EXPLAIN SELECT * FROM dana.score('m', 'train'{args})"
-    ).payload.root.knobs
+    ).payload.root
+    knobs = root.knobs
     score = system.score_table("linear", "train", model_name="m", **kwargs)
     config = _last_config(system)
+    cost = ScoreRunCost.from_result(score)
+    assert root.predicted["wall_cycles"] == cost.wall_cycles
+    assert root.predicted["critical_path_cycles"] == score.critical_path_cycles
+    assert [
+        (op.predicted["access_cycles"], op.predicted["forward_cycles"])
+        for op in root.children
+        if op.name == "Segment"
+    ] == list(zip(cost.segment_access_cycles, cost.segment_forward_cycles))
 
     assert knobs["stream"] == score.stream == config["stream"]
     assert score.stream == (stream and use_striders and execution != "processes")
@@ -369,6 +410,63 @@ def test_one_module_builds_batch_sources_and_the_old_entry_points_are_gone():
         and re.search(r"plan\.(stream|use_striders)\b", path.read_text())
     )
     assert readers == ["cluster/sharded.py", "core/explain.py", "serving/scorer.py"]
+
+
+def test_each_stage_cost_is_stated_once_and_booked_once_per_epoch():
+    """Structural pin of the cycle ledger: one cost function per stage, no
+    second predictor, and no per-batch booking on the tape paths."""
+    import inspect
+    import pathlib
+    import re
+
+    import repro
+    from repro.cluster import sharded
+    from repro.hw import AccessEngine, ExecutionEngine, TreeBus
+    from repro.hw.strider import Strider
+    from repro.serving import InferenceEngine, InferencePlan
+
+    root = pathlib.Path(repro.__file__).parent
+    sources = {path: path.read_text() for path in root.rglob("*.py")}
+    everything = "\n".join(sources.values())
+    for name in (
+        "predict_epoch_cycles",
+        "predict_forward_cycles",
+        "estimate_cycles_per_page",
+        "estimate_partition_cycles",
+        "_merge_cycles_by_batch",
+    ):
+        assert not re.search(rf"\b{name}\b", everything), name
+    # the tape paths book per epoch / per scoring call, never per batch
+    for body in (
+        ExecutionEngine._train_one_epoch_tape,
+        sharded._LockstepStep,
+        InferenceEngine.score_batches,
+    ):
+        assert "account_batch" not in inspect.getsource(body), body
+    # the per-tuple oracle keeps the per-batch reference booking
+    assert "account_batch" in inspect.getsource(ExecutionEngine._train_one_epoch)
+    assert "account_batch" in inspect.getsource(InferenceEngine._score_batch_oracle)
+    # one statement of the rounds arithmetic per engine, inside its cost function
+    rounds = r"math\.ceil\(batch_len / \S*threads\)"
+    for path, cost_function in (
+        (root / "hw" / "execution_engine.py", ExecutionEngine.epoch_cost),
+        (root / "serving" / "inference.py", InferencePlan.forward_cost),
+    ):
+        assert len(re.findall(rounds, sources[path])) == 1, path
+        assert re.search(rounds, inspect.getsource(cost_function))
+    assert len(re.findall(rounds, everything)) == 2
+    # one definition of a segment's access cycles, one critical-path formula
+    assert len(re.findall(r"strider_cycles_critical \+ \S*axi_cycles", everything)) == 1
+    assert len(re.findall(r"max if pipelined else operator\.add", everything)) == 1
+    # every stage's cost function exists, and pricing is what booking adds
+    for cost_function in (
+        Strider.walk_cost,
+        AccessEngine.partition_cost,
+        ExecutionEngine.epoch_cost,
+        InferencePlan.forward_cost,
+        TreeBus.merge_cost,
+    ):
+        assert callable(cost_function)
 
 
 # ---------------------------------------------------------------------- #

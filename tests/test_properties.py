@@ -1,19 +1,25 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.algorithms import Hyperparameters, LinearRegression
+from repro.compiler import Scheduler
 from repro.dsl import Operator
 from repro.exceptions import DimensionError
+from repro.hw import ExecutionEngine
 from repro.hw.strider import Strider
 from repro.hw.tree_bus import TreeBus
 from repro.isa import Operand, StriderInstruction, StriderOpcode
 from repro.compiler.strider_compiler import compile_strider
-from repro.rdbms.heaptuple import decode_tuple, encode_tuple
+from repro.rdbms.heaptuple import decode_tuple, encode_tuple, tuple_size
 from repro.rdbms.page import HeapPage, PageLayout
 from repro.rdbms.types import ColumnType, Schema
-from repro.translator import broadcast_primary, group_fused, group_single
+from repro.serving import InferencePlan
+from repro.translator import broadcast_primary, group_fused, group_single, translate
 
 # ---------------------------------------------------------------------- #
 # strategies
@@ -144,6 +150,86 @@ class TestMergeProperties:
         cycles = bus.merge_cycles(threads, elements)
         assert cycles >= 0
         assert bus.merge_cycles(threads * 2, elements) >= cycles
+
+
+@functools.lru_cache(maxsize=None)
+def _linear_design(n_features, merge_coefficient):
+    """One compiled linear-regression graph + schedule per shape (cached)."""
+    hyper = Hyperparameters(learning_rate=0.05, merge_coefficient=merge_coefficient)
+    spec = LinearRegression().build_spec(n_features, hyper)
+    graph = translate(spec.algo)
+    return spec, graph, Scheduler(graph, acs_per_thread=2).schedule()
+
+
+class TestCycleLedgerProperties:
+    """Each stage's closed-form cost equals its per-batch / interpreter reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_tuples=st.integers(min_value=0, max_value=700),
+        batch_size=st.integers(min_value=2, max_value=40),
+        threads=st.integers(min_value=1, max_value=48),
+        n_features=st.integers(min_value=1, max_value=20),
+        alus=st.integers(min_value=1, max_value=9),
+    )
+    def test_epoch_cost_is_the_sum_of_per_batch_bookings(
+        self, n_tuples, batch_size, threads, n_features, alus
+    ):
+        _spec, graph, schedule = _linear_design(n_features, batch_size)
+        priced, reference = (
+            ExecutionEngine(graph, schedule, threads, TreeBus(alu_count=alus))
+            for _ in range(2)
+        )
+        engine_cost, bus_cost = priced.epoch_cost(n_tuples)
+        assert priced.stats == type(engine_cost)()  # pricing books nothing
+        for start in range(0, n_tuples, reference.batch_size):
+            reference.account_batch(min(reference.batch_size, n_tuples - start))
+        reference.account_epoch_end()
+        assert engine_cost == reference.stats
+        assert bus_cost == reference.tree_bus.stats
+        # booking adds in place: holders of the stats objects see the epoch
+        held_engine, held_bus = priced.stats, priced.tree_bus.stats
+        priced.book_epoch(n_tuples)
+        priced.book_epoch(n_tuples)
+        assert held_engine is priced.stats and held_bus is priced.tree_bus.stats
+        assert held_engine == engine_cost * 2 and held_bus == bus_cost + bus_cost
+        assert held_engine - engine_cost == engine_cost
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_tuples=st.integers(min_value=0, max_value=900),
+        batch_size=st.integers(min_value=1, max_value=300),
+        threads=st.integers(min_value=1, max_value=48),
+    )
+    def test_forward_cost_is_the_sum_of_per_batch_bookings(
+        self, n_tuples, batch_size, threads
+    ):
+        spec, graph, _schedule = _linear_design(4, 8)
+        plan = InferencePlan(graph, spec, threads=threads, acs_per_thread=2)
+        reference = plan.new_engine()
+        for start in range(0, n_tuples, batch_size):
+            reference.account_batch(min(batch_size, n_tuples - start))
+        assert plan.forward_cost(n_tuples, batch_size) == reference.stats
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        fill=st.sampled_from(["one", "partial", "full"]),
+        n_features=st.integers(min_value=1, max_value=24),
+        partial=st.integers(min_value=2, max_value=10_000),
+        read_width=st.sampled_from([4, 8, 16]),
+    )
+    def test_walk_cost_equals_the_interpreter(self, fill, n_features, partial, read_width):
+        schema = Schema.training_schema(n_features)
+        layout = PageLayout(page_size=4 * 1024)
+        capacity = layout.tuples_per_page(schema)
+        count = {"one": 1, "full": capacity, "partial": 1 + partial % capacity}[fill]
+        page = HeapPage(layout)
+        for row in np.random.default_rng(count).normal(size=(count, n_features + 1)):
+            page.insert(schema, row.tolist())
+        strider = Strider(compile_strider(layout, schema).program, read_width_bytes=read_width)
+        interpreted = strider.process_page(page.to_bytes())
+        assert len(interpreted.payloads) == count
+        assert strider.walk_cost(np.full(count, tuple_size(schema))) == interpreted.stats
 
 
 class TestSchedulerProperties:

@@ -609,7 +609,7 @@ def test_filtered_scan_and_score_parity_grid(use_striders, segments):
                 assert seg.tuples_scored == seg.inference_stats.tuples_scored == n
                 assert seg.inference_stats.batches_scored == -(-n // FILTER_BATCH)
                 assert seg.inference_stats.forward_cycles == (
-                    inference.predict_forward_cycles(n, FILTER_BATCH)
+                    inference.forward_cost(n, FILTER_BATCH).forward_cycles
                 )
             if use_striders:
                 assert (
