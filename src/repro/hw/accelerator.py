@@ -50,6 +50,7 @@ class AcceleratorRunResult:
 
     @property
     def models(self) -> dict[str, np.ndarray]:
+        """The trained model parameters, by name."""
         return self.training.models
 
 

@@ -9,9 +9,17 @@ processed in parallel — one Strider per buffer — which is where the
 transfer" benefit comes from.
 
 The simulator is functional (it produces the exact float vectors the
-execution engine consumes, straight from the binary page images) and keeps
-a cycle account, booked wave by wave in
-:meth:`AccessEngineStats.merge_batch`:
+execution engine consumes, straight from the binary page images).  The
+**wave** — ``num_striders`` page images — is its unit of execution from
+page image to queue item (:meth:`AccessEngine.waves`): one vectorised
+:meth:`Strider.walk_wave <repro.hw.strider.Strider.walk_wave>` and one
+decode per wave, one WHERE mask per wave, one
+:class:`~repro.runtime.BatchSource` item per wave carrying per-page tuple
+counts.  The per-page :meth:`Strider.process_page_bulk
+<repro.hw.strider.Strider.process_page_bulk>` +
+:meth:`PayloadDecoder.decode_many` chain is the reference, and the fallback
+for any page the wave walk rejects.  The wave is also the unit of the cycle
+account, booked in :meth:`AccessEngineStats.merge_batch`:
 
 * AXI transfer cycles — bytes moved divided by the per-cycle off-chip
   bandwidth of the FPGA;
@@ -31,6 +39,7 @@ every trainer and scorer the same :class:`~repro.runtime.BatchSource`.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import math
 import struct
@@ -52,7 +61,7 @@ from repro.reliability.faults import fault_point
 from repro.reliability.retry import RetryPolicy
 from repro.runtime import BatchSource
 
-#: fault-injection site fired once per bulk page-walk batch.
+#: fault-injection site fired once per wave of the Strider walk.
 PAGE_WALK_FAULT_SITE = "hw.strider.page_walk"
 
 
@@ -137,6 +146,7 @@ class PayloadDecoder:
         self.payload_bytes = schema.row_width
 
     def decode(self, payload: bytes) -> np.ndarray:
+        """Decode one cleansed payload into a float vector (the per-tuple reference)."""
         if len(payload) != self.payload_bytes:
             raise HardwareError(
                 f"payload is {len(payload)} bytes but the schema expects "
@@ -164,6 +174,10 @@ class PayloadDecoder:
             )
         records = np.frombuffer(b"".join(payloads), dtype=self.schema.record_dtype)
         return self.schema.as_matrix(records)
+
+    def decode_wave(self, payloads: np.ndarray) -> np.ndarray:
+        """Decode a wave walk's ``(tuples, payload_bytes)`` ``uint8`` FIFO matrix."""
+        return self.schema.as_matrix(payloads.view(self.schema.record_dtype).ravel())
 
 
 class AccessEngine:
@@ -205,32 +219,35 @@ class AccessEngine:
     # ------------------------------------------------------------------ #
     # page streaming
     # ------------------------------------------------------------------ #
-    def process_pages(self, page_images: Iterable[bytes]) -> Iterator[np.ndarray]:
-        """Process pages in batches of ``num_striders``; yield per-page tuples.
+    def waves(
+        self, page_images: Iterable[bytes], use_striders: bool = True
+    ) -> Iterator[tuple[np.ndarray, list[int]]]:
+        """Extract pages a wave of ``num_striders`` at a time.
 
-        Each yielded array has shape ``(tuples_on_page, n_columns)``.
+        Each item is one wave's ``(tuples, n_columns)`` matrix with its
+        per-page tuple counts — the unit the Striders execute, the cycle
+        account books and the double buffer hands over.  ``use_striders``
+        picks the Strider walk (with cycle accounting) or the CPU-decode
+        model: tuples decoded by the RDBMS layer, no Strider or AXI
+        activity booked.  A :attr:`predicate` keeps each wave's qualifying
+        tuples only; the counts are then per page *after* the filter.
         """
-        for wave in self._waves(page_images):
-            yield from self._process_batch(wave)
+        extract = self._process_batch if use_striders else self._cpu_decode_batch
+        return map(extract, self._waves(page_images))
+
+    def process_pages(self, page_images: Iterable[bytes]) -> Iterator[np.ndarray]:
+        """The Strider walk page by page: ``(tuples_on_page, n_columns)`` arrays."""
+        return _by_page(self.waves(page_images))
+
+    def cpu_decode_pages(self, page_images: Iterable[bytes]) -> Iterator[np.ndarray]:
+        """The ``use_striders=False`` model page by page, like :meth:`process_pages`."""
+        return _by_page(self.waves(page_images, use_striders=False))
 
     def _waves(self, items: Iterable) -> Iterator[list]:
         """Consecutive waves of ``num_striders`` items (the last may be short)."""
         items = iter(items)
         while wave := list(itertools.islice(items, self.config.num_striders)):
             yield wave
-
-    def cpu_decode_pages(self, page_images: Iterable[bytes]) -> Iterator[np.ndarray]:
-        """Per-page RDBMS-side decode: the ``use_striders=False`` model.
-
-        The CPU feeds the engine directly: tuples are decoded by the RDBMS
-        layer and no Strider or AXI activity is booked.  A :attr:`predicate`
-        keeps each page's qualifying tuples only, like :meth:`process_pages`.
-        """
-        for image in page_images:
-            chunk = decode_page_rows(image, self.layout, self.schema)
-            if self.predicate is not None:
-                chunk = chunk[self.predicate.mask(chunk)]
-            yield chunk
 
     def open(
         self,
@@ -245,10 +262,10 @@ class AccessEngine:
         Every trainer and scorer gets its tuples from the source returned
         here and never re-decides how they were produced:
 
-        * ``use_striders`` picks the decode: the Strider bulk walk
-          (:meth:`process_pages`, with cycle accounting) or the CPU-decode
-          model (:meth:`cpu_decode_pages`).  :attr:`predicate` filters
-          either, per decoded page.
+        * ``use_striders`` picks the decode: the Strider wave walk (with
+          cycle accounting) or the CPU-decode model, both through
+          :meth:`waves`.  :attr:`predicate` filters either, per decoded
+          wave.
         * ``stream`` picks the schedule: an overlapped producer thread
           behind a bounded double buffer (the paper's page buffers feeding
           the engine while later pages are still being cleansed), or the
@@ -266,13 +283,13 @@ class AccessEngine:
           its cache, so tuples and final counters are bit-identical to a
           fault-free run.
         """
-        walk = self.process_pages if use_striders else self.cpu_decode_pages
+        walk = functools.partial(self.waves, use_striders=use_striders)
         opened = self.stats_at_open = copy.copy(self.stats)
         if not stream:
             return BatchSource.from_chunks(list(walk(page_images)), len(self.schema))
         images = list(page_images)
 
-        def rewalk() -> Iterator[np.ndarray]:
+        def rewalk() -> Iterator[tuple[np.ndarray, list[int]]]:
             self.stats = copy.copy(opened)
             return walk(images)
 
@@ -288,7 +305,14 @@ class AccessEngine:
         """The Strider walk streamed through the double buffer (see :meth:`open`)."""
         return self.open(page_images)
 
-    def _process_batch(self, batch: list[bytes]) -> list[np.ndarray]:
+    def _process_batch(self, batch: list[bytes]) -> tuple[np.ndarray, list[int]]:
+        """Walk, book and decode one wave of page images.
+
+        With the bulk walk on, the wave is one :meth:`Strider.walk_wave
+        <repro.hw.strider.Strider.walk_wave>` over the joined images; the
+        pages it rejects — every page, with the bulk walk off — are walked
+        alone and their tuples spliced in at their place.
+        """
         fault_point(PAGE_WALK_FAULT_SITE)
         obs = telemetry()
         span = (
@@ -296,32 +320,67 @@ class AccessEngine:
             if obs is not None
             else None
         )
-        results: list[StriderResult] = []
-        for image, strider in zip(batch, self._striders):
-            if len(image) != self.config.page_size:
+        page_size = self.config.page_size
+        for image in batch:
+            if len(image) != page_size:
                 raise HardwareError(
-                    f"page image is {len(image)} bytes, expected {self.config.page_size}"
+                    f"page image is {len(image)} bytes, expected {page_size}"
                 )
-            if self.use_bulk_walk:
-                results.append(strider.process_page_bulk(image))
-            else:
-                results.append(strider.process_page(image))
-        self.stats.merge_batch(
-            results, self.config.page_size, self.fpga.axi_bytes_per_cycle
-        )
+        width = self.decoder.payload_bytes
+        if self.use_bulk_walk:
+            pages = np.frombuffer(b"".join(batch), dtype=np.uint8)
+            payloads, proven = self._striders[0].walk_wave(
+                pages.reshape(len(batch), page_size), width
+            )
+            walk_alone = Strider.process_page_bulk
+        else:  # the interpreter walks every page alone
+            payloads, proven = np.empty((0, width), dtype=np.uint8), [None] * len(batch)
+            walk_alone = Strider.process_page
+        results = [
+            StriderResult(stats=stats)
+            if stats is not None
+            else walk_alone(strider, image)
+            for image, strider, stats in zip(batch, self._striders, proven)
+        ]
+        self.stats.merge_batch(results, page_size, self.fpga.axi_bytes_per_cycle)
         if span is not None:
             obs.finish(span)
             span = obs.span("hw.decode", pages=len(results))
-        decoded = [self.decoder.decode_many(result.payloads) for result in results]
+        rows = self.decoder.decode_wave(payloads)
+        sizes = [result.stats.tuples_emitted for result in results]
+        if any(stats is None for stats in proven):
+            pieces, start = [], 0
+            for result, stats in zip(results, proven):
+                if stats is None:
+                    pieces.append(self.decoder.decode_many(result.payloads))
+                else:
+                    pieces.append(rows[start : start + stats.tuples_emitted])
+                    start += stats.tuples_emitted
+            rows = np.vstack(pieces)
+        tuples = len(rows)
+        rows, sizes = self._qualify(rows, sizes)
         if span is not None:
-            late = {"tuples": sum(len(chunk) for chunk in decoded)}
-        if self.predicate is not None:
-            decoded = [chunk[self.predicate.mask(chunk)] for chunk in decoded]
-            if span is not None:
-                late["tuples_out"] = sum(len(chunk) for chunk in decoded)
-        if span is not None:
-            obs.finish(span, **late)
-        return decoded
+            late = {"tuples_out": len(rows)} if self.predicate is not None else {}
+            obs.finish(span, tuples=tuples, **late)
+        return rows, sizes
+
+    def _cpu_decode_batch(self, batch: list[bytes]) -> tuple[np.ndarray, list[int]]:
+        """One wave through the RDBMS-side page decode (books nothing)."""
+        chunks = [decode_page_rows(image, self.layout, self.schema) for image in batch]
+        return self._qualify(np.vstack(chunks), [len(chunk) for chunk in chunks])
+
+    def _qualify(
+        self, rows: np.ndarray, sizes: list[int]
+    ) -> tuple[np.ndarray, list[int]]:
+        """Keep a wave's tuples that pass :attr:`predicate`: one mask per
+        wave, qualifying counts per page from its running sum at the page
+        boundaries (a page may keep — or hold — no tuple at all)."""
+        if self.predicate is None:
+            return rows, sizes
+        mask = self.predicate.mask(rows)
+        passed = np.concatenate(([0], np.cumsum(mask)))
+        bounds = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
+        return rows[mask], np.diff(passed[bounds]).tolist()
 
     # ------------------------------------------------------------------ #
     # cycle ledger
@@ -335,9 +394,8 @@ class AccessEngine:
         as :meth:`open` takes it (CPU decode books nothing), then each
         page's :meth:`Strider.walk_cost <repro.hw.strider.Strider.walk_cost>`
         through :meth:`AccessEngineStats.merge_batch` in waves of
-        ``num_striders``, like :meth:`process_pages`.  The walk cost is
-        memoised by tuple count (a bulk-loaded partition has at most two),
-        so the work is per page, not per tuple.
+        ``num_striders``, like :meth:`waves`.  Every tuple is as long as
+        the schema says, so the work is per page, not per tuple.
         """
         stats = AccessEngineStats()
         if not use_striders:
@@ -346,16 +404,18 @@ class AccessEngine:
         if template is None:
             raise HardwareError("only the compiled page-walk idiom has a closed form")
         tuple_bytes = template.strip_bytes + self.decoder.payload_bytes
-        walks = {
-            count: StriderResult(
-                stats=self._striders[0].walk_cost(np.full(count, tuple_bytes))
-            )
-            for count in set(page_tuple_counts)
-        }
-        for wave in self._waves(page_tuple_counts):
+        walks = [
+            StriderResult(stats=cost)
+            for cost in self._striders[0].walk_cost(tuple_bytes, page_tuple_counts)
+        ]
+        for wave in self._waves(walks):
             stats.merge_batch(
-                [walks[count] for count in wave],
-                self.config.page_size,
-                self.fpga.axi_bytes_per_cycle,
+                wave, self.config.page_size, self.fpga.axi_bytes_per_cycle
             )
         return stats
+
+
+def _by_page(waves: Iterable[tuple[np.ndarray, list[int]]]) -> Iterator[np.ndarray]:
+    """Cut each wave item back into its per-page tuple arrays (views)."""
+    for rows, sizes in waves:
+        yield from np.split(rows, np.cumsum(sizes[:-1]))

@@ -22,9 +22,11 @@ class ALU:
         self.supported_ops = frozenset(supported_ops) if supported_ops is not None else None
 
     def supports(self, op: Operator) -> bool:
+        """True when the ALU was synthesised with ``op`` (all ops when unrestricted)."""
         return self.supported_ops is None or op in self.supported_ops
 
     def latency(self, op: Operator) -> int:
+        """Cycles ``op`` occupies the ALU (at least one)."""
         return max(1, ALU_LATENCY.get(op, 1))
 
     def execute(self, op: Operator, a: float, b: float = 0.0) -> float:

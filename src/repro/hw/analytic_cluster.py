@@ -19,6 +19,8 @@ from repro.isa.engine_isa import AUS_PER_CLUSTER, ACInstruction, DestKind
 
 @dataclass
 class ACStats:
+    """Execution counters of one analytic cluster."""
+
     instructions_executed: int = 0
     cycles: int = 0
     operations_executed: int = 0
@@ -39,6 +41,7 @@ class AnalyticCluster:
         self.stats = ACStats()
 
     def au(self, index: int) -> AnalyticUnit:
+        """The cluster's ``index``-th analytic unit."""
         if not 0 <= index < len(self.aus):
             raise ExecutionEngineError(
                 f"AC{self.cluster_id} has no AU {index} (cluster width is {len(self.aus)})"
@@ -71,6 +74,7 @@ class AnalyticCluster:
         return results
 
     def reset(self) -> None:
+        """Rewind the program counter and clear every AU's memory, FIFO and register."""
         self.program_counter = 0
         for au in self.aus:
             au.data_memory.clear()

@@ -20,6 +20,8 @@ from repro.isa.engine_isa import AUInstruction, AUOperand, DestKind, SourceKind
 
 @dataclass
 class AUStats:
+    """Execution counters of one analytic unit."""
+
     operations_executed: int = 0
     memory_reads: int = 0
     memory_writes: int = 0
@@ -45,6 +47,7 @@ class AnalyticUnit:
     # memory
     # ------------------------------------------------------------------ #
     def write_memory(self, address: int, value: float) -> None:
+        """Store ``value`` in scratchpad word ``address``."""
         if address < 0 or address >= self.memory_words:
             raise ExecutionEngineError(
                 f"AU{self.index} memory write to {address} outside scratchpad "
@@ -54,6 +57,7 @@ class AnalyticUnit:
         self.stats.memory_writes += 1
 
     def read_memory(self, address: int) -> float:
+        """Load scratchpad word ``address`` (it must have been written)."""
         self.stats.memory_reads += 1
         try:
             return self.data_memory[address]
@@ -66,6 +70,7 @@ class AnalyticUnit:
     # operand fetch and execution
     # ------------------------------------------------------------------ #
     def fetch(self, operand: AUOperand) -> float:
+        """Resolve one instruction operand: immediate, scratchpad, neighbour or bus."""
         kind = operand.kind
         if kind is SourceKind.IMMEDIATE:
             return operand.value

@@ -70,6 +70,7 @@ class EngineRunStats(Ledger):
 
     @property
     def total_cycles(self) -> int:
+        """Every region's cycles, summed."""
         return (
             self.update_rule_cycles
             + self.merge_cycles

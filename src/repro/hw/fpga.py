@@ -43,18 +43,22 @@ class FPGASpec:
     # ------------------------------------------------------------------ #
     @property
     def frequency_hz(self) -> float:
+        """Clock frequency in Hz."""
         return self.frequency_mhz * 1e6
 
     @property
     def cycle_time_s(self) -> float:
+        """Seconds per clock cycle."""
         return 1.0 / self.frequency_hz
 
     @property
     def axi_bytes_per_second(self) -> float:
+        """Off-chip (AXI) bandwidth in bytes per second."""
         return self.axi_bandwidth_gbps * 1e9 / 8.0
 
     @property
     def axi_bytes_per_cycle(self) -> float:
+        """Off-chip (AXI) bytes moved per clock cycle."""
         return self.axi_bytes_per_second / self.frequency_hz
 
     def max_analytic_units(self) -> int:

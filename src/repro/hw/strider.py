@@ -11,16 +11,21 @@ page image — and approximates time by charging one cycle per instruction
 plus extra cycles for multi-word page-buffer reads (the BRAM read width of
 the target FPGA bounds how many bytes move per cycle).
 
-Two execution modes are provided.  The **instruction interpreter**
-(:meth:`Strider.process_page`) executes the program word by word and is the
-validation oracle.  The **bulk page walk** (:meth:`Strider.process_page_bulk`)
-recognises the canonical page-walk idiom the Strider compiler emits
-(header reads → pointer-chasing loop → cleanse/emit), parses all line
-pointers with one NumPy reinterpret and slices every payload directly from
-the page image — producing byte-identical payloads and the exact
-:class:`StriderStats` the interpreter would have recorded, at a fraction of
-the cost.  Programs that do not match the idiom (or pages whose headers
-are inconsistent) silently fall back to the interpreter.
+Three execution modes are provided, each the oracle of the one above it.
+The **instruction interpreter** (:meth:`Strider.process_page`) executes the
+program word by word.  The **bulk page walk**
+(:meth:`Strider.process_page_bulk`) recognises the canonical page-walk
+idiom the Strider compiler emits (header reads → pointer-chasing loop →
+cleanse/emit), parses all line pointers with one NumPy reinterpret and
+slices every payload directly from the page image — producing
+byte-identical payloads and the exact :class:`StriderStats` the interpreter
+would have recorded; programs that do not match the idiom (or pages whose
+headers are inconsistent) silently fall back to the interpreter.  The
+**wave walk** (:meth:`Strider.walk_wave`) is what the access engine runs:
+the bulk walk over a whole wave of page buffers at once — the paper's
+parallel Striders — with the same checks vectorised; a page it cannot
+prove is left to the bulk walk alone.  All three book one cost model,
+:meth:`Strider.walk_cost`.
 """
 
 from __future__ import annotations
@@ -305,7 +310,7 @@ class Strider:
         lengths = pointers[:, 1].astype(np.int64)
         if bool((offsets + lengths > page_len).any()):
             return None
-        result = StriderResult(stats=self.walk_cost(lengths))
+        result = StriderResult(stats=self.walk_cost(lengths[None, :])[0])
         if t.emits:
             strip = t.strip_bytes
             result.payloads = [
@@ -314,43 +319,141 @@ class Strider:
             ]
         return result
 
-    def walk_cost(self, lengths: np.ndarray) -> StriderStats:
-        """What walking a page of tuples with these on-page ``lengths`` books.
+    def walk_wave(
+        self, pages: np.ndarray, payload_bytes: int
+    ) -> tuple[np.ndarray, list[StriderStats | None]]:
+        """Walk a wave of page buffers at once: the bulk walk over many pages.
+
+        ``pages`` is a ``(pages, page_size)`` ``uint8`` view of the wave's
+        page images.  Every ``free_start`` and line-pointer array is read
+        with array operations, pages are grouped by tuple count, and the
+        checks of :meth:`process_page_bulk` run vectorised — plus one it
+        leaves to the decoder: every payload is ``payload_bytes`` wide.
+        A group whose tuples are packed back-to-back in descending slot
+        order (what ``HeapPage.extend`` writes) is lifted with one strided
+        slice, any other with one gather.
+
+        Returns the proven pages' cleansed payloads, page then slot order,
+        as one ``(tuples, payload_bytes)`` ``uint8`` matrix — byte for byte
+        the FIFO :meth:`process_page_bulk` would have filled — and each
+        page's counters, ``None`` where a check rejected the page: that
+        page must be walked alone, so every error and every odd-header
+        behaviour stays :meth:`process_page_bulk`'s.
+        """
+        n_pages, page_len = pages.shape
+        stats: list[StriderStats | None] = [None] * n_pages
+        payloads = np.empty((0, payload_bytes), dtype=np.uint8)
+        t = self._page_walk
+        if t is None or not t.emits or t.free_start_width > 7:
+            return payloads, stats  # nothing to prove: every page is walked alone
+        fs_end = t.free_start_offset + t.free_start_width
+        if fs_end > page_len or t.line_pointer_start >= page_len:
+            return payloads, stats
+        little_endian = 1 << 8 * np.arange(t.free_start_width, dtype=np.int64)
+        free_start = pages[:, t.free_start_offset : fs_end].astype(np.int64) @ little_endian
+        span = free_start - t.line_pointer_start
+        proven = (span > 0) & (span % t.line_pointer_size == 0) & (free_start <= page_len)
+        counts = np.where(proven, span // t.line_pointer_size, 0)
+        width = t.strip_bytes + payload_bytes
+        groups: list[tuple[np.ndarray, np.ndarray]] = []
+        for count in np.unique(counts[proven]).tolist():
+            index = np.flatnonzero(counts == count)
+            pointers_end = t.line_pointer_start + count * t.line_pointer_size
+            pointers = pages[index, t.line_pointer_start : pointers_end]
+            pointers = pointers.view("<u2").reshape(len(index), count, 2).astype(np.int64)
+            offsets, lengths = pointers[..., 0], pointers[..., 1]
+            fits = ((offsets + lengths <= page_len) & (lengths == width)).all(axis=1)
+            proven[index[~fits]] = False
+            if fits.any():
+                groups.append((index[fits], offsets[fits]))
+        counts[~proven] = 0
+        for page, cost in zip(
+            np.flatnonzero(proven).tolist(), self.walk_cost(width, counts[proven])
+        ):
+            stats[page] = cost
+        ends = np.cumsum(counts)
+        payloads = np.empty((int(ends[-1]), payload_bytes), dtype=np.uint8)
+        for index, offsets in groups:
+            count = offsets.shape[1]
+            first, last = int(index[0]), int(index[-1])
+            # consecutive pages (the usual group) move through views: one copy
+            run = last - first == len(index) - 1
+            top = int(offsets[0, 0]) + width
+            if (offsets == top - width * np.arange(1, count + 1)).all():
+                block = pages[first : last + 1] if run else pages[index]
+                lifted = block[:, top - count * width : top].reshape(
+                    len(index), count, width
+                )[:, ::-1, t.strip_bytes :]
+            else:
+                lifted = pages[
+                    index[:, None, None],
+                    offsets[:, :, None] + np.arange(t.strip_bytes, width),
+                ]
+            if run:
+                into = payloads[ends[first] - count : ends[last]]
+                into.reshape(len(index), count, payload_bytes)[...] = lifted
+            else:
+                rows = (ends[index] - count)[:, None] + np.arange(count)
+                payloads[rows.ravel()] = lifted.reshape(-1, payload_bytes)
+        return payloads, stats
+
+    def walk_cost(
+        self, lengths: np.ndarray | int, counts: np.ndarray | None = None
+    ) -> list[StriderStats]:
+        """What walking pages of tuples with these on-page lengths books, per page.
 
         The one statement of the page-walk model: the counters the
         interpreter (:meth:`process_page`) records for the compiled idiom,
-        in closed form.  The bulk walk books it for the lengths it parsed;
-        the access engine's partition cost prices a page from its tuple
-        count.  Per loop pass: READB pointer, EXTRB, EXTRB, READB tuple,
-        CLN, AD, BEXIT.  (Only the compiled idiom has this closed form.)
+        in closed form.  ``lengths`` is a ``(pages, tuples)`` array of the
+        lengths a walk parsed — or, with ``counts``, the one length every
+        tuple has and the per-page tuple counts, which is what the wave
+        walk has proven and what the access engine's partition cost knows
+        from the schema.  Per loop pass: READB pointer, EXTRB, EXTRB, READB
+        tuple, CLN, AD, BEXIT.  (Only the compiled idiom has this closed
+        form.)
         """
         t = self._page_walk
         lengths = np.asarray(lengths, dtype=np.int64)
-        count = len(lengths)
+        uniform = counts is not None
+        counts = (
+            np.asarray(counts, dtype=np.int64)
+            if uniform
+            else np.full(lengths.shape[0], lengths.shape[1], dtype=np.int64)
+        )
+
+        def per_page(per_tuple: np.ndarray) -> np.ndarray:
+            return counts * per_tuple if uniform else per_tuple.sum(axis=1)
+
         payload_lengths = np.maximum(lengths - t.strip_bytes, 0)
         rw = self.read_width_bytes
         header_cycles = sum(max(1, -(-width // rw)) for _o, width in t.header_reads)
         pointer_words = max(1, -(-t.line_pointer_size // rw))
-        tuple_words = np.maximum(1, -(-lengths // rw))
-        cleanse_words = np.maximum(1, -(-payload_lengths // rw))
-        return StriderStats(
-            instructions_executed=6 + 7 * count,
-            cycles=(
-                header_cycles
-                + 2  # cursor init AD + BENTR
-                + count * (pointer_words + 4)  # two EXTRBs, AD, BEXIT per pass
-                + int(tuple_words.sum())
-                + int(cleanse_words.sum())
-            ),
-            bytes_read=(
-                sum(width for _offset, width in t.header_reads)
-                + count * t.line_pointer_size
-                + int(lengths.sum())
-            ),
-            bytes_emitted=int(payload_lengths.sum()) if t.emits else 0,
-            tuples_emitted=count if t.emits else 0,
-            loop_iterations=count - 1,
+        cycles = (
+            header_cycles
+            + 2  # cursor init AD + BENTR
+            + counts * (pointer_words + 4)  # two EXTRBs, AD, BEXIT per pass
+            + per_page(np.maximum(1, -(-lengths // rw)))  # READB tuple
+            + per_page(np.maximum(1, -(-payload_lengths // rw)))  # CLN
         )
+        bytes_read = (
+            sum(width for _offset, width in t.header_reads)
+            + counts * t.line_pointer_size
+            + per_page(lengths)
+        )
+        emitted = per_page(payload_lengths) if t.emits else np.zeros_like(counts)
+        return [
+            StriderStats(
+                instructions_executed=6 + 7 * count,
+                cycles=page_cycles,
+                bytes_read=page_bytes,
+                bytes_emitted=page_emitted,
+                tuples_emitted=count if t.emits else 0,
+                loop_iterations=count - 1,
+            )
+            for count, page_cycles, page_bytes, page_emitted in zip(
+                counts.tolist(), cycles.tolist(), bytes_read.tolist(), emitted.tolist()
+            )
+        ]
 
     # ------------------------------------------------------------------ #
     # instruction execution

@@ -3,11 +3,12 @@
 The paper's accelerator is a pipeline: Striders fill page buffers and emit
 cleansed tuples *while* the execution engine consumes earlier ones.  A
 :class:`BatchSource` reproduces that overlap in software.  A producer
-thread walks the access engine's page stream (bulk Strider walk + one-shot
-payload decode) and pushes per-page tuple chunks into a bounded queue — the
-software double buffer — while the consumer (the epoch loop) assembles
+thread walks the access engine's page stream (Strider wave walk + one-shot
+payload decode) and pushes one chunk per *wave* of page buffers — the
+wave's tuple matrix with its per-page tuple counts — into a bounded queue,
+the software double buffer, while the consumer (the epoch loop) cuts
 exactly the merge batches the materialized path would have sliced from the
-fully-extracted matrix.
+fully-extracted matrix out of those matrices.
 
 Two invariants make streaming safe to use on the default path:
 
@@ -25,15 +26,18 @@ degenerate, already-extracted case (overlap off), so every trainer and
 scorer consumes this one interface whatever the extraction seam
 (:meth:`repro.hw.access_engine.AccessEngine.open`, the only place that
 constructs a live source) decided.  :attr:`BatchSource.sizes` keeps the
-per-chunk (per-page) tuple counts scan-and-score reassembles by.
+per-page tuple counts scan-and-score reassembles by, whatever the chunking.
 
 A transient producer fault restarts the producer under the source's
 :class:`~repro.reliability.RetryPolicy`: attempts, backoff and the retry
 deadline are the policy's own bookkeeping
 (:meth:`~repro.reliability.RetryPolicy.budget`, shared with
 :meth:`~repro.reliability.RetryPolicy.run`), the chunk stream is rebuilt
-from the source's ``chunk_factory`` and fast-forwarded past the chunks the
-consumer already cached.
+from the source's ``chunk_factory`` and fast-forwarded past the pages the
+consumer already cached.  The producer's fault site fires once per *page*
+a chunk carries, before the hand-off; a fault at a page inside a chunk
+still delivers the pages before it, so fault numbering and what a faulted
+consumer had seen are those of a page-at-a-time stream.
 """
 
 from __future__ import annotations
@@ -50,13 +54,17 @@ from repro.obs.telemetry import telemetry
 from repro.reliability.faults import fault_point
 from repro.reliability.retry import RetryPolicy, RetryStats
 
+#: a stream element: one wave's ``(tuple matrix, per-page tuple counts)`` as
+#: the extraction seam yields it, or a bare matrix (a single page's worth).
+Chunk = np.ndarray | tuple[np.ndarray, Sequence[int]]
+
 #: queue sentinel: the producer is done.
 _DONE = object()
 
 #: default queue depth — one chunk being consumed, one being produced.
 DEFAULT_QUEUE_DEPTH = 2
 
-#: fault-injection site fired once per chunk the producer delivers.
+#: fault-injection site fired once per page the producer delivers.
 PRODUCER_FAULT_SITE = "runtime.batch_source.producer"
 
 #: buffered queue-wait observations are flushed to the shared histogram in
@@ -77,17 +85,17 @@ class BatchSource:
 
     def __init__(
         self,
-        chunks: Iterable[np.ndarray],
+        chunks: Iterable[Chunk],
         n_columns: int,
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
         start: bool = True,
-        chunk_factory: Callable[[], Iterable[np.ndarray]] | None = None,
+        chunk_factory: Callable[[], Iterable[Chunk]] | None = None,
         retry: RetryPolicy | None = None,
     ) -> None:
         """Wrap a chunk stream in the bounded producer/consumer buffer.
 
         Args:
-            chunks: the chunk stream the producer thread walks.
+            chunks: the :data:`Chunk` stream the producer thread walks.
             n_columns: columns of every chunk (for the empty-stream case).
             queue_depth: bounded queue capacity (the double buffer).
             start: spawn the producer thread (default; the pre-extracted
@@ -113,15 +121,15 @@ class BatchSource:
             if retry is not None and chunk_factory is not None
             else None
         )
-        #: chunks the next producer run discards before delivering (the
+        #: pages the next producer run discards before delivering (the
         #: consumer already holds them in the cache).
         self._skip = 0
         #: chunks pulled off the queue so far, in stream order.  Batch
         #: iteration reads from this cache first, so the stream can be
         #: re-walked (later epochs, tail batches) without re-extraction.
         self._cache: list[np.ndarray] = []
-        #: tuple count of every chunk pulled so far, in stream order — one
-        #: entry per page of the walk.  Recorded on the consumer side, so a
+        #: tuple count of every page pulled so far, in stream order (a
+        #: chunk carries one per page).  Recorded on the consumer side, so a
         #: producer restart (which replays the cache) never re-counts;
         #: complete once the stream is drained.
         self.sizes: list[int] = []
@@ -149,19 +157,24 @@ class BatchSource:
     # construction helpers
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_chunks(cls, chunks: Sequence[np.ndarray], n_columns: int) -> "BatchSource":
-        """A pre-extracted source over per-page chunks (overlap off).
+    def from_chunks(cls, chunks: Sequence[Chunk], n_columns: int) -> "BatchSource":
+        """A pre-extracted source over a finished chunk stream (overlap off).
 
         The materialised twin of a live stream: same :meth:`batches`,
         :meth:`rows` and :attr:`sizes`, no producer thread.
         """
-        if len(chunks) == 1:
-            rows = chunks[0]  # no copy: from_rows wraps the caller's matrix
+        items = [_as_item(chunk) for chunk in chunks]
+        if len(items) == 1:
+            rows = items[0][0]  # no copy: from_rows wraps the caller's matrix
         else:
-            rows = np.vstack(chunks) if len(chunks) else np.empty((0, n_columns))
+            rows = (
+                np.vstack([rows for rows, _sizes in items])
+                if items
+                else np.empty((0, n_columns))
+            )
         source = cls(iter(()), n_columns=n_columns, start=False)
         source._cache = [rows]
-        source.sizes = [len(chunk) for chunk in chunks]
+        source.sizes = [size for _rows, sizes in items for size in sizes]
         source._exhausted = True
         source._rows = rows
         return source
@@ -201,21 +214,27 @@ class BatchSource:
                 skip = self._skip
                 self._skip = 0
                 for chunk in self._chunk_iter:
-                    if skip:
+                    rows, sizes = _as_item(chunk)
+                    if skip >= len(sizes):
                         # Replay after a restart: the consumer already holds
-                        # this chunk in its cache; re-walk it silently so the
-                        # upstream counters match the fault-free run.
-                        skip -= 1
+                        # these pages in its cache; re-walk them silently so
+                        # the upstream counters match the fault-free run.
+                        skip -= len(sizes)
                         continue
-                    fault_point(PRODUCER_FAULT_SITE)
-                    obs = telemetry()
-                    if obs is not None:
-                        start = time.perf_counter()
-                        delivered = self._put(chunk)
-                        self._note_wait(obs, 1, time.perf_counter() - start)
-                    else:
-                        delivered = self._put(chunk)
-                    if not delivered:
+                    if skip:
+                        rows, sizes = rows[sum(sizes[:skip]) :], sizes[skip:]
+                        skip = 0
+                    try:
+                        for clean, _page in enumerate(sizes):
+                            fault_point(PRODUCER_FAULT_SITE)
+                    except TransientError:
+                        # The site fires per page: the pages before the
+                        # faulted one still cross the buffer, exactly as
+                        # when pages were handed over one by one.
+                        if clean:
+                            self._deliver(rows[: sum(sizes[:clean])], sizes[:clean])
+                        raise
+                    if not self._deliver(rows, sizes):
                         return
             finally:
                 self._flush_waits(1)
@@ -223,6 +242,16 @@ class BatchSource:
             self._put(_ProducerError(error))
             return
         self._put(_DONE)
+
+    def _deliver(self, rows: np.ndarray, sizes: Sequence[int]) -> bool:
+        """Hand one item to the consumer; False once the source was aborted."""
+        obs = telemetry()
+        if obs is None:
+            return self._put((rows, sizes))
+        start = time.perf_counter()
+        delivered = self._put((rows, sizes))
+        self._note_wait(obs, 1, time.perf_counter() - start)
+        return delivered
 
     def _join_producer(self, drain: bool = False) -> None:
         """Join the producer thread so no error path leaks it.
@@ -251,7 +280,7 @@ class BatchSource:
         retry deadline run out, exactly like
         :meth:`~repro.reliability.RetryPolicy.run`.  Then a fresh chunk
         stream is built from the factory (which resets upstream counters),
-        fast-forwarded past the chunks the cache already holds, and a new
+        fast-forwarded past the pages the cache already holds, and a new
         producer thread resumes delivery — so the chunk sequence and
         upstream counters the consumer observes are bit-identical to a
         fault-free run.
@@ -264,7 +293,7 @@ class BatchSource:
             self._error = exhausted
             raise
         self._chunk_iter = iter(self._chunk_factory())
-        self._skip = len(self._cache)
+        self._skip = len(self.sizes)
         self._spawn()
 
     def _note_wait(self, obs, side: int, seconds: float) -> None:
@@ -371,8 +400,9 @@ class BatchSource:
                 self._error = item.error
                 self._join_producer()
                 raise item.error
-            self._cache.append(item)
-            self.sizes.append(len(item))
+            rows, sizes = item
+            self._cache.append(rows)
+            self.sizes.extend(sizes)
         return self._cache[index]
 
     def _get(self):
@@ -395,7 +425,7 @@ class BatchSource:
         """True once the stream is known to contain at least one tuple.
 
         Blocks only until the first non-empty chunk (usually the first
-        decoded page) or the end of an empty stream — the cheap peek the
+        decoded wave) or the end of an empty stream — the cheap peek the
         sharded runtime uses to pick its active segments without
         materializing whole partitions.
         """
@@ -412,7 +442,7 @@ class BatchSource:
         """Yield consecutive ``batch_size``-row batches (tail may be short).
 
         Boundaries are identical to slicing the materialized matrix, even
-        when batches span page chunks.  The iterator is restartable: chunks
+        when batches span chunks.  The iterator is restartable: chunks
         already consumed are served from the cache.
         """
         if batch_size < 1:
@@ -450,6 +480,11 @@ class BatchSource:
             # iteration keeps working off the single remaining chunk.
             self._cache = [self._rows]
         return self._rows
+
+
+def _as_item(chunk: Chunk) -> tuple[np.ndarray, Sequence[int]]:
+    """A stream element as ``(tuple matrix, per-page tuple counts)``."""
+    return chunk if isinstance(chunk, tuple) else (chunk, (len(chunk),))
 
 
 def _take(pending: list[np.ndarray], count: int) -> np.ndarray:

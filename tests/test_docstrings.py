@@ -42,6 +42,18 @@ def test_runtime_pipeline_layer_documented_too():
     assert result.returncode == 0, result.stdout + result.stderr
 
 
+def test_hw_layer_documented_too():
+    # The simulated accelerator is documented surface too (docs/architecture.md).
+    result = subprocess.run(
+        [sys.executable, str(CHECKER), "--packages", "hw"],
+        cwd=REPO_ROOT,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
 def test_cluster_layer_documented_too():
     # The segment fan-out is documented surface too (docs/parallelism.md).
     result = subprocess.run(

@@ -341,13 +341,25 @@ def test_seam_score_cell_equals_materialised_oracle(
         )
 
 
+def _grow_past_one_wave(system):
+    """Live 16-row inserts until ``train`` outgrows one wave of page
+    buffers: full pages, copy-on-write tails and a short last wave."""
+    rows = generate_for_algorithm("linear", 16 * 210, N_FEATURES, seed=6)
+    for start in range(0, len(rows), 16):
+        system.database.insert_rows("train", rows[start : start + 16])
+
+
+@pytest.mark.parametrize("grown", (False, True))
 @pytest.mark.parametrize("filtered", (False, True))
-def test_seam_sources_agree_on_rows_batches_and_page_sizes(filtered):
+def test_seam_sources_agree_on_rows_batches_and_page_sizes(filtered, grown):
     """The 2 x 2 at the seam itself: same tuples, batches and per-page
-    sizes whichever decode and schedule produced them."""
+    sizes whichever decode and schedule produced them — on a table inside
+    one wave of page buffers and on one grown past it."""
     from repro.hw import DAnAAccelerator
 
     system = _system()
+    if grown:
+        _grow_past_one_wave(system)
     table = system.database.table("train")
     predicate = _seam_predicate(system) if filtered else None
     images = [image for _no, image in table.scan_pages(system.database.buffer_pool)]
@@ -359,6 +371,7 @@ def test_seam_sources_agree_on_rows_batches_and_page_sizes(filtered):
             system.fpga,
             predicate=predicate,
         ).access_engine
+        assert (len(images) > access.config.num_striders) is grown
         source = access.open(iter(images), use_striders=use_striders, stream=stream)
         batches = list(source.batches(7))
         assert source.materialised is (not stream)
@@ -366,7 +379,7 @@ def test_seam_sources_agree_on_rows_batches_and_page_sizes(filtered):
         assert (access.stats.pages_processed == len(images)) is use_striders
     want_rows, want_batches, want_sizes = sources[True, False]
     assert len(want_sizes) == len(images) and sum(want_sizes) == len(want_rows)
-    assert (len(want_rows) < 96) is filtered
+    assert (len(want_rows) < table.tuple_count) is filtered
     for rows, batches, sizes in sources.values():
         np.testing.assert_array_equal(rows, want_rows)
         assert sizes == want_sizes
@@ -467,6 +480,41 @@ def test_each_stage_cost_is_stated_once_and_booked_once_per_epoch():
         TreeBus.merge_cost,
     ):
         assert callable(cost_function)
+
+
+def test_a_mixed_count_partition_is_priced_as_it_is_booked():
+    """``partition_cost`` hands ``Strider.walk_cost`` the count vector once;
+    the executed wave walk books the same ledger wave for wave, whichever
+    page of a wave is its critical one."""
+    from repro.hw import DAnAAccelerator
+    from repro.perf.plan_cost import page_tuple_counts
+
+    system = _system()
+    _grow_past_one_wave(system)
+    table = system.database.table("train")
+    images = [image for _no, image in table.scan_pages(system.database.buffer_pool)]
+    counts = page_tuple_counts(
+        range(len(images)),
+        table.tuple_count,
+        system.database.layout.tuples_per_page(table.schema),
+    )
+    assert len(set(counts)) == 2 and sum(counts) == table.tuple_count
+    orders = (
+        range(len(images)),  # the short tail closes the last wave
+        range(len(images) - 1, -1, -1),  # ... opens the first
+        [*range(1, len(images), 2), *range(0, len(images), 2)],  # ... sits mid-wave
+    )
+    booked = []
+    for order in orders:
+        access = DAnAAccelerator(
+            system.compile_udf("linear", "train"), table.schema, system.fpga
+        ).access_engine
+        source = access.open([images[no] for no in order], stream=False)
+        assert source.sizes == [counts[no] for no in order]
+        assert access.partition_cost(source.sizes) == access.stats
+        booked.append(access.stats)
+    assert booked[0].strider_cycles_total == booked[1].strider_cycles_total
+    assert booked[0].access_cycles > 0
 
 
 # ---------------------------------------------------------------------- #

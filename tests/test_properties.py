@@ -229,7 +229,11 @@ class TestCycleLedgerProperties:
         strider = Strider(compile_strider(layout, schema).program, read_width_bytes=read_width)
         interpreted = strider.process_page(page.to_bytes())
         assert len(interpreted.payloads) == count
-        assert strider.walk_cost(np.full(count, tuple_size(schema))) == interpreted.stats
+        # both spellings of a page: the lengths a walk parsed, and the one
+        # length every tuple has with the per-page counts (a wave / EXPLAIN)
+        width = tuple_size(schema)
+        assert strider.walk_cost(np.full((2, count), width)) == [interpreted.stats] * 2
+        assert strider.walk_cost(width, [count, 1])[0] == interpreted.stats
 
 
 class TestSchedulerProperties:
