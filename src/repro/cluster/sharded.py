@@ -34,13 +34,14 @@ lifetime belong to the run's :class:`~repro.cluster.fanout.SegmentFanout`
 The strategies produce identical per-segment counters:
 
 * ``lockstep`` (default for merge-based graphs with 2+ segments) — all
-  segments advance through their batch streams in lock step, and each step
-  is evaluated by **one** segment-axis :class:`CompiledTape` run over a
-  ``(B, S, ...)`` block.  This amortises the Python-side per-batch cost
-  over the segment axis, so sharding speeds the simulation up even on a
-  single core — and the NumPy kernels still release the GIL, so it scales
-  further with real cores.  It is a different algorithm, not a different
-  fan-out, so it keeps its own step;
+  segments advance through their batch streams in lock step, each step one
+  pass of the segment-axis :class:`CompiledTape` over a ``(B, S, ...)``
+  block (the step loop runs inside the tape's generated ``train``).  This
+  amortises the Python-side per-batch cost over the segment axis, so
+  sharding speeds the simulation up even on a single core — and the NumPy
+  kernels still release the GIL, so it scales further with real cores.  It
+  is a different algorithm, not a different fan-out, so it keeps its own
+  step;
 * ``threads`` — each segment trains its window independently on a fan-out
   thread (NumPy kernels drop the GIL).  This is the only strategy for
   row-addressed graphs (LRMF gathers cannot carry a segment axis) and the
@@ -53,7 +54,7 @@ The strategies produce identical per-segment counters:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
@@ -458,7 +459,7 @@ class _LockstepStep(EpochStep):
         #: cached (epoch_rows, steps, block) of the static shuffle=False
         #: epoch — stacked once, reused every epoch (satellite: no
         #: re-trimming / re-stacking of identical blocks).
-        self._static_plan: tuple[list[np.ndarray], int, np.ndarray | None] | None = None
+        self._static_plan: tuple[list[np.ndarray], int, np.ndarray] | None = None
 
     @property
     def active(self) -> bool:
@@ -497,7 +498,7 @@ class _LockstepStep(EpochStep):
         if self.retry is None:
             return self._run_epoch_attempt(state, epoch_index, check_convergence)
         # Checkpoint everything one lock-step epoch mutates: the stacked
-        # model block (the tape updates it in place) and every worker's
+        # model block (tail batches write into it in place) and every worker's
         # counters + RNG stream — so a retried epoch replays bit-identically.
         snapshot = {name: np.array(value) for name, value in state.items()}
         worker_states = [w.checkpoint() for w in self.workers]
@@ -526,7 +527,6 @@ class _LockstepStep(EpochStep):
             return state, False
         stacked_models = state
         tape, bind_batch, batch_size = self.tape, self.bind_batch, self.batch_size
-        env = None
         if (
             epoch_index == 0
             and not self.shuffle
@@ -535,27 +535,23 @@ class _LockstepStep(EpochStep):
             # Pipelined first epoch: zip the per-segment batch streams.
             # Vector step k runs as soon as every segment's k-th full batch
             # has decoded; the producers keep walking later pages meanwhile.
-            steps, env = self._run_streamed_steps(stacked_models)
+            env = tape.train(self._streamed_steps(), bind_batch, stacked_models)
             epoch_rows = [w.epoch_rows(False) for w in workers]  # drains tails
+            steps = min(len(rows) // batch_size for rows in epoch_rows)
         else:
             if self._static_plan is not None:
                 epoch_rows, steps, block = self._static_plan
             else:
                 epoch_rows = [w.epoch_rows(self.shuffle) for w in workers]
                 steps = min(len(rows) // batch_size for rows in epoch_rows)
-                block = (
-                    np.stack(
-                        [rows[: steps * batch_size] for rows in epoch_rows], axis=1
-                    )
-                    if steps
-                    else None
+                # (steps, B, S, cols): iterating it yields the vector steps
+                block = np.stack(
+                    [rows[: steps * batch_size] for rows in epoch_rows], axis=1
                 )
+                block = block.reshape((steps, batch_size) + block.shape[1:])
                 if not self.shuffle:
                     self._static_plan = (epoch_rows, steps, block)
-            for k in range(steps):
-                chunk = block[k * batch_size : (k + 1) * batch_size]
-                env = tape.run(bind_batch(chunk), stacked_models)
-                tape.apply_updates(env, stacked_models)
+            env = tape.train(block, bind_batch, stacked_models)
         # Per-segment convergence verdicts from the last vector step;
         # segments with tail batches get their verdict overwritten below
         # from their true final batch — exactly what the threads oracle
@@ -573,11 +569,9 @@ class _LockstepStep(EpochStep):
             rows = epoch_rows[s]
             seg_tape = w.engine.tape
             seg_models = {name: stacked_models[name][s] for name in stacked_models}
-            tail_env = None
-            for start in range(steps * batch_size, len(rows), batch_size):
-                batch = rows[start : start + batch_size]
-                tail_env = seg_tape.run(bind_batch(batch), seg_models)
-                seg_tape.apply_updates(tail_env, seg_models)
+            tail_env = seg_tape.train(
+                w.engine.iter_batches(rows[steps * batch_size :]), bind_batch, seg_models
+            )
             if tail_env is not None:
                 for name in stacked_models:
                     stacked_models[name][s] = seg_models[name]
@@ -589,8 +583,8 @@ class _LockstepStep(EpochStep):
         converged = check_convergence and bool(flags.all())
         return stacked_models, converged
 
-    def _run_streamed_steps(self, stacked_models) -> tuple[int, list | None]:
-        """Vector steps over zipped per-segment streams; returns (steps, env).
+    def _streamed_steps(self) -> Iterator[np.ndarray]:
+        """The ``(B, S, cols)`` vector steps of the zipped per-segment streams.
 
         Stops at the first round where any segment cannot produce a full
         batch — exactly ``min(len(rows_s) // batch_size)`` rounds, the same
@@ -598,23 +592,13 @@ class _LockstepStep(EpochStep):
         point stay available (the sources cache their chunks), so the tail
         loop consumes them from ``rows[steps * batch_size:]`` as usual.
         """
-        tape, bind_batch, batch_size = self.tape, self.bind_batch, self.batch_size
+        batch_size = self.batch_size
         iters = [w.source.batches(batch_size) for w in self.workers]
-        steps = 0
-        env = None
         while True:
             round_batches = []
-            complete = True
             for it in iters:
                 batch = next(it, None)
                 if batch is None or len(batch) < batch_size:
-                    complete = False
-                    break
+                    return
                 round_batches.append(batch)
-            if not complete:
-                break
-            chunk = np.stack(round_batches, axis=1)
-            env = tape.run(bind_batch(chunk), stacked_models)
-            tape.apply_updates(env, stacked_models)
-            steps += 1
-        return steps, env
+            yield np.stack(round_batches, axis=1)

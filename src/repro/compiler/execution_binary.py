@@ -15,7 +15,7 @@ from repro.compiler.hardware_generator import AcceleratorDesign, HardwareGenerat
 from repro.compiler.scheduler import Scheduler, ThreadSchedule
 from repro.compiler.strider_compiler import StriderCompilationResult
 from repro.translator.hdfg import HDFG, NodeKind
-from repro.translator.tape import CompiledTape, TapeCompilationError
+from repro.translator.tape import CompiledTape
 from repro.translator.translate import translate
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -137,18 +137,26 @@ class ExecutionBinary:
         return self.thread_schedule.program.instruction_footprint()
 
     @cached_property
+    def tape(self) -> CompiledTape | None:
+        """The single-engine batched tape, or ``None`` when the graph does
+        not lower (such graphs train through the per-tuple evaluator).
+
+        Compiled on first use and kept with the binary: a tape is immutable
+        once compiled, so every accelerator built from this binary — one per
+        segment of every sharded statement — shares it.
+        """
+        return CompiledTape.try_lower(self.graph)
+
+    @cached_property
     def segment_tape(self) -> CompiledTape | None:
         """The segment-axis tape lock-step sharded runs execute, or ``None``.
 
-        Compiled on first use and kept with the binary (a tape is immutable
-        once compiled, so every run — and the planner deciding whether a
-        run *can* go lock-step — shares it).  ``None`` when the graph's
-        lowering cannot carry a segment axis; such graphs train per segment.
+        Compiled on first use and kept with the binary like :attr:`tape`
+        (the planner deciding whether a run *can* go lock-step shares it
+        too).  ``None`` when the graph's lowering cannot carry a segment
+        axis; such graphs train per segment.
         """
-        try:
-            return CompiledTape(self.graph, segment_axis=True)
-        except TapeCompilationError:
-            return None
+        return CompiledTape.try_lower(self.graph, segment_axis=True)
 
     def describe(self) -> dict[str, Any]:
         return {

@@ -82,6 +82,7 @@ class DAnAAccelerator:
             schedule=self.binary.thread_schedule,
             threads=design.threads,
             tree_bus=TreeBus(alu_count=design.aus_per_cluster),
+            tape=self.binary.tape,
         )
 
     # ------------------------------------------------------------------ #

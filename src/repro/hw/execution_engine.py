@@ -7,10 +7,11 @@ applies the post-merge computation (optimizer step) once per batch.
 Three execution paths are provided:
 
 * **batched tape path** — the default fast path: the hDFG is compiled once
-  into a :class:`~repro.translator.tape.CompiledTape` of NumPy kernels and
+  into a :class:`~repro.translator.tape.CompiledTape` — one generated
+  function of NumPy kernels with the epoch's batch loop inside it — and
   every merge batch is evaluated in one shot, with the tree-bus merge as a
-  single reduction over the batch axis (no per-tuple Python in the epoch
-  loop);
+  single reduction over the batch axis (no per-tuple Python, and no
+  per-batch dispatch, in the epoch loop);
 * **per-tuple functional path** — per-tuple evaluation of the hDFG with
   :class:`~repro.translator.evaluator.HDFGEvaluator`, kept as the
   correctness oracle for the tape and used when no batch binder is
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -50,7 +51,7 @@ from repro.isa.engine_isa import SourceKind
 from repro.runtime import BatchSource, EpochDriver, EpochStep
 from repro.translator.evaluator import HDFGEvaluator
 from repro.translator.hdfg import HDFG, NodeKind, Region
-from repro.translator.tape import BatchBinder, CompiledTape, TapeCompilationError
+from repro.translator.tape import BatchBinder, CompiledTape
 from repro.compiler.scheduler import ThreadSchedule, node_ref
 
 TupleBinder = Callable[[np.ndarray], dict[str, np.ndarray | float]]
@@ -98,6 +99,7 @@ class ExecutionEngine:
         schedule: ThreadSchedule,
         threads: int,
         tree_bus: TreeBus | None = None,
+        tape: CompiledTape | None = None,
     ) -> None:
         if threads < 1:
             raise ExecutionEngineError("the execution engine needs at least one thread")
@@ -151,12 +153,10 @@ class ExecutionEngine:
         self._update_rule_cycles = self.schedule.update_rule_cycles
         self._post_merge_cycles = self.schedule.post_merge_cycles
         self._convergence_cycles = self.schedule.convergence_cycles
-        # Compile the batched tape once; graphs the tape cannot lower
-        # faithfully keep the per-tuple evaluator as their only fast path.
-        try:
-            self.tape: CompiledTape | None = CompiledTape(graph)
-        except TapeCompilationError:
-            self.tape = None
+        # The binary compiles the tape once per UDF and hands it to every
+        # engine; a bare engine lowers the graph itself.  Graphs the tape
+        # cannot lower keep the per-tuple evaluator as their only path.
+        self.tape = tape if tape is not None else CompiledTape.try_lower(graph)
 
     # ------------------------------------------------------------------ #
     # fast functional path
@@ -302,13 +302,16 @@ class ExecutionEngine:
         bind_batch: BatchBinder,
     ) -> list | None:
         """One epoch on the batched tape; accounting matches the tuple path."""
-        env: list | None = None
-        tape = self.tape
         n_tuples = 0
-        for batch in batches:
-            env = tape.run(bind_batch(batch), models)
-            tape.apply_updates(env, models)
-            n_tuples += len(batch)
+
+        def counted() -> Iterator[np.ndarray]:
+            # a streamed first epoch only knows its tuple count at the end
+            nonlocal n_tuples
+            for batch in batches:
+                n_tuples += len(batch)
+                yield batch
+
+        env = self.tape.train(counted(), bind_batch, models)
         self.book_epoch(n_tuples)
         return env
 

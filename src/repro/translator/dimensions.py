@@ -23,6 +23,7 @@ Dims = tuple[int, ...]
 
 
 def element_count(dims: Dims) -> int:
+    """Number of scalar elements in a value of dimensions ``dims`` (1 for a scalar)."""
     count = 1
     for d in dims:
         count *= d

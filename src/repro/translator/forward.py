@@ -45,6 +45,7 @@ class ForwardGraph:
 
     @property
     def score_dims(self) -> tuple[int, ...]:
+        """Logical dimensions of one tuple's prediction (``()`` for a scalar score)."""
         return self.graph.node(self.score_node_id).dims
 
 

@@ -76,6 +76,7 @@ class HDFGNode:
 
     @property
     def is_leaf(self) -> bool:
+        """True for variable and constant nodes: bound, never computed."""
         return self.kind in (NodeKind.VARIABLE, NodeKind.CONSTANT)
 
     def sub_node_count(self, input_dims: list[tuple[int, ...]]) -> int:
@@ -153,6 +154,12 @@ class HDFG:
     # construction
     # ------------------------------------------------------------------ #
     def add_node(self, node: HDFGNode) -> HDFGNode:
+        """Append ``node``; its inputs must already be in the graph, which
+        keeps construction order a topological order.
+
+        Raises:
+            TranslationError: duplicate node id, or an unknown input id.
+        """
         if node.node_id in self._nodes:
             raise TranslationError(f"duplicate node id {node.node_id}")
         for dep in node.inputs:
@@ -168,12 +175,14 @@ class HDFG:
     # accessors
     # ------------------------------------------------------------------ #
     def node(self, node_id: int) -> HDFGNode:
+        """The node with id ``node_id`` (:class:`TranslationError` if absent)."""
         try:
             return self._nodes[node_id]
         except KeyError:
             raise TranslationError(f"no node with id {node_id}") from None
 
     def nodes(self) -> list[HDFGNode]:
+        """Every node, in construction (= dependency) order."""
         return [self._nodes[i] for i in self._order]
 
     def __len__(self) -> int:
@@ -183,6 +192,7 @@ class HDFG:
         return iter(self.nodes())
 
     def input_dims_of(self, node: HDFGNode) -> list[tuple[int, ...]]:
+        """Dimensions of ``node``'s inputs, in input order."""
         return [self.node(i).dims for i in node.inputs]
 
     def compute_nodes(self, regions: Iterable[Region] | None = None) -> list[HDFGNode]:
@@ -198,6 +208,7 @@ class HDFG:
         return selected
 
     def consumers(self, node_id: int) -> list[HDFGNode]:
+        """The nodes that read ``node_id``'s value, in dependency order."""
         return [n for n in self.nodes() if node_id in n.inputs]
 
     # ------------------------------------------------------------------ #

@@ -1,43 +1,60 @@
-"""Batched execution tape compiled once from a hierarchical DataFlow Graph.
+"""Batched execution tape: one hDFG lowered once to one generated function.
 
 :class:`~repro.translator.evaluator.HDFGEvaluator` walks the graph once per
 training tuple with a fresh ``dict`` environment — exactly the
-tuple-at-a-time anti-pattern the paper builds DAnA to eliminate.  The
-:class:`CompiledTape` removes that overhead by lowering the hDFG **once**
-into a flat list of NumPy kernel closures:
+tuple-at-a-time anti-pattern the paper builds DAnA to eliminate.  DAnA's
+execution engine runs a *static* schedule (every operand route resolved ahead
+of time, no dispatch at run time); :class:`CompiledTape` is its software
+twin.  It lowers the hDFG **once** into straight-line Python source:
 
 * topological order, operator dispatch, region filtering and broadcast
-  shapes are all resolved at compile time;
-* the environment is a preallocated list indexed by node id instead of a
-  per-tuple dict;
-* every per-tuple value carries a leading **batch axis**, so one
-  :meth:`CompiledTape.run` evaluates the update rule for an entire
-  ``(B, ...)`` batch of tuples in one shot — including batched GATHER
-  (LRMF row addressing via fancy indexing) and the tree-bus merge, which
-  becomes a single ``ufunc.reduce`` over the batch axis.
+  shapes are resolved at compile time — each node is one emitted line over
+  locals (``v6 = multiply(v5[:, None], v2)  # node 6 expr_8 *``), a reducer
+  a direct ``np.add.reduce`` / ``np.multiply.reduce``;
+* every per-tuple value carries a leading **batch axis**, so one pass over
+  the lines evaluates the update rule for an entire ``(B, ...)`` batch —
+  including batched GATHER (LRMF row addressing via fancy indexing) and the
+  tree-bus merge, a single ``ufunc.reduce`` over the batch axis;
+* with ``segment_axis=True`` (lock-step sharding, :mod:`repro.cluster`)
+  model values also carry a **segment axis** ``S``, one replica per
+  accelerator, and per-tuple values are laid out ``(B, S, ...)``: one batch
+  is the same step for every segment, and the batch-axis merge leaves one
+  merged value per segment;
+* the source is ``compile()``-d once and registered with :mod:`linecache`
+  under :attr:`CompiledTape.filename` (``<tape:graph-name[:segment]>``; two
+  graphs of one name share it, the last compiled owns the displayed text),
+  so a NumPy error inside a kernel shows the offending node's line.
 
-A tape can additionally be compiled with ``segment_axis=True`` for the
-sharded execution subsystem (:mod:`repro.cluster`): model values then carry
-a leading **segment axis** ``S`` (one independent model replica per DAnA
-accelerator/segment) and per-tuple values are laid out as ``(B, S, ...)``,
-so one :meth:`run` call executes the same lock-step batch for *every*
-segment at once.  The batch-axis merge still reduces over axis 0 and leaves
-one merged value per segment.  Graphs whose lowering cannot carry the
-extra axis (gathers, outer-product contractions) raise
-:class:`TapeCompilationError` under ``segment_axis=True`` and the cluster
-layer falls back to per-segment execution.
+Two entry points are cut from that one statement list — for plain,
+segment-axis and forward-slice tapes alike.  :meth:`CompiledTape.run`
+evaluates one batch and returns the environment, a list indexed by node id:
+with :meth:`CompiledTape.apply_updates` the per-batch reference, and what
+the scorer calls.  :meth:`CompiledTape.train` runs a whole **stream** of
+merge batches: the ``for batch in batches:`` loop lives inside the generated
+function, each updated model is carried in a local from batch to batch and
+written to ``models`` once, after the last batch, and the env list is built
+once, from the last batch's locals.
+
+Escape rule for a buffer ``train`` reuses across batches: it must be a local
+of one call (tapes are shared across engines; the ``threads`` strategy runs
+one concurrently), must never back a value that escapes (an ``env`` entry, a
+``models[...]`` value) and must not assume the batch shape (a tail batch is
+ragged).  Kernel outputs are fresh arrays (``out=`` scratch measured 0.3 of
+7 us/batch: not worth a second statement list); the one reused buffer is the
+row-addressed (LRMF) model copy, see :meth:`CompiledTape._compile_write_back`.
 
 The tape computes exactly what the per-tuple evaluator computes (the
 microcode path and :class:`HDFGEvaluator` remain the correctness oracles);
-graphs that use constructs the batched lowering cannot prove equivalent
-(non-associative merge operators, outer-product group contractions over
-batched operands) raise :class:`TapeCompilationError` so callers can fall
-back to the per-tuple path.
+constructs the lowering cannot prove equivalent (non-associative merges,
+outer-product contractions over batched operands, gathers or contractions
+under a segment axis) raise :class:`TapeCompilationError`, and callers fall
+back to the per-tuple / per-segment path.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+import linecache
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -45,7 +62,7 @@ from repro.exceptions import TranslationError
 from repro.dsl.operations import Operator
 from repro.translator.hdfg import HDFG, HDFGNode, NodeKind, Region
 
-BatchEnv = list  # preallocated, indexed by node id
+BatchEnv = list  # one slot per node id
 BatchBinder = Callable[[np.ndarray], Mapping[str, "np.ndarray | float"]]
 
 
@@ -53,27 +70,50 @@ class TapeCompilationError(TranslationError):
     """The graph uses a construct the batched tape cannot lower faithfully."""
 
 
+# Operators by the name the generated source calls them under.
 _PRIMARY_UFUNCS = {
-    Operator.ADD: np.add,
-    Operator.SUB: np.subtract,
-    Operator.MUL: np.multiply,
-    Operator.DIV: np.divide,
+    Operator.ADD: "add",
+    Operator.SUB: "subtract",
+    Operator.MUL: "multiply",
+    Operator.DIV: "divide",
 }
-
-_COMPARE_UFUNCS = {
-    Operator.GT: np.greater,
-    Operator.LT: np.less,
-}
-
+_COMPARE_UFUNCS = {Operator.GT: "greater", Operator.LT: "less"}
 # Merging across the batch axis is only order-independent for associative
 # operators; the tree bus merges pairwise, a ufunc reduction sequentially.
-_ASSOCIATIVE_MERGE_UFUNCS = {
-    Operator.ADD: np.add,
-    Operator.MUL: np.multiply,
+_ASSOCIATIVE_MERGE_UFUNCS = {Operator.ADD: "add_reduce", Operator.MUL: "multiply_reduce"}
+
+
+def _missing_binding(batch_values: Mapping, names: tuple[str, ...]) -> Exception:
+    name = next((n for n in names if n not in batch_values), names[0])
+    return TapeCompilationError(f"batch bindings are missing per-tuple variable {name!r}")
+
+
+def _outer_operands(
+    left: np.ndarray, right: np.ndarray, axis0: int, a_rank: int, b_rank: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Align two unbatched operands of an outer-combining contraction: the
+    contracted axis moves last, left free axes lead, right free axes follow."""
+    left = np.moveaxis(left, axis0, -1)
+    right = np.moveaxis(right, axis0, -1)
+    left = left.reshape(left.shape[:-1] + (1,) * b_rank + (left.shape[-1],))
+    return left, right.reshape((1,) * a_rank + right.shape)
+
+
+#: every global the generated source reads; a tape adds its constants and
+#: its model / meta defaults as ``c<id>`` / ``d<id>``.
+_KERNEL_GLOBALS = {
+    "add_reduce": np.add.reduce,
+    "multiply_reduce": np.multiply.reduce,
+    "NO_ROWS": np.empty(0, dtype=np.int64),
+    "missing_binding": _missing_binding,
+    "outer_operands": _outer_operands,
 }
+_NUMPY_NAMES = ("exp", "sqrt", "square", "rint", "asarray", "array", "float64", "int64")
+for _name in (*_PRIMARY_UFUNCS.values(), *_COMPARE_UFUNCS.values(), *_NUMPY_NAMES):
+    _KERNEL_GLOBALS[_name] = getattr(np, _name)
 
 
-def _pad_after_lead(lead: int, pad: int) -> Callable[[np.ndarray], np.ndarray]:
+def _pad_after_lead(ref: str, lead: int, pad: int) -> str:
     """Insert ``pad`` singleton axes right after the ``lead`` structure axes.
 
     An operand stores its logical dims after its structure axes (the batch
@@ -82,116 +122,165 @@ def _pad_after_lead(lead: int, pad: int) -> Callable[[np.ndarray], np.ndarray]:
     structure axes and the logical dims (a plain NumPy broadcast would
     misalign a structure axis with a logical axis).
     """
-
-    def prep(value: np.ndarray) -> np.ndarray:
-        return value.reshape(value.shape[:lead] + (1,) * pad + value.shape[lead:])
-
-    return prep
+    return f"{ref}[{', '.join([':'] * lead + ['None'] * pad)}]"
 
 
-def _reducer(op: Operator, axis: int) -> Callable[[np.ndarray], np.ndarray]:
+def _reducer(op: Operator, axis: int, operand: str) -> str:
     if op is Operator.SIGMA:
-        return lambda v: np.sum(v, axis=axis)
+        return f"add_reduce({operand}, {axis})"
     if op is Operator.PI:
-        return lambda v: np.prod(v, axis=axis)
+        return f"multiply_reduce({operand}, {axis})"
     if op is Operator.NORM:
-        return lambda v: np.sqrt(np.sum(np.square(v), axis=axis))
+        return f"sqrt(add_reduce(square({operand}), {axis}))"
     raise TapeCompilationError(f"{op.value!r} is not a group operation")
 
 
+def _block(lines: Iterable[str], depth: int) -> str:
+    return "".join(f"{'    ' * depth}{line}\n" for line in lines)
+
+
 class CompiledTape:
-    """One hDFG lowered into a flat list of batched NumPy kernels."""
+    """One hDFG lowered into one generated function of batched NumPy kernels."""
 
     def __init__(self, graph: HDFG, segment_axis: bool = False) -> None:
         self.graph = graph
         self.segment_axis = segment_axis
-        self._slots = (max(n.node_id for n in graph.nodes()) + 1) if len(graph) else 0
+        #: pseudo-filename the generated source is compiled and cached under.
+        self.filename = f"<tape:{graph.name}{':segment' if segment_axis else ''}>"
+        slots = (max(n.node_id for n in graph.nodes()) + 1) if len(graph) else 0
         #: per-node flag: does the value carry a leading batch axis?
-        self._batched: list[bool] = [False] * self._slots
+        self._batched: list[bool] = [False] * slots
         #: per-node flag (segment mode only): does the value carry a segment
         #: axis?  Batched values are laid out ``(B, S, ...)``, model-derived
         #: values ``(S, ...)``; metas and constants stay shared/scalar.
-        self._segmented: list[bool] = [False] * self._slots
-        self._steps: list[Callable[[BatchEnv], None]] = []
-        # environment seeding, resolved once:
-        #   (name, node_id, required) for per-tuple variables,
-        #   (name, node_id) for models/metas, (node_id, value) for constants
-        self._batch_vars: list[tuple[str, int]] = []
-        self._named_vars: list[tuple[str, int, np.ndarray | None]] = []
-        self._const_values: list[tuple[int, np.ndarray]] = []
-        self._compile_leaves()
+        self._segmented: list[bool] = [False] * slots
+        #: node id -> the name generated code reads the value under.
+        self._refs: dict[int, str] = {}
+        #: model / meta name -> the ``m<id>`` locals holding its per-call value.
+        self._carried: dict[str, list[str]] = {}
+        namespace = dict(_KERNEL_GLOBALS)
+        resolve, load = self._compile_leaves(namespace)
         # Convergence-region kernels are split off the per-batch hot path:
         # the engine checks convergence once per epoch, so they run lazily
         # in :meth:`convergence_reached` on the epoch's last batch env.
-        self._conv_steps: list[Callable[[BatchEnv], None]] = []
+        body, converge, lazy = [], [], set()
         for node in graph.topological_order():
             if node.is_leaf:
                 continue
-            step = self._compile_node(node)
+            compile_kind = getattr(self, f"_compile_{node.kind.value}", None)
+            if compile_kind is None:
+                raise TapeCompilationError(f"cannot compile node of kind {node.kind}")
+            self._refs[node.node_id] = f"v{node.node_id}"
+            line = self._node_line(node, compile_kind(node))
             if node.region is Region.CONVERGENCE:
-                self._conv_steps.append(step)
+                lazy.add(node.node_id)
+                converge += [line, f"env[{node.node_id}] = v{node.node_id}"]
             else:
-                self._steps.append(step)
-        self._updates = self._compile_updates()
-        conv = graph.convergence_node_id
-        self._conv_id = conv
-        self._conv_batched = self._batched[conv] if conv is not None else False
+                body.append(line)
+        self._conv_id = conv = graph.convergence_node_id
+        self._conv_batched = conv is not None and self._batched[conv]
         # Which tuple of a batch stands in for a per-tuple (batched) value
         # when the engine needs a single representative: the per-tuple
         # oracle carries the *first* tuple's env through the merge path
         # (lead env) but the *last* tuple's env through the gather and
         # sequential paths.
         self._lead_index = 0 if graph.merge_node_ids else -1
+        slot_refs = ["None" if i in lazy else self._ref(i) for i in range(slots)]
+        env = ", ".join(slot_refs)
+        unpack = f"[{', '.join(r if r[0] == 'v' else '_' for r in slot_refs)}] = env"
+        apply, begin, scatter, carry, finish = self._compile_write_back()
+        # ``resolve`` runs once per call, ``load`` + ``body`` once per batch;
+        # ``run`` and ``train`` are cut from the same lists.
+        source = self._source = (
+            "def run(batch_values, models):\n"
+            + _block(resolve + load + body, 1)
+            + f"    return [{env}]\n\n\n"
+            "def train(batches, bind_batch, models):\n"
+            + _block(resolve + begin + ["batch = None", "for batch in batches:"], 1)
+            + _block(["batch_values = bind_batch(batch)"] + scatter + load + body + carry, 2)
+            + _block(["if batch is None:", "    return None"] + finish, 1)
+            + f"    return [{env}]\n\n\n"
+            "def apply_updates(env, models):\n" + _block([unpack] + apply, 1) + "\n\n"
+            "def converge(env):\n" + _block([unpack] + converge, 1)
+        )
+        lines = source.splitlines(True)
+        linecache.cache[self.filename] = (len(source), None, lines, self.filename)
+        exec(compile(source, self.filename, "exec"), namespace)
+        self._run = namespace["run"]
+        self._train = namespace["train"]
+        self._apply_updates = namespace["apply_updates"]
+        self._converge = namespace["converge"]
+
+    @classmethod
+    def try_lower(cls, graph: HDFG, segment_axis: bool = False) -> "CompiledTape | None":
+        """The graph's tape, or ``None`` when the batched lowering refuses it
+        (the caller then keeps the per-tuple / per-segment path)."""
+        try:
+            return cls(graph, segment_axis)
+        except TapeCompilationError:
+            return None
+
+    @property
+    def source(self) -> str:
+        """The generated Python source (``run``, ``train``, ``apply_updates``,
+        ``converge``); a node's line ends in ``# node <id> <name> <op>``."""
+        return self._source
 
     # ------------------------------------------------------------------ #
     # compilation
     # ------------------------------------------------------------------ #
-    def _compile_leaves(self) -> None:
-        bound_names = set()
+    def _compile_leaves(self, namespace: dict) -> tuple[list[str], list[str]]:
+        """Seed the environment: ``resolve`` lines (once per call — each
+        model / meta from ``models`` or its declared default) and ``load``
+        lines (once per batch — per-tuple variables, binder overrides)."""
+        resolve, per_tuple, named, names = [], [], [], []
         for binding in self.graph.bindings:
-            bound_names.add(binding.node_id)
+            nid, name = binding.node_id, binding.name
+            node = self.graph.node(nid)
+            self._refs[nid] = f"v{nid}"
+            bound = f"asarray(batch_values[{name!r}], float64)"
             if binding.kind in ("input", "output"):
-                self._batched[binding.node_id] = True
-                if self.segment_axis:
-                    self._segmented[binding.node_id] = True
-                self._batch_vars.append((binding.name, binding.node_id))
-            else:
-                if self.segment_axis and binding.kind == "model":
-                    self._segmented[binding.node_id] = True
-                default = (
-                    np.asarray(binding.value, dtype=np.float64)
-                    if binding.value is not None
-                    else None
-                )
-                self._named_vars.append((binding.name, binding.node_id, default))
+                self._batched[nid] = True
+                self._segmented[nid] = self.segment_axis
+                per_tuple.append("    " + self._node_line(node, bound))
+                names.append(name)
+                continue
+            self._segmented[nid] = self.segment_axis and binding.kind == "model"
+            namespace[f"d{nid}"] = (
+                None if binding.value is None else np.asarray(binding.value, np.float64)
+            )
+            self._carried.setdefault(name, []).append(f"m{nid}")
+            resolve.append(
+                f"m{nid} = asarray(models[{name!r}], float64) "
+                f"if {name!r} in models else d{nid}"
+            )
+            named.append(
+                self._node_line(node, f"{bound} if {name!r} in batch_values else m{nid}")
+            )
         for node in self.graph.nodes():
-            if node.kind is NodeKind.CONSTANT:
-                self._const_values.append(
-                    (node.node_id, np.asarray(node.constant_value, dtype=np.float64))
-                )
-            elif (
+            if node.kind is NodeKind.CONSTANT or (
                 node.kind is NodeKind.VARIABLE
-                and node.node_id not in bound_names
+                and node.node_id not in self._refs
                 and node.constant_value is not None
             ):
-                self._const_values.append(
-                    (node.node_id, np.asarray(node.constant_value, dtype=np.float64))
-                )
+                self._refs[node.node_id] = f"c{node.node_id}"
+                namespace[f"c{node.node_id}"] = np.asarray(node.constant_value, np.float64)
+        if per_tuple:
+            per_tuple = ["try:", *per_tuple, "except KeyError:"] + [
+                f"    raise missing_binding(batch_values, {tuple(names)!r}) from None"
+            ]
+        return resolve, per_tuple + named
 
-    def _compile_node(self, node: HDFGNode) -> Callable[[BatchEnv], None]:
-        if node.kind is NodeKind.PRIMARY:
-            return self._compile_primary(node)
-        if node.kind is NodeKind.NONLINEAR:
-            return self._compile_nonlinear(node)
-        if node.kind is NodeKind.GROUP:
-            return self._compile_group(node)
-        if node.kind is NodeKind.GATHER:
-            return self._compile_gather(node)
-        if node.kind is NodeKind.MERGE:
-            return self._compile_merge(node)
-        if node.kind is NodeKind.UPDATE:
-            return self._compile_update_node(node)
-        raise TapeCompilationError(f"cannot compile node of kind {node.kind}")
+    @staticmethod
+    def _node_line(node: HDFGNode, expression: str) -> str:
+        op = node.op or node.merge_operator
+        tag = op.value if op is not None else (node.variable_kind or node.kind.value)
+        name = " ".join(node.name.split())
+        return f"v{node.node_id} = {expression}  # node {node.node_id} {name} {tag}"
+
+    def _ref(self, node_id: int) -> str:
+        """A node's value in generated code (``None``: an unbound leaf)."""
+        return self._refs.get(node_id, "None")
 
     def _input_dims(self, node_id: int) -> tuple[int, ...]:
         return self.graph.node(node_id).dims
@@ -200,97 +289,61 @@ class CompiledTape:
         """Number of structure axes ahead of the node's logical dims."""
         return int(self._batched[node_id]) + int(self._segmented[node_id])
 
-    def _elementwise_preps(
-        self, input_ids: tuple[int, ...]
-    ) -> list[Callable[[np.ndarray], np.ndarray] | None]:
-        """Broadcast fix-ups so structured operands right-align their logical dims."""
+    def _inherit_axes(self, node: HDFGNode) -> None:
+        """An element-wise result is structured like its operands."""
+        self._batched[node.node_id] = any(self._batched[i] for i in node.inputs)
+        self._segmented[node.node_id] = any(self._segmented[i] for i in node.inputs)
+
+    def _elementwise_operands(self, input_ids: tuple[int, ...]) -> list[str]:
+        """Operand expressions, with the broadcast fix-up that right-aligns a
+        structured operand's logical dims decided here, not per run."""
         target_rank = max(len(self._input_dims(i)) for i in input_ids)
-        preps: list[Callable[[np.ndarray], np.ndarray] | None] = []
+        operands = []
         for i in input_ids:
             pad = target_rank - len(self._input_dims(i))
             lead = self._lead_axes(i)
-            if lead and pad:
-                preps.append(_pad_after_lead(lead, pad))
-            else:
-                preps.append(None)
-        return preps
+            operands.append(
+                _pad_after_lead(self._ref(i), lead, pad) if lead and pad else self._ref(i)
+            )
+        return operands
 
-    def _compile_primary(self, node: HDFGNode) -> Callable[[BatchEnv], None]:
-        a, b = node.inputs
-        nid = node.node_id
-        self._batched[nid] = self._batched[a] or self._batched[b]
-        self._segmented[nid] = self._segmented[a] or self._segmented[b]
-        prep_a, prep_b = self._elementwise_preps(node.inputs)
+    def _compile_primary(self, node: HDFGNode) -> str:
+        self._inherit_axes(node)
+        va, vb = self._elementwise_operands(node.inputs)
         if node.op in _PRIMARY_UFUNCS:
-            ufunc = _PRIMARY_UFUNCS[node.op]
-
-            def step(env: BatchEnv) -> None:
-                va, vb = env[a], env[b]
-                if prep_a is not None:
-                    va = prep_a(va)
-                if prep_b is not None:
-                    vb = prep_b(vb)
-                env[nid] = ufunc(va, vb)
-
-            return step
+            return f"{_PRIMARY_UFUNCS[node.op]}({va}, {vb})"
         if node.op in _COMPARE_UFUNCS:
-            cmp = _COMPARE_UFUNCS[node.op]
-
-            def step(env: BatchEnv) -> None:
-                va, vb = env[a], env[b]
-                if prep_a is not None:
-                    va = prep_a(va)
-                if prep_b is not None:
-                    vb = prep_b(vb)
-                env[nid] = cmp(va, vb).astype(np.float64)
-
-            return step
+            return f"{_COMPARE_UFUNCS[node.op]}({va}, {vb}).astype(float64)"
         raise TapeCompilationError(f"{node.op!r} is not a primary operation")
 
-    def _compile_nonlinear(self, node: HDFGNode) -> Callable[[BatchEnv], None]:
-        (operand,) = node.inputs
-        nid = node.node_id
-        self._batched[nid] = self._batched[operand]
-        self._segmented[nid] = self._segmented[operand]
+    def _compile_nonlinear(self, node: HDFGNode) -> str:
+        self._inherit_axes(node)
+        value = self._ref(node.inputs[0])
         if node.op is Operator.SIGMOID:
-            return lambda env: env.__setitem__(
-                nid, 1.0 / (1.0 + np.exp(-env[operand]))
-            )
+            return f"1.0 / (1.0 + exp(-{value}))"
         if node.op is Operator.GAUSSIAN:
-            return lambda env: env.__setitem__(nid, np.exp(-np.square(env[operand])))
+            return f"exp(-square({value}))"
         if node.op is Operator.SQRT:
-            return lambda env: env.__setitem__(nid, np.sqrt(env[operand]))
+            return f"sqrt({value})"
         raise TapeCompilationError(f"{node.op!r} is not a non-linear operation")
 
-    def _compile_group(self, node: HDFGNode) -> Callable[[BatchEnv], None]:
+    def _compile_group(self, node: HDFGNode) -> str:
         nid = node.node_id
         axis0 = (node.axis or 1) - 1
-        self._batched[nid] = any(self._batched[i] for i in node.inputs)
-        self._segmented[nid] = any(self._segmented[i] for i in node.inputs)
+        self._inherit_axes(node)
         if node.inner_op is None or len(node.inputs) == 1:
             (operand,) = node.inputs
-            reduce_fn = _reducer(node.op, axis0 + self._lead_axes(operand))
-            return lambda env: env.__setitem__(nid, reduce_fn(env[operand]))
+            return _reducer(node.op, axis0 + self._lead_axes(operand), self._ref(operand))
         a, b = node.inputs
         ldims, rdims = self._input_dims(a), self._input_dims(b)
+        inner = _PRIMARY_UFUNCS.get(node.inner_op)
         if ldims == rdims or not ldims or not rdims:
-            inner = _PRIMARY_UFUNCS.get(node.inner_op)
             if inner is None:
                 raise TapeCompilationError(
                     f"cannot fuse {node.inner_op!r} into a batched group operation"
                 )
-            prep_a, prep_b = self._elementwise_preps(node.inputs)
-            reduce_fn = _reducer(node.op, axis0 + self._lead_axes(nid))
-
-            def step(env: BatchEnv) -> None:
-                va, vb = env[a], env[b]
-                if prep_a is not None:
-                    va = prep_a(va)
-                if prep_b is not None:
-                    vb = prep_b(vb)
-                env[nid] = reduce_fn(inner(va, vb))
-
-            return step
+            va, vb = self._elementwise_operands(node.inputs)
+            return _reducer(node.op, axis0 + self._lead_axes(nid), f"{inner}({va}, {vb})")
         # Outer-combining contraction (generalised matrix product): only
         # lowered for unbatched operands; a batched version would need a
         # per-node einsum plan, which no current workload exercises.
@@ -304,27 +357,16 @@ class CompiledTape:
                 f"group node {node.name!r} outer-combines segment-replicated "
                 "operands; the contraction plan cannot carry a segment axis"
             )
-        inner = _PRIMARY_UFUNCS.get(node.inner_op)
         if inner is None:
-            raise TapeCompilationError(
-                f"cannot fuse {node.inner_op!r} into a contraction"
-            )
-        reduce_fn = _reducer(node.op, -1)
-        a_rank = len(ldims) - 1
-        b_rank = len(rdims) - 1
+            raise TapeCompilationError(f"cannot fuse {node.inner_op!r} into a contraction")
+        aligned = (
+            f"*outer_operands({self._ref(a)}, {self._ref(b)}, "
+            f"{axis0}, {len(ldims) - 1}, {len(rdims) - 1})"
+        )
+        return _reducer(node.op, -1, f"{inner}({aligned})")
 
-        def step(env: BatchEnv) -> None:
-            left = np.moveaxis(env[a], axis0, -1)
-            right = np.moveaxis(env[b], axis0, -1)
-            left = left.reshape(left.shape[:-1] + (1,) * b_rank + (left.shape[-1],))
-            right = right.reshape((1,) * a_rank + right.shape)
-            env[nid] = reduce_fn(inner(left, right))
-
-        return step
-
-    def _compile_gather(self, node: HDFGNode) -> Callable[[BatchEnv], None]:
+    def _compile_gather(self, node: HDFGNode) -> str:
         source, index = node.inputs
-        nid = node.node_id
         if self.segment_axis:
             # A gathered row would need per-segment fancy indexing over the
             # stacked source; the cluster layer executes gather graphs
@@ -336,25 +378,14 @@ class CompiledTape:
             raise TapeCompilationError(
                 f"gather node {node.name!r} selects from a per-tuple source"
             )
+        src, idx = self._ref(source), self._ref(index)
         if self._batched[index]:
-            self._batched[nid] = True
+            self._batched[node.node_id] = True
+            return f"{src}[rint({idx}).astype(int64)]"
+        return f"asarray({src}[int(round(float({idx})))], float64)"
 
-            def step(env: BatchEnv) -> None:
-                rows = np.rint(np.asarray(env[index])).astype(np.int64)
-                env[nid] = env[source][rows]
-
-            return step
-
-        def step(env: BatchEnv) -> None:
-            env[nid] = np.asarray(
-                env[source][int(round(float(env[index])))], dtype=np.float64
-            )
-
-        return step
-
-    def _compile_merge(self, node: HDFGNode) -> Callable[[BatchEnv], None]:
+    def _compile_merge(self, node: HDFGNode) -> str:
         (operand,) = node.inputs
-        nid = node.node_id
         if node.merge_operator not in _ASSOCIATIVE_MERGE_UFUNCS:
             raise TapeCompilationError(
                 f"merge operator {node.merge_operator!r} is not associative; "
@@ -365,47 +396,57 @@ class CompiledTape:
                 f"merge node {node.name!r} aggregates a value that does not "
                 "depend on the training tuple"
             )
-        ufunc = _ASSOCIATIVE_MERGE_UFUNCS[node.merge_operator]
-        self._batched[nid] = False
         # The reduction collapses the batch axis only; in segment mode the
         # result keeps one merged value per segment ((S, ...) layout).
-        self._segmented[nid] = self._segmented[operand]
-        return lambda env: env.__setitem__(nid, ufunc.reduce(env[operand], axis=0))
+        self._segmented[node.node_id] = self._segmented[operand]
+        reduce = _ASSOCIATIVE_MERGE_UFUNCS[node.merge_operator]
+        return f"{reduce}({self._ref(operand)}, 0)"
 
-    def _compile_update_node(self, node: HDFGNode) -> Callable[[BatchEnv], None]:
-        (operand,) = node.inputs
-        nid = node.node_id
-        self._batched[nid] = self._batched[operand]
-        self._segmented[nid] = self._segmented[operand]
-        return lambda env: env.__setitem__(nid, env[operand])
+    def _compile_update(self, node: HDFGNode) -> str:
+        self._inherit_axes(node)
+        return self._ref(node.inputs[0])
 
-    def _compile_updates(self) -> list[tuple[str, int, bool, int | None]]:
-        """Resolve each model update to (name, node, batched, gather index)."""
-        updates: list[tuple[str, int, bool, int | None]] = []
+    def _compile_write_back(self) -> tuple[list[str], ...]:
+        """Model write-back lines, from one resolution of each update target:
+        ``apply`` (:meth:`apply_updates`: one ``run`` env into ``models``) and,
+        for ``train``, lines before the loop, at the top of a batch, at its
+        end and after the loop — ``u<k>`` carries update ``k``'s model value
+        and the ``m<id>`` locals the next batch's ``load`` reads."""
+        apply, begin, scatter, carry, finish = [], [], [], [], []
         gather_nodes = [n for n in self.graph.nodes() if n.kind is NodeKind.GATHER]
-        for name, var_node_id, update_node_id in self.graph.update_targets:
-            update_node = self.graph.node(update_node_id)
-            row_addressed = (
-                var_node_id >= 0
-                and update_node.dims != self.graph.node(var_node_id).dims
-            )
-            index_node: int | None = None
-            if row_addressed:
-                binding_ids = {
-                    b.node_id for b in self.graph.bindings if b.name == name
-                }
-                for gather in gather_nodes:
-                    if gather.inputs[0] in binding_ids:
-                        index_node = gather.inputs[1]
-                        break
+        for k, (name, var_id, update_id) in enumerate(self.graph.update_targets):
+            carried = " = ".join(self._carried.get(name, []) + [f"u{k}"])
+            if var_id >= 0 and self._input_dims(update_id) != self._input_dims(var_id):
+                # Row-addressed (LRMF): the batch of gathered-row updates
+                # lands via one fancy-index assignment.  ``train`` copies the
+                # model once per call and scatters a batch's rows in place at
+                # the top of the next batch — the last batch's into a second
+                # copy, so the returned env keeps the model that batch read.
+                binding_ids = {b.node_id for b in self.graph.bindings if b.name == name}
+                index_node = next(
+                    (g.inputs[1] for g in gather_nodes if g.inputs[0] in binding_ids), None
+                )
                 if index_node is None:
                     raise TapeCompilationError(
                         f"row-addressed update of model {name!r} has no gather index"
                     )
-            updates.append(
-                (name, update_node_id, self._batched[update_node_id], index_node)
-            )
-        return updates
+                rows = f"rint({self._ref(index_node)}).astype(int64)"
+                copy = f"array(models[{name!r}], float64)"
+                apply += [f"u{k} = {copy}", f"u{k}[{rows}] = {self._ref(update_id)}"]
+                begin += [f"{carried} = {copy}", f"r{k}, s{k} = NO_ROWS, 0.0"]
+                scatter.append(f"u{k}[r{k}] = s{k}")
+                carry.append(f"r{k}, s{k} = {rows}, {self._ref(update_id)}")
+                finish += [f"u{k} = u{k}.copy()", f"u{k}[r{k}] = s{k}"]
+            else:
+                # A full-model update that stays per-tuple applies the lead
+                # env's value (see ``_lead_index``).
+                lead = f"[{self._lead_index}]" if self._batched[update_id] else ""
+                value = f"asarray({self._ref(update_id)}, float64){lead}"
+                apply.append(f"u{k} = {value}")
+                carry.append(f"{carried} = {value}")
+            apply.append(f"models[{name!r}] = u{k}")
+            finish.append(f"models[{name!r}] = u{k}")
+        return apply, begin, scatter, carry, finish
 
     # ------------------------------------------------------------------ #
     # execution
@@ -420,61 +461,35 @@ class CompiledTape:
         ``batch_values`` binds per-tuple variables to arrays with a leading
         batch axis (and may override meta variables with scalars);
         ``models`` binds model variables to their current, shared values.
+        Every computed entry of the returned env is a fresh array.
         """
-        env: BatchEnv = [None] * self._slots
-        for node_id, value in self._const_values:
-            env[node_id] = value
-        for name, node_id in self._batch_vars:
-            try:
-                value = batch_values[name]
-            except KeyError:
-                raise TapeCompilationError(
-                    f"batch bindings are missing per-tuple variable {name!r}"
-                ) from None
-            env[node_id] = np.asarray(value, dtype=np.float64)
-        for name, node_id, default in self._named_vars:
-            if name in batch_values:
-                env[node_id] = np.asarray(batch_values[name], dtype=np.float64)
-            elif name in models:
-                env[node_id] = np.asarray(models[name], dtype=np.float64)
-            elif default is not None:
-                env[node_id] = default
-        for step in self._steps:
-            step(env)
-        return env
+        return self._run(batch_values, models)
 
-    def model_results(self, env: BatchEnv) -> dict[str, np.ndarray]:
-        """Updated model value per model name (batched for gathered updates)."""
-        return {
-            name: np.asarray(env[node_id], dtype=np.float64)
-            for name, node_id, _batched, _index in self._updates
-            if env[node_id] is not None
-        }
+    def train(
+        self,
+        batches: Iterable[np.ndarray],
+        bind_batch: BatchBinder,
+        models: dict[str, np.ndarray],
+    ) -> BatchEnv | None:
+        """Run a stream of merge batches; returns the last batch's env.
+
+        Equal to ``env = run(bind_batch(batch), models); apply_updates(env,
+        models)`` per batch, with the loop inside the generated function:
+        each updated model is carried in a local and ``models`` is written
+        once, after the last batch (arrays the caller passed in are never
+        mutated).  An empty stream returns ``None``, ``models`` untouched.
+        """
+        return self._train(batches, bind_batch, models)
 
     def apply_updates(self, env: BatchEnv, models: dict[str, np.ndarray]) -> None:
-        """Write the batch's model updates back into ``models``.
+        """Write one :meth:`run` batch's model updates back into ``models``.
 
         Row-addressed models (LRMF) take the whole batch of gathered-row
-        updates via one fancy-index assignment; duplicate row indices keep
-        the last tuple's value, matching the engine's Hogwild-style
+        updates via one fancy-index assignment into a copy; duplicate row
+        indices keep the last tuple's value, like the engine's Hogwild-style
         sequential application of updates computed from batch-start models.
         """
-        for name, node_id, batched, index_node in self._updates:
-            value = env[node_id]
-            if value is None:
-                continue
-            if index_node is not None:
-                rows = np.rint(np.asarray(env[index_node])).astype(np.int64)
-                current = np.array(models[name], dtype=np.float64)
-                current[rows] = value
-                models[name] = current
-            elif batched:
-                # A full-model update that stays per-tuple: the oracle
-                # applies the lead env's value (first tuple on the merge
-                # path, last tuple on the gather/sequential paths).
-                models[name] = np.asarray(value, dtype=np.float64)[self._lead_index]
-            else:
-                models[name] = np.asarray(value, dtype=np.float64)
+        self._apply_updates(env, models)
 
     def convergence_value(self, env: BatchEnv | None) -> np.ndarray | None:
         """Evaluate the convergence predicate on a finished batch env.
@@ -488,8 +503,7 @@ class CompiledTape:
         """
         if self._conv_id is None or env is None:
             return None
-        for step in self._conv_steps:
-            step(env)
+        self._converge(env)
         value = env[self._conv_id]
         if value is None:
             return None
@@ -502,6 +516,4 @@ class CompiledTape:
     def convergence_reached(self, env: BatchEnv | None) -> bool:
         """True when every lane of the convergence predicate holds."""
         value = self.convergence_value(env)
-        if value is None:
-            return False
-        return bool(np.all(value > 0.5))
+        return value is not None and bool(np.all(value > 0.5))

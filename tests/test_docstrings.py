@@ -54,6 +54,19 @@ def test_hw_layer_documented_too():
     assert result.returncode == 0, result.stdout + result.stderr
 
 
+def test_translator_layer_documented_too():
+    # The hDFG and the generated tape are documented surface too
+    # (docs/architecture.md, "Execution paths").
+    result = subprocess.run(
+        [sys.executable, str(CHECKER), "--packages", "translator"],
+        cwd=REPO_ROOT,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
 def test_cluster_layer_documented_too():
     # The segment fan-out is documented surface too (docs/parallelism.md).
     result = subprocess.run(
