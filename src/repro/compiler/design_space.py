@@ -9,24 +9,36 @@ cycles for data processing and transfer." (paper §6.1)
 
 A design point fixes the number of execution-engine threads (bounded by the
 merge coefficient) and therefore the number of Analytic Clusters available
-to each thread.  For every candidate the estimator combines:
+to each thread.  The estimator is a *reader* of the cycle ledger
+(:mod:`repro.hw.ledger`), so the cost model that picks a design is the one
+the machine books; for every candidate it calls, and restates nothing of:
 
-* the compute cycles per epoch — update-rule schedule length per tuple,
-  tree-bus merge cost and post-merge schedule length per batch;
-* the data cycles per epoch — Strider page-walking cycles (parallel across
-  page buffers) and AXI transfer cycles.
+* compute cycles per epoch — :func:`~repro.hw.ledger.engine_epoch_cost`
+  over :func:`estimate_region_cycles`' region lengths (scheduling every
+  candidate of an 8,000-feature model is what the estimate avoids);
+* data cycles per epoch — ``AccessEngineStats.of_page_runs``: whole pages
+  at the compiled page walk's cycles, in waves of the page buffers.
 
-Estimation is viable because the hDFG is static, there is no hardware
-managed cache and the architecture is fixed during execution.
+Its one departure from a run is the batch size ``evaluate`` passes: a merge
+batch is one round of ``threads`` tuples, where the machine runs batches of
+the merge coefficient in ``ceil(batch / threads)`` rounds (equal when the
+chosen thread count is the coefficient).  Estimation is viable because the
+hDFG is static, there is no hardware managed cache and the architecture is
+fixed during execution.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from repro.exceptions import ResourceError
+from repro.hw.access_engine import AccessEngineConfig, AccessEngineStats
 from repro.hw.fpga import FPGASpec
+from repro.hw.ledger import engine_epoch_cost
+from repro.hw.strider import StriderStats
+from repro.hw.tree_bus import TreeBus
 from repro.isa.engine_isa import AUS_PER_CLUSTER
 from repro.translator.hdfg import HDFG, Region
 from repro.compiler.scheduler import estimate_region_cycles
@@ -39,7 +51,6 @@ class WorkloadShape:
     n_tuples: int
     tuples_per_page: int
     page_size: int
-    tuple_bytes: int
 
     @property
     def n_pages(self) -> int:
@@ -48,7 +59,12 @@ class WorkloadShape:
 
 @dataclass(frozen=True)
 class DesignPoint:
-    """One candidate hardware configuration and its estimated performance."""
+    """One candidate hardware configuration and its estimated performance.
+
+    The region lengths are the scheduler's fast *estimates*; a run books the
+    static schedule's, which ``ExecutionBinary.describe()`` reports under
+    the same key (7 vs 8 ``update_rule_cycles`` on a 16-feature linear UDF).
+    """
 
     threads: int
     acs_per_thread: int
@@ -122,52 +138,47 @@ class DesignSpaceExplorer:
     # estimation
     # ------------------------------------------------------------------ #
     def evaluate(self, threads: int) -> DesignPoint:
-        total_acs = self.total_clusters()
-        acs_per_thread = max(1, total_acs // threads)
-        update_cycles = estimate_region_cycles(
-            self.graph, Region.UPDATE_RULE, acs_per_thread, self.aus_per_cluster
+        """Price one thread count with the ledger's stage functions."""
+        acs_per_thread = max(1, self.total_clusters() // threads)
+        update_cycles, post_merge_cycles = (
+            estimate_region_cycles(self.graph, region, acs_per_thread, self.aus_per_cluster)
+            for region in (Region.UPDATE_RULE, Region.POST_MERGE)
         )
-        post_merge_cycles = estimate_region_cycles(
-            self.graph, Region.POST_MERGE, acs_per_thread, self.aus_per_cluster
+        price = functools.partial(
+            engine_epoch_cost,
+            batch_size=threads,  # the estimator's assumption: one round per merge
+            threads=threads,
+            region_cycles=(update_cycles, post_merge_cycles, 0),
+            merge_widths=[self.graph.node(i).element_count for i in self.graph.merge_node_ids],
+            bus=TreeBus(alu_count=self.aus_per_cluster),
+            epoch_end=False,
         )
-        merge_elements = self._merge_element_count()
-        merge_levels = math.ceil(math.log2(threads)) if threads > 1 else 0
-        merge_cycles = merge_levels * math.ceil(merge_elements / self.aus_per_cluster)
-
-        batches = math.ceil(self.workload.n_tuples / threads)
-        compute = batches * (update_cycles + merge_cycles + post_merge_cycles)
-
-        pages = self.workload.n_pages
-        strider_batches = math.ceil(pages / self.num_striders)
-        axi_cycles = pages * self.workload.page_size / max(self.fpga.axi_bytes_per_cycle, 1e-9)
-        data = strider_batches * self.strider_cycles_per_page + axi_cycles
-
+        # whole pages: a small table must not flip between compute- and
+        # bandwidth-bound on how full its last page happens to be
+        data = AccessEngineStats.of_page_runs(
+            [(StriderStats(cycles=self.strider_cycles_per_page), self.workload.n_pages)],
+            AccessEngineConfig(self.num_striders, self.workload.page_size),
+            self.fpga.axi_bytes_per_cycle,
+        )
         return DesignPoint(
             threads=threads,
             acs_per_thread=acs_per_thread,
             num_striders=self.num_striders,
             update_rule_cycles=update_cycles,
-            merge_cycles=merge_cycles,
+            merge_cycles=price(threads)[0].merge_cycles,
             post_merge_cycles=post_merge_cycles,
-            compute_cycles_per_epoch=float(compute),
-            data_cycles_per_epoch=float(data),
+            compute_cycles_per_epoch=float(price(self.workload.n_tuples)[0].total_cycles),
+            data_cycles_per_epoch=float(data.access_cycles),
         )
 
     def explore(self) -> list[DesignPoint]:
         """Evaluate every candidate thread count."""
         return [self.evaluate(t) for t in self.candidate_thread_counts()]
 
-    def best(self) -> DesignPoint:
-        """The smallest design point within 1% of the best estimated runtime."""
-        points = self.explore()
+    def best(self, points: list[DesignPoint] | None = None) -> DesignPoint:
+        """The smallest design point within 1% of the best estimated runtime
+        (of ``points``, when the candidates were already explored)."""
+        points = points or self.explore()
         best_cycles = min(p.cycles_per_epoch for p in points)
         tolerant = [p for p in points if p.cycles_per_epoch <= best_cycles * 1.01]
         return min(tolerant, key=lambda p: (p.threads, p.cycles_per_epoch))
-
-    # ------------------------------------------------------------------ #
-    # helpers
-    # ------------------------------------------------------------------ #
-    def _merge_element_count(self) -> int:
-        if not self.graph.merge_node_ids:
-            return 0
-        return max(self.graph.node(i).element_count for i in self.graph.merge_node_ids)

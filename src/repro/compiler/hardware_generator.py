@@ -9,16 +9,20 @@ the off-chip bandwidth utilization.  Once the number of resident pages is
 determined, the hardware generator uses the FPGA's DSP information to
 calculate the number of AUs which can be synthesized on the target FPGA."
 (paper §6.1)
+
+The generator states no cost arithmetic: the page walk it hands the
+design-space estimator is the cycle ledger's ``Strider.walk_cost`` of the
+Strider program it just compiled.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from repro.exceptions import ResourceError
 from repro.hw.access_engine import AccessEngineConfig
 from repro.hw.fpga import DEFAULT_FPGA, FPGASpec
+from repro.hw.strider import Strider
 from repro.isa.engine_isa import AUS_PER_CLUSTER
 from repro.rdbms.page import PageLayout
 from repro.rdbms.types import Schema
@@ -78,19 +82,6 @@ class AcceleratorDesign:
             page_size=self.page_size,
             read_width_bytes=self.fpga.bram_read_width_bytes,
         )
-
-    def summary(self) -> dict[str, float]:
-        return {
-            "threads": self.threads,
-            "acs_per_thread": self.acs_per_thread,
-            "total_aus": self.total_aus,
-            "num_striders": self.num_striders,
-            "page_buffer_bytes": self.bram.page_buffer_bytes,
-            "model_bytes": self.bram.model_bytes,
-            "update_rule_cycles": self.design_point.update_rule_cycles,
-            "merge_cycles": self.design_point.merge_cycles,
-            "post_merge_cycles": self.design_point.post_merge_cycles,
-        }
 
 
 class HardwareGenerator:
@@ -159,19 +150,15 @@ class HardwareGenerator:
             n_tuples=self.n_tuples,
             tuples_per_page=tuples_per_page,
             page_size=self.layout.page_size,
-            tuple_bytes=self.schema.row_width,
         )
 
-    def strider_cycles_per_page(self) -> float:
-        tuples_per_page = max(1, self.layout.tuples_per_page(self.schema))
-        comp = self.strider_compilation
-        tuple_bytes = self.schema.row_width + self.layout.tuple_header_size
-        words = max(1, math.ceil(tuple_bytes / self.fpga.bram_read_width_bytes))
-        payload_words = max(
-            1, math.ceil(self.schema.row_width / self.fpga.bram_read_width_bytes)
-        )
-        per_tuple = (comp.loop_instructions - 2) + words + payload_words
-        return comp.header_instructions + per_tuple * tuples_per_page
+    def strider_cycles_per_page(self) -> int:
+        """Cycles of walking one full page: the ledger's ``Strider.walk_cost``
+        of the program just compiled, i.e. the interpreter's count."""
+        strider = Strider(self.strider_compilation.program, self.fpga.bram_read_width_bytes)
+        tuple_bytes = self.layout.tuple_header_size + self.schema.row_width
+        full_page = max(1, self.layout.tuples_per_page(self.schema))
+        return strider.walk_cost(tuple_bytes, [full_page])[0].cycles
 
     def generate(self) -> AcceleratorDesign:
         """Choose the best design point and return the accelerator design."""
@@ -191,7 +178,7 @@ class HardwareGenerator:
             num_striders=provisional_buffers,
         )
         candidates = explorer.explore()
-        best = explorer.best()
+        best = explorer.best(candidates)
         bram = self.allocate_bram(best.threads)
         num_striders = max(1, bram.page_buffer_bytes // self.layout.page_size)
         return AcceleratorDesign(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.compiler import DesignSpaceExplorer, WorkloadShape, compile_strider
+from repro.compiler import compile_strider
 from repro.data import (
     WORKLOADS,
     Workload,
@@ -20,7 +20,6 @@ from repro.data import (
     synthetic_nominal_workloads,
 )
 from repro.harness import paper_values
-from repro.hw.fpga import DEFAULT_FPGA
 from repro.perf import (
     DAnAModel,
     ExternalLibraryModel,
@@ -54,7 +53,7 @@ def _speedup_rows(
         base = madlib.estimate(workload, epochs, warm_cache)
         gp = greenplum.estimate(workload, epochs, warm_cache)
         da = dana.estimate(workload, epochs, warm_cache)
-        gp_speedup = gp.speedup_over(base) if False else base.total / gp.total
+        gp_speedup = base.total / gp.total
         dana_speedup = base.total / da.total
         gp_speedups.append(gp_speedup)
         dana_speedups.append(dana_speedup)
@@ -236,11 +235,12 @@ def fig12_thread_sweep(
         epochs = epochs_for(workload)
         baseline_model = DAnAModel(merge_coefficient=1, max_threads=1)
         baseline_cost = baseline_model.epoch_cost(workload)
-        baseline_seconds = baseline_cost.engine_seconds(0.05, overlapped=True) * epochs
+        non_overlap = baseline_model.cost_model.dana.non_overlap_fraction
+        baseline_seconds = baseline_cost.engine_seconds(non_overlap, overlapped=True) * epochs
         for coefficient in coefficients:
             model = DAnAModel(merge_coefficient=coefficient)
             cost = model.epoch_cost(workload)
-            seconds = cost.engine_seconds(0.05, overlapped=True) * epochs
+            seconds = cost.engine_seconds(non_overlap, overlapped=True) * epochs
             design, _ = model.design_for(workload)
             rows.append(
                 {

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 def format_table(rows: Sequence[dict], columns: Sequence[str] | None = None, title: str = "") -> str:
@@ -35,7 +35,3 @@ def _render(value) -> str:
     if isinstance(value, float):
         return f"{value:.3g}" if abs(value) < 1000 else f"{value:.4g}"
     return str(value)
-
-
-def print_table(rows: Sequence[dict], columns: Iterable[str] | None = None, title: str = "") -> None:
-    print(format_table(rows, list(columns) if columns else None, title))

@@ -51,7 +51,7 @@ import numpy as np
 from repro.exceptions import HardwareError
 from repro.hw.fpga import FPGASpec
 from repro.hw.ledger import Ledger
-from repro.hw.strider import Strider, StriderResult, page_walk_template
+from repro.hw.strider import Strider, StriderResult, StriderStats, page_walk_template
 from repro.isa.strider_isa import StriderProgram
 from repro.obs.telemetry import telemetry
 from repro.rdbms.page import PageLayout, decode_page_rows
@@ -127,6 +127,41 @@ class AccessEngineStats(Ledger):
         self.strider_cycles_critical += max(cycles)
         # one shifter pass per page to align data to the BRAM read width
         self.shifter_cycles += len(batch_results)
+
+    @classmethod
+    def of_page_runs(
+        cls,
+        runs: Iterable[tuple[StriderStats, int]],
+        config: AccessEngineConfig,
+        axi_bytes_per_cycle: float,
+    ) -> "AccessEngineStats":
+        """What extracting pages with these walk costs books, from counts alone.
+
+        The one statement of the wave composition: ``runs`` of ``pages``
+        consecutive pages that each cost ``walk``, cut into waves of
+        ``config.num_striders`` as :meth:`AccessEngine.waves` cuts page
+        images and booked through :meth:`merge_batch` — a stretch of identical
+        waves once, times its length, so a million full pages cost two bookings.
+        """
+        stats, wave, width = cls(), [], config.num_striders
+
+        def booked(results: list[StriderResult], times: int = 1) -> "AccessEngineStats":
+            one = cls()
+            one.merge_batch(results, config.page_size, axi_bytes_per_cycle)
+            return one * times
+
+        for walk, pages in runs:
+            page = StriderResult(stats=walk)
+            taken = min(pages, (width - len(wave)) % width)  # top up an open wave
+            wave += [page] * taken
+            if len(wave) == width:
+                stats += booked(wave)
+                wave = []
+            whole, rest = divmod(pages - taken, width)
+            if whole:
+                stats += booked([page] * width, whole)
+            wave += [page] * rest
+        return stats + booked(wave)
 
 
 class PayloadDecoder:
@@ -393,26 +428,24 @@ class AccessEngine:
         The decisions an executed extraction goes through: ``use_striders``
         as :meth:`open` takes it (CPU decode books nothing), then each
         page's :meth:`Strider.walk_cost <repro.hw.strider.Strider.walk_cost>`
-        through :meth:`AccessEngineStats.merge_batch` in waves of
-        ``num_striders``, like :meth:`waves`.  Every tuple is as long as
-        the schema says, so the work is per page, not per tuple.
+        composed by :meth:`AccessEngineStats.of_page_runs`.  Every tuple is
+        as long as the schema says, so the work is per run of equal-count
+        pages, not per page or per tuple.
         """
-        stats = AccessEngineStats()
         if not use_striders:
-            return stats
+            return AccessEngineStats()
         template = page_walk_template(self.program)
         if template is None:
             raise HardwareError("only the compiled page-walk idiom has a closed form")
         tuple_bytes = template.strip_bytes + self.decoder.payload_bytes
-        walks = [
-            StriderResult(stats=cost)
-            for cost in self._striders[0].walk_cost(tuple_bytes, page_tuple_counts)
-        ]
-        for wave in self._waves(walks):
-            stats.merge_batch(
-                wave, self.config.page_size, self.fpga.axi_bytes_per_cycle
-            )
-        return stats
+        counts, lengths = [], []  # runs of equal-count pages: a bulk load has two
+        for count, pages in itertools.groupby(page_tuple_counts):
+            counts.append(count)
+            lengths.append(len(list(pages)))
+        walks = self._striders[0].walk_cost(tuple_bytes, counts)
+        return AccessEngineStats.of_page_runs(
+            zip(walks, lengths), self.config, self.fpga.axi_bytes_per_cycle
+        )
 
 
 def _by_page(waves: Iterable[tuple[np.ndarray, list[int]]]) -> Iterator[np.ndarray]:

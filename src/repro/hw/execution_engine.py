@@ -24,18 +24,18 @@ Three execution paths are provided:
 Cycle accounting uses the static schedule lengths: every consumed batch
 costs ``update_rule_cycles`` (all threads run in lock-step on their own
 tuple) plus the tree-bus merge cost plus ``post_merge_cycles``.  That
-arithmetic is stated once, in :meth:`ExecutionEngine.epoch_cost` (this
-stage's entry in the cycle ledger, :mod:`repro.hw.ledger`): the tape paths
-book it **once per epoch** — a pure function of the tuple count, so
-nothing is booked inside the batch loop — ``EXPLAIN`` predicts with it,
-and the per-tuple oracle keeps booking batch by batch
-(:meth:`ExecutionEngine.account_batch`), the reference the parity tests
-hold the closed form to.
+arithmetic is stated once, in :func:`repro.hw.ledger.engine_epoch_cost`
+(a function of counts alone, so the design-space estimator reads it too);
+:meth:`ExecutionEngine.epoch_cost` calls it with the static schedule's
+region lengths: the tape paths book it **once per epoch** — a pure
+function of the tuple count, so nothing is booked inside the batch loop —
+``EXPLAIN`` predicts with it, and the per-tuple oracle keeps booking batch
+by batch (:meth:`ExecutionEngine.account_batch`), the reference the parity
+tests hold the closed form to.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -45,8 +45,8 @@ from repro.exceptions import ExecutionEngineError
 from repro.dsl.operations import Operator
 from repro.hw.alu import ALU
 from repro.hw.analytic_cluster import AnalyticCluster
-from repro.hw.ledger import Ledger
-from repro.hw.tree_bus import TreeBus, TreeBusStats
+from repro.hw.ledger import EngineRunStats, TreeBusStats, engine_epoch_cost
+from repro.hw.tree_bus import TreeBus
 from repro.isa.engine_isa import SourceKind
 from repro.runtime import BatchSource, EpochDriver, EpochStep
 from repro.translator.evaluator import HDFGEvaluator
@@ -55,29 +55,6 @@ from repro.translator.tape import BatchBinder, CompiledTape
 from repro.compiler.scheduler import ThreadSchedule, node_ref
 
 TupleBinder = Callable[[np.ndarray], dict[str, np.ndarray | float]]
-
-
-@dataclass
-class EngineRunStats(Ledger):
-    """Counters accumulated while training."""
-
-    tuples_processed: int = 0
-    batches_processed: int = 0
-    epochs_completed: int = 0
-    update_rule_cycles: int = 0
-    merge_cycles: int = 0
-    post_merge_cycles: int = 0
-    convergence_cycles: int = 0
-
-    @property
-    def total_cycles(self) -> int:
-        """Every region's cycles, summed."""
-        return (
-            self.update_rule_cycles
-            + self.merge_cycles
-            + self.post_merge_cycles
-            + self.convergence_cycles
-        )
 
 
 @dataclass
@@ -139,20 +116,22 @@ class ExecutionEngine:
             self.batch_size = 1
         # Structural queries hoisted out of the per-batch hot path: which
         # node ids each variable name binds to, whether updates are
-        # row-addressed, and the merge element width for the cycle model.
+        # row-addressed, and the merge widths for the cycle model.
         self._binding_ids_by_name: dict[str, set[int]] = {}
         for binding in graph.bindings:
             self._binding_ids_by_name.setdefault(binding.name, set()).add(
                 binding.node_id
             )
         self._gather_updates = self._compute_gather_updates()
-        self._merge_elements = self._merge_element_count()
+        self._merge_widths = [node.element_count for node in self._merge_nodes]
         # The schedule is static, so its region lengths are too — hoist
         # them instead of re-deriving them from the instruction stream
         # every time an epoch is priced.
-        self._update_rule_cycles = self.schedule.update_rule_cycles
-        self._post_merge_cycles = self.schedule.post_merge_cycles
-        self._convergence_cycles = self.schedule.convergence_cycles
+        self._region_cycles = (
+            self.schedule.update_rule_cycles,
+            self.schedule.post_merge_cycles,
+            self.schedule.convergence_cycles,
+        )
         # The binary compiles the tape once per UDF and hands it to every
         # engine; a bare engine lowers the graph itself.  Graphs the tape
         # cannot lower keep the per-tuple evaluator as their only path.
@@ -229,35 +208,22 @@ class ExecutionEngine:
     ) -> tuple[EngineRunStats, TreeBusStats]:
         """What one epoch over ``n_tuples`` tuples books: engine and thread bus.
 
-        The one statement of the engine cycle model: full merge batches of
-        ``batch_size`` (default :attr:`batch_size`) plus one remainder
-        batch; the threads run in lock-step, so a batch needs
-        ``ceil(batch / threads)`` rounds of the update rule, one tree-bus
-        merge per merge node and the post-merge region; ``epoch_end`` adds
-        the convergence check.  The tape paths book it once per epoch
+        :func:`repro.hw.ledger.engine_epoch_cost` — the one statement of
+        the engine cycle model — over the static schedule's region lengths,
+        this engine's threads and bus, and merge batches of ``batch_size``
+        (default :attr:`batch_size`).  The tape paths book it once per epoch
         (:meth:`book_epoch`), ``EXPLAIN`` prices plans with it, and the
         per-batch adders are the same function over one batch size.
         """
-        engine, bus = EngineRunStats(), TreeBusStats()
-        size = self.batch_size if batch_size is None else batch_size
-        full, remainder = divmod(n_tuples, size) if n_tuples > 0 else (0, 0)
-        for batch_len, count in ((size, full), (remainder, 1)):
-            if batch_len < 1 or count < 1:
-                continue
-            rounds = math.ceil(batch_len / self.threads)
-            engine.batches_processed += count
-            engine.tuples_processed += count * batch_len
-            engine.update_rule_cycles += count * rounds * self._update_rule_cycles
-            engine.merge_cycles += count * self.tree_bus.merge_cycles(
-                min(batch_len, self.threads), self._merge_elements
-            )
-            engine.post_merge_cycles += count * self._post_merge_cycles
-            for merge_node in self._merge_nodes:
-                bus += self.tree_bus.merge_cost(batch_len, merge_node.element_count) * count
-        if epoch_end:
-            engine.epochs_completed = 1
-            engine.convergence_cycles = self._convergence_cycles
-        return engine, bus
+        return engine_epoch_cost(
+            n_tuples,
+            batch_size=self.batch_size if batch_size is None else batch_size,
+            threads=self.threads,
+            region_cycles=self._region_cycles,
+            merge_widths=self._merge_widths,
+            bus=self.tree_bus,
+            epoch_end=epoch_end,
+        )
 
     def book_epoch(self, n_tuples: int) -> None:
         """Book one finished epoch, in place — after its last batch: a
@@ -407,11 +373,6 @@ class ExecutionEngine:
             if name in model_dims and update_dims != model_dims[name]:
                 return True
         return False
-
-    def _merge_element_count(self) -> int:
-        if not self._merge_nodes:
-            return 0
-        return max(node.element_count for node in self._merge_nodes)
 
     def _convergence_reached(self, env: dict) -> bool:
         if self.graph.convergence_node_id is None:

@@ -71,12 +71,6 @@ class FPGASpec:
             raise ConfigurationError("bandwidth scale must be positive")
         return replace(self, axi_bandwidth_gbps=self.axi_bandwidth_gbps * scale)
 
-    def with_compute_scale(self, scale: float) -> "FPGASpec":
-        """A copy with the DSP budget scaled (compute-capability sensitivity)."""
-        if scale <= 0:
-            raise ConfigurationError("compute scale must be positive")
-        return replace(self, dsp_slices=int(self.dsp_slices * scale))
-
 
 # Xilinx Virtex UltraScale+ VU9P, the paper's evaluation platform (Table 4).
 ULTRASCALE_PLUS_VU9P = FPGASpec(

@@ -2,18 +2,25 @@
 
 Every reported cycle is a pure function of (static schedule, tuple and
 page counts).  Each stage states that function once — ``Strider.walk_cost``,
-``AccessEngine.partition_cost``, ``ExecutionEngine.epoch_cost``,
-``InferencePlan.forward_cost``, ``TreeBus.merge_cost`` — returning its own
-stats dataclass; a run *books* it with ``stats += cost`` and ``EXPLAIN``
-*predicts* by calling the same function (``docs/architecture.md``, "The
-cycle ledger").  This module holds what those readers share.
+``AccessEngineStats.of_page_runs`` (the wave composition),
+:func:`engine_epoch_cost`, ``InferencePlan.forward_cost``,
+``TreeBus.merge_cost`` — returning its own stats dataclass, and everything
+else reads it: a run *books* it with ``stats += cost``, ``EXPLAIN``
+*predicts* with it, the design-space estimator *chooses* a design with it
+and the paper-scale FPGA model *prices the figures* with it
+(``docs/architecture.md``, "The cycle ledger").  This module holds what
+those readers share; it imports only the standard library, so
+``repro.compiler`` can import the engine's stage function from here
+although ``hw/execution_engine.py`` imports the compiler's scheduler.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 import operator
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 
 class Ledger:
@@ -36,6 +43,84 @@ class Ledger:
 
     def __sub__(self, other):
         return self + other * -1
+
+
+@dataclass
+class TreeBusStats(Ledger):
+    """Counters of the merges a tree bus performed."""
+
+    merges_performed: int = 0
+    levels_traversed: int = 0
+    operations_executed: int = 0
+    cycles: int = 0
+
+
+@dataclass
+class EngineRunStats(Ledger):
+    """Counters accumulated while training."""
+
+    tuples_processed: int = 0
+    batches_processed: int = 0
+    epochs_completed: int = 0
+    update_rule_cycles: int = 0
+    merge_cycles: int = 0
+    post_merge_cycles: int = 0
+    convergence_cycles: int = 0
+
+    @property
+    def total_cycles(self) -> int:
+        """Every region's cycles, summed."""
+        return (
+            self.update_rule_cycles
+            + self.merge_cycles
+            + self.post_merge_cycles
+            + self.convergence_cycles
+        )
+
+
+def engine_epoch_cost(
+    n_tuples: int,
+    *,
+    batch_size: int,
+    threads: int,
+    region_cycles: tuple[int, int, int],
+    merge_widths: Sequence[int],
+    bus,
+    epoch_end: bool = True,
+) -> tuple[EngineRunStats, TreeBusStats]:
+    """What one epoch over ``n_tuples`` tuples books: engine and thread bus.
+
+    The one statement of the engine cycle model, from counts alone:
+    ``region_cycles`` are one thread's (update-rule, post-merge,
+    convergence) lengths — the static schedule's for a run, the scheduler's
+    estimate for the design-space estimator — ``merge_widths`` each merge
+    node's element count and ``bus`` the ``TreeBus`` that prices a merge.
+    Full merge batches of ``batch_size`` plus one remainder batch; the
+    threads run in lock-step, so a batch needs ``ceil(batch / threads)``
+    rounds of the update rule, one tree-bus merge per merge node and the
+    post-merge region; ``epoch_end`` adds the convergence check.
+    """
+    update_rule, post_merge, convergence = region_cycles
+    widest_merge = max(merge_widths, default=0)
+    engine, bus_cost = EngineRunStats(), TreeBusStats()
+    full, remainder = divmod(n_tuples, batch_size) if n_tuples > 0 else (0, 0)
+    for batch_len, count in ((batch_size, full), (remainder, 1)):
+        if batch_len < 1 or count < 1:
+            continue
+        rounds = math.ceil(batch_len / threads)
+        engine.batches_processed += count
+        engine.tuples_processed += count * batch_len
+        engine.update_rule_cycles += count * rounds * update_rule
+        engine.merge_cycles += count * bus.merge_cycles(
+            min(batch_len, threads), widest_merge
+        )
+        engine.post_merge_cycles += count * post_merge
+        for width in merge_widths:
+            bus_cost += bus.merge_cost(batch_len, width) * count
+    if epoch_end:
+        engine.epochs_completed = 1
+        engine.convergence_cycles = convergence
+    return engine, bus_cost
 
 
 def critical_path_cycles(

@@ -13,24 +13,13 @@ operations each.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.exceptions import ExecutionEngineError
 from repro.dsl.operations import Operator
 from repro.hw.alu import ALU
-from repro.hw.ledger import Ledger
-
-
-@dataclass
-class TreeBusStats(Ledger):
-    """Counters of the merges a tree bus performed."""
-
-    merges_performed: int = 0
-    levels_traversed: int = 0
-    operations_executed: int = 0
-    cycles: int = 0
+from repro.hw.ledger import TreeBusStats
 
 
 class TreeBus:

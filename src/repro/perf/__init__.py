@@ -21,11 +21,10 @@ from repro.perf.plan_cost import (
     predicted_merges,
     worker_limit,
 )
-from repro.perf.report import RuntimeBreakdown, format_seconds, geomean, speedup_table
+from repro.perf.report import RuntimeBreakdown, format_seconds, geomean
 from repro.perf.segment_model import (
     DEFAULT_IPC_BANDWIDTH_BYTES_PER_S,
     DEFAULT_IPC_ROUND_TRIP_S,
-    SegmentScalingModel,
     ShardedRunCost,
     measured_segment_sweep,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "PAPER_EPOCHS",
     "RuntimeBreakdown",
     "ScoreRunCost",
-    "SegmentScalingModel",
     "ShardedRunCost",
     "StorageCostModel",
     "measured_segment_sweep",
@@ -65,6 +63,5 @@ __all__ = [
     "predict_score_cost",
     "predict_train_cost",
     "predicted_merges",
-    "speedup_table",
     "worker_limit",
 ]

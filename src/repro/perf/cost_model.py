@@ -15,7 +15,7 @@ studies (e.g. Figure 14's bandwidth sweep) by replacing a single field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,6 @@ class DAnACostModel:
     #: fraction of the per-epoch data movement that cannot be overlapped
     #: with compute (pipeline fill, handshakes).
     non_overlap_fraction: float = 0.05
-    #: number of ALUs attached to the cross-thread tree bus.
-    tree_bus_alus: int = 64
 
 
 @dataclass(frozen=True)
@@ -105,14 +103,6 @@ class CostModel:
     storage: StorageCostModel = StorageCostModel()
     external: ExternalLibraryCostModel = ExternalLibraryCostModel()
     dana: DAnACostModel = DAnACostModel()
-
-    def with_storage_bandwidth(self, bandwidth_bytes: float) -> "CostModel":
-        """This model with the disk bandwidth replaced (sweep helper)."""
-        return replace(self, storage=replace(self.storage, disk_bandwidth_bytes=bandwidth_bytes))
-
-    def with_cpu_gflops(self, gflops: float) -> "CostModel":
-        """This model with the effective CPU GFLOPS replaced (sweep helper)."""
-        return replace(self, cpu=replace(self.cpu, effective_gflops=gflops))
 
 
 DEFAULT_COST_MODEL = CostModel()

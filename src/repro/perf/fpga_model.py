@@ -2,13 +2,17 @@
 
 The model drives the same hardware-generation pipeline the functional
 simulator uses (DSL → hDFG → hardware generator → design point) with the
-*paper-scale* dataset statistics, and converts the resulting cycle counts
-into seconds at the FPGA frequency:
+*paper-scale* dataset statistics and converts cycles into seconds at the
+FPGA frequency.  The cycles come from the cycle ledger
+(:mod:`repro.hw.ledger`), so the figures are priced by the machine the
+tests execute: **compute** is the chosen design point's
+``compute_cycles_per_epoch`` (the estimator's ``engine_epoch_cost`` of Table
+3's tuple count), the **Strider walk** is ``Strider.walk_cost`` at Table 3's
+tuple width and mean tuples per page, composed over its pages by
+``AccessEngineStats.of_page_runs``.  Stated here is what is model-only:
 
-* **compute** — update-rule schedule length per batch, tree-bus merge cost
-  and post-merge schedule length, times the number of batches per epoch;
-* **data** — Strider page-walking cycles (parallel across the page buffers)
-  plus AXI transfer cycles for the pages shipped from the buffer pool;
+* AXI seconds for the bytes Table 3 lists; the data stage is the slower of
+  Strider walk and AXI transfer;
 * access and execution engines are interleaved, so one epoch costs the
   maximum of the two (plus a small non-overlappable fraction);
 * with Striders disabled the CPU extracts and transforms every tuple and
@@ -27,19 +31,22 @@ with bandwidth (Figure 14).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from repro.algorithms import get_algorithm
 from repro.algorithms.base import Hyperparameters
 from repro.compiler.hardware_generator import AcceleratorDesign, HardwareGenerator
-from repro.data.workloads import Workload
+from repro.data.workloads import PAGE_SIZE, Workload
+from repro.hw.access_engine import AccessEngineStats
 from repro.hw.fpga import DEFAULT_FPGA, FPGASpec
+from repro.hw.strider import Strider, StriderStats
 from repro.perf.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.perf.io_model import IOModel
 from repro.perf.report import RuntimeBreakdown
 from repro.rdbms.page import PageLayout
-from repro.rdbms.types import ColumnType, Schema
+
+#: the page format Table 3 counts its pages in.
+PAPER_LAYOUT = PageLayout(page_size=PAGE_SIZE)
 
 
 @dataclass
@@ -82,18 +89,17 @@ class DAnAModel:
         self.io_model = IOModel(cost_model)
         if system_name:
             self.system_name = system_name
-        self._design_cache: dict[tuple, tuple[AcceleratorDesign, object]] = {}
+        self._design_cache: dict[tuple, tuple[AcceleratorDesign, object, Strider]] = {}
 
     # ------------------------------------------------------------------ #
     # hardware generation at paper scale
     # ------------------------------------------------------------------ #
-    def _paper_schema(self, workload: Workload) -> Schema:
-        if workload.algorithm_key == "lrmf":
-            return Schema.lrmf_schema()
-        return Schema.training_schema(workload.model_topology[0], ColumnType.FLOAT4)
-
     def design_for(self, workload: Workload) -> tuple[AcceleratorDesign, object]:
         """Generate (and cache) the accelerator design for one workload."""
+        return self._generated(workload)[:2]
+
+    def _generated(self, workload: Workload) -> tuple[AcceleratorDesign, object, Strider]:
+        """The cached design, its hDFG and a Strider on the compiled page walk."""
         key = (
             workload.name,
             self.merge_coefficient,
@@ -103,34 +109,32 @@ class DAnAModel:
         )
         if key in self._design_cache:
             return self._design_cache[key]
-        algorithm = get_algorithm(workload.algorithm_key)
-        hyper = Hyperparameters(merge_coefficient=self.merge_coefficient)
-        if workload.algorithm_key == "lrmf":
-            # LRMF has no merge function (row-addressed Hogwild updates), so
-            # a single thread with the full AC allocation is the design the
-            # hardware generator would settle on; the functional topology is
-            # irrelevant for timing, so a small stand-in builds instantly.
-            hyper = Hyperparameters(merge_coefficient=1)
-            spec = algorithm.build_spec(workload.n_features, hyper, (64, 64, workload.n_features))
-        else:
-            spec = algorithm.build_spec(workload.model_topology[0], hyper)
+        # LRMF has no merge function (row-addressed Hogwild updates), so a
+        # single thread with the full AC allocation is the design the
+        # hardware generator would settle on; the functional topology is
+        # irrelevant for timing, so a small stand-in builds instantly.
+        lrmf = workload.algorithm_key == "lrmf"
+        merge_coefficient = 1 if lrmf else self.merge_coefficient
+        spec = get_algorithm(workload.algorithm_key).build_spec(
+            workload.n_features,
+            Hyperparameters(merge_coefficient=merge_coefficient),
+            (64, 64, workload.n_features) if lrmf else (),
+        )
         from repro.translator import translate
 
         graph = translate(spec.algo)
-        layout = PageLayout(page_size=32 * 1024)
-        effective_merge = 1 if workload.algorithm_key == "lrmf" else self.merge_coefficient
         generator = HardwareGenerator(
             graph,
-            layout,
+            PAPER_LAYOUT,
             spec.schema,
             self.fpga,
-            merge_coefficient=effective_merge,
+            merge_coefficient=merge_coefficient,
             n_tuples=workload.paper_tuples,
             max_threads=self.max_threads,
         )
-        design = generator.generate()
-        self._design_cache[key] = (design, graph)
-        return design, graph
+        strider = Strider(generator.strider_compilation.program, self.fpga.bram_read_width_bytes)
+        self._design_cache[key] = (generator.generate(), graph, strider)
+        return self._design_cache[key]
 
     # ------------------------------------------------------------------ #
     # per-epoch cost
@@ -141,21 +145,19 @@ class DAnAModel:
         frequency = self.fpga.frequency_hz
         point = design.design_point
 
-        threads = design.threads
         if workload.algorithm_key == "lrmf":
             compute_cycles = self._lrmf_compute_cycles(workload, design)
-        else:
-            batches = math.ceil(workload.paper_tuples / threads)
-            merge_cycles = point.merge_cycles
-            compute_cycles = batches * (
-                point.update_rule_cycles + merge_cycles + point.post_merge_cycles
-            )
+        else:  # priced by the estimator, with the engine's own epoch function
+            compute_cycles = point.compute_cycles_per_epoch
         compute_seconds = compute_cycles / frequency
 
-        pages = workload.paper_pages
-        strider_cycles_per_page = self._strider_cycles_per_page(workload)
-        strider_batches = math.ceil(pages / max(1, design.num_striders))
-        strider_seconds = strider_batches * strider_cycles_per_page / frequency
+        walk = StriderStats(cycles=self.strider_cycles_per_page(workload))
+        walked = AccessEngineStats.of_page_runs(
+            [(walk, workload.paper_pages)],
+            design.access_engine_config,
+            self.fpga.axi_bytes_per_cycle,
+        )
+        strider_seconds = walked.strider_cycles_critical / frequency
         axi_seconds = workload.paper_size_bytes / self.fpga.axi_bytes_per_second
         data_seconds = max(strider_seconds, axi_seconds) if self.use_striders else axi_seconds
 
@@ -169,7 +171,7 @@ class DAnAModel:
             data_seconds=data_seconds,
             cpu_extract_seconds=cpu_extract_seconds,
             detail={
-                "threads": threads,
+                "threads": design.threads,
                 "update_rule_cycles": point.update_rule_cycles,
                 "merge_cycles": point.merge_cycles,
                 "post_merge_cycles": point.post_merge_cycles,
@@ -187,13 +189,15 @@ class DAnAModel:
         cycles_per_tuple = workload.ratings_per_tuple * flops_per_rating / max(1, lanes)
         return workload.paper_tuples * cycles_per_tuple
 
-    def _strider_cycles_per_page(self, workload: Workload) -> float:
-        read_width = self.fpga.bram_read_width_bytes
-        tuple_bytes = workload.tuple_bytes + 12
-        words = max(1, math.ceil(tuple_bytes / read_width))
-        payload_words = max(1, math.ceil(workload.tuple_bytes / read_width))
-        per_tuple = 4 + words + payload_words
-        return 6 + per_tuple * workload.tuples_per_page
+    def strider_cycles_per_page(self, workload: Workload) -> float:
+        """Cycles of walking a mean Table 3 page: the ledger's
+        ``Strider.walk_cost`` at Table 3's tuple width.  The closed form is
+        affine in the tuple count, so the (fractional) mean tuples per page
+        prices the sum over all pages exactly."""
+        strider = self._generated(workload)[2]
+        tuple_bytes = PAPER_LAYOUT.tuple_header_size + workload.tuple_bytes
+        empty, one = strider.walk_cost(tuple_bytes, [0, 1])
+        return empty.cycles + (one.cycles - empty.cycles) * workload.tuples_per_page
 
     # ------------------------------------------------------------------ #
     # end-to-end estimate
@@ -231,17 +235,6 @@ class DAnAModel:
             cost_model=self.cost_model,
             fpga=self.fpga.with_bandwidth_scale(scale),
             merge_coefficient=self.merge_coefficient,
-            use_striders=self.use_striders,
-            max_threads=self.max_threads,
-            system_name=self.system_name,
-        )
-
-    def with_merge_coefficient(self, merge_coefficient: int) -> "DAnAModel":
-        """This model with the merge coefficient replaced (ablation helper)."""
-        return DAnAModel(
-            cost_model=self.cost_model,
-            fpga=self.fpga,
-            merge_coefficient=merge_coefficient,
             use_striders=self.use_striders,
             max_threads=self.max_threads,
             system_name=self.system_name,

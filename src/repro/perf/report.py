@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -56,18 +56,6 @@ def geomean(values: Iterable[float]) -> float:
     if not values:
         return 0.0
     return math.exp(sum(math.log(v) for v in values) / len(values))
-
-
-def speedup_table(
-    baselines: Mapping[str, RuntimeBreakdown],
-    candidates: Mapping[str, RuntimeBreakdown],
-) -> dict[str, float]:
-    """Per-workload speedups of ``candidates`` over ``baselines`` (same keys)."""
-    table = {}
-    for name, baseline in baselines.items():
-        if name in candidates:
-            table[name] = candidates[name].speedup_over(baseline)
-    return table
 
 
 def format_seconds(seconds: float) -> str:

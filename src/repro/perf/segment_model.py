@@ -7,20 +7,20 @@ lifts per-segment reports — the ledgers a ``ShardedRunResult`` measured,
 or the ones :func:`~repro.perf.plan_cost.predict_train_cost` priced with
 the same cost functions — through one constructor into modelled wall-clock
 on the FPGA (segments run concurrently: the slowest one plus the serial
-cross-segment merge), and :class:`SegmentScalingModel` predicts how a
-measured single-segment run would scale to other segment counts.
+cross-segment merge), and :func:`measured_segment_sweep` normalises measured
+runs for the Figure 13 harness.  Nothing here prices a cycle: every number
+is lifted from ledgers the stage functions (:mod:`repro.hw.ledger`) produced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TYPE_CHECKING
+from typing import Sequence, TYPE_CHECKING
 
 import numpy as np
 
 from repro.hw.fpga import DEFAULT_FPGA, FPGASpec
 from repro.hw.ledger import critical_path_cycles
-from repro.hw.tree_bus import TreeBus
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.sharded import ShardedRunResult
@@ -41,8 +41,7 @@ class ShardedRunCost:
 
     segments: int
     epochs_run: int
-    #: the slowest segment's serial AXI + Strider + engine cycles (what
-    #: :class:`SegmentScalingModel` scales down by the segment count).
+    #: the slowest segment's serial AXI + Strider + engine cycles.
     critical_segment_cycles: int
     cross_merge_cycles: int
     model_elements: int
@@ -165,52 +164,6 @@ class ShardedRunCost:
         return self.seconds(fpga) + self.ipc_overhead_seconds(
             bandwidth_bytes_per_s, round_trip_s
         )
-
-
-class SegmentScalingModel:
-    """Predicts sharded critical-path cycles from one measured run.
-
-    Per-segment work (engine + access) scales with the partition size,
-    i.e. ``1/segments`` of the measured single-segment cycles; the
-    cross-segment merge adds ``ceil(log2(segments))`` tree-bus levels per
-    model merge per epoch, priced by the same :class:`TreeBus` cycle model
-    that the execution engines use for their thread merges.
-    """
-
-    def __init__(self, base: ShardedRunCost, tree_bus_alus: int = 8) -> None:
-        if base.segments != 1:
-            raise ValueError(
-                "the scaling model extrapolates from a 1-segment measurement"
-            )
-        self.base = base
-        self.bus = TreeBus(alu_count=tree_bus_alus)
-
-    def predict_cycles(self, segments: int) -> int:
-        """Predicted critical-path cycles at ``segments`` from the 1-segment base."""
-        if segments < 1:
-            raise ValueError("segment counts start at 1")
-        per_segment = self.base.critical_segment_cycles / segments
-        merge = (
-            self.base.epochs_run
-            * self.bus.merge_cycles(segments, self.base.model_elements)
-        )
-        return int(round(per_segment + merge))
-
-    def sweep(self, segment_counts: Iterable[int]) -> list[dict]:
-        """Predicted cycles/speedup rows across ``segment_counts``."""
-        rows = []
-        for segments in segment_counts:
-            cycles = self.predict_cycles(segments)
-            rows.append(
-                {
-                    "segments": segments,
-                    "predicted_cycles": cycles,
-                    "predicted_speedup_vs_1": round(
-                        self.base.critical_path_cycles / max(1, cycles), 3
-                    ),
-                }
-            )
-        return rows
 
 
 def measured_segment_sweep(

@@ -78,3 +78,29 @@ def linear_algo_factory():
         return algo
 
     return build
+
+
+@pytest.fixture
+def walk_full_page():
+    """Packs one page of ``layout`` full of ``schema`` tuples and walks it
+    with the Strider *interpreter*: ``(tuples on the page, its StriderStats)``
+    — the count every closed-form page-walk cost is held to."""
+    from repro.compiler import compile_strider
+    from repro.hw import Strider
+    from repro.hw.fpga import DEFAULT_FPGA
+    from repro.rdbms.page import HeapPage
+
+    def walk(layout, schema):
+        page = HeapPage(layout)
+        capacity = layout.tuples_per_page(schema)
+        records = schema.to_records(np.ones((capacity, len(schema))))
+        assert page.extend(schema, records) == capacity
+        assert not page.has_room(schema)
+        strider = Strider(
+            compile_strider(layout, schema).program, DEFAULT_FPGA.bram_read_width_bytes
+        )
+        stats = strider.process_page(page.to_bytes()).stats
+        assert stats.tuples_emitted == capacity
+        return capacity, stats
+
+    return walk

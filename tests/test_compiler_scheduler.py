@@ -1,8 +1,12 @@
 """Tests for the static scheduler, hardware generator and design space."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.algorithms import Hyperparameters, algorithm_keys, get_algorithm
 from repro.compiler import (
     DesignSpaceExplorer,
     HardwareGenerator,
@@ -11,13 +15,30 @@ from repro.compiler import (
     WorkloadShape,
     estimate_region_cycles,
 )
+from repro.compiler import design_space
 from repro.compiler.scheduler import broadcast_source_index, node_ref
+from repro.core import DAnA
+from repro.data.synthetic import generate_for_algorithm
 from repro.exceptions import ResourceError, SchedulingError
+from repro.hw import ExecutionEngine, TreeBus
 from repro.hw.fpga import ARRIA_10, DEFAULT_FPGA, FPGASpec
+from repro.hw.ledger import engine_epoch_cost
 from repro.isa.engine_isa import AUS_PER_CLUSTER
+from repro.rdbms import Database
 from repro.rdbms.page import PageLayout
 from repro.rdbms.types import Schema
 from repro.translator import NodeKind, Region, translate
+
+LRMF_TOPOLOGY = (96, 64, 4)
+
+
+def _spec(key, n_features, merge_coefficient=8):
+    """A registered algorithm's spec (LRMF's width is its rank)."""
+    hyper = Hyperparameters(learning_rate=0.05, merge_coefficient=merge_coefficient)
+    topology = LRMF_TOPOLOGY if key == "lrmf" else ()
+    return get_algorithm(key).build_spec(
+        LRMF_TOPOLOGY[2] if key == "lrmf" else n_features, hyper, topology
+    )
 
 
 @pytest.fixture
@@ -166,11 +187,32 @@ class TestHardwareGenerator:
         assert config.num_striders == design.num_striders
         assert config.page_size == 32 * 1024
 
+    @pytest.mark.parametrize(
+        "key,n_features,page_size",
+        [(key, 12, 8 * 1024) for key in algorithm_keys()]
+        # the Remote Sensing LR page of Table 3: 141 tuples, 8,748 cycles
+        + [("logistic", 54, 32 * 1024)],
+    )
+    def test_strider_cycles_per_page_is_the_interpreter_count(
+        self, key, n_features, page_size, walk_full_page
+    ):
+        """Regression: the generator's hand formula folded the header term to
+        a constant one cycle short of what the interpreter counts."""
+        spec = _spec(key, n_features)
+        layout = PageLayout(page_size=page_size)
+        generator = HardwareGenerator(
+            translate(spec.algo), layout, spec.schema, n_tuples=10_000
+        )
+        capacity, walked = walk_full_page(layout, spec.schema)
+        assert generator.strider_cycles_per_page() == walked.cycles
+        if n_features == 54:
+            assert (capacity, walked.cycles) == (141, 8748)
+
 
 class TestDesignSpace:
     def _explorer(self, graph, merge=64, n_tuples=100_000):
         workload = WorkloadShape(
-            n_tuples=n_tuples, tuples_per_page=100, page_size=32 * 1024, tuple_bytes=220
+            n_tuples=n_tuples, tuples_per_page=100, page_size=32 * 1024
         )
         return DesignSpaceExplorer(
             graph=graph,
@@ -204,3 +246,110 @@ class TestDesignSpace:
         explorer = self._explorer(graph)
         points = explorer.explore()
         assert len({round(p.data_cycles_per_epoch, 3) for p in points}) == 1
+
+    @pytest.mark.parametrize("key", algorithm_keys())
+    def test_chosen_point_is_priced_as_the_run_books(self, key, monkeypatch):
+        """The estimator and the machine read one cost model: on whole pages,
+        with the chosen threads equal to the merge coefficient (the one
+        assumption they do not share), the chosen point's data cycles are
+        the run's booked access cycles, and its compute cycles are the
+        booked engine cycles once the estimated region lengths are replaced
+        by the schedule's."""
+        spec = _spec(key, 32, merge_coefficient=2)
+        database = Database(page_size=2048)
+        capacity = database.layout.tuples_per_page(spec.schema)
+        n_tuples = 70 * capacity  # whole pages, more than one wave of 64
+        data = generate_for_algorithm(key, n_tuples, 32, LRMF_TOPOLOGY, seed=3)
+        assert len(data) == n_tuples
+        database.load_table("t", spec.schema, data)
+        system = DAnA(database)
+        system.register_udf("u", spec, epochs=1)
+        run = system.train("u", "t", epochs=1)
+        binary = system.compile_udf("u", "t")
+        design, point = binary.design, binary.design.design_point
+        engine = system._registered("u").accelerators["t"].execution_engine
+        assert point.threads == engine.threads == engine.batch_size
+        assert point.num_striders == design.num_striders  # both MAX_PAGE_BUFFERS
+
+        assert run.access_stats.pages_processed == 70
+        assert point.data_cycles_per_epoch == run.access_stats.access_cycles
+
+        schedule = binary.thread_schedule
+        lengths = {
+            Region.UPDATE_RULE: schedule.update_rule_cycles,
+            Region.POST_MERGE: schedule.post_merge_cycles,
+        }
+        monkeypatch.setattr(
+            design_space,
+            "estimate_region_cycles",
+            lambda graph, region, acs, aus: lengths[region],
+        )
+        generator = HardwareGenerator(
+            binary.graph,
+            database.layout,
+            spec.schema,
+            merge_coefficient=spec.algo.merge_coefficient,
+            n_tuples=n_tuples,
+        )
+        scheduled = generator.generate().design_point
+        assert scheduled.threads == point.threads
+        booked = run.engine_stats
+        assert booked.convergence_cycles == schedule.convergence_cycles
+        assert scheduled.compute_cycles_per_epoch == (
+            booked.total_cycles - booked.convergence_cycles
+        )
+        assert (
+            scheduled.update_rule_cycles + scheduled.merge_cycles + scheduled.post_merge_cycles
+        ) * booked.batches_processed == scheduled.compute_cycles_per_epoch
+
+
+@functools.lru_cache(maxsize=None)
+def _linear_engine(width, merge_coefficient, threads):
+    spec = _spec("linear", width, merge_coefficient)
+    graph = translate(spec.algo)
+    return ExecutionEngine(
+        graph, Scheduler(graph, 2).schedule(), threads, TreeBus(alu_count=4)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_tuples=st.integers(0, 5000),
+    batch=st.integers(1, 70),
+    threads=st.sampled_from((1, 2, 3, 8, 64)),
+    width=st.sampled_from((1, 5, 16)),
+    merge_coefficient=st.sampled_from((1, 4, 64)),
+    epoch_end=st.booleans(),
+)
+def test_lifted_epoch_function_is_the_engines(
+    n_tuples, batch, threads, width, merge_coefficient, epoch_end
+):
+    """``engine_epoch_cost`` from counts alone == ``ExecutionEngine.epoch_cost``
+    == the per-batch reference booking, whatever the batch / thread / merge
+    shape (the engine clamps its threads to the merge coefficient)."""
+    engine = _linear_engine(width, merge_coefficient, threads)
+    schedule = engine.schedule
+    lifted = engine_epoch_cost(
+        n_tuples,
+        batch_size=batch,
+        threads=min(threads, merge_coefficient),
+        region_cycles=(
+            schedule.update_rule_cycles,
+            schedule.post_merge_cycles,
+            schedule.convergence_cycles,
+        ),
+        merge_widths=[width],
+        bus=TreeBus(alu_count=4),
+        epoch_end=epoch_end,
+    )
+    assert lifted == engine.epoch_cost(n_tuples, batch, epoch_end=epoch_end)
+    assert lifted[0].tuples_processed == n_tuples
+
+    reference = ExecutionEngine(
+        engine.graph, schedule, threads, TreeBus(alu_count=4), tape=engine.tape
+    )
+    for start in range(0, n_tuples, batch):
+        reference.account_batch(min(batch, n_tuples - start))
+    if epoch_end:
+        reference.account_epoch_end()
+    assert lifted == (reference.stats, reference.tree_bus.stats)

@@ -1,6 +1,9 @@
 """Tests for the experiment harness: every table/figure function produces
 rows whose *shape* matches the paper's qualitative findings."""
 
+import json
+import pathlib
+
 import pytest
 
 from repro.harness import format_table
@@ -165,3 +168,58 @@ class TestHarnessUtilities:
         text = format_table(rows, title="demo")
         assert "demo" in text and "a" in text and "x" in text and "-" in text
         assert format_table([]) == "(no rows)"
+
+
+#: ``{(experiment, row, column): (value at PR 20, value now)}`` — every cell
+#: of the paper harness that has moved since the rows recorded in
+#: ``tests/data/paper_figures_pr20.json``, with its cause.
+MOVED_CELLS = {
+    # PR 21, the FPGA model walks a page with Strider.walk_cost: one more
+    # cycle per tuple (the line-pointer READB its hand formula forgot), which
+    # shows where the page walk is the bottleneck — the three S/N workloads
+    # that are Strider-bound at 4x bandwidth
+    ("fig14_bandwidth_sweep", 34, "speedup_vs_baseline_bandwidth"): (2.395, 2.393),
+    ("fig14_bandwidth_sweep", 39, "speedup_vs_baseline_bandwidth"): (2.734, 2.732),
+    ("fig14_bandwidth_sweep", 49, "speedup_vs_baseline_bandwidth"): (2.419, 2.418),
+    # PR 21, the estimator's data cycles are AccessEngineStats.of_page_runs:
+    # the generator's page walk is the interpreter's (+1 cycle per page) and
+    # AXI cycles are ceiled per wave, as AccessEngineStats.merge_batch books
+    **{
+        ("ablation_design_space", row, "data_cycles_per_epoch"): (1834833.4, 1834912.0)
+        for row in range(8)
+    },
+    **{
+        ("ablation_design_space", row, "cycles_per_epoch"): (1834833.4, 1834912.0)
+        for row in range(4, 8)  # the bandwidth-bound candidates
+    },
+    # PR 21, the estimator's compute cycles are engine_epoch_cost: the last,
+    # partial batch merges only the tuples it holds (one tree-bus level less)
+    ("ablation_design_space", 2, "compute_cycles_per_epoch"): (4067728.0, 4067721.0),
+    ("ablation_design_space", 2, "cycles_per_epoch"): (4067728.0, 4067721.0),
+    ("ablation_design_space", 5, "compute_cycles_per_epoch"): (944320.0, 944313.0),
+}
+
+
+def test_figures_are_the_recorded_ones_except_the_named_cells():
+    """Figure pin: every row of every experiment (the functional Fig. 13
+    column aside) equals the rows recorded at PR 20, except the cells
+    ``MOVED_CELLS`` names — a cost-model change must say which printed
+    numbers it moved, and why."""
+    recorded = json.loads(
+        (pathlib.Path(__file__).parent / "data" / "paper_figures_pr20.json").read_text()
+    )
+    assert set(recorded) == set(EXPERIMENTS) - {"fig13_greenplum_segments"}
+    unmoved = set(MOVED_CELLS)
+    for name, rows in recorded.items():
+        regenerated = EXPERIMENTS[name]()
+        assert len(regenerated) == len(rows), name
+        for index, (row, now) in enumerate(zip(rows, regenerated)):
+            assert set(row) == set(now), (name, index)
+            for column, value in row.items():
+                cell = (name, index, column)
+                was, expected = MOVED_CELLS.get(cell, (value, value))
+                assert value == was, cell
+                assert now[column] == expected, cell
+                if now[column] != value:
+                    unmoved.discard(cell)
+    assert not unmoved, f"listed as moved but equal to the record: {sorted(unmoved)}"

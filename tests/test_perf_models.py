@@ -1,8 +1,14 @@
 """Tests for the analytical performance models (CPU, IO, FPGA, reports)."""
 
+import dataclasses
+
 import pytest
 
+from repro.algorithms import algorithm_keys
 from repro.data import WORKLOADS, get_workload, real_workloads
+from repro.hw import TreeBus
+from repro.hw.fpga import DEFAULT_FPGA
+from repro.hw.ledger import engine_epoch_cost
 from repro.perf import (
     DAnAModel,
     ExternalLibraryModel,
@@ -16,6 +22,8 @@ from repro.perf import (
     format_seconds,
     geomean,
 )
+from repro.perf.fpga_model import PAPER_LAYOUT
+from repro.rdbms.types import Schema
 
 
 class TestReportHelpers:
@@ -208,3 +216,49 @@ class TestDAnAModel:
         second_design, second_graph = dana.design_for(workload)
         assert first_design is second_design
         assert first_graph is second_graph
+
+    @pytest.mark.parametrize("key", algorithm_keys())
+    def test_page_walk_is_the_interpreter_count(self, key, walk_full_page):
+        """Regression: the model's hand formula forgot the line-pointer READB
+        (61 vs 62 cycles per Remote Sensing LR tuple) and sized the on-page
+        tuple with the line pointer added.  At an integer tuples/page the
+        model's page walk is what the interpreter counts on a packed page."""
+        workload = next(w for w in WORKLOADS if w.algorithm_key == key)
+        # a Table 3 LRMF row is wider than a page: narrow it to 100 ratings
+        columns = 100 if key == "lrmf" else workload.model_topology[0] + 1
+        schema = Schema.training_schema(columns - 1)
+        capacity, walked = walk_full_page(PAPER_LAYOUT, schema)
+        workload = dataclasses.replace(
+            workload,
+            paper_pages=100,
+            paper_tuples=100 * capacity,
+            paper_size_mb=100 * capacity * (schema.row_width + 12 + 2) / 2**20,
+        )
+        assert schema.row_width == workload.tuple_bytes
+        assert workload.tuples_per_page == capacity
+        assert DAnAModel().strider_cycles_per_page(workload) == walked.cycles
+
+    @pytest.mark.parametrize(
+        "workload", [w for w in WORKLOADS if w.algorithm_key != "lrmf"], ids=lambda w: w.name
+    )
+    def test_compute_cycles_are_the_chosen_design_points(self, workload):
+        """The figures' compute seconds are the cycles the design-space
+        estimator priced with the engine's own epoch function."""
+        model = DAnAModel()
+        design, graph = model.design_for(workload)
+        point = design.design_point
+        cost = model.epoch_cost(workload)
+        assert cost.compute_seconds == (
+            point.compute_cycles_per_epoch / DEFAULT_FPGA.frequency_hz
+        )
+        engine, _bus = engine_epoch_cost(
+            workload.paper_tuples,
+            batch_size=point.threads,
+            threads=point.threads,
+            region_cycles=(point.update_rule_cycles, point.post_merge_cycles, 0),
+            merge_widths=[graph.node(i).element_count for i in graph.merge_node_ids],
+            bus=TreeBus(alu_count=design.aus_per_cluster),
+            epoch_end=False,
+        )
+        assert engine.total_cycles == point.compute_cycles_per_epoch
+        assert engine.tuples_processed == workload.paper_tuples

@@ -427,15 +427,20 @@ def test_one_module_builds_batch_sources_and_the_old_entry_points_are_gone():
 
 def test_each_stage_cost_is_stated_once_and_booked_once_per_epoch():
     """Structural pin of the cycle ledger: one cost function per stage, no
-    second predictor, and no per-batch booking on the tape paths."""
+    second predictor — not in EXPLAIN, not in the design-space estimator,
+    not in the paper-scale FPGA model — and no per-batch booking on the
+    tape paths."""
     import inspect
     import pathlib
     import re
 
     import repro
     from repro.cluster import sharded
-    from repro.hw import AccessEngine, ExecutionEngine, TreeBus
+    from repro.compiler import DesignSpaceExplorer, HardwareGenerator
+    from repro.hw import AccessEngine, AccessEngineStats, ExecutionEngine, TreeBus
+    from repro.hw.ledger import engine_epoch_cost
     from repro.hw.strider import Strider
+    from repro.perf import DAnAModel
     from repro.serving import InferenceEngine, InferencePlan
 
     root = pathlib.Path(repro.__file__).parent
@@ -447,8 +452,16 @@ def test_each_stage_cost_is_stated_once_and_booked_once_per_epoch():
         "estimate_cycles_per_page",
         "estimate_partition_cycles",
         "_merge_cycles_by_batch",
+        "_strider_cycles_per_page",
     ):
         assert not re.search(rf"\b{name}\b", everything), name
+    # the hand-written copies the estimator and the FPGA model used to carry
+    compiler = "\n".join(
+        text for path, text in sources.items() if path.parent == root / "compiler"
+    )
+    assert "_merge_element_count" not in compiler
+    assert "math.log2" not in sources[root / "compiler" / "design_space.py"]
+    assert "words + payload_words" not in everything
     # the tape paths book per epoch / per scoring call, never per batch
     for body in (
         ExecutionEngine._train_one_epoch_tape,
@@ -462,7 +475,7 @@ def test_each_stage_cost_is_stated_once_and_booked_once_per_epoch():
     # one statement of the rounds arithmetic per engine, inside its cost function
     rounds = r"math\.ceil\(batch_len / \S*threads\)"
     for path, cost_function in (
-        (root / "hw" / "execution_engine.py", ExecutionEngine.epoch_cost),
+        (root / "hw" / "ledger.py", engine_epoch_cost),
         (root / "serving" / "inference.py", InferencePlan.forward_cost),
     ):
         assert len(re.findall(rounds, sources[path])) == 1, path
@@ -474,12 +487,36 @@ def test_each_stage_cost_is_stated_once_and_booked_once_per_epoch():
     # every stage's cost function exists, and pricing is what booking adds
     for cost_function in (
         Strider.walk_cost,
+        AccessEngineStats.of_page_runs,
         AccessEngine.partition_cost,
+        engine_epoch_cost,
         ExecutionEngine.epoch_cost,
         InferencePlan.forward_cost,
         TreeBus.merge_cost,
     ):
         assert callable(cost_function)
+    # ... and every reader reaches it: the run and EXPLAIN through the
+    # engines, the estimator and the paper-scale model directly
+    readers = {
+        engine_epoch_cost: (ExecutionEngine.epoch_cost, DesignSpaceExplorer.evaluate),
+        AccessEngineStats.of_page_runs: (
+            AccessEngine.partition_cost,
+            DesignSpaceExplorer.evaluate,
+            DAnAModel.epoch_cost,
+        ),
+        Strider.walk_cost: (
+            AccessEngine.partition_cost,
+            HardwareGenerator.strider_cycles_per_page,
+            DAnAModel.strider_cycles_per_page,
+        ),
+    }
+    for cost_function, callers in readers.items():
+        for caller in callers:
+            assert cost_function.__name__ in inspect.getsource(caller), caller
+    assert "compute_cycles_per_epoch" in inspect.getsource(DAnAModel.epoch_cost)
+    # the estimator's one departure from the machine: a batch is one round
+    assert len(re.findall(r"batch_size=threads", everything)) == 1
+    assert "batch_size=threads" in inspect.getsource(DesignSpaceExplorer.evaluate)
 
 
 def test_a_mixed_count_partition_is_priced_as_it_is_booked():
