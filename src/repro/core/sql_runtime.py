@@ -26,7 +26,14 @@ from repro.perf import ScoreRunCost, ShardedRunCost
 from repro.rdbms import ModelEntry
 from repro.rdbms.explain import PlanOperator
 from repro.rdbms.predicate import ColumnPredicate
-from repro.rdbms.query import CreateModel, PredictScan, QueryResult, ScoreCall, UDFCall
+from repro.rdbms.query import (
+    ColumnRows,
+    CreateModel,
+    PredictScan,
+    QueryResult,
+    ScoreCall,
+    UDFCall,
+)
 from repro.serving import ScoreResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -170,12 +177,13 @@ class SqlRuntime:
         column: str,
     ) -> QueryResult:
         """The result set SQL scoring statements return: one row per
-        prediction (a scalar float or a list), converted in one ``tolist``."""
+        prediction (a scalar float or a list), as a lazy view over the
+        (LIMIT-sliced) prediction array — no per-row Python until read."""
         predictions = result.predictions
         if limit is not None:
             predictions = predictions[:limit]
         return QueryResult(
-            rows=[(value,) for value in predictions.tolist()],
+            rows=ColumnRows(predictions),
             columns=(column,),
             payload=result,
             stats={

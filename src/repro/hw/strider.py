@@ -336,7 +336,8 @@ class Strider:
         Returns the proven pages' cleansed payloads, page then slot order,
         as one ``(tuples, payload_bytes)`` ``uint8`` matrix — byte for byte
         the FIFO :meth:`process_page_bulk` would have filled — and each
-        page's counters, ``None`` where a check rejected the page: that
+        page's counters (one shared, read-only :class:`StriderStats` per
+        distinct tuple count), ``None`` where a check rejected the page: that
         page must be walked alone, so every error and every odd-header
         behaviour stays :meth:`process_page_bulk`'s.
         """
@@ -367,10 +368,12 @@ class Strider:
             if fits.any():
                 groups.append((index[fits], offsets[fits]))
         counts[~proven] = 0
-        for page, cost in zip(
-            np.flatnonzero(proven).tolist(), self.walk_cost(width, counts[proven])
-        ):
-            stats[page] = cost
+        # Every tuple is ``width`` bytes, so a page's cost is its count's:
+        # priced once per group, and the group's pages share the entry.
+        group_counts = [offsets.shape[1] for _index, offsets in groups]
+        for (index, _offsets), cost in zip(groups, self.walk_cost(width, group_counts)):
+            for page in index.tolist():
+                stats[page] = cost
         ends = np.cumsum(counts)
         payloads = np.empty((int(ends[-1]), payload_bytes), dtype=np.uint8)
         for index, offsets in groups:

@@ -28,6 +28,7 @@ from repro.rdbms.page import (
 )
 from repro.rdbms.predicate import ColumnPredicate, Comparison
 from repro.rdbms.query import (
+    ColumnRows,
     CountScan,
     CreateModel,
     DropModel,
@@ -57,6 +58,7 @@ __all__ = [
     "Column",
     "ColumnPredicate",
     "ColumnType",
+    "ColumnRows",
     "Comparison",
     "CountScan",
     "CreateModel",

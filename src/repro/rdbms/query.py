@@ -43,7 +43,9 @@ statement they were raised from.
 
 from __future__ import annotations
 
+import operator
 import re
+from collections import abc
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Protocol, Sequence
 
@@ -747,17 +749,64 @@ def matches_row(
 # ---------------------------------------------------------------------- #
 # results, runtime protocol, executor
 # ---------------------------------------------------------------------- #
+class ColumnRows(abc.Sequence):
+    """A one-column result set as a lazy sequence over the column's array.
+
+    What a scoring statement returns as :attr:`QueryResult.rows`: the rows
+    ``[(value,) for value in column.tolist()]`` without building them.
+    ``len()`` and ``rows[i]`` (a 1-tuple holding a float, or a list for a
+    vector-valued column) read the array; slicing, iteration, ``==`` —
+    with a list on either side, or another view — and ``repr`` build the
+    list once and keep it.
+    """
+
+    def __init__(self, column: np.ndarray) -> None:
+        """Wrap ``column``: one result row per element along its first axis."""
+        self.column = column
+        self._rows: list[tuple[Any]] | None = None
+
+    def _list(self) -> list[tuple[Any]]:
+        if self._rows is None:
+            self._rows = [(value,) for value in self.column.tolist()]
+        return self._rows
+
+    def __len__(self) -> int:
+        return len(self.column)
+
+    def __getitem__(self, index):
+        if self._rows is not None or isinstance(index, slice):
+            return self._list()[index]
+        return (self.column[operator.index(index)].tolist(),)
+
+    def __iter__(self) -> Iterator[tuple[Any]]:
+        return iter(self._list())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ColumnRows):
+            other = other._list()
+        if isinstance(other, list):
+            return self._list() == other
+        return NotImplemented
+
+    __hash__ = None  # compares by value, like the list it stands for
+
+    def __repr__(self) -> str:
+        return repr(self._list())
+
+
 @dataclass
 class QueryResult:
     """Result of executing a query.
 
-    ``rows`` holds the materialised output (scan results, predictions or a
-    statement's summary row); ``payload`` carries structured output such as
-    a trained-model report or a :class:`~repro.serving.ScoreResult`, and
-    ``stats`` holds engine-side counters.
+    ``rows`` holds the output rows (scan results, a statement's summary
+    row — a plain list — or, for ``dana.predict`` / ``dana.score``, a
+    :class:`ColumnRows` view over the prediction array); ``payload``
+    carries structured output such as a trained-model report or a
+    :class:`~repro.serving.ScoreResult`, and ``stats`` holds engine-side
+    counters.
     """
 
-    rows: list[tuple[Any, ...]] = field(default_factory=list)
+    rows: Sequence[tuple[Any, ...]] = field(default_factory=list)
     columns: tuple[str, ...] = ()
     payload: Any = None
     stats: dict[str, Any] = field(default_factory=dict)

@@ -132,17 +132,17 @@ class Schema:
     def __iter__(self):
         return iter(self.columns)
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
         """Column names, in schema order."""
         return tuple(c.name for c in self.columns)
 
-    @property
+    @cached_property
     def widths(self) -> tuple[int, ...]:
         """Per-column on-page widths in bytes, in schema order."""
         return tuple(c.width for c in self.columns)
 
-    @property
+    @cached_property
     def row_width(self) -> int:
         """Total width of the fixed-size attribute payload, in bytes."""
         return sum(c.width for c in self.columns)

@@ -21,12 +21,18 @@ Two invariants make streaming safe to use on the default path:
   same page order, so Strider/AXI counters are byte-for-byte those of the
   up-front extraction.
 
+A consumer whose work is row-independent — the forward tape — skips the
+re-cut and takes the matrices as delivered (:meth:`BatchSource.chunks`):
+identical rows in identical order, whatever the chunk boundaries, with its
+ledger booked from the tuple count alone.
+
 A source built with :meth:`from_chunks` / :meth:`from_rows` is the
-degenerate, already-extracted case (overlap off), so every trainer and
-scorer consumes this one interface whatever the extraction seam
-(:meth:`repro.hw.access_engine.AccessEngine.open`, the only place that
-constructs a live source) decided.  :attr:`BatchSource.sizes` keeps the
-per-page tuple counts scan-and-score reassembles by, whatever the chunking.
+degenerate, already-extracted case (overlap off, the same chunk list), so
+every trainer and scorer consumes this one interface whatever the
+extraction seam (:meth:`repro.hw.access_engine.AccessEngine.open`, the only
+place that constructs a live source) decided.  :attr:`BatchSource.sizes`
+keeps the per-page tuple counts scan-and-score reassembles by, whatever the
+chunking.
 
 A transient producer fault restarts the producer under the source's
 :class:`~repro.reliability.RetryPolicy`: attempts, backoff and the retry
@@ -160,23 +166,16 @@ class BatchSource:
     def from_chunks(cls, chunks: Sequence[Chunk], n_columns: int) -> "BatchSource":
         """A pre-extracted source over a finished chunk stream (overlap off).
 
-        The materialised twin of a live stream: same :meth:`batches`,
-        :meth:`rows` and :attr:`sizes`, no producer thread.
+        The materialised twin of a live stream: same :meth:`chunks`,
+        :meth:`batches`, :meth:`rows` and :attr:`sizes`, no producer
+        thread.  The matrices are kept as given — :meth:`rows` stacks them
+        on first use, and a single chunk is the caller's matrix, uncopied.
         """
         items = [_as_item(chunk) for chunk in chunks]
-        if len(items) == 1:
-            rows = items[0][0]  # no copy: from_rows wraps the caller's matrix
-        else:
-            rows = (
-                np.vstack([rows for rows, _sizes in items])
-                if items
-                else np.empty((0, n_columns))
-            )
         source = cls(iter(()), n_columns=n_columns, start=False)
-        source._cache = [rows]
+        source._cache = [rows for rows, _sizes in items]
         source.sizes = [size for _rows, sizes in items for size in sizes]
         source._exhausted = True
-        source._rows = rows
         return source
 
     @classmethod
@@ -189,11 +188,12 @@ class BatchSource:
     def materialised(self) -> bool:
         """True once the whole tuple matrix is in memory.
 
-        Always for :meth:`from_chunks` / :meth:`from_rows` sources, and for
-        a live stream after :meth:`rows`; consumers use it to skip the
-        chunk-by-chunk path when there is no extraction left to overlap.
+        Always for :meth:`from_chunks` / :meth:`from_rows` sources (they
+        never had a producer), and for a live stream after :meth:`rows`;
+        consumers use it to skip the chunk-by-chunk path when there is no
+        extraction left to overlap.
         """
-        return self._rows is not None
+        return self._queue is None or self._rows is not None
 
     # ------------------------------------------------------------------ #
     # producer
@@ -438,6 +438,20 @@ class BatchSource:
                 return True
             index += 1
 
+    def chunks(self) -> Iterator[np.ndarray]:
+        """Yield the stream's non-empty tuple matrices as the seam cut them.
+
+        One matrix per extracted wave (a faulted wave arrives as the pages
+        before the fault, then the rest after the restart) — the unit a
+        row-independent consumer such as the forward tape executes at.
+        Restartable from the cache, like :meth:`batches`.
+        """
+        index = 0
+        while (chunk := self._chunk_at(index)) is not None:
+            index += 1
+            if len(chunk):
+                yield chunk
+
     def batches(self, batch_size: int) -> Iterator[np.ndarray]:
         """Yield consecutive ``batch_size``-row batches (tail may be short).
 
@@ -449,14 +463,7 @@ class BatchSource:
             raise ValueError("batch_size must be >= 1")
         pending: list[np.ndarray] = []
         have = 0
-        index = 0
-        while True:
-            chunk = self._chunk_at(index)
-            if chunk is None:
-                break
-            index += 1
-            if not len(chunk):
-                continue
+        for chunk in self.chunks():
             pending.append(chunk)
             have += len(chunk)
             while have >= batch_size:
@@ -471,14 +478,16 @@ class BatchSource:
             index = len(self._cache)
             while self._chunk_at(index) is not None:
                 index += 1
-            if self._cache:
+            if len(self._cache) == 1:
+                self._rows = self._cache[0]  # no copy: from_rows wraps the caller's matrix
+            elif self._cache:
                 self._rows = np.vstack(self._cache)
+                # Re-cut the cache as views of the stacked matrix: the
+                # partition is held once, chunks() keeps its granularity.
+                cuts = np.cumsum([len(chunk) for chunk in self._cache[:-1]])
+                self._cache = np.split(self._rows, cuts)
             else:
                 self._rows = np.empty((0, self.n_columns))
-            # Collapse the per-chunk cache onto the stacked matrix so the
-            # source does not hold the partition in memory twice; batch
-            # iteration keeps working off the single remaining chunk.
-            self._cache = [self._rows]
         return self._rows
 
 

@@ -6,8 +6,12 @@ way PR-1 lowered training: the forward sub-hDFG
 a :class:`~repro.translator.tape.CompiledTape` of batched NumPy kernels,
 the per-tuple :class:`~repro.translator.evaluator.HDFGEvaluator` forward
 pass is kept as the correctness oracle, and cycle accounting is derived
-from a static schedule of the forward region — so the batched and
-per-tuple paths report identical counters for identical batches.
+from a static schedule of the forward region.  Forward scoring is
+row-independent, so the tape executes whatever matrices it is handed (a
+whole extracted wave at a time on the scan path) and books the call from
+counts — :meth:`InferencePlan.forward_cost` over the tuple total and the
+modelled micro-batch — while the oracle cuts and books micro-batch by
+micro-batch: identical rows, identical counters.
 
 :class:`InferenceEngine` instances share one plan (the tape's kernel
 closures are stateless, so many engines/threads can score concurrently)
@@ -39,7 +43,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: scoring paths exposed by the serving layer.
 SERVING_PATHS = ("batched", "per_tuple")
 
-#: default scan-scoring micro-batch (tuples per tape invocation).
+#: default scoring micro-batch: the batch the ledger books
+#: (``ceil(batch / threads)`` rounds each), not the tape's execution unit.
 DEFAULT_SCORE_BATCH = 256
 
 #: fault-injection site fired once per :meth:`InferenceEngine.score` call.
@@ -167,6 +172,7 @@ class InferenceEngine:
             (rows[start : start + size] for start in range(0, len(rows), size)),
             models,
             path=path,
+            batch_size=size,
         )
 
     def score_batches(
@@ -174,17 +180,20 @@ class InferenceEngine:
         batches: Iterable[np.ndarray],
         models: Mapping[str, np.ndarray],
         path: str = "batched",
+        batch_size: int | None = None,
     ) -> np.ndarray:
-        """Predictions for a stream of micro-batches, concatenated in order.
+        """Predictions for a stream of tuple matrices, concatenated in order.
 
-        The one scoring loop: :meth:`score` feeds it slices of a matrix and
-        scan-and-score the batches of its extraction source (which may
-        still be decoding later pages) — either way a stream cut at one
-        batch size, only the last batch short.  ``path="batched"`` evaluates each
-        micro-batch on the compiled forward tape; ``path="per_tuple"``
-        walks the per-tuple evaluator — the oracle.  The tape path books
-        the call's forward cost once, after the last batch; the oracle
-        books batch by batch, and the two ledgers are identical.
+        The one scoring loop.  ``path="batched"`` runs the compiled forward
+        tape once per matrix it is handed — :meth:`score` feeds it slices,
+        scan-and-score the waves of its extraction source (which may still
+        be decoding later pages) — and books the call once, after the last
+        matrix, as ``forward_cost(tuples, batch_size)``: forward scoring is
+        row-independent, so how the rows were cut decides neither a
+        prediction nor a counter.  ``path="per_tuple"`` walks the per-tuple
+        evaluator — the oracle — and books each matrix as one micro-batch,
+        so its caller cuts the stream at ``batch_size``; the two ledgers
+        are then identical.
         """
         if path not in SERVING_PATHS:
             raise ConfigurationError(
@@ -195,10 +204,8 @@ class InferenceEngine:
             self._score_batch_tape if path == "batched" else self._score_batch_oracle
         )
         chunks = [score_batch(batch, models) for batch in batches]
-        if path == "batched" and chunks:
-            # One predictions chunk per batch: the first is a full batch.
-            tuples = sum(map(len, chunks))
-            self.stats += self.plan.forward_cost(tuples, len(chunks[0]))
+        if path == "batched":
+            self.stats += self.plan.forward_cost(sum(map(len, chunks)), batch_size)
         if not chunks:
             return np.empty((0,) + self.plan.forward.score_dims)
         return np.concatenate(chunks, axis=0)

@@ -13,16 +13,19 @@ Per-segment predictions are scattered back into **storage order**, so the
 result is independent of the partitioning.
 
 Every segment opens its pages through the extraction seam
-(:meth:`~repro.hw.access_engine.AccessEngine.open`) and scores the
-micro-batches of the :class:`~repro.runtime.BatchSource` that comes back.
-Scoring is **streaming** by default (``stream=True``): the bulk Strider
-page walk runs on the source's producer thread — the same bounded double
-buffer the training runtime uses — while the forward tape scores
-micro-batches as they assemble, so extraction overlaps inference exactly
+(:meth:`~repro.hw.access_engine.AccessEngine.open`) and runs the forward
+tape once per extracted **wave** of the :class:`~repro.runtime.BatchSource`
+that comes back (:meth:`~repro.runtime.BatchSource.chunks`); the plan's
+``batch_size`` is the micro-batch the ledger *books*, from counts alone.
+The per-tuple oracle (``path="per_tuple"``) still cuts and books micro-batch
+by micro-batch.  Scoring is **streaming** by default (``stream=True``): the
+bulk Strider page walk runs on the source's producer thread — the same
+bounded double buffer the training runtime uses — while the forward tape
+scores each wave as it arrives, so extraction overlaps inference exactly
 like training's epoch 0.  ``stream=False`` opens a materialised source and
 is kept as the overlap oracle: predictions and schedule-derived counters
 are bit-identical across the two by construction (one scoring loop,
-identical batch boundaries, identical page walk).
+identical rows, booking from counts, identical page walk).
 
 A ``dana.predict`` statement's WHERE rides on the plan
 (:attr:`~repro.core.plan.ScorePlan.where`) and is evaluated by the access
@@ -139,19 +142,24 @@ def score_segment(
     parent and a worker process calls it over its shared-store views, so
     the two fan-outs cannot drift.  The extraction seam opens the pages as
     the plan says (applying ``plan.where``, so the engine scores — and
-    books — qualifying tuples only) and the forward engine scores the
-    source's micro-batches; producer restarts are booked into
-    ``retry_stats``.  Returns the segment's report, its predictions and
-    the per-page (qualifying) tuple counts reassembly needs.
+    books — qualifying tuples only) and the forward tape scores the
+    source's waves as delivered, booked at ``plan.batch_size``; the
+    per-tuple oracle is handed the stream cut at ``plan.batch_size``
+    instead.  Producer restarts are booked into ``retry_stats``.  Returns
+    the segment's report, its predictions and the per-page (qualifying)
+    tuple counts reassembly needs.
     """
     engine = inference.new_engine()
     accelerator = DAnAAccelerator(
         binary=binary, schema=spec.schema, fpga=fpga, predicate=plan.where
     )
     source = accelerator.access_engine.open(images, **plan.extraction())
+    batches = (
+        source.chunks() if plan.path == "batched" else source.batches(plan.batch_size)
+    )
     try:
         predictions = engine.score_batches(
-            source.batches(plan.batch_size), models, path=plan.path
+            batches, models, path=plan.path, batch_size=plan.batch_size
         )
     except BaseException:
         source.abort()  # release a producer blocked mid-stream
@@ -394,22 +402,17 @@ class ScanScorer:
     @staticmethod
     def _reassemble(scored: list[tuple[PagePartition, tuple]]) -> np.ndarray:
         """Scatter per-segment predictions back into heap (storage) order."""
-        counts: dict[int, int] = {}
-        for part, (_report, _preds, sizes) in scored:
-            counts.update(zip(part.page_nos, sizes))
-        offsets: dict[int, int] = {}
-        total = 0
-        for page_no in sorted(counts):
-            offsets[page_no] = total
-            total += counts[page_no]
-        # Every segment's predictions carry the score dims, even when a
+        if not scored:
+            return np.empty(0)
+        page_nos = np.array(
+            [page_no for part, _outcome in scored for page_no in part.page_nos],
+            dtype=np.intp,
+        )
+        if len(scored) == 1 and bool((np.diff(page_nos) > 0).all()):
+            return scored[0][1][1]  # one unit, pages ascending: already in order
+        sizes = [size for _part, (_report, _preds, sizes) in scored for size in sizes]
+        # Every unit's predictions carry the score dims, even when a
         # predicate left it (or the whole table) no tuple to score.
-        trailing = scored[0][1][1].shape[1:] if scored else ()
-        predictions = np.empty((total,) + trailing, dtype=np.float64)
-        for part, (_report, preds, sizes) in scored:
-            position = 0
-            for page_no, size in zip(part.page_nos, sizes):
-                offset = offsets[page_no]
-                predictions[offset : offset + size] = preds[position : position + size]
-                position += size
-        return predictions
+        dealt = np.concatenate([preds for _part, (_report, preds, _sizes) in scored])
+        # Rows in page order, a page's rows in the order they were scored.
+        return dealt[np.argsort(np.repeat(page_nos, sizes), kind="stable")]

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.compiler.strider_compiler import compile_strider
 from repro.exceptions import HardwareError, StriderError
 from repro.hw import DEFAULT_FPGA, AccessEngine, AccessEngineConfig, AccessEngineStats
-from repro.hw.strider import Strider
+from repro.hw.strider import Strider, StriderResult
 from repro.rdbms import Database, Schema
 from repro.rdbms.heaptuple import tuple_size
 from repro.rdbms.predicate import ColumnPredicate, Comparison
@@ -168,6 +168,33 @@ def test_bulk_loaded_and_grown_tables(schema, num_striders, filtered):
     pre_images = _images(db, as_of_lsn=2)
     assert pre_images != images[: len(pre_images)] or len(pre_images) < len(images)
     _assert_three_way(db, schema, pre_images, num_striders, filtered)
+
+
+def test_a_wave_prices_its_walk_once_per_distinct_tuple_count():
+    """Equal-count pages share one counters object, equal to their own
+    per-page price: a bulk-loaded wave builds two, not one per page."""
+    db = _database(DENSE, 330, inserts=2, seed=3)
+    images = _images(db)
+    engine = _engine(db, DENSE, 64)
+    strider = engine._striders[0]
+    pages = np.frombuffer(b"".join(images), dtype=np.uint8).reshape(len(images), -1)
+    _payloads, proven = strider.walk_wave(pages, DENSE.row_width)
+    counts = [stats.tuples_emitted for stats in proven]
+    assert len(images) > len(set(counts)) >= 2
+    assert len({id(stats) for stats in proven}) == len(set(counts))
+    width = tuple_size(DENSE)
+    assert proven == strider.walk_cost(width, counts)
+    # ... and booking a wave of shared entries is booking a wave of copies
+    shared, copied = AccessEngineStats(), AccessEngineStats()
+    shared.merge_batch(
+        [StriderResult(stats=s) for s in proven], PAGE_SIZE, DEFAULT_FPGA.axi_bytes_per_cycle
+    )
+    copied.merge_batch(
+        [StriderResult(stats=s) for s in strider.walk_cost(width, counts)],
+        PAGE_SIZE,
+        DEFAULT_FPGA.axi_bytes_per_cycle,
+    )
+    assert shared == copied
 
 
 @pytest.mark.parametrize("filtered", (False, True), ids=("all", "where"))

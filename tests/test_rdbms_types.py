@@ -48,6 +48,19 @@ class TestSchema:
         assert schema.names == ("row", "col", "value")
         assert schema.row_width == 12
 
+    def test_derived_widths_are_computed_once_and_stay_out_of_identity(self):
+        import pickle
+
+        schema = Schema.training_schema(5)
+        twin = Schema.training_schema(5)
+        assert schema.widths == (4,) * 6 and schema.row_width == 24
+        assert schema.names is schema.names and schema.widths is schema.widths
+        assert {"names", "widths", "row_width"} <= vars(schema).keys()
+        assert "row_width" not in vars(twin)
+        assert schema == twin and hash(schema) == hash(twin)  # fields only
+        copy = pickle.loads(pickle.dumps(schema))  # shipped to worker processes
+        assert copy == schema and copy.row_width == 24
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(RDBMSError):
             Schema((Column("a", ColumnType.INT4), Column("a", ColumnType.INT4)))

@@ -110,6 +110,50 @@ class TestBatchSource:
         np.testing.assert_array_equal(source.rows(), rows)
         np.testing.assert_array_equal(next(iter(source.batches(2))), rows[:2])
 
+    def test_chunks_are_the_matrices_as_delivered(self):
+        chunks = list(self._chunks([5, 1, 0, 7, 4]))
+        given = [chunk for chunk in chunks if len(chunk)]
+        for source in (
+            BatchSource(iter(chunks), n_columns=3),
+            BatchSource.from_chunks(chunks, n_columns=3),
+        ):
+            first = next(iter(source.chunks()))  # restartable, like batches()
+            got = list(source.chunks())
+            assert got[0] is first
+            assert len(got) == len(given)
+            assert all(a is b for a, b in zip(got, given))  # identity: no copy
+            assert source.sizes == [5, 1, 0, 7, 4]
+
+    def test_from_chunks_stacks_on_demand_and_keeps_its_granularity(self):
+        chunks = list(self._chunks([5, 1, 0, 7, 4]))
+        stacked = np.vstack(chunks)
+        source = BatchSource.from_chunks(chunks, n_columns=3)
+        assert source.materialised and source._rows is None  # nothing stacked yet
+        for size in (1, 4, 6, 100):
+            want = [stacked[s : s + size] for s in range(0, len(stacked), size)]
+            got = list(source.batches(size))
+            assert [b.tolist() for b in got] == [b.tolist() for b in want]
+        rows = source.rows()
+        np.testing.assert_array_equal(rows, stacked)
+        assert source.rows() is rows
+        # still one matrix per wave, now views of the one stacked copy
+        again = list(source.chunks())
+        assert [c.tolist() for c in again] == [c.tolist() for c in chunks if len(c)]
+        assert all(np.shares_memory(chunk, rows) for chunk in again)
+        assert [b.tolist() for b in source.batches(4)] == [
+            stacked[s : s + 4].tolist() for s in range(0, len(stacked), 4)
+        ]
+
+    def test_a_single_chunk_is_the_callers_matrix(self):
+        rows = np.arange(12.0).reshape(4, 3)
+        source = BatchSource.from_rows(rows)
+        assert source.materialised
+        assert source.rows() is rows
+        assert [chunk is rows for chunk in source.chunks()] == [True]
+        assert np.shares_memory(next(iter(source.batches(2))), rows)
+        empty = BatchSource.from_chunks([], n_columns=3)
+        assert list(empty.chunks()) == [] and empty.rows().shape == (0, 3)
+
     def test_producer_errors_propagate_to_consumer(self):
         def chunks():
             yield np.ones((2, 3))
