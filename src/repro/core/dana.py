@@ -359,7 +359,7 @@ class DAnA:
         """
         models, entry = self.registry.load(model_name, version)
         registered = self._udf_for_model(entry)
-        udf_name, spec = registered.name, registered.spec
+        udf_name = registered.name
         resolved_table = table_name or entry.metadata.get("trained_on", "")
         if not resolved_table:
             raise ConfigurationError(
@@ -410,14 +410,11 @@ class DAnA:
                 stream=stream,
                 retry=retry,
             )
-            # Fresh engines on the cached binary: engine counters accumulate
-            # per instance, and a refresh's cost must be its own (the bench
+            # The UDF's cached accelerator: its counters accumulate, and the
+            # run result carries this refresh's own share of them (the bench
             # gate checks it scales with the delta, not the table).
             run = self._train_single(
                 plan,
-                accelerator=DAnAAccelerator(
-                    binary=binary, schema=spec.schema, fpga=self.fpga
-                ),
                 initial_models=models,
                 page_nos=new_pages,
                 as_of=as_of,
@@ -655,21 +652,19 @@ class DAnA:
     def _train_single(
         self,
         plan: TrainPlan,
-        accelerator: DAnAAccelerator | None = None,
         initial_models: Mapping[str, np.ndarray] | None = None,
         page_nos: list[int] | None = None,
         as_of: int | None = None,
     ) -> AcceleratorRunResult:
         """The single-accelerator routine behind train, UDF calls and refresh.
 
-        Defaults train the UDF's cached accelerator from the spec's initial
-        models over every page as of now; :meth:`refresh_model` passes a
-        fresh accelerator, the saved parameters, the pages past its
-        watermark and the LSN it computed them at.
+        Trains the UDF's cached accelerator — by default from the spec's
+        initial models over every page as of now; :meth:`refresh_model`
+        passes the saved parameters, the pages past its watermark and the
+        LSN it computed them at.
         """
         spec = self._udfs[plan.udf].spec
-        if accelerator is None:
-            accelerator = self.accelerator_for(plan.udf, plan.table)
+        accelerator = self.accelerator_for(plan.udf, plan.table)
         if as_of is None:
             # Pin the scan to the heap as of now: concurrent inserts land in
             # the WAL but stay invisible to this run, and the run's LSN

@@ -311,6 +311,12 @@ class AccessEngine:
           are pulled on the caller's thread); a materialised one consumes
           ``page_images`` lazily.  Read :attr:`stats` only once an
           overlapped source is drained — its producer owns them until then.
+          **One-wave rule:** a page list of at most one wave
+          (``len(page_images) <= config.num_striders``) would cross the double
+          buffer as a single item, so there is nothing to overlap and no
+          thread is started: it is extracted here, through the same
+          :meth:`waves` walk, unless a ``retry`` policy asks for a
+          restartable producer.
         * ``retry`` makes an overlapped producer **restartable**: a
           transient fault resets :attr:`stats` to their value at this call
           and re-walks the same page list from the top — even if the table
@@ -320,16 +326,19 @@ class AccessEngine:
         """
         walk = functools.partial(self.waves, use_striders=use_striders)
         opened = self.stats_at_open = copy.copy(self.stats)
+        if stream:
+            page_images = list(page_images)
+            # one-wave rule: a single queue item leaves nothing to overlap
+            stream = retry is not None or len(page_images) > self.config.num_striders
         if not stream:
             return BatchSource.from_chunks(list(walk(page_images)), len(self.schema))
-        images = list(page_images)
 
         def rewalk() -> Iterator[tuple[np.ndarray, list[int]]]:
             self.stats = copy.copy(opened)
-            return walk(images)
+            return walk(page_images)
 
         return BatchSource(
-            walk(images), len(self.schema), chunk_factory=rewalk, retry=retry
+            walk(page_images), len(self.schema), chunk_factory=rewalk, retry=retry
         )
 
     def extract_table(self, page_images: Iterable[bytes]) -> np.ndarray:

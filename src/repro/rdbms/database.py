@@ -20,7 +20,7 @@ from repro.rdbms.page import DEFAULT_PAGE_SIZE, PageLayout
 from repro.rdbms.query import QueryExecutor, QueryResult
 from repro.rdbms.storage import StorageManager
 from repro.rdbms.types import Schema
-from repro.rdbms.wal import WalRecord, WriteAheadLog
+from repro.rdbms.wal import WalRecord, WriteAheadLog, frozen_rows
 
 
 class Database:
@@ -81,32 +81,45 @@ class Database:
     ) -> WalRecord:
         """WAL-logged insert: log first, then stamp the rows into the heap.
 
-        The write path for *live* tables: the rows are validated against
-        the schema (:meth:`Schema.to_records`) so a bad row never reaches
-        the log, the record is made durable by :meth:`WriteAheadLog.append`
-        (which fires the ``rdbms.wal.append`` fault site on both sides of
-        durability), then applied through :meth:`apply_wal_record` — the
-        same function replay uses, so a recovered heap is bit-identical to
-        this one.  Returns the record.
+        The write path for *live* tables.  The float64 matrix the log will
+        carry is frozen first (:func:`~repro.rdbms.wal.frozen_rows`) and
+        *that matrix* is validated and encoded against the schema, once
+        (:meth:`Schema.to_records`) — so a row the heap apply or a later
+        replay would refuse never reaches the log.  The record is made
+        durable by :meth:`WriteAheadLog.append` (which fires the
+        ``rdbms.wal.append`` fault site on both sides of durability), then
+        applied through :meth:`apply_wal_record` with the records already
+        encoded — replay encodes the same matrix with the same function,
+        so a recovered heap is bit-identical to this one.  Returns the
+        record.
         """
-        if not len(self.catalog.table(name).schema.to_records(rows)):
+        logged = frozen_rows(rows)
+        records = self.catalog.table(name).schema.to_records(logged)
+        if not len(records):
             raise RDBMSError(f"cannot insert zero rows into {name!r}")
-        record = self.wal.append(name, rows)
-        self.apply_wal_record(record)
+        record = self.wal.append(name, logged)
+        self.apply_wal_record(record, records)
         return record
 
-    def apply_wal_record(self, record: WalRecord) -> None:
+    def apply_wal_record(
+        self, record: WalRecord, records: np.ndarray | None = None
+    ) -> None:
         """Apply one WAL record to the heap (live insert and replay path).
 
         Idempotence is the caller's contract (replay applies each record
         once against a freshly bulk-loaded base); this method just stamps
         the rows in, invalidates the rewritten tail page in the buffer
         pool, adopts the record into this database's own log, and bumps
-        the catalog tuple count.
+        the catalog tuple count.  ``records`` is the live insert's
+        hand-off — ``record.rows`` as :meth:`Schema.to_records` already
+        encoded them; replay passes none and the heap apply encodes.
         """
         heapfile = self.table(record.table)
         self.wal.adopt(record)
-        heapfile.append_rows(record.rows, record.lsn, self.buffer_pool)
+        if records is None:
+            heapfile.append_rows(record.rows, record.lsn, self.buffer_pool)
+        else:
+            heapfile.append_records(records, record.lsn, self.buffer_pool)
         self.catalog.update_tuple_count(record.table, heapfile.tuple_count)
 
     def drop_model(self, name: str, version: int | None = None) -> list[int]:

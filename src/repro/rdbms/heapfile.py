@@ -7,14 +7,28 @@ encodes a batch, one fill loop packs it with :meth:`HeapPage.extend` —
 with two callers: a heap file starts frozen (``bulk_load`` packs LSN-0
 pages) and becomes *live* the first time a WAL record is applied through
 :meth:`append_rows`.
-Every mutation stamps the touched pages with the record's LSN and saves a
-copy-on-write pre-image of any page it overwrites, so a scan can be pinned
-to the heap *as of* any LSN: :meth:`scan_pages` with ``as_of_lsn=s`` yields
-exactly the pages — and exactly the bytes — a scan started at LSN ``s``
-would have seen, no matter how many inserts land afterwards.  Historical
-pre-images are served from the version store and bypass the buffer pool
-(only live images are cached); pool statistics are observational and are
-not part of any bit-identity contract.
+Every mutation stamps the touched pages with the record's LSN, so a scan
+can be pinned to the heap *as of* any LSN: :meth:`scan_pages` with
+``as_of_lsn=s`` yields exactly the pages — and exactly the bytes — a scan
+started at LSN ``s`` would have seen, no matter how many inserts land
+afterwards.
+
+A version is a header
+---------------------
+Only the tail page is ever rewritten, and a heap page is append-only: line
+pointers grow up from the header, tuples grow down from the page end, the
+hole between them is zero and nothing placed is ever moved.  The image a
+page held at an earlier LSN is therefore its live image with the old
+header put back and the bytes placed since zeroed again
+(:meth:`HeapPage.image_as_of`), so the version store keeps, per tail-page
+append, the page's previous LSN stamp and its 24-byte header — never a
+page image.  Its size (:attr:`HeapFile.version_store_bytes`) is bounded by
+the number of WAL records applied, not by page size times write history,
+and no reader has to register for its snapshot to stay readable.  An
+as-of scan rebuilds at most one page — the one that was the tail at its
+LSN, if later inserts topped it up; every other page *is* its live image
+and, like the rebuilt one's source, comes through the buffer pool (pool
+statistics are observational and not part of any bit-identity contract).
 """
 
 from __future__ import annotations
@@ -60,9 +74,10 @@ class HeapFile:
         self._page_lsns: list[int] = []
         #: LSN at which each page was first appended (nondecreasing).
         self._page_create_lsns: list[int] = []
-        #: copy-on-write pre-images: page_no -> [(lsn, image), ...] in
-        #: ascending-LSN order; saved just before a page is overwritten.
+        #: superseded versions: page_no -> [(lsn, page header), ...] in
+        #: ascending-LSN order; saved just before the tail page is topped up.
         self._page_versions: dict[int, list[tuple[int, bytes]]] = {}
+        self._version_store_bytes = 0
         #: ``(lsn, total_tuple_count)`` history for as-of tuple counts.
         self._count_history: list[tuple[int, int]] = [(0, 0)]
         #: True once a WAL record mutated this file (bulk_load then forbidden).
@@ -89,6 +104,11 @@ class HeapFile:
     def size_bytes(self) -> int:
         """Total on-disk size of the file in bytes."""
         return self.storage.file_bytes(self.name)
+
+    @property
+    def version_store_bytes(self) -> int:
+        """Bytes the version store holds: one page header per tail-page append."""
+        return self._version_store_bytes
 
     def tuples_per_page(self) -> int:
         """How many tuples of this schema fit on one page."""
@@ -128,16 +148,31 @@ class HeapFile:
     ) -> int:
         """Apply one WAL record's rows, stamping touched pages with ``lsn``.
 
-        This is the shared apply primitive: both a live ``INSERT`` and WAL
-        replay route the *same record* through this function, so the heap
-        bytes (LSN stamps included) are bit-identical by construction.  The
-        tail page is filled first — its pre-image is pushed into the
-        copy-on-write version store so in-flight snapshot scans keep seeing
-        the bytes they started with — then fresh LSN-stamped pages are
-        appended.  ``pool`` (when given) has its cached frame for the
-        rewritten tail page invalidated.
+        This is the shared apply primitive: WAL replay routes the record a
+        live ``INSERT`` logged through the same encoder
+        (:meth:`Schema.to_records`) and the same fill (:meth:`append_records`,
+        which the live insert enters with the records it already encoded),
+        so the heap bytes (LSN stamps included) are bit-identical by
+        construction.
         """
-        records = self.schema.to_records(rows)
+        return self.append_records(self.schema.to_records(rows), lsn, pool)
+
+    def append_records(
+        self, records: np.ndarray, lsn: int, pool: BufferPool | None = None
+    ) -> int:
+        """Apply one WAL record, already encoded by :meth:`Schema.to_records`.
+
+        The tail page is filled first — its header is pushed into the
+        version store, which is all an in-flight snapshot scan needs to
+        keep seeing the bytes it started with — then fresh LSN-stamped
+        pages are appended.  ``pool`` (when given) has its cached frame
+        for the rewritten tail page invalidated.
+        """
+        if records.dtype != self.schema.record_dtype:
+            raise RDBMSError(
+                f"records of dtype {records.dtype} are not table {self.name!r}'s "
+                "schema.to_records output"
+            )
         if not len(records):
             return 0
         with self._mutate_lock:
@@ -156,7 +191,7 @@ class HeapFile:
         """The one fill loop: pack ``records`` into pages stamped ``lsn``.
 
         A WAL apply (``lsn > 0``) tops up the tail page first, saving its
-        pre-image; the LSN-0 base image only ever starts fresh pages.
+        old header; the LSN-0 base image only ever starts fresh pages.
         """
         done = 0
         tail_no = self.page_count - 1
@@ -164,9 +199,11 @@ class HeapFile:
             image = self.storage.read_page(self.name, tail_no)
             page = HeapPage.from_bytes(image, self.layout)
             if page.has_room(self.schema):
+                header = page.header
                 self._page_versions.setdefault(tail_no, []).append(
-                    (self._page_lsns[tail_no], bytes(image))
+                    (self._page_lsns[tail_no], header)
                 )
+                self._version_store_bytes += len(header)
                 done = page.extend(self.schema, records, lsn)
                 self.storage.write_page(self.name, tail_no, page.to_bytes())
                 self._page_lsns[tail_no] = lsn
@@ -203,10 +240,10 @@ class HeapFile:
         return self._count_history[i - 1][1] if i else 0
 
     def _version_as_of(self, page_no: int, as_of_lsn: int) -> tuple[int, bytes | None]:
-        """``(LSN stamp, image)`` of ``page_no`` at ``as_of_lsn``.
+        """``(LSN stamp, header)`` of ``page_no`` at ``as_of_lsn``.
 
-        ``image`` is ``None`` when the live page is the answer, else the newest
-        pre-image at or before ``as_of_lsn`` (version lists are LSN-ascending).
+        ``header`` is ``None`` when the live page is the answer, else that of
+        the newest version at or before ``as_of_lsn`` (lists are LSN-ascending).
         """
         live = self.page_lsn(page_no)
         if live <= as_of_lsn:
@@ -229,15 +266,19 @@ class HeapFile:
     ) -> bytes:
         """The bytes ``page_no`` held at LSN ``as_of_lsn``.
 
-        Live images are served through the buffer pool; overwritten
-        pre-images come from the copy-on-write version store (and bypass
-        the pool — only live pages are cached).  The read holds the
-        table's mutate lock so a concurrent WAL apply cannot overwrite
-        the tail page between the live-LSN check and the pool pull.
+        The live image comes through the buffer pool; when the page has
+        been topped up since ``as_of_lsn`` — only the page that was the
+        tail then can have been — the image it held is rebuilt from the
+        live one and the header the version store kept
+        (:meth:`HeapPage.image_as_of`: one page-sized copy).  The read
+        holds the table's mutate lock so a concurrent WAL apply cannot
+        overwrite the tail page between the live-LSN check and the pool
+        pull.
         """
         with self._mutate_lock:
-            _lsn, image = self._version_as_of(page_no, as_of_lsn)
-            return pool.get_page(self.name, page_no) if image is None else image
+            _lsn, header = self._version_as_of(page_no, as_of_lsn)
+            image = pool.get_page(self.name, page_no)
+            return image if header is None else HeapPage.image_as_of(image, header)
 
     def pages_newer_than(self, watermark_lsn: int, as_of_lsn: int) -> list[int]:
         """Pages (as of ``as_of_lsn``) stamped past ``watermark_lsn``.
@@ -247,12 +288,17 @@ class HeapFile:
         watermark-era record partially filled re-appears here once later
         inserts restamp it, so a refresh may re-train a few pre-watermark
         rows — that is the documented page-granular semantics.
+
+        The set is a suffix of the page order, found by bisection: a record
+        restamps only the tail page and appends new pages under its own
+        LSN, so a page is never written again once a later one exists and
+        the as-of stamps are non-decreasing in page order.
         """
-        return [
-            page_no
-            for page_no in range(self.page_count_as_of(as_of_lsn))
-            if self.page_lsn_as_of(page_no, as_of_lsn) > watermark_lsn
-        ]
+        pages = range(self.page_count_as_of(as_of_lsn))
+        first = bisect_right(
+            pages, watermark_lsn, key=lambda page_no: self.page_lsn_as_of(page_no, as_of_lsn)
+        )
+        return list(pages[first:])
 
     # ------------------------------------------------------------------ #
     # scanning
@@ -271,8 +317,8 @@ class HeapFile:
 
         ``as_of_lsn`` pins the scan to a snapshot: only pages that existed
         at that LSN are visible, and each image is the bytes the page held
-        then (overwritten tail pages are served from the copy-on-write
-        version store).  ``None`` scans the live heap.
+        then (a tail page topped up since is rebuilt from its saved
+        header, see :meth:`page_image_as_of`).  ``None`` scans the live heap.
         """
         if as_of_lsn is None:
             page_count = self.page_count

@@ -24,6 +24,9 @@ codec pair that moves whole pages, never single tuples:
 :meth:`HeapPage.extend` packs a run of ``schema.record_dtype`` records and
 :func:`decode_page_records` gathers them back.  The ``struct``-based
 ``encode_tuple`` / ``decode_tuple`` stay as the independent per-row reference.
+Because ``extend`` only ever adds — nothing placed is rewritten — an earlier
+image of a page follows from a later one and the earlier header
+(:meth:`HeapPage.image_as_of`), which is all the heap file's version store keeps.
 """
 
 from __future__ import annotations
@@ -268,6 +271,37 @@ class HeapPage:
     def to_bytes(self) -> bytes:
         """The full binary page image."""
         return bytes(self._buf)
+
+    @property
+    def header(self) -> bytes:
+        """The page header bytes — all a later :meth:`image_as_of` needs."""
+        return bytes(self._buf[:PAGE_HEADER_SIZE])
+
+    @staticmethod
+    def image_as_of(image: bytes, header: bytes) -> bytes:
+        """The image a page held when ``header`` was its header.
+
+        ``image`` is any later image of the same page.  Pages are
+        append-only — line pointers grow up from the header, tuples grow
+        down from the page end, the hole between them is zero and nothing
+        placed is ever rewritten — so the earlier image is the later one
+        with its header put back and everything placed since (the bytes
+        between the old free-space bounds) zeroed again.
+        """
+        _size, free_start, free_end, _special, _count, _lsn = _HEADER_STRUCT.unpack(header)
+        if not PAGE_HEADER_SIZE <= free_start <= free_end <= len(image):
+            raise PageError(
+                f"header free space {free_start}..{free_end} does not fit a "
+                f"{len(image)}-byte page image"
+            )
+        return b"".join(
+            (
+                header,
+                image[PAGE_HEADER_SIZE:free_start],
+                bytes(free_end - free_start),
+                image[free_end:],
+            )
+        )
 
     @classmethod
     def from_bytes(cls, raw: bytes, layout: PageLayout | None = None) -> "HeapPage":

@@ -196,6 +196,9 @@ class Schema:
         NumPy casts wrap or saturate silently — and the first failing row
         goes to :meth:`encode_row` to raise the error it always raised; a
         batch not numeric, 2-D and schema-wide raises :class:`RDBMSError`.
+        An all-FLOAT4 or all-FLOAT8 schema is checked and cast as one
+        matrix (the mirror of :meth:`as_matrix`'s flat reinterpret), any
+        other column by column — the same bytes and errors either way.
         """
         if not isinstance(rows, np.ndarray):
             rows = list(rows)
@@ -209,6 +212,19 @@ class Schema:
             raise RDBMSError(
                 f"expected a 2-D batch of {len(self)}-column rows, got shape {matrix.shape}"
             )
+        flat = self._flat_dtype
+        if flat is not None and flat.kind == "f":
+            # Homogeneous floats (the dense-training layout): one range
+            # check and one cast for the whole matrix.  The check runs
+            # first, so the cast to FLOAT4 can round but never overflow;
+            # it is spelt with comparisons only, so its temporaries are
+            # booleans — no second float64 copy of a bulk load.
+            values = matrix.astype(np.float64, copy=False)
+            if flat.itemsize == 4:
+                overflow = (values >= _FLOAT4_OVERFLOW) | (values <= -_FLOAT4_OVERFLOW)
+                overflow &= np.isfinite(values)  # ±inf is storable
+                self._reject_first(matrix, overflow.any(axis=1))
+            return values.astype(flat, order="C").reshape(-1).view(self.record_dtype)
         columns = []
         bad = np.zeros(len(matrix), dtype=bool)
         for col, values in zip(self.columns, matrix.T):
@@ -224,13 +240,18 @@ class Schema:
                 info = np.iinfo(col.ctype.np_dtype)
                 bad |= (values < info.min) | (values > info.max)
             columns.append(values)
-        if bad.any():
-            self.encode_row(matrix[np.argmax(bad)].tolist())
-            raise RDBMSError(f"row {np.argmax(bad)} does not fit the schema's column types")
+        self._reject_first(matrix, bad)
         records = np.empty(len(matrix), dtype=self.record_dtype)
         for name, values in zip(records.dtype.names, columns):
             records[name] = values  # every value checked: the cast cannot wrap
         return records
+
+    def _reject_first(self, matrix: np.ndarray, bad: np.ndarray) -> None:
+        """Raise for the first row of ``matrix`` flagged in ``bad``, if any:
+        :meth:`encode_row` on it raises the error ``struct`` always raised."""
+        if bad.any():
+            self.encode_row(matrix[np.argmax(bad)].tolist())
+            raise RDBMSError(f"row {np.argmax(bad)} does not fit the schema's column types")
 
     def column_offset(self, index: int) -> int:
         """Byte offset of column ``index`` within the attribute payload."""

@@ -9,8 +9,11 @@ bytes after recovery are bit-identical to the never-crashed heap — LSN
 stamps, tail-page packing and all — by construction, not by luck.
 
 The log is schema-free (``append`` has no catalog in reach): it freezes a
-float64 copy of the rows and the heap apply encodes them
-(:meth:`Schema.to_records`); on disk a record would be ``rows.tobytes()``.
+float64 copy of the rows (:func:`frozen_rows`) and the heap apply encodes
+them (:meth:`Schema.to_records`); on disk a record would be
+``rows.tobytes()``.  A live insert validates and encodes that same frozen
+matrix *before* logging it and hands the records over, so nothing the
+apply or a replay would refuse ever becomes durable.
 
 Recovery model
 --------------
@@ -71,6 +74,21 @@ class WalRecord:
         return len(self.rows)
 
 
+def frozen_rows(rows: Sequence[Sequence[float | int]] | np.ndarray) -> np.ndarray:
+    """The matrix a record carries for ``rows``: a read-only float64 copy.
+
+    The copy is private — the caller cannot reach it through ``rows`` —
+    and it is exactly what replay will encode, so it is also what
+    :meth:`Database.insert_rows` validates before anything is logged.
+    """
+    try:
+        frozen = np.array(rows, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise RDBMSError(f"rows are not a rectangular numeric batch: {exc}") from None
+    frozen.flags.writeable = False
+    return frozen
+
+
 class WriteAheadLog:
     """An append-only, globally-ordered log of table mutations.
 
@@ -107,10 +125,9 @@ class WriteAheadLog:
         record; a fault raised between durability and apply is exactly the
         torn state :meth:`replay` repairs.
         """
-        frozen = np.array(rows, dtype=np.float64)  # a copy the caller cannot reach
+        frozen = frozen_rows(rows)
         if frozen.ndim != 2 or not len(frozen):
             raise RDBMSError(f"cannot log an empty or non-2-D insert into {table!r}")
-        frozen.flags.writeable = False
         fault_point(WAL_APPEND_FAULT_SITE)
         obs = telemetry()
         span = (

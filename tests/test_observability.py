@@ -323,7 +323,8 @@ class TestInstrumentationSites:
         assert spans == [(0, None, "TransientError"), (0, None, None)]
         # Training: the producer faults on its second page, i.e. after the
         # run picked its active segments and inside the first window's span.
-        system = _system("linear", n_tuples=1024)
+        # (81 pages: past one wave of 64 page buffers, so a producer runs)
+        system = _system("linear", n_tuples=16384)
         fault = FaultPlan.transient(("runtime.batch_source.producer", 2))
         with enable_telemetry() as session, inject_faults(fault):
             with pytest.raises(TransientError):
@@ -336,7 +337,8 @@ class TestInstrumentationSites:
         assert spans == ["TransientError"]
 
     def test_streaming_wait_histograms(self):
-        system = _system("linear")
+        # 81 pages: a scan inside one wave (64 pages) starts no producer
+        system = _system("linear", n_tuples=16384)
         with enable_telemetry() as session:
             system.train("linear", "train", stream=True)
         snapshot = session.metrics.snapshot()

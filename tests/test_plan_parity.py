@@ -374,7 +374,8 @@ def test_seam_sources_agree_on_rows_batches_and_page_sizes(filtered, grown):
         assert (len(images) > access.config.num_striders) is grown
         source = access.open(iter(images), use_striders=use_striders, stream=stream)
         batches = list(source.batches(7))
-        assert source.materialised is (not stream)
+        # one-wave rule: nothing to overlap inside one wave, so no producer
+        assert source.materialised is (not stream or not grown)
         sources[use_striders, stream] = (source.rows(), batches, source.sizes)
         assert (access.stats.pages_processed == len(images)) is use_striders
     want_rows, want_batches, want_sizes = sources[True, False]

@@ -25,10 +25,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.exceptions import PageFullError, RDBMSError
+from repro.exceptions import PageFullError, RDBMSError, TransientError
 from repro.rdbms import ColumnType, Database, HeapPage, PageLayout, Schema, encode_tuple
 from repro.rdbms.heapfile import HeapFile
+from repro.rdbms.types import _FLOAT4_OVERFLOW
 from repro.rdbms.wal import WalRecord, WriteAheadLog
+from repro.reliability import FaultPlan, RetryPolicy, inject_faults
 
 PAGE_SIZE = 512
 LAYOUT = PageLayout(page_size=PAGE_SIZE)
@@ -340,6 +342,26 @@ def test_int8_is_exact_to_2_53_through_the_wal_and_to_the_full_range_in_bulk():
     assert list(logged.table("t").scan_tuples(logged.buffer_pool)) == [(2**53,), (2**53,)]
 
 
+def test_an_insert_the_log_could_not_replay_is_refused_before_it_is_logged():
+    """``2**63 - 1`` fits INT8 as an integer but the log carries float64
+    ``2**63``: what is validated must be what is logged.  The parent logged
+    the record, failed the heap apply, and every later replay with it."""
+    schema = Schema.build([("k", ColumnType.INT8)])
+    db = _load(schema, [[1]])
+    with pytest.raises(struct.error):  # what int8-hi raises for 2.0**63
+        db.insert_rows("t", np.array([[2**63 - 1]], dtype=np.int64))
+    assert (len(db.wal), db.wal.current_lsn) == (0, 0)
+    assert list(db.table("t").scan_tuples(db.buffer_pool)) == [(1,)]
+    db.insert_rows("t", np.array([[2**53], [-(2**63)]], dtype=np.int64))
+    recovered = _load(schema, [[1]])
+    assert db.wal.replay(recovered) == 1
+    images = [bytes(i) for _n, i in db.table("t").scan_pages(db.buffer_pool)]
+    assert images == [
+        bytes(i) for _n, i in recovered.table("t").scan_pages(recovered.buffer_pool)
+    ]
+    assert images == reference_heap(schema, [[1]], [[[2**53], [-(2**63)]]])
+
+
 def test_a_row_wider_than_a_page_raises_page_full_and_does_not_hang():
     schema = Schema.training_schema(PAGE_SIZE // 4)
     row = np.zeros((1, len(schema)))
@@ -371,6 +393,113 @@ def test_bulk_load_accepts_a_one_shot_iterator():
     rows = [[1, 2, 3.0], [4, 5, 6.0]]
     db = _load(MIXED, (row for row in rows))
     assert list(db.table("t").scan_tuples(db.buffer_pool)) == [(1, 2, 3.0), (4, 5, 6.0)]
+
+
+# ---------------------------------------------------------------------- #
+# (b') the fast paths against the paths they shortcut
+# ---------------------------------------------------------------------- #
+def _per_column(schema: Schema) -> Schema:
+    """An equal schema whose ``to_records`` takes the per-column path."""
+    reference = Schema(schema.columns)
+    reference.__dict__["_flat_dtype"] = None  # what a mixed schema caches
+    return reference
+
+
+_EDGE = np.nextafter(_FLOAT4_OVERFLOW, 0.0)  # the largest value FLOAT4 still rounds down
+_FLOAT_ROWS = np.array(
+    [
+        [0.0, -0.0, 1.5],
+        [np.nan, np.inf, -np.inf],
+        [_EDGE, -_EDGE, float(np.finfo(np.float32).max)],
+        [1e-46, -1e-46, 2.0**-149],  # rounds to zero / the smallest subnormal
+        [1 / 3, 2**24 + 1, -(2**53) - 1.0],
+    ]
+)
+
+
+@pytest.mark.parametrize("ctype", [ColumnType.FLOAT4, ColumnType.FLOAT8], ids=["float4", "float8"])
+@pytest.mark.parametrize("form", FORMS + ("fortran",))
+def test_flat_float_encode_equals_the_per_column_encode(ctype, form):
+    schema = Schema.build([(f"c{i}", ctype) for i in range(3)])
+    assert schema._flat_dtype is not None
+    reference = _per_column(schema)
+    matrix = _FLOAT_ROWS
+    if form in ("float32", "int64"):
+        matrix = np.array([[0, -1, 2], [2**24 + 1, -(2**31), 7]], dtype=np.float64)
+    batch = np.asfortranarray(matrix) if form == "fortran" else as_form(matrix, form)
+    for rows in (batch, batch[:0], batch[:1]):
+        records = schema.to_records(rows)
+        assert records.dtype == schema.record_dtype and records.shape == (len(rows),)
+        assert records.tobytes() == reference.to_records(rows).tobytes()
+        if form not in ("float32", "int64"):
+            assert records.tobytes() == b"".join(
+                schema.encode_row(row) for row in matrix[: len(rows)].tolist()
+            )
+    if isinstance(batch, np.ndarray):  # the records never alias the caller's buffer
+        assert not np.shares_memory(schema.to_records(batch), batch)
+
+
+@pytest.mark.parametrize("value", [_FLOAT4_OVERFLOW, -_FLOAT4_OVERFLOW, 1e39, -1.7e308])
+def test_flat_float_encode_rejects_what_the_per_column_encode_rejects(value):
+    schema = Schema.training_schema(2)
+    matrix = np.ones((5, 3))
+    matrix[3, 1] = matrix[4, 0] = value  # row 3 is the first bad one
+    errors = []
+    for door in (schema, _per_column(schema)):
+        with pytest.raises(OverflowError) as caught:
+            door.to_records(matrix)
+        errors.append((caught.type, str(caught.value)))
+    assert errors[0] == errors[1]
+    with pytest.raises(OverflowError) as caught:
+        schema.encode_row(matrix[3].tolist())
+    assert errors[0] == (caught.type, str(caught.value))
+    # FLOAT8 holds every double: nothing to reject on either path
+    wide = Schema.training_schema(2, ColumnType.FLOAT8)
+    assert wide.to_records(matrix).tobytes() == _per_column(wide).to_records(matrix).tobytes()
+
+
+@pytest.mark.chaos
+@pytest.mark.parametrize("use_striders", (True, False), ids=["striders", "cpu-decode"])
+@pytest.mark.parametrize("retry", (None, RetryPolicy(max_attempts=3, backoff_s=0.0)), ids=["no-retry", "retry"])
+@pytest.mark.parametrize("over", (0, 1), ids=["one-wave", "one-page-over"])
+def test_a_one_wave_scan_is_extracted_inline_and_equals_the_materialised_one(
+    over, retry, use_striders
+):
+    """``AccessEngine.open(stream=True)`` on a page list inside one wave
+    starts no producer (unless a retry policy wants a restartable one); a
+    list one page longer does.  Rows, per-page sizes and counters equal the
+    ``stream=False`` extraction either way, and a producer fault reaches
+    exactly the runs that have a producer."""
+    import test_hw_wave_walk as waves
+
+    db = waves._database(waves.DENSE, 430, inserts=1)
+    images = waves._images(db)
+    striders = len(images) - over
+
+    def opened(**how):
+        engine = waves._engine(db, waves.DENSE, striders, filtered=True)
+        return engine, engine.open(iter(images), use_striders=use_striders, **how)
+
+    want_engine, want = opened(stream=False)
+    inline = retry is None and not over
+    engine, source = opened(stream=True, retry=retry)
+    assert source.materialised is inline
+    np.testing.assert_array_equal(source.rows(), want.rows())
+    assert source.sizes == want.sizes and engine.stats == want_engine.stats
+    assert (engine.stats.pages_processed == len(images)) is use_striders
+
+    fault = FaultPlan.transient(("runtime.batch_source.producer", 2))
+    with inject_faults(fault) as injector:
+        engine, source = opened(stream=True, retry=retry)
+        if retry is None and not inline:
+            with pytest.raises(TransientError):
+                source.rows()
+            return
+        rows = source.rows()
+    assert len(injector.fired) == (0 if inline else 1)
+    assert source.retry_stats.retries == (0 if inline else 1)
+    np.testing.assert_array_equal(rows, want.rows())
+    assert source.sizes == want.sizes and engine.stats == want_engine.stats
 
 
 # ---------------------------------------------------------------------- #
