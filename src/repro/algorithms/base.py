@@ -100,15 +100,5 @@ class Algorithm(ABC):
         """Floating-point operations one update-rule evaluation performs."""
         return 6 * max(1, n_features)
 
-    def cpu_vectorizable(self) -> bool:
-        """Whether commodity CPUs can SIMD-vectorise the inner loop well.
-
-        The paper observes that linear regression on wide dense data has
-        "high CPU vectorization potential", which is why Blog Feedback sees
-        the smallest speedup; algorithms with non-linear element-wise work
-        or data-dependent branches vectorise less well.
-        """
-        return False
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"

@@ -109,5 +109,3 @@ class LinearRegression(Algorithm):
         # dot product (2k) + error (1) + gradient (k) + scaled update (2k)
         return 5 * n_features + 1
 
-    def cpu_vectorizable(self) -> bool:
-        return True

@@ -149,7 +149,7 @@ class SegmentWorker:
         convergence_check: bool,
         retry: RetryPolicy | None = None,
     ) -> TrainingResult:
-        """One stale-synchronous window of ``count`` local epochs.
+        """One merge-free window of ``count`` local epochs.
 
         Convergence is judged only at the merge boundary (the window's last
         epoch): the merge-free prefix runs without an early exit so every

@@ -24,12 +24,12 @@ Epoch scheduling lives in the shared pipeline runtime
 :class:`~repro.runtime.EpochDriver` loop, every segment consumes the
 :class:`~repro.runtime.BatchSource` its extraction seam opened (when it
 streams, each segment's Strider walk overlaps training and the other
-segments' walks), and a :class:`~repro.runtime.SyncPolicy` decides the
-merge cadence — ``bulk_synchronous`` (barriered, bit-identical to the
-pre-runtime path) or ``stale_synchronous`` (windows of merge-free local
-epochs).  Partitioning, page pulls, dispatch, worker processes and every resource
-lifetime belong to the run's :class:`~repro.cluster.fanout.SegmentFanout`
-— the same one scan-and-score uses.
+segments' walks), and the plan's ``staleness`` decides the merge cadence —
+1 (barriered every epoch, the paper's semantics) or ``k`` (windows of
+``k`` merge-free local epochs).  Partitioning, page pulls, dispatch,
+worker processes and every resource lifetime belong to the run's
+:class:`~repro.cluster.fanout.SegmentFanout` — the same one scan-and-score
+uses.
 
 The strategies produce identical per-segment counters:
 
@@ -98,8 +98,7 @@ class ClusterStats:
     mode: str
     partition_strategy: str
     aggregation_strategy: str
-    #: synchronization policy of the run (see :mod:`repro.runtime`).
-    sync: str
+    #: local epochs between cross-segment merges (1 = every epoch).
     staleness: int
     epochs_run: int = 0
     merges_performed: int = 0
@@ -180,7 +179,7 @@ class ShardedDAnA:
         """Bind one resolved sharded :class:`~repro.core.plan.TrainPlan`.
 
         The plan already carries every decision (strategy, aggregation,
-        sync policy, effective stream, worker clamp); nothing is
+        staleness, effective stream, worker clamp); nothing is
         re-validated or re-derived here.
 
         Raises:
@@ -205,16 +204,16 @@ class ShardedDAnA:
     # public API
     # ------------------------------------------------------------------ #
     def train(self, convergence_check: bool = True) -> ShardedRunResult:
-        """Run the plan's sync-policy-scheduled epochs over its table.
+        """Run the plan's epochs over its table, merging every
+        ``plan.staleness`` of them.
 
         One :class:`~repro.cluster.fanout.SegmentFanout` carries the run:
         it pins the snapshot, partitions the table and owns every thread,
         child process, page store and streaming source until the run ends
         — normally or not.  Merge and convergence decisions stay here in
         the parent, driven by the same :class:`~repro.runtime.EpochDriver`
-        + :class:`~repro.runtime.SyncPolicy` loop for all three strategies
-        — which (with the shared per-segment RNG recipe) is what makes them
-        bit-identical.
+        loop for all three strategies — which (with the shared per-segment
+        RNG recipe) is what makes them bit-identical.
         """
         plan = self.plan
         with SegmentFanout(
@@ -276,7 +275,7 @@ class ShardedDAnA:
                             plan.retry,
                         ),
                     )
-            result = EpochDriver(step, plan.sync_policy, convergence_check).run(
+            result = EpochDriver(step, plan.staleness, convergence_check).run(
                 models, plan.epochs
             )
             # Fold every recovery the run performed into one counter set:
@@ -323,7 +322,6 @@ class ShardedDAnA:
             partition_strategy=plan.partition_strategy,
             aggregation_strategy=plan.aggregation,
             tree_bus=self.cluster_bus.stats,
-            sync=plan.sync,
             staleness=plan.staleness,
             stream=plan.stream,
             ipc=fanout.ipc,
@@ -376,9 +374,9 @@ class _WindowedStep(EpochStep):
     """Per-segment models trained window by window through the fan-out.
 
     State is the list of each active segment's current model mapping.  A
-    stale-synchronous window of ``k`` epochs is one dispatch per segment —
-    ``k``× fewer barrier joins than the per-epoch bulk-synchronous cadence
-    — and ``window`` says how it reaches the segment: a
+    ``staleness=k`` window of ``k`` epochs is one dispatch per segment —
+    ``k``× fewer barrier joins than the merge-every-epoch cadence — and
+    ``window`` says how it reaches the segment: a
     :meth:`SegmentWorker.train_window` call on a fan-out thread (the only
     strategy for row-addressed LRMF graphs, and lockstep's parity oracle)
     or a command/reply round trip with its worker process.
@@ -435,7 +433,7 @@ class _LockstepStep(EpochStep):
 
     State is the stacked ``(segments, ...)`` model block; between merge
     boundaries it simply keeps diverging per segment (that is
-    stale-synchronous training).  While the segments' sources are still
+    training under ``staleness > 1``).  While the segments' sources are still
     streaming, the first epoch zips the per-segment batch streams — vector
     step ``k`` runs as soon as every segment's ``k``-th batch has decoded —
     and the epoch block of a ``shuffle=False`` run is planned once and
@@ -484,7 +482,7 @@ class _LockstepStep(EpochStep):
         """Run ``count`` merge-free epochs, judging convergence only on the
         window's last epoch — the merge boundary — exactly like
         :meth:`SegmentWorker.train_window`, so the strategies stay parity
-        oracles under ``stale_synchronous`` too."""
+        oracles under ``staleness > 1`` too."""
         converged = False
         for offset in range(count):
             state, converged = self.run_epoch(

@@ -231,7 +231,6 @@ class DAnA:
         execution: str = "auto",
         shuffle: bool = False,
         seed: int = 0,
-        sync: str = "bulk_synchronous",
         staleness: int = 1,
         stream: bool = True,
         retry: RetryPolicy | None = None,
@@ -249,10 +248,10 @@ class DAnA:
 
         The epoch runtime (:mod:`repro.runtime`) is pipelined: with
         ``stream=True`` (default) extraction feeds training through bounded
-        double buffers, and ``sync`` picks the cross-segment merge policy —
-        ``"bulk_synchronous"`` (barriered every epoch; bit-identical to the
-        unpipelined path) or ``"stale_synchronous"`` (merge every
-        ``staleness`` epochs; fast segments run ahead between merges).
+        double buffers, and ``staleness`` sets the cross-segment merge
+        cadence — 1 (default) merges behind a barrier every epoch, the
+        paper's semantics; ``k`` merges every ``k`` epochs and after the
+        last, so segments run ahead on local models between merges.
 
         A ``retry`` policy (:class:`~repro.reliability.RetryPolicy`) makes
         the run fault-tolerant: transient faults in the Strider page walk,
@@ -275,7 +274,6 @@ class DAnA:
             execution=execution,
             shuffle=shuffle,
             seed=seed,
-            sync=sync,
             staleness=staleness,
             stream=stream,
             retry=retry,

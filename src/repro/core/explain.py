@@ -69,7 +69,6 @@ def price(
             plan.epochs,
             [int(np.size(v)) for v in registered.spec.initial_models.values()],
             use_striders=plan.use_striders,
-            sync=plan.sync,
             staleness=plan.staleness,
             execution=plan.execution,
         )
@@ -300,7 +299,6 @@ def explain_train(system: "DAnA", plan: TrainPlan) -> PlanOperator:
             "mode": plan.execution,
             "segments": plan.segments,
             "epochs": plan.epochs,
-            "sync": plan.sync,
             "staleness": plan.staleness,
             "stream": plan.stream,
             "partition_strategy": plan.partition_strategy,

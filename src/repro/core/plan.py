@@ -8,7 +8,7 @@ from the public call's keyword arguments (or a SQL statement's options) plus
 the registered UDF.  ``resolve`` does all validation, defaulting and
 derivation — the epoch default chain, ``execution="auto"`` → a concrete
 strategy, the *effective* ``stream`` (one rule, :func:`_effective_stream`),
-the aggregation auto-select, the sync policy, retry legality, the worker
+the aggregation auto-select, the merge cadence, retry legality, the worker
 clamp — and nothing downstream re-decides any of it: the extraction seam
 takes :meth:`_Plan.extraction`, :class:`~repro.cluster.ShardedDAnA` and
 :class:`~repro.serving.ScanScorer` execute the plan, ``EXPLAIN``
@@ -29,7 +29,6 @@ from repro.exceptions import ConfigurationError
 from repro.perf.plan_cost import worker_limit
 from repro.rdbms.predicate import ColumnPredicate
 from repro.reliability import RetryPolicy
-from repro.runtime import SyncPolicy, make_sync_policy
 from repro.serving import (
     DEFAULT_SCORE_BATCH,
     SCORING_EXECUTION_STRATEGIES,
@@ -71,14 +70,9 @@ class _Plan:
     def as_config(self) -> dict[str, Any]:
         """The resolved knobs as the flat dict recorded with the run.
 
-        ``retry`` collapses to whether a policy was supplied, and the
-        sync-policy object is left out — ``sync``/``staleness`` describe it.
+        ``retry`` collapses to whether a policy was supplied.
         """
-        config = {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if f.name != "sync_policy"
-        }
+        config = {f.name: getattr(self, f.name) for f in fields(self)}
         config["retry"] = self.retry is not None
         return config
 
@@ -160,9 +154,9 @@ class TrainPlan(_Plan):
     """How one training run executes (``DAnA.train``, ``CREATE MODEL``, a
     UDF call, ``refresh_model``).
 
-    The ten option fields carry *resolved* values: ``epochs`` is never
+    The nine option fields carry *resolved* values: ``epochs`` is never
     ``None``, ``execution`` is never ``"auto"``, and a single-accelerator
-    run (``segments=None``) has no partitioning, aggregation or sync.
+    run (``segments=None``) has no partitioning, aggregation or staleness.
     """
 
     udf: str
@@ -178,14 +172,14 @@ class TrainPlan(_Plan):
     execution: str = _option()
     shuffle: bool = _option()
     seed: int = _option()
-    sync: str | None = _option()
+    #: local epochs between cross-segment merges (1 = the paper's
+    #: merge-every-epoch barrier; see ``runtime.epoch_driver.merge_boundary``).
     staleness: int | None = _option()
     #: *effective* streaming (see :func:`_effective_stream`).
     stream: bool = _option()
     retry: RetryPolicy | None
     #: concurrent fan-out width (0: no fan-out — single or lock-step).
     workers: int
-    sync_policy: SyncPolicy | None = field(repr=False, compare=False)
 
     @classmethod
     def resolve(
@@ -202,7 +196,6 @@ class TrainPlan(_Plan):
         execution: str = "auto",
         shuffle: bool = False,
         seed: int = 0,
-        sync: str = "bulk_synchronous",
         staleness: int = 1,
         stream: bool = True,
         retry: RetryPolicy | None = None,
@@ -210,7 +203,7 @@ class TrainPlan(_Plan):
         """Validate the run's knobs and derive everything execution needs.
 
         Every knob is validated whether or not the run consumes it (a
-        single-accelerator run still rejects an unknown ``sync``); the
+        single-accelerator run still rejects a ``staleness`` of 0); the
         ones it does not consume are then normalised away.
 
         Raises:
@@ -236,7 +229,6 @@ class TrainPlan(_Plan):
             raise ConfigurationError(
                 f"staleness must be an integer >= 1, got {staleness!r}"
             )
-        sync_policy = make_sync_policy(sync, staleness)  # owns the name check
         _check_bool("shuffle", shuffle)
         _check_bool("stream", stream)
         _check_retry(retry, allow_redistribute=False)
@@ -257,11 +249,9 @@ class TrainPlan(_Plan):
                 partition_strategy=None,
                 aggregation=None,
                 execution="single",
-                sync=None,
                 staleness=None,
                 stream=_effective_stream(stream, use_striders, "single"),
                 workers=0,
-                sync_policy=None,
             )
         # Row-addressed (gather) graphs cannot carry a segment axis: they
         # train per segment and merge by summed deltas, not averaging.
@@ -291,12 +281,10 @@ class TrainPlan(_Plan):
             aggregation=aggregation
             or ("gradient_sum" if row_addressed else "average"),
             execution=execution,
-            sync=sync_policy.name,
-            staleness=sync_policy.staleness,
+            staleness=staleness,
             stream=_effective_stream(stream, use_striders, execution),
             # Lock-step evaluates all segments on one vectorized tape.
             workers=0 if execution == "lockstep" else worker_limit(segments),
-            sync_policy=sync_policy,
         )
 
 

@@ -3,8 +3,7 @@
 Subcommands, each with ``--format table|csv|json`` output:
 
 * ``repro runs`` — list the run registry (one row per recorded train /
-  score / bench invocation, read back from the ``repro_runs`` heap
-  table);
+  score invocation, read back from the ``repro_runs`` heap table);
 * ``repro runs show <id>`` — one run's full record: config, every named
   metric (schedule-derived counters + span rollups), fired faults and
   retry counters;
@@ -13,9 +12,6 @@ Subcommands, each with ``--format table|csv|json`` output:
   plus the per-site span rollup;
 * ``repro models`` — the saved-model registry (``SHOW MODELS`` through
   the SQL executor);
-* ``repro bench --compare [OTHER.json]`` — the headline numbers of
-  ``BENCH_throughput.json``, optionally diffed against a second result
-  file;
 * ``repro serve --stats`` — run the micro-batching prediction server on
   the demo workload and print its :meth:`ServingStats.to_dict`.
 
@@ -34,11 +30,7 @@ import csv
 import io
 import json
 import sys
-from pathlib import Path
 from typing import Any, Sequence
-
-#: default BENCH result consumed by ``repro bench``.
-DEFAULT_BENCH_RESULT = Path(__file__).resolve().parents[3] / "BENCH_throughput.json"
 
 #: demo-session sizing: small enough for a CI smoke step, big enough to
 #: exercise multi-page scans and multi-batch serving.
@@ -105,8 +97,8 @@ def build_demo_session():
 
     Returns ``(system, telemetry_session)`` — a :class:`~repro.core.DAnA`
     whose :class:`~repro.obs.recorder.RunRecorder` holds one train run,
-    one score run, one bench entry and one ``EXPLAIN ANALYZE`` score run
-    (with its statement trace attached) in real heap tables.
+    one score run and one ``EXPLAIN ANALYZE`` score run (with its
+    statement trace attached) in real heap tables.
     """
     from repro.algorithms import Hyperparameters, get_algorithm
     from repro.core.dana import DAnA
@@ -127,26 +119,12 @@ def build_demo_session():
     system = DAnA(database, record_runs=True)
     system.register_udf("demo_linear", spec, epochs=DEMO_EPOCHS)
     session = Telemetry()
-    recorder = system.run_recorder
     with enable_telemetry(session):
         run = system.train(
             "demo_linear", "demo_table", epochs=DEMO_EPOCHS, segments=DEMO_SEGMENTS
         )
         system.save_model("demo_model", "demo_linear", run.models)
-        watch = recorder.begin()
-        score = system.score_table(
-            "demo_linear", "demo_table", model_name="demo_model"
-        )
-        recorder.record_bench(
-            "demo_score_throughput",
-            metrics={
-                "tuples": score.tuples_scored,
-                "cycles": score.critical_path_cycles,
-                "segments": len(score.segments),
-            },
-            watch=watch,
-            config={"workload": "demo", "path": score.path},
-        )
+        system.score_table("demo_linear", "demo_table", model_name="demo_model")
         # One EXPLAIN ANALYZE statement so the registry holds a statement
         # trace for `repro trace` (composes with the armed outer session).
         database.execute(
@@ -232,42 +210,6 @@ def cmd_models(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """``repro bench`` — headline bench numbers, optionally compared."""
-    base_path = Path(args.result)
-    if not base_path.exists():
-        print(f"bench result not found: {base_path}", file=sys.stderr)
-        return 1
-    base = _flatten_numeric(json.loads(base_path.read_text()))
-    if args.compare is None:
-        rows = [{"metric": key, "value": value} for key, value in base.items()]
-        print(format_rows(rows, args.format, columns=("metric", "value")))
-        return 0
-    other_path = Path(args.compare)
-    if not other_path.exists():
-        print(f"comparison result not found: {other_path}", file=sys.stderr)
-        return 1
-    other = _flatten_numeric(json.loads(other_path.read_text()))
-    rows = []
-    for key in sorted(set(base) | set(other)):
-        a, b = base.get(key), other.get(key)
-        delta = (
-            f"{(b - a) / abs(a) * 100.0:+.1f}%"
-            if a not in (None, 0) and b is not None
-            else ""
-        )
-        rows.append(
-            {
-                "metric": key,
-                "base": a if a is not None else "",
-                "other": b if b is not None else "",
-                "delta": delta,
-            }
-        )
-    print(format_rows(rows, args.format, columns=("metric", "base", "other", "delta")))
-    return 0
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     """``repro serve --stats`` — demo server stats via ServingStats.to_dict."""
     import numpy as np
@@ -284,31 +226,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             future.result(timeout=30.0)
     print(format_mapping(server.stats.to_dict(), args.format))
     return 0
-
-
-def _flatten_numeric(value: Any, prefix: str = "") -> dict[str, float]:
-    """Flatten a nested JSON result into dotted numeric leaves.
-
-    Lists keep only dict elements keyed by a recognisable label field
-    (``workload``/``segments``/...), so per-row sweep entries stay
-    addressable without inventing positional names.
-    """
-    flat: dict[str, float] = {}
-    if isinstance(value, dict):
-        for key, item in value.items():
-            flat.update(_flatten_numeric(item, f"{prefix}{key}."))
-    elif isinstance(value, list):
-        for index, item in enumerate(value):
-            label = None
-            if isinstance(item, dict):
-                for field in ("workload", "segments", "mode", "name"):
-                    if field in item:
-                        label = f"{field}={item[field]}"
-                        break
-            flat.update(_flatten_numeric(item, f"{prefix}{label or index}."))
-    elif isinstance(value, (int, float)) and not isinstance(value, bool):
-        flat[prefix.rstrip(".")] = float(value)
-    return flat
 
 
 # ---------------------------------------------------------------------- #
@@ -361,24 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     models = sub.add_parser("models", help="saved models (SHOW MODELS)")
     _accept_format(models)
     models.set_defaults(func=cmd_models)
-
-    bench = sub.add_parser("bench", help="bench result headline numbers")
-    bench.add_argument(
-        "--result",
-        default=str(DEFAULT_BENCH_RESULT),
-        help="bench result JSON (default: repo BENCH_throughput.json)",
-    )
-    bench.add_argument(
-        "--compare",
-        nargs="?",
-        const=str(DEFAULT_BENCH_RESULT),
-        default=None,
-        metavar="OTHER.json",
-        help="second result file to diff against (no value: self-check "
-        "against the default result)",
-    )
-    _accept_format(bench)
-    bench.set_defaults(func=cmd_bench)
 
     serve = sub.add_parser("serve", help="demo prediction-server stats")
     serve.add_argument(

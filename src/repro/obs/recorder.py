@@ -1,8 +1,8 @@
 """Run history persisted in the database's own heap tables.
 
-Every recorded :meth:`DAnA.train <repro.core.dana.DAnA.train>`,
-:meth:`DAnA.score_table <repro.core.dana.DAnA.score_table>` or bench
-invocation becomes:
+Every recorded :meth:`DAnA.train <repro.core.dana.DAnA.train>` or
+:meth:`DAnA.score_table <repro.core.dana.DAnA.score_table>` invocation
+becomes:
 
 * one row in the ``repro_runs`` heap table — the numeric headline
   (run id, kind, segments, epochs, tuples, schedule-derived cycles,
@@ -42,9 +42,7 @@ RUNS_TABLE = "repro_runs"
 RUN_METRICS_TABLE = "repro_run_metrics"
 
 #: run kinds, in the integer encoding used by the ``kind`` column.
-#: ``"refresh"`` is appended last so pre-existing integer encodings in
-#: persisted run rows keep decoding to the same kinds.
-RUN_KINDS = ("train", "score", "bench", "refresh")
+RUN_KINDS = ("train", "score", "refresh")
 
 #: schema of :data:`RUNS_TABLE`.
 RUNS_SCHEMA = Schema.build(
@@ -225,28 +223,6 @@ class RunRecorder:
             algorithm=plan.algorithm,
             model_name=model_name,
             model_version=model_version,
-        )
-
-    def record_bench(
-        self,
-        name: str,
-        metrics: Mapping[str, float],
-        watch: RunWatch,
-        config: Mapping[str, Any] | None = None,
-    ) -> RunEntry:
-        """Record one bench sweep: free-form numeric metrics under a name."""
-        return self._record(
-            kind="bench",
-            label=name,
-            table_name="",
-            segments=0,
-            epochs=0,
-            tuples=int(metrics.get("tuples", 0)),
-            cycles=int(metrics.get("cycles", 0)),
-            metrics=dict(metrics),
-            config=config or {},
-            retry=None,
-            watch=watch,
         )
 
     # ------------------------------------------------------------------ #

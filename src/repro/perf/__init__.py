@@ -28,7 +28,7 @@ from repro.perf.segment_model import (
     ShardedRunCost,
     measured_segment_sweep,
 )
-from repro.perf.serving_model import ScoreRunCost, measured_serving_sweep
+from repro.perf.serving_model import ScoreRunCost
 
 __all__ = [
     "CPUCostModel",
@@ -54,7 +54,6 @@ __all__ = [
     "ShardedRunCost",
     "StorageCostModel",
     "measured_segment_sweep",
-    "measured_serving_sweep",
     "TABLAModel",
     "epochs_for",
     "format_seconds",

@@ -61,17 +61,12 @@ def page_tuple_counts(
     ]
 
 
-def predicted_merges(sync: str, staleness: int, epochs: int) -> int:
-    """How many cross-segment merges a sync policy performs over a run.
-
-    ``bulk_synchronous`` merges once per epoch; ``stale_synchronous``
-    merges once per ``staleness``-epoch window.
-    """
+def predicted_merges(staleness: int, epochs: int) -> int:
+    """How many cross-segment merges a run performs: one per
+    ``staleness``-epoch window (``staleness=1``: one per epoch)."""
     if epochs < 1:
         return 0
-    if sync == "stale_synchronous":
-        return math.ceil(epochs / max(1, staleness))
-    return epochs
+    return math.ceil(epochs / max(1, staleness))
 
 
 def predict_score_cost(
@@ -110,7 +105,6 @@ def predict_train_cost(
     param_elements: Sequence[int],
     *,
     use_striders: bool = True,
-    sync: str | None,
     staleness: int | None,
     execution: str,
 ) -> ShardedRunCost:
@@ -126,10 +120,10 @@ def predict_train_cost(
     the cycles equal the executed run's unless it converges early.
     ``execution="processes"`` adds a modelled IPC bill (two state-sized pipe
     messages per segment per merge window plus init/shutdown handshakes): a
-    calibration-style estimate, not a ledger.  ``sync`` / ``staleness`` are
-    ``None`` for a single accelerator, which never merges.
+    calibration-style estimate, not a ledger.  ``staleness`` is ``None``
+    for a single accelerator, which never merges.
     """
-    sharded = sync is not None
+    sharded = staleness is not None
     engine = accelerator.execution_engine
     reports = [
         SegmentReport(
@@ -150,7 +144,7 @@ def predict_train_cost(
         )
     ]
     active = sum(1 for report in reports if report.tuples_extracted)
-    windows = predicted_merges(sync, staleness, epochs) if sharded else 0
+    windows = predicted_merges(staleness, epochs) if sharded else 0
     merges = windows if active else 0
     # The cluster bus is built like the engines' thread buses (the design's
     # ``aus_per_cluster`` ALUs), so the engine's bus prices its merges.

@@ -98,26 +98,3 @@ class ScoreRunCost:
         seconds = self.seconds(fpga)
         return self.tuples_scored / seconds if seconds > 0 else 0.0
 
-
-def measured_serving_sweep(
-    results: Iterable["ScoreResult"], fpga: FPGASpec = DEFAULT_FPGA
-) -> list[dict]:
-    """One report row per scoring run, with the inference cost column."""
-    rows = []
-    for result in results:
-        cost = ScoreRunCost.from_result(result)
-        rows.append(
-            {
-                "segments": cost.segments,
-                "path": result.path,
-                "stream": cost.stream,
-                "batch_size": result.batch_size,
-                "tuples_scored": cost.tuples_scored,
-                "inference_cycles_per_tuple": round(cost.inference_cycles_per_tuple, 2),
-                "critical_path_cycles": cost.critical_path_cycles,
-                "pipelined_critical_path_cycles": cost.pipelined_critical_path_cycles,
-                "modelled_seconds": cost.seconds(fpga),
-                "modelled_tuples_per_sec": round(cost.tuples_per_second(fpga), 1),
-            }
-        )
-    return rows

@@ -89,10 +89,6 @@ class BufferPool:
         """True when the page is currently cached in the pool."""
         return (file_name, page_no) in self._frames
 
-    def resident_pages(self, file_name: str) -> int:
-        """Number of a file's pages currently cached."""
-        return sum(1 for key in self._frames if key[0] == file_name)
-
     # ------------------------------------------------------------------ #
     # page access
     # ------------------------------------------------------------------ #

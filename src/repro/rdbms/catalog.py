@@ -96,10 +96,9 @@ class RunEntry:
 
     #: monotonically increasing run id (the heap tables' join key).
     run_id: int
-    #: one of ``("train", "score", "bench", "refresh")``.
+    #: one of ``("train", "score", "refresh")``.
     kind: str
-    #: human label: the UDF for training, the table for scoring, the
-    #: sweep name for benches.
+    #: human label: the UDF for training, the table for scoring.
     label: str
     #: the scanned heap table, when the run scanned one.
     table_name: str = ""
@@ -293,10 +292,10 @@ class Catalog:
         """Register one run record; raises CatalogError on duplicate ids."""
         if entry.run_id in self._runs:
             raise CatalogError(f"run {entry.run_id} already recorded")
-        if entry.kind not in ("train", "score", "bench", "refresh"):
+        if entry.kind not in ("train", "score", "refresh"):
             raise CatalogError(
                 f"unknown run kind {entry.kind!r}; "
-                "expected 'train', 'score', 'bench' or 'refresh'"
+                "expected 'train', 'score' or 'refresh'"
             )
         self._runs[entry.run_id] = entry
 

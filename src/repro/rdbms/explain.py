@@ -3,7 +3,7 @@
 The executor hands :class:`PlanExplainer` a parsed statement; the
 explainer builds a :class:`PlanOperator` tree describing how that
 statement would execute — resolved knobs (segments, batch size, stream,
-sync policy, the worker clamp) plus *predicted* costs from the
+staleness, the worker clamp) plus *predicted* costs from the
 schedule-derived models in :mod:`repro.perf` (cycles, modelled seconds,
 pipelined vs. critical path, IPC bytes for process fan-out).  Storage
 statements (scans, ``count(*)``, model DDL) are priced here from

@@ -4,15 +4,15 @@ Before this layer existed the repo ran three divergent epoch loops: the
 single-engine ``ExecutionEngine.train`` loop, the sharded lock-step runner
 and the sharded thread-pool runner.  :class:`EpochDriver` is the single
 loop they all share now.  A path plugs in an :class:`EpochStep` — its
-strategy for computing one local epoch — and a
-:class:`~repro.runtime.sync_policy.SyncPolicy` deciding when per-segment
-models are merged into a global one.
+strategy for computing one local epoch — and the run's ``staleness``
+decides when per-segment models are merged into a global one
+(:func:`merge_boundary`).
 
 The driver is deliberately dumb about *what* an epoch computes: the step
 owns batch iteration, cycle accounting and convergence evaluation.  The
-driver owns the schedule — window sizing from the sync policy, the merge /
-broadcast cadence and the run-level counters — so a scheduling change (a
-new sync policy) never touches engine code again.
+driver owns the schedule — window sizing from the staleness, the merge /
+broadcast cadence and the run-level counters — so a scheduling change never
+touches engine code again.
 """
 
 from __future__ import annotations
@@ -23,7 +23,23 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro.obs.telemetry import telemetry
-from repro.runtime.sync_policy import BulkSynchronous, SyncPolicy
+
+
+def merge_boundary(epoch_index: int, staleness: int, epochs: int) -> int:
+    """Index of the next merge epoch at or after ``epoch_index``.
+
+    The paper's segments merge behind a full barrier every epoch
+    (``staleness=1``: every epoch is a boundary).  A larger ``staleness``
+    lets each segment run that many local epochs on its own model between
+    global merges — boundaries at every ``staleness``-th epoch — trading
+    bounded model staleness for fewer synchronization points.  The final
+    epoch is always a boundary, so every run ends on a merged global model;
+    convergence is judged at boundaries only (the only points where a
+    global model exists).  The driver runs epochs
+    ``epoch_index..merge_boundary`` as one window and merges at its end.
+    """
+    boundary = epoch_index + staleness - 1 - epoch_index % staleness
+    return min(boundary, epochs - 1)
 
 
 class EpochStep:
@@ -95,11 +111,12 @@ class EpochDriver:
     def __init__(
         self,
         step: EpochStep,
-        policy: SyncPolicy | None = None,
+        staleness: int = 1,
         convergence_check: bool = True,
     ) -> None:
         self.step = step
-        self.policy = policy or BulkSynchronous()
+        #: local epochs between merges (see :func:`merge_boundary`).
+        self.staleness = staleness
         self.convergence_check = convergence_check
 
     def run(
@@ -109,15 +126,14 @@ class EpochDriver:
         models = {
             k: np.array(v, dtype=np.float64) for k, v in initial_models.items()
         }
-        step, policy = self.step, self.policy
+        step = self.step
         state = step.begin(models)
         epochs_run = 0
         merges = 0
         converged = False
         epoch = 0
         while epoch < epochs:
-            boundary = policy.next_boundary(epoch, epochs)
-            window = max(1, boundary - epoch + 1)
+            window = merge_boundary(epoch, self.staleness, epochs) - epoch + 1
             obs = telemetry()
             span = (
                 obs.span("runtime.epoch", epoch=epoch, window=window)

@@ -29,7 +29,7 @@ def test_public_api_docstrings_complete():
 
 
 def test_runtime_pipeline_layer_documented_too():
-    # BatchSource / SyncPolicy / EpochDriver are part of the documented
+    # BatchSource / EpochDriver are part of the documented
     # public surface (docs/architecture.md) even though the CI default
     # scope is core/rdbms/serving.
     result = subprocess.run(

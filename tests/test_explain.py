@@ -311,16 +311,16 @@ def _grid_system(key, shape, use_striders, segments=3):
 
 
 def _train_plans(system, key):
-    """Resolved plans over {single, lockstep, threads} x the two sync policies."""
+    """Resolved plans over {single, lockstep, threads} x staleness {1, 2}."""
     from repro.core import TrainPlan
 
     knob_sets = [{}]
     for execution in ("lockstep", "threads"):
         if execution == "lockstep" and key == "lrmf":
             continue  # row-addressed graphs cannot carry a segment axis
-        for sync in ("bulk_synchronous", "stale_synchronous"):
+        for staleness in (1, 2):
             knob_sets.append(
-                {"segments": 3, "execution": execution, "sync": sync, "staleness": 2}
+                {"segments": 3, "execution": execution, "staleness": staleness}
             )
     return [
         TrainPlan.resolve(
@@ -373,7 +373,7 @@ class TestPredictedEqualsActual:
                 run = system._train(plan)
                 actual = ShardedRunCost.from_run(run)
                 assert actual.epochs_run == 3, "the grid must not converge early"
-                assert predicted == actual, (plan.execution, plan.sync, inserted)
+                assert predicted == actual, (plan.execution, plan.staleness, inserted)
                 if plan.segments is not None:
                     assert predicted.critical_path_cycles == run.critical_path_cycles
                 assert (predicted.segment_access_cycles[0] > 0) is use_striders
@@ -442,17 +442,25 @@ class TestPredictedEqualsActual:
         _assert_span_coverage(report)
 
     @pytest.mark.parametrize(
-        "options,operators",
+        "options,operators,staleness",
         [
-            ("", {"Train", "StriderPageWalk"}),
+            ("", {"Train", "StriderPageWalk"}, None),
             (
                 " WITH (segments => 3, execution => 'threads', epochs => 3, "
-                "sync => 'stale_synchronous', staleness => 2)",
+                "staleness => 2)",
                 {"EpochLoop", "SegmentTrain", "MergeModels", "StriderPageWalk"},
+                2,
+            ),
+            (
+                " WITH (segments => 3, epochs => 3, staleness => 8)",
+                {"EpochLoop", "SegmentTrain", "MergeModels", "StriderPageWalk"},
+                8,
             ),
         ],
     )
-    def test_training_statements_print_actual_cycles(self, options, operators):
+    def test_training_statements_print_actual_cycles(
+        self, options, operators, staleness
+    ):
         """Regression: training trees printed ``actual: version, epochs_run,
         wall_seconds`` only.  Every costed operator now carries the run's
         measured cycles, built by the constructor its predicted line uses."""
@@ -475,6 +483,12 @@ class TestPredictedEqualsActual:
         cost = report.result.stats["cost"]
         loop = report.root.children[0]
         assert loop.actual["critical_path_cycles"] == cost.critical_path_cycles > 0
+        if staleness is not None:
+            # staleness alone sets the cadence: ceil(3 epochs / staleness)
+            (merge_op,) = [op for op in loop.children if op.name == "MergeModels"]
+            merges = -(-3 // staleness)
+            assert merge_op.predicted["merges"] == merge_op.actual["merges"] == merges
+            assert loop.knobs["staleness"] == staleness
         _assert_span_coverage(report)
 
 

@@ -12,6 +12,7 @@ and ``EXPLAIN``.
 import dataclasses
 import functools
 import itertools
+import math
 import pickle
 
 import numpy as np
@@ -28,7 +29,7 @@ from repro.rdbms import Database
 
 N_FEATURES = 6
 EXECUTIONS = ("auto", "lockstep", "threads", "processes")
-SYNCS = ("bulk_synchronous", "stale_synchronous")
+STALENESS = (1, 2)
 SEGMENTS = (None, 1, 3)
 
 
@@ -70,7 +71,7 @@ def _last_config(system):
 
 def _assert_priced_like_the_run(train_op, run):
     """EXPLAIN's predicted cycles are the executed run's, operator by operator
-    (whatever the fan-out, sync policy, stream or decode of the cell)."""
+    (whatever the fan-out, staleness, stream or decode of the cell)."""
     from repro.perf import ShardedRunCost
 
     cost = ShardedRunCost.from_run(run)
@@ -99,24 +100,24 @@ def _assert_priced_like_the_run(train_op, run):
 
 
 # ---------------------------------------------------------------------- #
-# training: execution x sync x stream x use_striders x segments
+# training: execution x staleness x stream x use_striders x segments
 # ---------------------------------------------------------------------- #
 @pytest.mark.parametrize("use_striders", (True, False))
 @pytest.mark.parametrize(
-    "execution,sync,stream,segments",
+    "execution,staleness,stream,segments",
     [
         combo
-        for combo in itertools.product(EXECUTIONS, SYNCS, (True, False), SEGMENTS)
+        for combo in itertools.product(EXECUTIONS, STALENESS, (True, False), SEGMENTS)
         # spawned workers dominate the grid's wall time and the merge
-        # cadence is orthogonal to the fan-out mechanism: one sync for them
-        if combo[0] != "processes" or combo[1] == "bulk_synchronous"
+        # cadence is orthogonal to the fan-out mechanism: one cadence for them
+        if combo[0] != "processes" or combo[1] == 1
     ],
 )
 def test_train_explain_equals_report_equals_recorded_config(
-    use_striders, execution, sync, stream, segments
+    use_striders, execution, staleness, stream, segments
 ):
     system = _system(use_striders)
-    options = {"execution": execution, "sync": sync, "staleness": 2, "stream": stream}
+    options = {"execution": execution, "staleness": staleness, "stream": stream}
     if segments is not None:
         options["segments"] = segments
     explain_sql = (
@@ -145,7 +146,7 @@ def test_train_explain_equals_report_equals_recorded_config(
         # the knobs a single accelerator ignores are normalised away
         assert knobs["mode"] == "single"
         assert knobs["stream"] == (stream and use_striders)
-        for name in ("sync", "staleness", "partition_strategy", "aggregation"):
+        for name in ("staleness", "partition_strategy", "aggregation"):
             assert config[name] is None
         assert config["workers"] == 0
         return
@@ -157,8 +158,8 @@ def test_train_explain_equals_report_equals_recorded_config(
     assert cluster.stream == (
         stream and use_striders and cluster.mode != "processes"
     )
-    assert knobs["sync"] == cluster.sync == config["sync"] == sync
-    assert knobs["staleness"] == cluster.staleness == config["staleness"]
+    assert knobs["staleness"] == cluster.staleness == config["staleness"] == staleness
+    assert cluster.merges_performed == math.ceil(2 / staleness)
     assert knobs["workers"] == cluster.worker_limit == config["workers"]
     assert knobs["segments"] == cluster.segments == config["segments"] == segments
     assert (
@@ -424,6 +425,35 @@ def test_one_module_builds_batch_sources_and_the_old_entry_points_are_gone():
         and re.search(r"plan\.(stream|use_striders)\b", path.read_text())
     )
     assert readers == ["cluster/sharded.py", "core/explain.py", "serving/scorer.py"]
+    # PR 24: one cadence knob, one referee.  ``staleness`` alone decides the
+    # merge cadence, and the legacy throughput bench is gone with its result
+    # file and its CLI reader (names spelt in halves so this file stays out
+    # of its own grep).
+    import subprocess
+
+    import repro.runtime
+    from repro.obs.cli import build_parser
+
+    assert "sync" not in option_types(TrainPlan)
+    for name in ("SyncPolicy", "make_sync_policy", "SYNC_POLICIES"):
+        assert not hasattr(repro.runtime, name), name
+        assert not re.search(rf"\b{name}\b", source), name
+    assert "bench" not in build_parser().format_help()
+    legacy = re.compile("bench_" + "throughput_scaling|BENCH_" + "throughput")
+    repo = root.parents[1]
+    listing = subprocess.run(
+        ["git", "ls-files"], cwd=repo, capture_output=True, text=True
+    )
+    if listing.returncode == 0:  # a checkout, not an unpacked archive
+        mentions = sorted(
+            name
+            for name in listing.stdout.splitlines()
+            # ISSUE.md is the driver's file, rewritten for every PR
+            if name != "ISSUE.md"
+            and (repo / name).is_file()
+            and legacy.search((repo / name).read_text(errors="ignore"))
+        )
+        assert mentions == ["CHANGES.md", "ROADMAP.md", "benchmarks/e2e/README.md"]
 
 
 def test_each_stage_cost_is_stated_once_and_booked_once_per_epoch():
@@ -564,8 +594,10 @@ INVALID_TRAIN_OPTIONS = (
     {"segments": 2, "partition_strategy": "range"},
     {"segments": 2, "aggregation": "median"},
     {"segments": 2, "execution": "warp"},
+    # removed options (PR 16: the async_merge policy; PR 24: ``sync`` itself)
     {"sync": "gossip"},
-    {"segments": 2, "sync": "async_merge"},  # pruned: the standard message
+    {"segments": 2, "sync": "async_merge"},
+    {"segments": 2, "sync": "stale_synchronous", "staleness": 8},
     {"stream": "no"},
     {"shuffle": "false"},
     {"segments": 2, "staleness": 0},
@@ -576,10 +608,20 @@ INVALID_TRAIN_OPTIONS = (
 @pytest.mark.parametrize("options", INVALID_TRAIN_OPTIONS, ids=repr)
 def test_invalid_train_option_same_message_everywhere(options):
     system = _system()
-    with pytest.raises(ConfigurationError) as api_error:
-        system.train("linear", "train", **options)
     statement = "CREATE MODEL m AS TRAIN linear ON train" + _with_clause(options)
-    expected = f"CREATE MODEL options are invalid: {api_error.value}"
+    if "sync" in options:
+        # An option that no longer exists has no plan diagnostic to share:
+        # Python refuses the keyword, SQL lists the plan's option fields.
+        with pytest.raises(TypeError, match="sync"):
+            system.train("linear", "train", **options)
+        expected = (
+            "unknown CREATE MODEL option 'sync'; expected one of "
+            f"{sorted(option_types(TrainPlan))}"
+        )
+    else:
+        with pytest.raises(ConfigurationError) as api_error:
+            system.train("linear", "train", **options)
+        expected = f"CREATE MODEL options are invalid: {api_error.value}"
     for sql in (statement, "EXPLAIN " + statement):
         with pytest.raises(QueryError) as sql_error:
             system.database.execute(sql)
@@ -612,7 +654,7 @@ def test_unknown_option_lists_exactly_the_plan_option_fields():
         f.name for f in dataclasses.fields(TrainPlan) if f.metadata.get("option")
     )
     assert option_fields == sorted(option_types(TrainPlan))
-    assert len(option_fields) == 10
+    assert len(option_fields) == 9
     with pytest.raises(QueryError) as error:
         system.database.execute(
             "CREATE MODEL m AS TRAIN linear ON train WITH (epoks => 2)"
@@ -643,8 +685,8 @@ def test_every_grid_plan_round_trips_through_pickle():
     registered = system._registered("linear")
     binary = system.compile_udf("linear", "train")
     plans = []
-    for execution, sync, stream, segments in itertools.product(
-        EXECUTIONS, SYNCS, (True, False), SEGMENTS
+    for execution, staleness, stream, segments in itertools.product(
+        EXECUTIONS, STALENESS, (True, False), SEGMENTS
     ):
         if execution == "lockstep" and segments == 1:
             continue
@@ -654,8 +696,7 @@ def test_every_grid_plan_round_trips_through_pickle():
                 "train",
                 binary,
                 execution=execution,
-                sync=sync,
-                staleness=2,
+                staleness=staleness,
                 stream=stream,
                 segments=segments,
                 shuffle=True,
@@ -679,10 +720,6 @@ def test_every_grid_plan_round_trips_through_pickle():
         clone = pickle.loads(pickle.dumps(plan))
         assert clone == plan
         assert clone.as_config() == plan.as_config()
-        # compare=False field: the policy object itself must survive too
-        assert type(getattr(clone, "sync_policy", None)) is type(
-            getattr(plan, "sync_policy", None)
-        )
 
 
 def test_worker_process_job_ships_the_plan_not_a_copy_of_its_fields():
@@ -716,7 +753,7 @@ def test_worker_process_executes_the_shipped_plan():
     np.testing.assert_array_equal(processes.predictions, threads.predictions)
     assert processes.inference_stats == threads.inference_stats
     assert processes.inference_stats.batches_scored > len(processes.segments)
-    kwargs = dict(segments=2, shuffle=True, seed=7, sync="stale_synchronous", staleness=2)
+    kwargs = dict(segments=2, shuffle=True, seed=7, staleness=2)
     threads = system.train("linear", "train", execution="threads", **kwargs)
     processes = system.train("linear", "train", execution="processes", **kwargs)
     for name in threads.models:

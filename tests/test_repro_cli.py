@@ -11,13 +11,7 @@ import json
 
 import pytest
 
-from repro.obs.cli import (
-    _flatten_numeric,
-    build_parser,
-    format_mapping,
-    format_rows,
-    main,
-)
+from repro.obs.cli import format_mapping, format_rows, main
 
 ROWS = [
     {"name": "a", "value": 1.25, "count": 3},
@@ -61,23 +55,6 @@ class TestFormatters:
         assert "requests" in table and "1.500" in table
         assert json.loads(format_mapping(mapping, "json")) == mapping
 
-    def test_flatten_numeric(self):
-        flat = _flatten_numeric(
-            {
-                "top": 1,
-                "nested": {"x": 2.5},
-                "rows": [{"workload": "linear", "speedup": 3.0}, {"plain": 4}],
-                "text": "ignored",
-                "flag": True,
-            }
-        )
-        assert flat["top"] == 1.0
-        assert flat["nested.x"] == 2.5
-        assert flat["rows.workload=linear.speedup"] == 3.0
-        assert flat["rows.1.plain"] == 4.0
-        assert "text" not in flat
-        assert "flag" not in flat
-
 
 @pytest.mark.smoke
 class TestSubcommands:
@@ -86,9 +63,9 @@ class TestSubcommands:
     def test_runs_json(self, capsys):
         assert main(["--format", "json", "runs"]) == 0
         records = json.loads(capsys.readouterr().out)
-        # train → save → score → bench, then the EXPLAIN ANALYZE score run
-        # whose statement trace `repro trace` renders.
-        assert [r["kind"] for r in records] == ["train", "score", "bench", "score"]
+        # train → save → score, then the EXPLAIN ANALYZE score run whose
+        # statement trace `repro trace` renders.
+        assert [r["kind"] for r in records] == ["train", "score", "score"]
         assert records[0]["label"] == "demo_linear"
         assert records[1]["model"] == "demo_model:v1"
         assert all(r["tuples"] > 0 for r in records)
@@ -110,9 +87,9 @@ class TestSubcommands:
         assert "train" not in out.splitlines()[2]
 
     def test_trace(self, capsys):
-        # the demo session's EXPLAIN ANALYZE score run is the last (4th)
+        # the demo session's EXPLAIN ANALYZE score run is the last (3rd)
         # record; its persisted trace renders the annotated plan + rollup.
-        assert main(["trace", "4"]) == 0
+        assert main(["trace", "3"]) == 0
         out = capsys.readouterr().out
         assert "ScanScore" in out
         assert "predicted:" in out and "actual:" in out
@@ -120,7 +97,7 @@ class TestSubcommands:
         assert "serving.scorer.segment" in out
 
     def test_trace_json_round_trip(self, capsys):
-        assert main(["--format", "json", "trace", "4"]) == 0
+        assert main(["--format", "json", "trace", "3"]) == 0
         trace = json.loads(capsys.readouterr().out)
         assert trace["analyze"] is True
         assert trace["operators"]["name"] == "ScanScore"
@@ -146,38 +123,3 @@ class TestSubcommands:
         assert stats["latency_histogram"]["count"] == 8
         assert stats["p99_latency_ms"] >= stats["p50_latency_ms"] >= 0.0
 
-
-class TestBenchSubcommand:
-    def test_bench_reads_result_file(self, capsys, tmp_path):
-        result = tmp_path / "bench.json"
-        result.write_text(json.dumps({"geomean_speedup": 30.0, "note": "x"}))
-        assert main(["--format", "json", "bench", "--result", str(result)]) == 0
-        rows = json.loads(capsys.readouterr().out)
-        assert rows == [{"metric": "geomean_speedup", "value": 30.0}]
-
-    def test_bench_compare(self, capsys, tmp_path):
-        base = tmp_path / "base.json"
-        other = tmp_path / "other.json"
-        base.write_text(json.dumps({"speedup": 10.0, "only_base": 1.0}))
-        other.write_text(json.dumps({"speedup": 12.0}))
-        assert (
-            main(
-                [
-                    "--format",
-                    "json",
-                    "bench",
-                    "--result",
-                    str(base),
-                    "--compare",
-                    str(other),
-                ]
-            )
-            == 0
-        )
-        rows = {r["metric"]: r for r in json.loads(capsys.readouterr().out)}
-        assert rows["speedup"]["delta"] == "+20.0%"
-        assert rows["only_base"]["other"] == ""
-
-    def test_bench_missing_file_fails(self, capsys, tmp_path):
-        assert main(["bench", "--result", str(tmp_path / "missing.json")]) == 1
-        assert "not found" in capsys.readouterr().err

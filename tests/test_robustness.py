@@ -408,6 +408,14 @@ class TestChaosScoringParity:
         assert (
             baseline.inference_stats.__dict__ == chaotic.inference_stats.__dict__
         )
+        # (ported from the legacy bench) armed-but-idle supervision is the
+        # same computation too: no fault fires, nothing is retried
+        idle = system.score_table(
+            key, "train", models=spec.initial_models, segments=2, retry=RETRY
+        )
+        assert idle.retry.faults == idle.retry.retries == 0
+        np.testing.assert_array_equal(baseline.predictions, idle.predictions)
+        assert baseline.inference_stats == idle.inference_stats
         for base_seg, chaos_seg in zip(baseline.segments, chaotic.segments):
             assert (
                 base_seg.inference_stats.__dict__

@@ -1,6 +1,6 @@
 """Run-registry tests: heap-table persistence, SQL read-back, fault log.
 
-Every recorded ``DAnA.train`` / ``score_table`` / bench invocation must
+Every recorded ``DAnA.train`` / ``score_table`` invocation must
 land as real heap-table rows (``repro_runs`` + ``repro_run_metrics``)
 readable through the SQL executor, with the string-valued parts (labels,
 config, git rev, fired faults, retry counters) joined from the catalog.
@@ -174,26 +174,6 @@ class TestFaultAndRetryRecording:
         assert detail["retry"]["retries"] >= 2
 
 
-class TestBenchRecording:
-    def test_record_bench(self):
-        system = _recording_system()
-        recorder = system.run_recorder
-        watch = recorder.begin()
-        recorder.record_bench(
-            "sweep",
-            metrics={"tuples": 100, "cycles": 12, "speedup": 3.5},
-            watch=watch,
-            config={"workload": "demo"},
-        )
-        runs = recorder.runs()
-        assert runs[0]["kind"] == "bench"
-        assert runs[0]["label"] == "sweep"
-        assert runs[0]["tuples"] == 100
-        detail = recorder.run_detail(1)
-        assert detail["metrics"]["speedup"] == 3.5
-        assert detail["config"]["workload"] == "demo"
-
-
 class TestCatalogRunRegistry:
     def test_metric_ids_are_interned(self):
         database = Database(page_size=8 * 1024)
@@ -223,22 +203,26 @@ class TestCatalogRunRegistry:
     def test_next_run_id_monotonic(self):
         database = Database(page_size=8 * 1024)
         assert database.catalog.next_run_id() == 1
-        database.catalog.register_run(RunEntry(run_id=5, kind="bench", label="x"))
+        database.catalog.register_run(RunEntry(run_id=5, kind="score", label="x"))
         assert database.catalog.next_run_id() == 6
 
 
 class TestRecorderConcurrency:
-    def test_concurrent_bench_records_get_distinct_ids(self):
+    def test_concurrent_records_get_distinct_ids(self):
         import threading
+
+        from repro.core import ScorePlan
 
         system = _recording_system()
         recorder = system.run_recorder
+        models = system.train("linear", "train").models  # run 1
+        result = system.score_table("linear", "train", models=models)  # run 2
+        plan = ScorePlan.resolve(system._registered("linear"), "train")
         errors = []
 
         def record(tag):
             try:
-                watch = recorder.begin()
-                recorder.record_bench(f"sweep-{tag}", metrics={}, watch=watch)
+                recorder.record_score(plan, result, recorder.begin())
             except Exception as error:  # pragma: no cover - failure detail
                 errors.append(error)
 
@@ -249,4 +233,4 @@ class TestRecorderConcurrency:
             thread.join()
         assert not errors
         runs = recorder.runs()
-        assert sorted(r["run_id"] for r in runs) == list(range(1, 9))
+        assert sorted(r["run_id"] for r in runs) == list(range(1, 11))

@@ -2,14 +2,14 @@
 
 Invariants enforced here:
 
-* **streaming changes nothing but wall-clock** — with
-  ``sync="bulk_synchronous"`` the pipelined path (streamed extraction,
-  shared ``EpochDriver`` loop) is bit-identical — models *and*
+* **streaming changes nothing but wall-clock** — at the default
+  ``staleness=1`` the pipelined path (streamed extraction, shared
+  ``EpochDriver`` loop) is bit-identical — models *and*
   schedule-derived counters — to the barriered/materialized path for all
   four algorithms at segments ∈ {1, 2, 4}, and on the single-engine path;
-* **``stale_synchronous`` trades merges for staleness, boundedly** — the
+* **``staleness=k`` trades merges for staleness, boundedly** — the
   merge cadence is ``ceil(epochs / staleness)`` and the final loss stays
-  within tolerance of the bulk-synchronous fit;
+  within tolerance of the merge-every-epoch fit;
 * **configuration fails fast** — invalid ``DAnA.train`` arguments raise
   ``ConfigurationError`` naming the valid choices;
 * **the lock-step epoch plan is cached** — a ``shuffle=False`` epoch block
@@ -29,13 +29,8 @@ from repro.data.synthetic import generate_for_algorithm
 from repro.exceptions import ConfigurationError, HardwareError
 from repro.perf.segment_model import ShardedRunCost
 from repro.rdbms import Database
-from repro.runtime import (
-    BatchSource,
-    BulkSynchronous,
-    StaleSynchronous,
-    SYNC_POLICIES,
-    make_sync_policy,
-)
+from repro.runtime import BatchSource
+from repro.runtime.epoch_driver import merge_boundary
 
 LRMF_TOPOLOGY = (24, 18, 4)
 EPOCHS = 4
@@ -165,37 +160,23 @@ class TestBatchSource:
 
 
 # ---------------------------------------------------------------------- #
-# SyncPolicy schedule objects
+# the merge-boundary rule
 # ---------------------------------------------------------------------- #
-class TestSyncPolicies:
-    def test_factory_validates_names_and_staleness(self):
-        with pytest.raises(ConfigurationError, match="bulk_synchronous"):
-            make_sync_policy("gossip")
-        with pytest.raises(ConfigurationError):
-            make_sync_policy("stale_synchronous", staleness=0)
-        assert make_sync_policy("bulk_synchronous").name in SYNC_POLICIES
-
+class TestMergeBoundary:
     def test_bulk_merges_every_epoch(self):
-        policy = BulkSynchronous()
-        assert [policy.next_boundary(e, 10) for e in range(4)] == [0, 1, 2, 3]
+        assert [merge_boundary(e, 1, 10) for e in range(4)] == [0, 1, 2, 3]
 
     def test_stale_boundaries_every_k_epochs_and_final(self):
-        policy = StaleSynchronous(3)
         # boundaries at epochs 2, 5, ... and always the final epoch
-        assert policy.next_boundary(0, 10) == 2
-        assert policy.next_boundary(3, 10) == 5
-        assert policy.next_boundary(9, 10) == 9
-        assert policy.next_boundary(7, 8) == 7
-        assert StaleSynchronous(1).next_boundary(4, 10) == 4
-
-    def test_async_merge_is_gone(self):
-        assert SYNC_POLICIES == ("bulk_synchronous", "stale_synchronous")
-        with pytest.raises(ConfigurationError, match="expected one of"):
-            make_sync_policy("async_merge")
+        assert merge_boundary(0, 3, 10) == 2
+        assert merge_boundary(3, 3, 10) == 5
+        assert merge_boundary(9, 3, 10) == 9
+        assert merge_boundary(7, 3, 8) == 7
+        assert merge_boundary(4, 1, 10) == 4
 
 
 # ---------------------------------------------------------------------- #
-# bulk_synchronous pipelined == barriered, bit for bit
+# merge-every-epoch pipelined == barriered, bit for bit
 # ---------------------------------------------------------------------- #
 class TestStreamingParity:
     @pytest.mark.parametrize("key", ["linear", "logistic", "svm", "lrmf"])
@@ -207,7 +188,7 @@ class TestStreamingParity:
             key, "train", epochs=EPOCHS, segments=segments, stream=False
         )
         assert streamed.cluster.stream and not barriered.cluster.stream
-        assert streamed.cluster.sync == "bulk_synchronous"
+        assert streamed.cluster.staleness == 1
         for name in streamed.models:
             np.testing.assert_array_equal(streamed.models[name], barriered.models[name])
         assert streamed.engine_stats == barriered.engine_stats
@@ -241,23 +222,24 @@ class TestStreamingParity:
 
 
 # ---------------------------------------------------------------------- #
-# stale_synchronous: bounded staleness semantics + quality
+# staleness=k: bounded staleness semantics + quality
 # ---------------------------------------------------------------------- #
 class TestStaleSynchronous:
-    @pytest.mark.parametrize("staleness", [1, 2, 3, 4])
-    def test_merge_cadence(self, staleness):
+    @pytest.mark.parametrize("execution", ["lockstep", "threads"])
+    @pytest.mark.parametrize("staleness", [1, 2, 3, 4, 8])
+    def test_merge_cadence(self, staleness, execution):
+        """``staleness`` alone decides the cadence, whatever the strategy."""
         system, spec, _algo, _data = _system("linear", epochs=6)
         run = system.train(
             "linear",
             "train",
             epochs=6,
             segments=4,
-            sync="stale_synchronous",
+            execution=execution,
             staleness=staleness,
         )
         assert run.epochs_run == 6
         assert run.cluster.merges_performed == math.ceil(6 / staleness)
-        assert run.cluster.sync == "stale_synchronous"
         assert run.cluster.staleness == staleness
         # every tuple still trained exactly once per epoch
         assert run.engine_stats.tuples_processed == 640 * 6
@@ -270,7 +252,6 @@ class TestStaleSynchronous:
             "train",
             epochs=EPOCHS,
             segments=4,
-            sync="stale_synchronous",
             staleness=1,
         )
         for name in bsp.models:
@@ -288,7 +269,6 @@ class TestStaleSynchronous:
             epochs=6,
             segments=4,
             execution=execution,
-            sync="stale_synchronous",
             staleness=3,
         )
         initial_loss = algorithm.loss(data, spec.initial_models)
@@ -303,12 +283,11 @@ class TestStaleSynchronous:
         """The strategies stay parity oracles with merge-free windows."""
         system, spec, _algo, _data = _system("linear", epochs=6)
         lock = system.train(
-            "linear", "train", epochs=6, segments=4,
-            sync="stale_synchronous", staleness=staleness,
+            "linear", "train", epochs=6, segments=4, staleness=staleness,
         )
         thr = system.train(
             "linear", "train", epochs=6, segments=4, execution="threads",
-            sync="stale_synchronous", staleness=staleness,
+            staleness=staleness,
         )
         assert lock.cluster.mode == "lockstep" and thr.cluster.mode == "threads"
         for name in lock.models:
@@ -343,7 +322,6 @@ class TestStaleSynchronous:
             epochs=40,
             segments=2,
             execution="threads",
-            sync="stale_synchronous",
             staleness=4,
         )
         assert run.converged
@@ -354,8 +332,7 @@ class TestStaleSynchronous:
     def test_stale_runs_are_reproducible(self):
         system, spec, _algo, _data = _system("linear")
         kwargs = dict(
-            epochs=6, segments=4, shuffle=True, seed=42,
-            sync="stale_synchronous", staleness=2,
+            epochs=6, segments=4, shuffle=True, seed=42, staleness=2,
         )
         a = system.train("linear", "train", **kwargs)
         b = system.train("linear", "train", **kwargs)
@@ -393,17 +370,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="average"):
             system.train("linear", "train", epochs=2, segments=2, aggregation="median")
 
-    def test_unknown_sync_policy(self, system):
-        with pytest.raises(ConfigurationError, match="stale_synchronous"):
-            system.train("linear", "train", epochs=2, segments=2, sync="gossip")
-
     def test_invalid_staleness(self, system):
         with pytest.raises(ConfigurationError, match="staleness"):
             system.train("linear", "train", epochs=2, segments=2, staleness=0)
 
     def test_validation_applies_to_single_path_too(self, system):
-        with pytest.raises(ConfigurationError, match="sync"):
-            system.train("linear", "train", epochs=2, sync="nope")
+        with pytest.raises(ConfigurationError, match="staleness"):
+            system.train("linear", "train", epochs=2, staleness=0)
 
     def test_invalid_epochs(self, system):
         with pytest.raises(ConfigurationError, match="epochs"):
