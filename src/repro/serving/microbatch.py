@@ -2,12 +2,15 @@
 
 Heavy serving traffic arrives one tuple at a time, but the inference tape
 is fastest on batches.  The :class:`PredictionServer` bridges the two with
-the same shape the runtime's :class:`~repro.runtime.BatchSource` uses for
-extraction: a **bounded queue** (the software double buffer) decouples the
-submitting threads from one scorer thread, which coalesces whatever has
-queued into a micro-batch — up to ``max_batch_size`` requests, waiting at
-most ``max_wait_ms`` after the first request of a batch arrives, so the
-batching latency is bounded by construction.
+**one lock**: submitting threads append requests to a bounded pending
+deque under the server lock, and one scorer thread, waiting on a condition
+of that same lock, takes a whole micro-batch per lock hold — up to
+``max_batch_size`` requests, waiting at most ``max_wait_ms`` after the
+first request of a batch arrives, so the batching latency is bounded by
+construction.  A submit wakes the scorer only when it is parked idle or
+the batch has just filled; a request can be cancelled until the scorer
+takes its batch.  A batch whose scoring raises is re-scored one request at
+a time, so a malformed row fails alone.
 
 The served model can be **hot-swapped** without stopping the server:
 :meth:`PredictionServer.swap_models` (or the registry-versioned
@@ -24,7 +27,6 @@ the queueing delay (tail latency down).
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 from collections import deque
@@ -146,13 +148,13 @@ class ServingStats:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class _Request:
     row: np.ndarray
     future: Future
     submitted_at: float
     #: absolute deadline (perf_counter seconds) or None for no deadline.
-    deadline: float | None = None
+    deadline: float | None
     #: model version the request was admitted against; only meaningful
     #: when ``tracked`` (the server enforces a per-model limit).
     version: int | None = None
@@ -168,7 +170,6 @@ class PredictionServer:
         models: Mapping[str, np.ndarray],
         max_batch_size: int = 64,
         max_wait_ms: float = 2.0,
-        queue_depth: int | None = None,
         model_loader: Callable[[int | None], tuple] | None = None,
         model_version: int | None = None,
         max_queue_depth: int | None = None,
@@ -182,15 +183,14 @@ class PredictionServer:
             models: the initial model parameter mapping.
             max_batch_size: most requests coalesced into one micro-batch.
             max_wait_ms: longest a batch waits after its first request.
-            queue_depth: bounded request-queue depth (default: two
-                micro-batches — one scoring, one queueing).
             model_loader: optional registry-backed loader for
                 :meth:`reload` hot-swaps; called with a version (or None
                 for latest) and must return ``(models, entry)``.
             model_version: registry version of the initial model, if any.
             max_queue_depth: admission-control queue bound.  ``None``
                 (the default) keeps the legacy behaviour — ``submit``
-                blocks until the double buffer has room; an integer makes
+                blocks while two micro-batches are pending (one scoring,
+                one queueing) until the scorer takes one; an integer makes
                 ``submit`` shed instead, raising
                 :class:`~repro.exceptions.ServerOverloadedError` the
                 moment the queue holds this many requests.
@@ -253,24 +253,26 @@ class PredictionServer:
         #: in-flight request count per served model version (admission
         #: bookkeeping for ``max_concurrent_per_model``).
         self._inflight: dict[int | None, int] = {}
-        # Double-buffer depth: one micro-batch being scored, one queueing
-        # (an explicit admission bound overrides it).
-        if max_queue_depth is not None:
-            depth = max_queue_depth
-        elif queue_depth is not None:
-            depth = queue_depth
-        else:
-            depth = 2 * max_batch_size
-        self._queue: queue.Queue[_Request] = queue.Queue(maxsize=max(1, depth))
-        self._stop = threading.Event()
-        #: raised by ``stop(drain=False)``: the scorer exits without
-        #: draining and the leftovers are failed, not scored.
-        self._abort = threading.Event()
-        self._thread: threading.Thread | None = None
+        #: most requests pending at once: the admission bound, else two
+        #: micro-batches (one being scored, one queueing).
+        self._depth = max_queue_depth or 2 * max_batch_size
+        #: pending count that ends a batching window early: a full batch,
+        #: or a full deque (nothing more can arrive until the scorer takes).
+        self._full = min(max_batch_size, self._depth)
+        #: everything below is guarded by ``_lock``; ``_wake`` is the one
+        #: condition the scorer and blocked legacy submitters wait on.
         self._lock = threading.Lock()
+        self._wake = threading.Condition(self._lock)
+        self._pending: deque[_Request] = deque()
+        self._stopping = False
+        #: set by ``stop(drain=False)``: the scorer exits without draining
+        #: and the leftovers are failed, not scored.
+        self._abort = False
+        #: the scorer is parked waiting for a batch's first request.
+        self._idle = False
+        self._thread: threading.Thread | None = None
         self.stats = ServingStats()
         self._first_submit: float | None = None
-        self._last_complete: float | None = None
         #: span accumulated over previous start()/stop() lifetimes, so a
         #: restarted server's throughput excludes the stopped idle gap.
         self._span_base: float = 0.0
@@ -283,7 +285,7 @@ class PredictionServer:
         with self._lock:
             if self._thread is not None:
                 return self
-            self._stop.clear()  # a stopped server can be restarted
+            self._stopping = False  # a stopped server can be restarted
             if self._first_submit is not None:
                 # Rebase the throughput clock: the stopped gap is not
                 # serving time.
@@ -305,7 +307,9 @@ class PredictionServer:
         submitted request is still in flight.  ``drain=False`` exits the
         scorer at the next batch boundary instead; anything still queued
         fails with :class:`~repro.exceptions.ServingError` rather than
-        being scored — no caller is ever left hanging either way.
+        being scored — no caller is ever left hanging either way.  The
+        stop wakes the scorer (and any blocked submitter) at once: no
+        batching window is waited out for requests that cannot come.
 
         Args:
             drain: score the queued backlog before exiting (default) or
@@ -315,13 +319,14 @@ class PredictionServer:
             if self._thread is None:
                 return
             if not drain:
-                self._abort.set()
-            self._stop.set()
+                self._abort = True
+            self._stopping = True
+            self._wake.notify_all()
             thread = self._thread
         thread.join()
         with self._lock:
             self._thread = None
-            self._abort.clear()
+            self._abort = False
         # Backstop: fail anything still queued rather than strand it (the
         # scorer's own exit hook already drained in every ordinary path).
         self._fail_queued("the prediction server was stopped")
@@ -426,21 +431,17 @@ class PredictionServer:
             )
         now = time.perf_counter()
         limit_ms = deadline_ms if deadline_ms is not None else self.deadline_ms
-        request = _Request(
-            row=row,
-            future=Future(),
-            submitted_at=now,
-            deadline=(now + float(limit_ms) / 1e3) if limit_ms is not None else None,
-        )
-        # The liveness check and the enqueue happen under one lock hold
+        deadline = (now + float(limit_ms) / 1e3) if limit_ms is not None else None
+        request = _Request(row, Future(), now, deadline)
+        # The liveness check and the append happen under one lock hold
         # (stop() raises the flag under the same lock), so a successfully
         # submitted request is always still visible to the scorer's
-        # stop-and-empty exit check — no request can be stranded.  The put
-        # is non-blocking; a full queue sheds (admission control on) or
-        # backs off outside the lock (legacy blocking mode).
-        while True:
-            with self._lock:
-                if self._thread is None or self._stop.is_set():
+        # stop-and-empty exit check — no request can be stranded.  A full
+        # deque sheds (admission control on) or waits on the condition
+        # until the scorer takes a batch (legacy blocking mode).
+        with self._lock:
+            while True:
+                if self._thread is None or self._stopping:
                     raise ConfigurationError(
                         "the prediction server is not running; call start() first"
                     )
@@ -454,26 +455,24 @@ class PredictionServer:
                         f"model version {self.model_version!r} already has "
                         f"{limit} request(s) in flight; request shed"
                     )
-                try:
-                    self._queue.put_nowait(request)
-                except queue.Full:
-                    if self.max_queue_depth is not None:
-                        self.stats.shed += 1
-                        raise ServerOverloadedError(
-                            f"request queue is full "
-                            f"({self.max_queue_depth} deep); request shed"
-                        )
-                else:
-                    if limit is not None:
-                        request.tracked = True
-                        request.version = self.model_version
-                        self._inflight[request.version] = (
-                            self._inflight.get(request.version, 0) + 1
-                        )
-                    if self._first_submit is None:
-                        self._first_submit = request.submitted_at
-                    return request.future
-            time.sleep(0.001)
+                if len(self._pending) < self._depth:
+                    break
+                if self.max_queue_depth is not None:
+                    self.stats.shed += 1
+                    raise ServerOverloadedError(
+                        f"request queue is full "
+                        f"({self.max_queue_depth} deep); request shed"
+                    )
+                self._wake.wait()
+            if limit is not None:
+                request.tracked, request.version = True, self.model_version
+                self._inflight[request.version] = self._inflight.get(request.version, 0) + 1
+            if self._first_submit is None:
+                self._first_submit = request.submitted_at
+            self._pending.append(request)
+            if self._idle or len(self._pending) == self._full:
+                self._wake.notify_all()
+        return request.future
 
     def predict(
         self,
@@ -486,8 +485,9 @@ class PredictionServer:
         Args:
             row: one feature row (1-D).
             timeout: seconds to wait for the prediction; on expiry the
-                queued request is cancelled (it will not be scored), the
-                timeout is counted in :attr:`ServingStats.timeouts`, and
+                request is cancelled (not scored, unless the scorer already
+                took its batch), the timeout is counted in
+                :attr:`ServingStats.timeouts`, and
                 :class:`~repro.exceptions.DeadlineExceededError` is
                 raised.  ``None`` waits forever.
             deadline_ms: per-request deadline passed to :meth:`submit`.
@@ -517,136 +517,135 @@ class PredictionServer:
     # ------------------------------------------------------------------ #
     def _serve(self) -> None:
         try:
-            while not (self._stop.is_set() and self._queue.empty()):
-                if self._abort.is_set():
-                    return
-                try:
-                    first = self._queue.get(timeout=0.02)
-                except queue.Empty:
-                    continue
-                batch = [first]
-                deadline = time.perf_counter() + self.max_wait_s
-                while len(batch) < self.max_batch_size:
-                    remaining = deadline - time.perf_counter()
-                    try:
-                        if remaining > 0:
-                            batch.append(self._queue.get(timeout=remaining))
-                        else:
-                            # Deadline passed: take only what already queued.
-                            batch.append(self._queue.get_nowait())
-                    except queue.Empty:
-                        break
-                self._score_batch(batch)
+            while (taken := self._take()) is not None:
+                self._score_batch(*taken)
         finally:
             # Whatever killed or stopped the scorer, nothing queued may be
             # stranded: fail the leftovers so every caller unblocks, and
             # refuse new submissions (start() after stop() re-arms).
-            self._stop.set()
+            with self._lock:
+                self._stopping = True
+                self._wake.notify_all()
             self._fail_queued("the prediction server stopped before scoring")
 
-    def _score_batch(self, batch: list[_Request]) -> None:
-        # Snapshot the model once per micro-batch: a concurrent hot-swap
-        # takes effect at the next batch boundary, never mid-batch.
+    def _take(self) -> tuple[list[_Request], dict[str, np.ndarray]] | None:
+        """Wait for the next micro-batch and take it in one lock hold.
+
+        Returns the batch with the model it scores on — snapshotted in the
+        same lock hold, so a concurrent hot-swap takes effect at the next
+        batch boundary, never mid-batch — or ``None`` when the scorer exits.
+        """
         with self._lock:
-            models = self.models
+            self._idle = True
+            self._wake.wait_for(lambda: self._pending or self._stopping)
+            self._idle = False
+            # The batching window: a stop or a full batch ends it early.
+            self._wake.wait_for(
+                lambda: len(self._pending) >= self._full or self._stopping,
+                self.max_wait_s,
+            )
+            if self._abort or not self._pending:
+                return None
+            pop = self._pending.popleft
+            batch = [pop() for _ in range(min(len(self._pending), self.max_batch_size))]
+            self._wake.notify_all()  # room again for blocked legacy submitters
+            return batch, self.models
+
+    def _score_batch(self, batch: list[_Request], models: Mapping[str, np.ndarray]) -> None:
         now = time.perf_counter()
         live: list[_Request] = []
+        expired: list[_Request] = []
         for request in batch:
-            if request.future.cancelled():
-                # The caller timed out and withdrew; finalise the
-                # cancellation so its waiters wake, and skip the scoring.
-                self._release(request)
-                request.future.set_running_or_notify_cancel()
-            elif request.deadline is not None and now > request.deadline:
-                self._release(request)
-                with self._lock:
-                    self.stats.deadline_exceeded += 1
-                _deliver(
-                    request.future,
-                    error=DeadlineExceededError(
-                        "request spent longer than its deadline in the "
-                        "serving queue; it was failed, not scored late"
-                    ),
-                )
+            # The future's one move out of PENDING: a request its caller
+            # cancelled drops out here and is never scored.
+            if not request.future.set_running_or_notify_cancel():
+                continue
+            if request.deadline is not None and now > request.deadline:
+                expired.append(request)
             else:
                 live.append(request)
-        if not live:
-            return
-        obs = telemetry()
+        obs = telemetry() if live else None
         if obs is not None:
             # Queue delay: submit → micro-batch assembly, per live request.
-            queue_hist = obs.metrics.histogram(
+            obs.metrics.histogram(
                 "serving.server.queue", buckets=LATENCY_BUCKETS_S
-            )
-            for request in live:
-                queue_hist.observe(now - request.submitted_at)
-        span = (
-            obs.span("serving.server.batch", requests=len(live))
-            if obs is not None
-            else None
-        )
-        try:
-            rows = np.stack([request.row for request in live], axis=0)
-            predictions = self.engine.score(
-                rows, models, path="batched", batch_size=len(live)
-            )
-        except BaseException as error:  # noqa: BLE001 - forwarded to callers
-            for request in live:
-                self._release(request)
-                _deliver(request.future, error=error)
-            return
-        if span is not None:
+            ).observe_many([now - request.submitted_at for request in live])
+            span = obs.span("serving.server.batch", requests=len(live))
+        outcomes = self._predict(live, models) if live else []
+        if obs is not None:
             obs.finish(span)
-        now = time.perf_counter()
+        done = time.perf_counter()
+        latencies = [
+            done - request.submitted_at
+            for request, outcome in zip(live, outcomes)
+            if not isinstance(outcome, Exception)
+        ]
         with self._lock:
-            self.stats.batches += 1
-            self.stats.requests += len(live)
-            for request in live:
-                self.stats.latency.observe(now - request.submitted_at)
-            self._last_complete = now
-            if self._first_submit is not None:
-                self.stats.span_seconds = self._span_base + (
-                    self._last_complete - self._first_submit
+            self._release(batch)
+            self.stats.deadline_exceeded += len(expired)
+            if latencies:
+                self.stats.batches += 1
+                self.stats.requests += len(latencies)
+                if self._first_submit is not None:
+                    self.stats.span_seconds = self._span_base + done - self._first_submit
+        for request in expired:
+            request.future.set_exception(
+                DeadlineExceededError(
+                    "request spent longer than its deadline in the "
+                    "serving queue; it was failed, not scored late"
                 )
-        for request, value in zip(live, predictions):
-            self._release(request)
-            _deliver(request.future, value=value)
+            )
+        for request, outcome in zip(live, outcomes):
+            if isinstance(outcome, Exception):
+                request.future.set_exception(outcome)
+            else:
+                request.future.set_result(outcome)
+        # After delivery: the histogram's NumPy bucketing delays no caller.
+        self.stats.latency.observe_many(latencies)
+
+    def _predict(self, live: list[_Request], models: Mapping[str, np.ndarray]) -> list:
+        """One outcome per request: its prediction, or what scoring it raised.
+
+        The batch is stacked and scored in one call.  If that raises, each
+        request is re-scored alone — the forward tape is row-independent,
+        so the others' predictions are bit-identical — and only the
+        requests that raise on their own fail.
+        """
+        def score(rows: np.ndarray) -> np.ndarray:
+            return self.engine.score(rows, models, path="batched", batch_size=len(rows))
+
+        try:
+            return list(score(np.stack([request.row for request in live])))
+        except Exception as error:  # noqa: BLE001 - forwarded to callers
+            if len(live) == 1:
+                return [error]
+        outcomes: list = []
+        for request in live:
+            try:
+                outcomes.append(score(request.row[None, :])[0])
+            except Exception as error:  # noqa: BLE001 - forwarded to callers
+                outcomes.append(error)
+        return outcomes
 
     # ------------------------------------------------------------------ #
     # admission bookkeeping
     # ------------------------------------------------------------------ #
-    def _release(self, request: _Request) -> None:
-        """Return a resolved request's per-model concurrency slot."""
-        if not request.tracked:
-            return
-        with self._lock:
-            count = self._inflight.get(request.version, 0) - 1
-            if count > 0:
-                self._inflight[request.version] = count
-            else:
-                self._inflight.pop(request.version, None)
+    def _release(self, requests: list[_Request]) -> None:
+        """Return resolved requests' per-model slots; the caller holds the lock."""
+        for request in requests:
+            if request.tracked:
+                count = self._inflight.get(request.version, 0) - 1
+                if count > 0:
+                    self._inflight[request.version] = count
+                else:
+                    self._inflight.pop(request.version, None)
 
     def _fail_queued(self, reason: str) -> None:
-        """Fail every still-queued request so no caller blocks forever."""
-        while True:
-            try:
-                request = self._queue.get_nowait()
-            except queue.Empty:
-                return
-            self._release(request)
-            _deliver(request.future, error=ServingError(reason))
-
-
-def _deliver(future: Future, value=None, error: BaseException | None = None) -> None:
-    """Complete a request future, tolerating client-side cancellation.
-
-    A caller that timed out may have cancelled its future; delivering into
-    a cancelled future raises ``InvalidStateError``, which must not kill
-    the scorer thread (it serves every other caller too).
-    """
-    if not future.set_running_or_notify_cancel():
-        return  # cancelled by the client; nothing to deliver
-    if error is not None:
-        future.set_exception(error)
-    else:
-        future.set_result(value)
+        """Fail every still-pending request so no caller blocks forever."""
+        with self._lock:
+            leftovers = list(self._pending)
+            self._pending.clear()
+            self._release(leftovers)
+        for request in leftovers:
+            if request.future.set_running_or_notify_cancel():
+                request.future.set_exception(ServingError(reason))

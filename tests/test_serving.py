@@ -14,6 +14,8 @@ Covers the PR-4 contract:
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -305,6 +307,58 @@ def test_prediction_server_coalesces_queued_requests():
     assert server.stats.requests == 32
     assert server.stats.batches < 32
     assert server.stats.mean_batch_size > 1.0
+
+
+@pytest.mark.parametrize(
+    "submits, max_wait_ms, stop, within_s",
+    [
+        # a full batch wakes the scorer: the 10 s window is not waited out
+        pytest.param(16, 10_000.0, False, 1.0, id="full-batch"),
+        pytest.param(1, 200.0, False, 0.2 + 1.0, id="lone-request"),
+        pytest.param(0, 10_000.0, True, 0.5, id="stop-idle"),
+        # stop() wakes a scorer inside its window and drains at once
+        pytest.param(1, 10_000.0, True, 1.0, id="stop-mid-window"),
+    ],
+)
+def test_prediction_server_wake_up_rule(submits, max_wait_ms, stop, within_s):
+    system, _spec, data = build_system("linear", n_tuples=64)
+    models = trained_models(system, "linear")
+    server = system.serve(
+        "linear", models=models, max_batch_size=16, max_wait_ms=max_wait_ms
+    ).start()
+    try:
+        time.sleep(0.05)  # let the scorer park idle
+        started = time.perf_counter()
+        futures = [server.submit(row) for row in data[:submits]]
+        if stop:
+            server.stop()
+        served = [f.result(timeout=within_s + 1.0) for f in futures]
+        elapsed = time.perf_counter() - started
+    finally:
+        server.stop(drain=False)
+    assert elapsed < within_s
+    assert server.stats.requests == submits
+    if submits:
+        direct = system.predict("linear", data[:submits], models=models)
+        np.testing.assert_array_equal(served, direct)
+
+
+def test_malformed_row_fails_alone_in_its_micro_batch():
+    system, _spec, data = build_system("linear", n_tuples=64)
+    models = trained_models(system, "linear")
+    rows = [data[0], data[1], data[2], np.zeros(2), data[3], data[4], data[5]]
+    # The long window coalesces all seven requests into one micro-batch.
+    with system.serve(
+        "linear", models=models, max_batch_size=8, max_wait_ms=200.0
+    ) as server:
+        futures = [server.submit(row) for row in rows]
+        with pytest.raises(ValueError):
+            futures[3].result(timeout=30)
+        served = [f.result(timeout=30) for f in futures[:3] + futures[4:]]
+    np.testing.assert_array_equal(
+        served, system.predict("linear", data[:6], models=models)
+    )
+    assert (server.stats.batches, server.stats.requests) == (1, 6)
 
 
 def test_prediction_server_restarts_after_stop():
