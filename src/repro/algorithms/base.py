@@ -59,10 +59,19 @@ class AlgorithmSpec:
     hyperparameters: Hyperparameters
     model_topology: tuple[int, ...] = ()
     metadata: dict = field(default_factory=dict)
+    #: batch binder for the training tape: maps a block of rows onto the
+    #: graph's variables.  Two rules.  It must keep the leading row axis —
+    #: every per-tuple array has one entry per row — and be layout-agnostic
+    #: (index the trailing column axis, ``rows[..., j]``), so it works on a
+    #: plain ``(n, cols)`` block and on the lock-step ``(n, S, cols)`` one;
+    #: the tape refuses a per-tuple array of another leading length.  A
+    #: meta or model override it returns is read once per block, so it is a
+    #: per-statement constant, not a per-batch value.
     bind_batch: BatchBinder | None = None
     #: forward-only binder for prediction serving: maps a ``(B, cols)``
     #: block (with or without the trailing label column) onto the forward
-    #: graph's input variables only — no labels, no gradient inputs.
+    #: graph's input variables only — no labels, no gradient inputs.  The
+    #: same row-axis rule applies.
     bind_predict: BatchBinder | None = None
 
 

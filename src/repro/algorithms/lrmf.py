@@ -68,12 +68,12 @@ class LowRankMatrixFactorization(Algorithm):
             return {"row": float(row[0]), "col": float(row[1]), "value": float(row[2])}
 
         def bind_batch(rows: np.ndarray) -> dict[str, np.ndarray]:
-            return {"row": rows[:, 0], "col": rows[:, 1], "value": rows[:, 2]}
+            return {"row": rows[..., 0], "col": rows[..., 1], "value": rows[..., 2]}
 
         def bind_predict(rows: np.ndarray) -> dict[str, np.ndarray]:
             # Rating prediction addresses the two factor rows; the observed
             # value column (if present) is ignored.
-            return {"row": rows[:, 0], "col": rows[:, 1]}
+            return {"row": rows[..., 0], "col": rows[..., 1]}
 
         rng = np.random.default_rng(7)
         scale = 1.0 / np.sqrt(rank)

@@ -36,7 +36,8 @@ The strategies produce identical per-segment counters:
 * ``lockstep`` (default for merge-based graphs with 2+ segments) — all
   segments advance through their batch streams in lock step, each step one
   pass of the segment-axis :class:`CompiledTape` over a ``(B, S, ...)``
-  block (the step loop runs inside the tape's generated ``train``).  This
+  batch (the step loop runs inside the tape's generated ``train``, over
+  ``(k·B, S, cols)`` blocks it binds once each).  This
   amortises the Python-side per-batch cost over the segment axis, so
   sharding speeds the simulation up even on a single core — and the NumPy
   kernels still release the GIL, so it scales further with real cores.  It
@@ -79,7 +80,7 @@ from repro.hw.fpga import DEFAULT_FPGA, FPGASpec
 from repro.hw.ledger import critical_path_cycles
 from repro.hw.tree_bus import TreeBus, TreeBusStats
 from repro.obs.telemetry import telemetry
-from repro.runtime import EpochDriver, EpochStep
+from repro.runtime import EpochDriver, EpochStep, row_blocks
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.algorithms.base import AlgorithmSpec
@@ -434,8 +435,8 @@ class _LockstepStep(EpochStep):
     State is the stacked ``(segments, ...)`` model block; between merge
     boundaries it simply keeps diverging per segment (that is
     training under ``staleness > 1``).  While the segments' sources are still
-    streaming, the first epoch zips the per-segment batch streams — vector
-    step ``k`` runs as soon as every segment's ``k``-th batch has decoded —
+    streaming, the first epoch zips the per-segment block streams — a round
+    of vector steps runs as soon as every segment has decoded its batches —
     and the epoch block of a ``shuffle=False`` run is planned once and
     reused every later epoch.
     """
@@ -455,8 +456,8 @@ class _LockstepStep(EpochStep):
         self.workers = [w for w in sharded.workers if w.has_rows()]
         self.batch_size = sharded.workers[0].engine.batch_size
         #: cached (epoch_rows, steps, block) of the static shuffle=False
-        #: epoch — stacked once, reused every epoch (satellite: no
-        #: re-trimming / re-stacking of identical blocks).
+        #: epoch — the ``(steps·B, S, cols)`` block is stacked once and
+        #: reused every epoch, never re-trimmed or re-stacked.
         self._static_plan: tuple[list[np.ndarray], int, np.ndarray] | None = None
 
     @property
@@ -530,10 +531,10 @@ class _LockstepStep(EpochStep):
             and not self.shuffle
             and not all(w.source.materialised for w in workers)
         ):
-            # Pipelined first epoch: zip the per-segment batch streams.
-            # Vector step k runs as soon as every segment's k-th full batch
-            # has decoded; the producers keep walking later pages meanwhile.
-            env = tape.train(self._streamed_steps(), bind_batch, stacked_models)
+            # Pipelined first epoch: zip the per-segment block streams.  A
+            # round of vector steps runs as soon as every segment has decoded
+            # its batches; the producers keep walking later pages meanwhile.
+            env = tape.train(self._streamed_blocks(), bind_batch, stacked_models, batch_size)
             epoch_rows = [w.epoch_rows(False) for w in workers]  # drains tails
             steps = min(len(rows) // batch_size for rows in epoch_rows)
         else:
@@ -542,14 +543,13 @@ class _LockstepStep(EpochStep):
             else:
                 epoch_rows = [w.epoch_rows(self.shuffle) for w in workers]
                 steps = min(len(rows) // batch_size for rows in epoch_rows)
-                # (steps, B, S, cols): iterating it yields the vector steps
+                # (steps·B, S, cols): one block of the epoch's vector steps
                 block = np.stack(
                     [rows[: steps * batch_size] for rows in epoch_rows], axis=1
                 )
-                block = block.reshape((steps, batch_size) + block.shape[1:])
                 if not self.shuffle:
                     self._static_plan = (epoch_rows, steps, block)
-            env = tape.train(block, bind_batch, stacked_models)
+            env = tape.train([block], bind_batch, stacked_models, batch_size)
         # Per-segment convergence verdicts from the last vector step;
         # segments with tail batches get their verdict overwritten below
         # from their true final batch — exactly what the threads oracle
@@ -568,7 +568,10 @@ class _LockstepStep(EpochStep):
             seg_tape = w.engine.tape
             seg_models = {name: stacked_models[name][s] for name in stacked_models}
             tail_env = seg_tape.train(
-                w.engine.iter_batches(rows[steps * batch_size :]), bind_batch, seg_models
+                row_blocks(rows[steps * batch_size :], batch_size),
+                bind_batch,
+                seg_models,
+                batch_size,
             )
             if tail_env is not None:
                 for name in stacked_models:
@@ -581,22 +584,28 @@ class _LockstepStep(EpochStep):
         converged = check_convergence and bool(flags.all())
         return stacked_models, converged
 
-    def _streamed_steps(self) -> Iterator[np.ndarray]:
-        """The ``(B, S, cols)`` vector steps of the zipped per-segment streams.
+    def _streamed_blocks(self) -> Iterator[np.ndarray]:
+        """``(k·B, S, cols)`` blocks of the zipped per-segment block streams.
 
-        Stops at the first round where any segment cannot produce a full
-        batch — exactly ``min(len(rows_s) // batch_size)`` rounds, the same
-        step count the materialized plan computes.  Rows pulled past that
-        point stay available (the sources cache their chunks), so the tail
-        loop consumes them from ``rows[steps * batch_size:]`` as usual.
+        Each round stacks the whole batches every segment has ready — ``k``
+        is the fewest any segment holds — with one ``np.stack``, and keeps
+        the rest for the next round.  Stops at the first round where a
+        segment has no whole batch left — after exactly
+        ``min(len(rows_s) // batch_size)`` vector steps, the step count the
+        materialized plan computes.  Rows pulled past that point stay
+        available (the sources cache their chunks), so the tail loop
+        consumes them from ``rows[steps * batch_size:]`` as usual.
         """
         batch_size = self.batch_size
-        iters = [w.source.batches(batch_size) for w in self.workers]
+        streams = [w.source.blocks(batch_size) for w in self.workers]
+        ready: list = [()] * len(streams)  # per segment: whole batches not yet stacked
         while True:
-            round_batches = []
-            for it in iters:
-                batch = next(it, None)
-                if batch is None or len(batch) < batch_size:
-                    return
-                round_batches.append(batch)
-            yield np.stack(round_batches, axis=1)
+            for s, stream in enumerate(streams):
+                if not len(ready[s]):
+                    block = next(stream, None)
+                    if block is None or len(block) < batch_size:  # end or tail
+                        return
+                    ready[s] = block
+            take = min(len(block) for block in ready)
+            yield np.stack([block[:take] for block in ready], axis=1)
+            ready = [block[take:] for block in ready]

@@ -10,8 +10,11 @@ Three execution paths are provided:
   into a :class:`~repro.translator.tape.CompiledTape` — one generated
   function of NumPy kernels with the epoch's batch loop inside it — and
   every merge batch is evaluated in one shot, with the tree-bus merge as a
-  single reduction over the batch axis (no per-tuple Python, and no
-  per-batch dispatch, in the epoch loop);
+  single reduction over the batch axis.  The epoch reaches the tape as
+  blocks of whole batches (a materialised epoch is one block plus its
+  tail, a streamed one a block per extracted wave), each bound once: no
+  per-tuple Python, and no per-batch binding or hand-off, in the epoch
+  loop;
 * **per-tuple functional path** — per-tuple evaluation of the hDFG with
   :class:`~repro.translator.evaluator.HDFGEvaluator`, kept as the
   correctness oracle for the tape and used when no batch binder is
@@ -48,7 +51,7 @@ from repro.hw.analytic_cluster import AnalyticCluster
 from repro.hw.ledger import EngineRunStats, TreeBusStats, engine_epoch_cost
 from repro.hw.tree_bus import TreeBus
 from repro.isa.engine_isa import SourceKind
-from repro.runtime import BatchSource, EpochDriver, EpochStep
+from repro.runtime import BatchSource, EpochDriver, EpochStep, row_blocks
 from repro.translator.evaluator import HDFGEvaluator
 from repro.translator.hdfg import HDFG, NodeKind, Region
 from repro.translator.tape import BatchBinder, CompiledTape
@@ -156,7 +159,7 @@ class ExecutionEngine:
         ``rows`` is the extraction to consume: a
         :class:`~repro.runtime.BatchSource` from the extraction seam, or a
         plain tuple matrix (wrapped as the pre-extracted source).  The
-        first epoch of an unshuffled run consumes batches straight off a
+        first epoch of an unshuffled run consumes blocks straight off a
         source that is still streaming — the access engine's page walk
         overlaps this engine's compute — and every other epoch trains from
         the materialised matrix.  Models, batch boundaries and cycle
@@ -164,9 +167,10 @@ class ExecutionEngine:
 
         When ``bind_batch`` is supplied and the graph lowered to a
         :class:`CompiledTape`, whole merge batches are evaluated in one
-        NumPy shot; otherwise each tuple is bound with ``bind_tuple`` and
-        evaluated through the per-tuple oracle.  Both paths produce the
-        same models and the same schedule-derived cycle counters.
+        NumPy shot, bound once per block of batches; otherwise each tuple
+        is bound with ``bind_tuple`` and evaluated through the per-tuple
+        oracle.  Both paths produce the same models and the same
+        schedule-derived cycle counters.
         """
         source = rows if isinstance(rows, BatchSource) else BatchSource.from_rows(rows)
         use_tape = bind_batch is not None and self.tape is not None
@@ -263,21 +267,22 @@ class ExecutionEngine:
 
     def _train_one_epoch_tape(
         self,
-        batches: Iterable[np.ndarray],
+        blocks: Iterable[np.ndarray],
         models: dict[str, np.ndarray],
         bind_batch: BatchBinder,
     ) -> list | None:
-        """One epoch on the batched tape; accounting matches the tuple path."""
+        """One epoch of training blocks (whole merge batches, or the tail)
+        on the batched tape; accounting matches the tuple path."""
         n_tuples = 0
 
         def counted() -> Iterator[np.ndarray]:
             # a streamed first epoch only knows its tuple count at the end
             nonlocal n_tuples
-            for batch in batches:
-                n_tuples += len(batch)
-                yield batch
+            for block in blocks:
+                n_tuples += len(block)
+                yield block
 
-        env = self.tape.train(counted(), bind_batch, models)
+        env = self.tape.train(counted(), bind_batch, models, self.batch_size)
         self.book_epoch(n_tuples)
         return env
 
@@ -496,7 +501,7 @@ class _SingleEngineStep(EpochStep):
 
     The state *is* the model dict (the tape / evaluator update it in
     place), there is nothing to merge, and the only pipelining decision is
-    whether the first epoch may consume batches straight off a
+    whether the first epoch may consume blocks straight off a
     :class:`BatchSource` that is still streaming (possible when the epoch
     order is the storage order, i.e. ``shuffle=False``).
     """
@@ -524,20 +529,24 @@ class _SingleEngineStep(EpochStep):
         self.convergence_check = convergence_check
 
     def run_epoch(self, models: dict[str, np.ndarray], epoch_index: int):
-        engine, source = self.engine, self.source
-        if epoch_index == 0 and not self.shuffle and not source.materialised:
-            batches = source.batches(engine.batch_size)
-        else:
+        engine, source, batch_size = self.engine, self.source, self.engine.batch_size
+        streamed = epoch_index == 0 and not self.shuffle and not source.materialised
+        if not streamed:
             epoch_rows = source.rows()
             if self.shuffle:
                 order = np.arange(len(epoch_rows))
                 (self.rng or np.random.default_rng(0)).shuffle(order)
                 epoch_rows = epoch_rows[order]
-            batches = engine.iter_batches(epoch_rows)
         if self.use_tape:
-            env = engine._train_one_epoch_tape(batches, models, self.bind_batch)
+            blocks = (
+                source.blocks(batch_size) if streamed else row_blocks(epoch_rows, batch_size)
+            )
+            env = engine._train_one_epoch_tape(blocks, models, self.bind_batch)
             reached = self.convergence_check and engine.tape.convergence_reached(env)
         else:
+            batches = (
+                source.batches(batch_size) if streamed else engine.iter_batches(epoch_rows)
+            )
             env = engine._train_one_epoch(batches, models, self.bind_tuple)
             reached = self.convergence_check and engine._convergence_reached(env)
         return models, reached

@@ -13,7 +13,7 @@ only): ``hw`` and ``cluster`` plug their strategies *into* it, never the
 other way around.
 """
 
-from repro.runtime.batch_source import BatchSource, DEFAULT_QUEUE_DEPTH
+from repro.runtime.batch_source import BatchSource, DEFAULT_QUEUE_DEPTH, row_blocks
 from repro.runtime.epoch_driver import DriverResult, EpochDriver, EpochStep
 from repro.runtime.shm import (
     SharedPageStore,
@@ -30,4 +30,5 @@ __all__ = [
     "SharedPageStore",
     "SharedPageStoreHandle",
     "live_store_names",
+    "row_blocks",
 ]

@@ -6,17 +6,20 @@ cleansed tuples *while* the execution engine consumes earlier ones.  A
 thread walks the access engine's page stream (Strider wave walk + one-shot
 payload decode) and pushes one chunk per *wave* of page buffers — the
 wave's tuple matrix with its per-page tuple counts — into a bounded queue,
-the software double buffer, while the consumer (the epoch loop) cuts
-exactly the merge batches the materialized path would have sliced from the
-fully-extracted matrix out of those matrices.
+the software double buffer, while the consumer (the epoch loop) takes
+those matrices as training blocks (:meth:`BatchSource.blocks`): each wave's
+whole merge batches as one view, plus the one batch that straddles two
+waves — exactly the batches the materialized path slices from the
+fully-extracted matrix.
 
 Two invariants make streaming safe to use on the default path:
 
 * **identical batches** — batch boundaries are computed over the logical
-  concatenation of the chunk stream, so every yielded batch is value-equal
-  to ``rows[start:start+batch_size]`` of the materialized extraction, and
-  :meth:`rows` returns that very matrix (consumed chunks are cached, so the
-  second and later epochs train from memory like before);
+  concatenation of the chunk stream, so every batch of a block is
+  value-equal to ``rows[start:start+batch_size]`` of the materialized
+  extraction, and :meth:`rows` returns that very matrix (consumed chunks
+  are cached, so the second and later epochs train from memory like
+  before);
 * **identical counters** — the producer runs the *same* page walk in the
   same page order, so Strider/AXI counters are byte-for-byte those of the
   up-front extraction.
@@ -452,25 +455,46 @@ class BatchSource:
             if len(chunk):
                 yield chunk
 
-    def batches(self, batch_size: int) -> Iterator[np.ndarray]:
-        """Yield consecutive ``batch_size``-row batches (tail may be short).
+    def blocks(self, batch_size: int) -> Iterator[np.ndarray]:
+        """Yield the stream as training blocks of ``batch_size``-row batches.
 
-        Boundaries are identical to slicing the materialized matrix, even
-        when batches span chunks.  The iterator is restartable: chunks
-        already consumed are served from the cache.
+        Per chunk: the batch straddling the previous chunk's end (one
+        ``concatenate`` of at most ``batch_size`` rows), then the chunk's
+        whole batches as one view.  The tail batch, if any, comes last.  A
+        block is therefore whole batches or the one short tail — what
+        :meth:`~repro.translator.tape.CompiledTape.train` binds once — and
+        the batch boundaries are those of slicing the materialised matrix,
+        whatever the chunking.  Restartable from the cache, like
+        :meth:`chunks`.
         """
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        pending: list[np.ndarray] = []
+        pending: list[np.ndarray] = []  # the rows of the straddling batch
         have = 0
         for chunk in self.chunks():
-            pending.append(chunk)
-            have += len(chunk)
-            while have >= batch_size:
-                yield _take(pending, batch_size)
-                have -= batch_size
+            start = 0
+            if have:
+                start = min(batch_size - have, len(chunk))
+                pending.append(chunk[:start])
+                have += start
+                if have < batch_size:
+                    continue
+                yield np.concatenate(pending)
+                pending, have = [], 0
+            whole = start + (len(chunk) - start) // batch_size * batch_size
+            if whole > start:
+                yield chunk[start:whole]
+            if whole < len(chunk):
+                pending, have = [chunk[whole:]], len(chunk) - whole
         if have:
-            yield _take(pending, have)
+            yield pending[0] if len(pending) == 1 else np.concatenate(pending)
+
+    def batches(self, batch_size: int) -> Iterator[np.ndarray]:
+        """Yield consecutive ``batch_size``-row batches (tail may be short):
+        :meth:`blocks`, each split into its batches.  Restartable."""
+        for block in self.blocks(batch_size):
+            for start in range(0, len(block), batch_size):
+                yield block[start : start + batch_size]
 
     def rows(self) -> np.ndarray:
         """Drain the stream and return the full extracted matrix (cached)."""
@@ -496,20 +520,8 @@ def _as_item(chunk: Chunk) -> tuple[np.ndarray, Sequence[int]]:
     return chunk if isinstance(chunk, tuple) else (chunk, (len(chunk),))
 
 
-def _take(pending: list[np.ndarray], count: int) -> np.ndarray:
-    """Remove exactly ``count`` rows from the front of ``pending``."""
-    taken: list[np.ndarray] = []
-    need = count
-    while need:
-        head = pending[0]
-        if len(head) <= need:
-            taken.append(head)
-            pending.pop(0)
-            need -= len(head)
-        else:
-            taken.append(head[:need])
-            pending[0] = head[need:]
-            need = 0
-    if len(taken) == 1:
-        return taken[0]
-    return np.concatenate(taken, axis=0)
+def row_blocks(rows: np.ndarray, batch_size: int) -> list[np.ndarray]:
+    """A materialised matrix as training blocks: its whole ``batch_size``-row
+    batches as one view, then its tail (either may be empty)."""
+    whole = len(rows) - len(rows) % batch_size
+    return [rows[:whole], rows[whole:]]

@@ -29,11 +29,18 @@ Two entry points are cut from that one statement list — for plain,
 segment-axis and forward-slice tapes alike.  :meth:`CompiledTape.run`
 evaluates one batch and returns the environment, a list indexed by node id:
 with :meth:`CompiledTape.apply_updates` the per-batch reference, and what
-the scorer calls.  :meth:`CompiledTape.train` runs a whole **stream** of
-merge batches: the ``for batch in batches:`` loop lives inside the generated
-function, each updated model is carried in a local from batch to batch and
-written to ``models`` once, after the last batch, and the env list is built
-once, from the last batch's locals.
+the scorer calls.  :meth:`CompiledTape.train` runs a whole **stream of
+blocks** — each whole merge batches or the one tail batch — the way the
+paper's engine runs its static schedule over whatever the Striders hand it.
+A block is bound **once** (one binder call; one ``asarray`` and one
+``reshape`` to ``(n // b, b, ...)`` views per per-tuple variable; meta and
+model overrides read) and the node lines run inside
+``for v2, v4 in zip(k2, k4):``, with no Python per batch beyond the lines
+themselves.  Each updated model is carried in a local from batch to batch
+and written to ``models`` once, after the last batch; the env list is built
+once, from the last batch's locals.  A per-tuple binding whose leading
+length is not the block's row count (in ``run``, the first binding's) would
+broadcast into a wrong model, so it raises :class:`TapeCompilationError`.
 
 Escape rule for a buffer ``train`` reuses across batches: it must be a local
 of one call (tapes are shared across engines; the ``threads`` strategy runs
@@ -42,6 +49,7 @@ one concurrently), must never back a value that escapes (an ``env`` entry, a
 ragged).  Kernel outputs are fresh arrays (``out=`` scratch measured 0.3 of
 7 us/batch: not worth a second statement list); the one reused buffer is the
 row-addressed (LRMF) model copy, see :meth:`CompiledTape._compile_write_back`.
+The per-batch views are views of the caller's block, never written.
 
 The tape computes exactly what the per-tuple evaluator computes (the
 microcode path and :class:`HDFGEvaluator` remain the correctness oracles);
@@ -88,6 +96,18 @@ def _missing_binding(batch_values: Mapping, names: tuple[str, ...]) -> Exception
     return TapeCompilationError(f"batch bindings are missing per-tuple variable {name!r}")
 
 
+def _misshaped_binding(
+    names: tuple[str, ...], values: list[np.ndarray], rows: int
+) -> Exception:
+    """The first per-tuple binding without one leading entry per tuple."""
+    name, value = next((n, v) for n, v in zip(names, values) if v.shape[:1] != (rows,))
+    got = value.shape[0] if value.ndim else "none (a scalar)"
+    return TapeCompilationError(
+        f"per-tuple variable {name!r} has leading length {got}, expected {rows} "
+        "(one entry per tuple: a batch binder must keep the leading row axis)"
+    )
+
+
 def _outer_operands(
     left: np.ndarray, right: np.ndarray, axis0: int, a_rank: int, b_rank: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -106,6 +126,7 @@ _KERNEL_GLOBALS = {
     "multiply_reduce": np.multiply.reduce,
     "NO_ROWS": np.empty(0, dtype=np.int64),
     "missing_binding": _missing_binding,
+    "misshaped_binding": _misshaped_binding,
     "outer_operands": _outer_operands,
 }
 _NUMPY_NAMES = ("exp", "sqrt", "square", "rint", "asarray", "array", "float64", "int64")
@@ -159,7 +180,7 @@ class CompiledTape:
         #: model / meta name -> the ``m<id>`` locals holding its per-call value.
         self._carried: dict[str, list[str]] = {}
         namespace = dict(_KERNEL_GLOBALS)
-        resolve, load = self._compile_leaves(namespace)
+        resolve, load, bind, loop, per_batch = self._compile_leaves(namespace)
         # Convergence-region kernels are split off the per-batch hot path:
         # the engine checks convergence once per epoch, so they run lazily
         # in :meth:`convergence_reached` on the epoch's last batch env.
@@ -189,16 +210,23 @@ class CompiledTape:
         env = ", ".join(slot_refs)
         unpack = f"[{', '.join(r if r[0] == 'v' else '_' for r in slot_refs)}] = env"
         apply, begin, scatter, carry, finish = self._compile_write_back()
-        # ``resolve`` runs once per call, ``load`` + ``body`` once per batch;
-        # ``run`` and ``train`` are cut from the same lists.
+        # ``resolve`` runs once per call, ``bind`` once per block and
+        # ``body`` once per batch; ``run`` and ``train`` are cut from the
+        # same lists.  A block of ``n`` rows is whole batches of
+        # ``batch_size`` or one shorter tail, so ``b`` is the batch length.
         source = self._source = (
             "def run(batch_values, models):\n"
             + _block(resolve + load + body, 1)
             + f"    return [{env}]\n\n\n"
-            "def train(batches, bind_batch, models):\n"
-            + _block(resolve + begin + ["batch = None", "for batch in batches:"], 1)
-            + _block(["batch_values = bind_batch(batch)"] + scatter + load + body + carry, 2)
-            + _block(["if batch is None:", "    return None"] + finish, 1)
+            "def train(blocks, bind_batch, models, batch_size):\n"
+            + _block(resolve + begin + ["batch_values = None", "for block in blocks:"], 1)
+            + _block(
+                ["n = len(block)", "if not n:", "    continue", "b = min(n, batch_size)"]
+                + ["batch_values = bind_batch(block)"] + bind + [loop],
+                2,
+            )
+            + _block(scatter + per_batch + body + carry, 3)
+            + _block(["if batch_values is None:", "    return None"] + finish, 1)
             + f"    return [{env}]\n\n\n"
             "def apply_updates(env, models):\n" + _block([unpack] + apply, 1) + "\n\n"
             "def converge(env):\n" + _block([unpack] + converge, 1)
@@ -229,21 +257,26 @@ class CompiledTape:
     # ------------------------------------------------------------------ #
     # compilation
     # ------------------------------------------------------------------ #
-    def _compile_leaves(self, namespace: dict) -> tuple[list[str], list[str]]:
-        """Seed the environment: ``resolve`` lines (once per call — each
-        model / meta from ``models`` or its declared default) and ``load``
-        lines (once per batch — per-tuple variables, binder overrides)."""
-        resolve, per_tuple, named, names = [], [], [], []
+    def _compile_leaves(self, namespace: dict) -> tuple[list[str], ...]:
+        """Seed the environment, one list of lines per place a leaf is read.
+
+        ``resolve`` runs once per call: each model / meta from ``models`` or
+        its declared default.  ``load`` binds ``run``'s one batch: per-tuple
+        variables and binder overrides.  ``train`` binds a block once —
+        ``bind``: its per-tuple variables as ``(n // b, b, ...)`` views, its
+        metas and overrides — then ``loop`` steps through the batch views,
+        where ``per_batch`` reads each model the loop carries batch to batch.
+        """
+        resolve, named, bind, per_batch, per_tuple = [], [], [], [], []
+        updated = {name for name, _var_id, _update_id in self.graph.update_targets}
         for binding in self.graph.bindings:
             nid, name = binding.node_id, binding.name
             node = self.graph.node(nid)
             self._refs[nid] = f"v{nid}"
-            bound = f"asarray(batch_values[{name!r}], float64)"
             if binding.kind in ("input", "output"):
                 self._batched[nid] = True
                 self._segmented[nid] = self.segment_axis
-                per_tuple.append("    " + self._node_line(node, bound))
-                names.append(name)
+                per_tuple.append((node, name))
                 continue
             self._segmented[nid] = self.segment_axis and binding.kind == "model"
             namespace[f"d{nid}"] = (
@@ -254,9 +287,14 @@ class CompiledTape:
                 f"m{nid} = asarray(models[{name!r}], float64) "
                 f"if {name!r} in models else d{nid}"
             )
-            named.append(
-                self._node_line(node, f"{bound} if {name!r} in batch_values else m{nid}")
-            )
+            override = f"asarray(batch_values[{name!r}], float64) if {name!r} in batch_values"
+            named.append(self._node_line(node, f"{override} else m{nid}"))
+            if name in updated:
+                # An override is a per-block constant; the carried model is not.
+                bind.append(f"o{nid} = {override} else None")
+                per_batch.append(self._node_line(node, f"m{nid} if o{nid} is None else o{nid}"))
+            else:
+                bind.append(named[-1])
         for node in self.graph.nodes():
             if node.kind is NodeKind.CONSTANT or (
                 node.kind is NodeKind.VARIABLE
@@ -265,11 +303,42 @@ class CompiledTape:
             ):
                 self._refs[node.node_id] = f"c{node.node_id}"
                 namespace[f"c{node.node_id}"] = np.asarray(node.constant_value, np.float64)
-        if per_tuple:
-            per_tuple = ["try:", *per_tuple, "except KeyError:"] + [
-                f"    raise missing_binding(batch_values, {tuple(names)!r}) from None"
+        if not per_tuple:
+            return resolve, named, bind, "for _ in range(n // b):", per_batch
+        names = tuple(name for _node, name in per_tuple)
+        refs = [f"v{node.node_id}" for node, _name in per_tuple]
+        views = [f"k{node.node_id}" for node, _name in per_tuple]
+
+        def fetched(lines: list[str]) -> list[str]:
+            return ["try:", *(f"    {line}" for line in lines), "except KeyError:"] + [
+                f"    raise missing_binding(batch_values, {names!r}) from None"
             ]
-        return resolve, per_tuple + named
+
+        def length_check(values: list[str], value_names: tuple[str, ...]) -> list[str]:
+            return [
+                f"if {' or '.join(f'{v}.shape[:1] != (n,)' for v in values)}:",
+                f"    raise misshaped_binding({value_names!r}, [{', '.join(values)}], n)",
+            ]
+
+        load = fetched(
+            [self._node_line(node, f"asarray(batch_values[{name!r}], float64)")
+             for node, name in per_tuple]
+        )
+        if len(refs) > 1:
+            # ``run`` has no block: the first per-tuple binding sets the length.
+            load += [f"n = len({refs[0]})", *length_check(refs[1:], names[1:])]
+        bind = (
+            fetched([f"{k} = asarray(batch_values[{name!r}], float64)"
+                     for k, name in zip(views, names)])
+            + length_check(views, names)
+            + [f"{k} = {k}.reshape((n // b, b) + {k}.shape[1:])" for k in views]
+            + bind
+        )
+        loop = (
+            f"for {refs[0]} in {views[0]}:" if len(refs) == 1
+            else f"for {', '.join(refs)} in zip({', '.join(views)}):"
+        )
+        return resolve, load + named, bind, loop, per_batch
 
     @staticmethod
     def _node_line(node: HDFGNode, expression: str) -> str:
@@ -458,28 +527,38 @@ class CompiledTape:
     ) -> BatchEnv:
         """Evaluate every region for one batch; returns the node-id env list.
 
-        ``batch_values`` binds per-tuple variables to arrays with a leading
-        batch axis (and may override meta variables with scalars);
-        ``models`` binds model variables to their current, shared values.
-        Every computed entry of the returned env is a fresh array.
+        ``batch_values`` binds per-tuple variables to arrays with one shared
+        leading batch axis (a mismatch raises :class:`TapeCompilationError`)
+        and may override meta variables with scalars; ``models`` binds model
+        variables to their current, shared values.  Every computed entry of
+        the returned env is a fresh array.
         """
         return self._run(batch_values, models)
 
     def train(
         self,
-        batches: Iterable[np.ndarray],
+        blocks: Iterable[np.ndarray],
         bind_batch: BatchBinder,
         models: dict[str, np.ndarray],
+        batch_size: int,
     ) -> BatchEnv | None:
-        """Run a stream of merge batches; returns the last batch's env.
+        """Run a stream of row blocks; returns the last merge batch's env.
+
+        A block is a row matrix (``(n, cols)``, or ``(n, S, cols)`` for a
+        ``segment_axis`` tape) holding whole batches of ``batch_size`` rows,
+        or one shorter tail batch; empty blocks are skipped.  Each block is
+        bound once — one ``bind_batch`` call, every per-tuple binding cut
+        into per-batch views (its leading length must be ``n``, else
+        :class:`TapeCompilationError`), meta and model overrides read — and
+        the batches are stepped through inside the generated function.
 
         Equal to ``env = run(bind_batch(batch), models); apply_updates(env,
-        models)`` per batch, with the loop inside the generated function:
-        each updated model is carried in a local and ``models`` is written
-        once, after the last batch (arrays the caller passed in are never
-        mutated).  An empty stream returns ``None``, ``models`` untouched.
+        models)`` per batch: each updated model is carried in a local and
+        ``models`` is written once, after the last batch (arrays the caller
+        passed in are never mutated).  An empty stream returns ``None``,
+        ``models`` untouched.
         """
-        return self._train(batches, bind_batch, models)
+        return self._train(blocks, bind_batch, models, batch_size)
 
     def apply_updates(self, env: BatchEnv, models: dict[str, np.ndarray]) -> None:
         """Write one :meth:`run` batch's model updates back into ``models``.

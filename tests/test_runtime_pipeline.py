@@ -13,13 +13,16 @@ Invariants enforced here:
 * **configuration fails fast** — invalid ``DAnA.train`` arguments raise
   ``ConfigurationError`` naming the valid choices;
 * **the lock-step epoch plan is cached** — a ``shuffle=False`` epoch block
-  is stacked once and reused, never re-trimmed per epoch.
+  is stacked once and reused, never re-trimmed per epoch;
+* **blocks are the materialised batches** — ``BatchSource.blocks`` over any
+  chunking cuts exactly the batches of slicing the stacked matrix.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.algorithms import Hyperparameters, get_algorithm
 from repro.cluster import ShardedDAnA
@@ -148,6 +151,38 @@ class TestBatchSource:
         assert np.shares_memory(next(iter(source.batches(2))), rows)
         empty = BatchSource.from_chunks([], n_columns=3)
         assert list(empty.chunks()) == [] and empty.rows().shape == (0, 3)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(min_value=0, max_value=23), max_size=8),
+        batch_size=st.integers(min_value=1, max_value=9),
+    )
+    def test_blocks_cut_the_batches_of_the_materialised_matrix(self, sizes, batch_size):
+        """Whatever the chunking: whole batches per block, the straddling
+        batch on its own, the tail last, and batch boundaries equal to
+        slicing the stacked matrix."""
+        chunks = list(self._chunks(sizes))
+        stacked = np.vstack(chunks) if chunks else np.empty((0, 3))
+        source = BatchSource.from_chunks(chunks, n_columns=3)
+        blocks = list(source.blocks(batch_size))
+        assert all(len(block) for block in blocks)
+        assert all(len(block) % batch_size == 0 for block in blocks[:-1])
+        if blocks and len(blocks[-1]) % batch_size:
+            assert len(blocks[-1]) < batch_size  # the one short tail, last
+        got = [
+            block[s : s + batch_size]
+            for block in blocks
+            for s in range(0, len(block), batch_size)
+        ]
+        want = [stacked[s : s + batch_size] for s in range(0, len(stacked), batch_size)]
+        assert [b.tolist() for b in got] == [b.tolist() for b in want]
+        assert [b.tolist() for b in source.batches(batch_size)] == [
+            b.tolist() for b in want
+        ]
+        # the only copies are batches that straddle two chunks
+        for block in blocks:
+            if not any(np.shares_memory(block, chunk) for chunk in chunks):
+                assert len(block) <= batch_size
 
     def test_producer_errors_propagate_to_consumer(self):
         def chunks():

@@ -4,20 +4,24 @@
 source with two entry points.  For every registered algorithm and every tape
 variant (plain, ``segment_axis``, forward slice) this file holds
 
-* ``train`` over a batch stream bit-identical — models, last env,
-  convergence verdict — to ``run`` + ``apply_updates`` per batch, and both
+* ``train`` over any cut of the stream into blocks (whole batches, the tail
+  last) bit-identical — models, last env, convergence verdict — to ``run``
+  + ``apply_updates`` per batch, and both
   equal to the per-tuple :class:`~repro.translator.evaluator.HDFGEvaluator`
   paths (bit-identical where no merge reorders a sum; the tree bus adds
   pairwise, a ``ufunc.reduce`` sequentially, so merge graphs agree to a few
   ulp — the tolerance is set from the dtype, not from the observed error);
 * the escape rules: fresh env arrays per ``run``, caller arrays never
   mutated, a shared tape safe under concurrent ``train`` calls;
+* the binder contract: one leading entry per tuple on both row layouts, and
+  a binding that breaks it refused instead of broadcast;
 * the generated source itself: readable, node-commented, and named in a
   traceback.
 
 CI runs this file under ``-W error::RuntimeWarning``.
 """
 
+import re
 import sys
 import threading
 import traceback
@@ -91,13 +95,15 @@ class Case:
             }
         return models
 
-    def batches(self, n_tuples, batch=BATCH):
+    def rows(self, n_tuples):
         if self.variant == "segment_axis":
-            rows = np.stack(
+            return np.stack(
                 [_rows(self.key, n_tuples, seed=11 + s) for s in range(SEGMENTS)], axis=1
             )
-        else:
-            rows = _rows(self.key, n_tuples)
+        return _rows(self.key, n_tuples)
+
+    def batches(self, n_tuples, batch=BATCH):
+        rows = self.rows(n_tuples)
         return [rows[s : s + batch] for s in range(0, len(rows), batch)]
 
 
@@ -132,10 +138,15 @@ def _assert_identical(actual, expected):
             assert np.array_equal(a, e), slot
 
 
-def _assert_train_is_per_batch(case, batches):
+def _split(blocks, batch):
+    """The merge batches of a block stream, in order."""
+    return [block[s : s + batch] for block in blocks for s in range(0, len(block), batch)]
+
+
+def _assert_train_is_per_batch(case, blocks, batch=BATCH):
     trained, stepped = case.models(), case.models()
-    env = case.tape.train(iter(batches), case.bind, trained)
-    expected = _per_batch(case.tape, batches, case.bind, stepped)
+    env = case.tape.train(iter(blocks), case.bind, trained, batch)
+    expected = _per_batch(case.tape, _split(blocks, batch), case.bind, stepped)
     _assert_identical(trained, stepped)
     verdict = case.tape.convergence_value(expected)  # fills the lazy slots
     assert np.array_equal(case.tape.convergence_value(env), verdict)
@@ -156,7 +167,7 @@ class TestTrainIsTheBatchLoop:
     )
     def test_models_env_and_verdict(self, key, variant, n_tuples, batch):
         case = Case(key, variant)
-        env, _models = _assert_train_is_per_batch(case, case.batches(n_tuples, batch))
+        env, _models = _assert_train_is_per_batch(case, case.batches(n_tuples, batch), batch)
         assert env is not None
 
     @pytest.mark.parametrize("tol", [1e-9, 1e9], ids=["not-converged", "converged"])
@@ -170,7 +181,7 @@ class TestTrainIsTheBatchLoop:
         case = Case(key, variant)
         models = case.models()
         before = dict(models)
-        assert case.tape.train(iter(()), case.bind, models) is None
+        assert case.tape.train(iter(()), case.bind, models, BATCH) is None
         assert models.keys() == before.keys()
         assert all(models[name] is before[name] for name in before)
         assert case.tape.convergence_value(None) is None
@@ -182,7 +193,7 @@ class TestTrainIsTheBatchLoop:
         copies = {name: value.copy() for name, value in models.items()}
         batches = case.batches(37)
         frozen = [batch.copy() for batch in batches]
-        case.tape.train(batches, case.bind, models)
+        case.tape.train(batches, case.bind, models, BATCH)
         for name, value in held.items():
             assert np.array_equal(value, copies[name]), name
         for batch, copy in zip(batches, frozen):
@@ -220,25 +231,106 @@ def test_binder_may_override_a_meta(key, variant):
 
     batches = case.batches(24)
     plain, overridden, stepped = case.models(), case.models(), case.models()
-    case.tape.train(batches, case.bind, plain)
-    env = case.tape.train(batches, hot, overridden)
+    case.tape.train(batches, case.bind, plain, BATCH)
+    env = case.tape.train(batches, hot, overridden, BATCH)
     expected = _per_batch(case.tape, batches, hot, stepped)
     _assert_identical(overridden, stepped)
     _assert_identical(env, expected)
     assert any(not np.array_equal(overridden[k], plain[k]) for k in plain)
 
 
-@settings(max_examples=60, deadline=None)
+@pytest.mark.parametrize("key,variant", CASES)
+def test_binder_may_override_a_model(key, variant):
+    """A model override is read once per block, so every batch reads it;
+    for a model ``train`` carries, the updates still land in ``models``."""
+    case = Case(key, variant)
+    name, value = next(iter(case.models().items()))
+
+    def pinned(batch):
+        return {**case.bind(batch), name: value + 0.1}
+
+    batches = case.batches(24)
+    plain, overridden, stepped = case.models(), case.models(), case.models()
+    case.tape.train(batches, case.bind, plain, BATCH)
+    env = case.tape.train(batches, pinned, overridden, BATCH)
+    expected = _per_batch(case.tape, batches, pinned, stepped)
+    _assert_identical(overridden, stepped)
+    _assert_identical(env, expected)
+    if variant != "forward":
+        assert not np.array_equal(overridden[name], plain[name])
+
+
+@settings(max_examples=80, deadline=None)
 @given(
     key=st.sampled_from(KEYS),
     variant=st.sampled_from(VARIANTS),
     n_tuples=st.integers(min_value=0, max_value=45),
     batch=st.integers(min_value=1, max_value=12),
+    data=st.data(),
 )
-def test_train_is_the_batch_loop_for_any_stream_shape(key, variant, n_tuples, batch):
+def test_train_is_the_batch_loop_for_any_cut_into_blocks(
+    key, variant, n_tuples, batch, data
+):
+    """Any cut of the stream into blocks — whole batches, empty blocks
+    included, the tail last — trains what the per-batch loop trains."""
     assume((key, variant) != ("lrmf", "segment_axis"))
     case = Case(key, variant)
-    _assert_train_is_per_batch(case, case.batches(n_tuples, batch))
+    rows = case.rows(n_tuples)
+    whole = n_tuples // batch
+    cuts = data.draw(st.lists(st.integers(0, whole), max_size=4).map(sorted), label="cuts")
+    edges = [0, *cuts, whole]
+    blocks = [rows[a * batch : b * batch] for a, b in zip(edges, edges[1:])]
+    _assert_train_is_per_batch(case, blocks + [rows[whole * batch :]], batch)
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_binders_keep_one_leading_entry_per_tuple(key):
+    """The binder contract: per-tuple arrays keep the leading row axis, on a
+    plain ``(n, cols)`` matrix and on the ``(n, S, cols)`` segment layout."""
+    spec, graph = _spec_and_graph(key)
+    n = 7
+    rows = _rows(key, n)
+    forward = forward_slice(graph).graph
+    for binder, g in ((spec.bind_batch, graph), (spec.bind_predict, forward)):
+        per_tuple = {b.name for b in g.bindings if b.kind in ("input", "output")}
+        assert per_tuple
+        for layout in (rows, np.stack([rows, rows], axis=1)):  # S != cols
+            bound = binder(layout)
+            assert per_tuple <= bound.keys()
+            for name in per_tuple:
+                assert np.shape(bound[name])[: layout.ndim - 1] == layout.shape[:-1], name
+
+
+@pytest.mark.parametrize(
+    "name,short,got",
+    [
+        ("x", lambda v: v[:1], "1"),
+        ("y", lambda v: v[:1], "1"),
+        ("y", lambda v: v[0], "none (a scalar)"),
+    ],
+    ids=["x-one-row", "y-one-row", "y-scalar"],
+)
+def test_misshaped_per_tuple_binding_is_refused_not_broadcast(name, short, got):
+    """A binding that lost its row axis would broadcast into a wrong model."""
+    case = Case("linear", "plain")
+    rows = case.rows(2 * BATCH)
+
+    def binder(block):
+        bound = dict(case.bind(block))
+        bound[name] = short(bound[name])
+        return bound
+
+    models = case.models()
+    held = dict(models)
+    with pytest.raises(
+        TapeCompilationError,
+        match=rf"per-tuple variable '{name}' has leading length {re.escape(got)}, "
+        rf"expected {2 * BATCH}",
+    ):
+        case.tape.train([rows], binder, models, BATCH)
+    assert all(models[k] is held[k] for k in held)  # nothing written
+    with pytest.raises(TapeCompilationError, match="per-tuple variable '(x|y)' has leading"):
+        case.tape.run(binder(rows[:BATCH]), case.models())
 
 
 # ---------------------------------------------------------------------- #
@@ -268,7 +360,7 @@ def test_plain_train_matches_the_per_tuple_engine(key, tol):
     case = Case(key, "plain", tol)
     rows = _rows(key, 37)
     models = case.models()
-    env = case.tape.train(case.batches(37), case.bind, models)
+    env = case.tape.train(case.batches(37), case.bind, models, BATCH)
     oracle = _per_tuple_epoch(case, rows, case.models())
     _assert_matches_oracle(key, models, oracle.models)
     assert case.tape.convergence_reached(env) == oracle.converged
@@ -279,7 +371,7 @@ def test_segment_axis_train_matches_the_per_tuple_engine_per_segment(key):
     case = Case(key, "segment_axis")
     batches = case.batches(32)
     stacked = case.models()
-    case.tape.train(batches, case.bind, stacked)
+    case.tape.train(batches, case.bind, stacked, BATCH)
     block = np.concatenate(batches, axis=0)
     for s in range(SEGMENTS):
         initial = {name: value[s] for name, value in case.models().items()}
@@ -294,7 +386,7 @@ def test_forward_train_matches_the_per_tuple_evaluator(key):
     case = Case(key, "forward")
     batches = case.batches(13)
     models = case.models()
-    env = case.tape.train(batches, case.bind, models)
+    env = case.tape.train(batches, case.bind, models, BATCH)
     evaluator = HDFGEvaluator(case.forward.graph)
     score_id = case.forward.score_node_id
     for i, row in enumerate(batches[-1]):
@@ -323,7 +415,7 @@ class TestRowAddressedUpdates:
         monkeypatch.setitem(case.tape._train.__globals__, "array", counting_array)
         models = case.models()
         initial = dict(models)
-        case.tape.train(batches, case.bind, models)
+        case.tape.train(batches, case.bind, models, BATCH)
         assert len(copies) == 2  # L and R, once per call
         for name, value in initial.items():
             assert not np.shares_memory(models[name], value)
@@ -338,7 +430,7 @@ class TestRowAddressedUpdates:
         rows[:, 0] = 3.0  # every tuple of the batch addresses row 3 of L
         rows[-2:, 1] = 5.0  # and the last two address row 5 of R
         models = case.models()
-        env = case.tape.train([rows], case.bind, models)
+        env = case.tape.train([rows], case.bind, models, BATCH)
         update_l, update_r = (u for _n, _v, u in case.graph.update_targets)
         assert np.array_equal(models["L"][3], env[update_l][-1])
         assert np.array_equal(models["R"][5], env[update_r][-1])
@@ -361,7 +453,7 @@ def test_concurrent_train_on_one_shared_tape(key):
     expected = []
     for stream in streams:
         models = case.models()
-        case.tape.train(stream, case.bind, models)
+        case.tape.train(stream, case.bind, models, BATCH)
         expected.append(models)
     results = [case.models() for _ in streams]
     start = threading.Barrier(len(streams))
@@ -370,7 +462,7 @@ def test_concurrent_train_on_one_shared_tape(key):
         start.wait(timeout=30)
         for _ in range(3):  # re-train from the same start: last run must match
             results[index] = case.models()
-            case.tape.train(streams[index], case.bind, results[index])
+            case.tape.train(streams[index], case.bind, results[index], BATCH)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -449,7 +541,7 @@ def test_kernel_error_names_the_offending_node_in_the_traceback():
     assert "<string>" not in text
     # the same line, through the loop entry point
     with pytest.raises(ValueError) as caught:
-        case.tape.train([batch], lambda rows: bound, case.models())
+        case.tape.train([batch], lambda rows: bound, case.models(), BATCH)
     assert f"# node {sigma.node_id} {sigma.name} sigma" in "".join(
         traceback.format_exception(caught.value)
     )
@@ -461,4 +553,4 @@ def test_missing_per_tuple_binding_is_reported_by_name():
     with pytest.raises(TapeCompilationError, match="per-tuple variable 'y'"):
         case.tape.run({"x": batch[:, :-1]}, case.models())
     with pytest.raises(TapeCompilationError, match="per-tuple variable 'y'"):
-        case.tape.train([batch], lambda rows: {"x": rows[:, :-1]}, case.models())
+        case.tape.train([batch], lambda rows: {"x": rows[:, :-1]}, case.models(), BATCH)
