@@ -9,11 +9,7 @@ or worker processes, training or scan-and-score.
 """
 
 from repro.cluster.aggregator import AGGREGATION_STRATEGIES, ModelAggregator
-from repro.cluster.partitioner import (
-    PARTITION_STRATEGIES,
-    PagePartition,
-    Partitioner,
-)
+from repro.cluster.partitioner import PagePartition, Partitioner
 from repro.cluster.fanout import IPCStats, SegmentFanout, SegmentJob, SegmentProcess
 from repro.cluster.segment_worker import SegmentReport, SegmentWorker
 from repro.cluster.sharded import (
@@ -29,7 +25,6 @@ __all__ = [
     "EXECUTION_STRATEGIES",
     "IPCStats",
     "ModelAggregator",
-    "PARTITION_STRATEGIES",
     "PagePartition",
     "Partitioner",
     "SegmentFanout",

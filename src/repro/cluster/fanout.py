@@ -499,7 +499,7 @@ class SegmentFanout:
         # every page image and the worker-process export all come from the
         # snapshot, so concurrent inserts cannot perturb an in-flight run.
         self.as_of = database.wal.current_lsn
-        self.parts = Partitioner(plan.partition_strategy, seed=plan.seed).partition_table(
+        self.parts = Partitioner().partition_table(
             database, plan.table, plan.segments, as_of_lsn=self.as_of
         )
         with ExitStack() as stack:

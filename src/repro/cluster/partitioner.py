@@ -8,18 +8,11 @@ the :class:`Partitioner` assigns every heap page of a table to exactly one
 segment, and each :class:`~repro.cluster.segment_worker.SegmentWorker`
 streams only its own pages through its own Strider-based access engine.
 
-Two strategies are provided:
-
-* ``round_robin`` — page ``i`` goes to segment ``i % segments``; partitions
-  differ in size by at most one page and preserve storage order inside a
-  segment (the default, and what Greenplum's ``DISTRIBUTED RANDOMLY``
-  degenerates to for a bulk-loaded table);
-* ``hash`` — a seeded multiplicative hash of the page number (Knuth's
-  2654435761 constant) picks the segment, modelling hash distribution on a
-  synthetic distribution key.
-
-Both strategies are pure functions of ``(page_count, segments, seed)``, so
-a fixed seed makes the whole sharded run reproducible.
+The deal is round-robin: page ``i`` goes to segment ``i % segments``, so
+partitions differ in size by at most one page and keep storage order inside
+a segment (what Greenplum's ``DISTRIBUTED RANDOMLY`` degenerates to for a
+bulk-loaded table).  It is a pure function of ``(page_count, segments)``,
+so a sharded run's partitioning is reproducible by construction.
 """
 
 from __future__ import annotations
@@ -31,12 +24,6 @@ from repro.exceptions import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.rdbms.database import Database
-
-#: Knuth's multiplicative hashing constant (golden ratio of 2**32).
-_KNUTH_MIX = 2654435761
-_HASH_MOD = 1 << 32
-
-PARTITION_STRATEGIES = ("round_robin", "hash")
 
 
 @dataclass(frozen=True)
@@ -51,16 +38,18 @@ class PagePartition:
 
 
 class Partitioner:
-    """Deterministically assigns a table's heap pages to segments."""
+    """Deterministically deals a table's heap pages round-robin to segments."""
 
     def __init__(self, strategy: str = "round_robin", seed: int = 0) -> None:
-        if strategy not in PARTITION_STRATEGIES:
+        # ``strategy`` and ``seed`` exist only for the hand-staged replay's
+        # ``Partitioner("round_robin", seed=0)`` call in
+        # ``benchmarks/e2e/train.py``; both go when that replay does
+        # (ROADMAP item 2(a)).
+        if strategy != "round_robin":
             raise ConfigurationError(
-                f"unknown partition strategy {strategy!r}; "
-                f"expected one of {PARTITION_STRATEGIES}"
+                f"unknown partition strategy {strategy!r}; pages are dealt "
+                "'round_robin'"
             )
-        self.strategy = strategy
-        self.seed = int(seed)
 
     def partition(self, page_count: int, segments: int) -> list[PagePartition]:
         """Split ``page_count`` heap pages into ``segments`` partitions."""
@@ -68,17 +57,9 @@ class Partitioner:
             raise ConfigurationError("a sharded run needs at least one segment")
         if page_count < 0:
             raise ConfigurationError("page_count cannot be negative")
-        assignments: list[list[int]] = [[] for _ in range(segments)]
-        if self.strategy == "round_robin":
-            for page_no in range(page_count):
-                assignments[page_no % segments].append(page_no)
-        else:  # hash
-            for page_no in range(page_count):
-                mixed = ((page_no + 1) * _KNUTH_MIX + self.seed) % _HASH_MOD
-                assignments[mixed % segments].append(page_no)
         return [
-            PagePartition(segment_id=i, page_nos=tuple(pages))
-            for i, pages in enumerate(assignments)
+            PagePartition(segment_id=i, page_nos=tuple(range(i, page_count, segments)))
+            for i in range(segments)
         ]
 
     def partition_table(

@@ -97,7 +97,6 @@ class ClusterStats:
 
     segments: int
     mode: str
-    partition_strategy: str
     aggregation_strategy: str
     #: local epochs between cross-segment merges (1 = every epoch).
     staleness: int
@@ -320,7 +319,6 @@ class ShardedDAnA:
         cluster = ClusterStats(
             segments=plan.segments,
             mode=plan.execution,
-            partition_strategy=plan.partition_strategy,
             aggregation_strategy=plan.aggregation,
             tree_bus=self.cluster_bus.stats,
             staleness=plan.staleness,

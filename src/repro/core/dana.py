@@ -226,8 +226,6 @@ class DAnA:
         table_name: str,
         epochs: int | None = None,
         segments: int | None = None,
-        partition_strategy: str = "round_robin",
-        aggregation: str | None = None,
         execution: str = "auto",
         shuffle: bool = False,
         seed: int = 0,
@@ -239,10 +237,10 @@ class DAnA:
 
         ``segments=None`` (the default) runs the classic single-accelerator
         path.  ``segments=N`` deploys one DAnA accelerator per segment
-        (:mod:`repro.cluster`): heap pages are partitioned with
-        ``partition_strategy``, per-segment models are combined with
-        ``aggregation`` (auto-selected per algorithm when ``None``),
-        and ``execution`` picks the lock-step vectorized or thread-pool
+        (:mod:`repro.cluster`): heap pages are dealt round-robin,
+        per-segment models are merged the way the graph implies (averaged,
+        or summed deltas for row-gathering graphs such as LRMF), and
+        ``execution`` picks the lock-step vectorized or thread-pool
         strategy.  A fixed ``seed`` makes sharded runs — including
         ``shuffle=True`` epoch orders — bit-reproducible.
 
@@ -269,8 +267,6 @@ class DAnA:
             use_striders=self.use_striders,
             epochs=epochs,
             segments=segments,
-            partition_strategy=partition_strategy,
-            aggregation=aggregation,
             execution=execution,
             shuffle=shuffle,
             seed=seed,
@@ -471,7 +467,6 @@ class DAnA:
         models: Mapping[str, np.ndarray] | None = None,
         model_name: str | None = None,
         version: int | None = None,
-        path: str = "batched",
         batch_size: int | None = None,
     ) -> np.ndarray:
         """Score in-memory feature rows with a registered UDF's forward pass.
@@ -481,7 +476,7 @@ class DAnA:
         ``rows`` is a ``(B, columns)`` block — a trailing label column is
         ignored — or a single 1-D feature row, which returns a scalar.
         """
-        batch_size = resolve_batching(path, batch_size)
+        batch_size = resolve_batching(batch_size)
         registered = self._registered(udf_name)
         resolved, _entry = self._resolve_models(
             registered.spec, models, model_name, version
@@ -491,9 +486,7 @@ class DAnA:
         single = rows.ndim == 1
         if single:
             rows = rows[None, :]
-        predictions = plan.new_engine().score(
-            rows, resolved, path=path, batch_size=batch_size
-        )
+        predictions = plan.new_engine().score(rows, resolved, batch_size=batch_size)
         return predictions[0] if single else predictions
 
     def score_table(
@@ -504,10 +497,7 @@ class DAnA:
         model_name: str | None = None,
         version: int | None = None,
         segments: int | None = None,
-        path: str = "batched",
         batch_size: int | None = None,
-        partition_strategy: str = "round_robin",
-        seed: int = 0,
         stream: bool = True,
         retry: RetryPolicy | None = None,
         execution: str = "threads",
@@ -517,13 +507,12 @@ class DAnA:
         ``segments=N`` partitions the table's heap pages with the training
         cluster's partitioner and scans-and-scores one accelerator per
         segment concurrently; predictions come back in storage order
-        regardless.  ``path="per_tuple"`` runs the per-tuple evaluator
-        oracle instead of the batched inference tape (same predictions,
-        same schedule-derived counters).  ``stream=True`` (default)
-        overlaps each segment's Strider page walk with its forward tape
-        through a bounded :class:`~repro.runtime.BatchSource` double
-        buffer; ``stream=False`` materialises the extraction first — the
-        overlap oracle, bit-identical predictions and counters.
+        regardless.  ``batch_size`` is the micro-batch the forward cycles
+        are booked at.  ``stream=True`` (default) overlaps each segment's
+        Strider page walk with its forward tape through a bounded
+        :class:`~repro.runtime.BatchSource` double buffer; ``stream=False``
+        materialises the extraction first — the overlap oracle,
+        bit-identical predictions and counters.
 
         A ``retry`` policy retries each segment's scan-and-score after
         transient faults (fresh engine per attempt, so the successful
@@ -543,10 +532,7 @@ class DAnA:
             table_name,
             use_striders=self.use_striders,
             segments=segments,
-            path=path,
             batch_size=batch_size,
-            partition_strategy=partition_strategy,
-            seed=seed,
             stream=stream,
             retry=retry,
             execution=execution,

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
-from repro.cluster import PARTITION_STRATEGIES, PagePartition, Partitioner
+from repro.cluster import PagePartition, Partitioner
 from repro.core.plan import ScorePlan, TrainPlan
 from repro.perf import (
     ScoreRunCost,
@@ -52,11 +52,7 @@ def price(
     bound, access cycles stay exact — every page is walked either way.
     """
     database = system.database
-    # (any strategy deals a single partition every page)
-    strategy = plan.partition_strategy or PARTITION_STRATEGIES[0]
-    parts = Partitioner(strategy, seed=plan.seed).partition_table(
-        database, plan.table, plan.segments or 1
-    )
+    parts = Partitioner().partition_table(database, plan.table, plan.segments or 1)
     tuple_count = database.catalog.table(plan.table).tuple_count
     per_page = database.table(plan.table).tuples_per_page()
     counts = [page_tuple_counts(part.page_nos, tuple_count, per_page) for part in parts]
@@ -301,7 +297,6 @@ def explain_train(system: "DAnA", plan: TrainPlan) -> PlanOperator:
             "epochs": plan.epochs,
             "staleness": plan.staleness,
             "stream": plan.stream,
-            "partition_strategy": plan.partition_strategy,
             "workers": plan.workers,
         },
         # Every sharded mode schedules epochs through the EpochDriver.

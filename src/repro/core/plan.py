@@ -8,9 +8,9 @@ from the public call's keyword arguments (or a SQL statement's options) plus
 the registered UDF.  ``resolve`` does all validation, defaulting and
 derivation — the epoch default chain, ``execution="auto"`` → a concrete
 strategy, the *effective* ``stream`` (one rule, :func:`_effective_stream`),
-the aggregation auto-select, the merge cadence, retry legality, the worker
-clamp — and nothing downstream re-decides any of it: the extraction seam
-takes :meth:`_Plan.extraction`, :class:`~repro.cluster.ShardedDAnA` and
+the aggregation the graph implies, the merge cadence, retry legality, the
+worker clamp — and nothing downstream re-decides any of it: the extraction
+seam takes :meth:`_Plan.extraction`, :class:`~repro.cluster.ShardedDAnA` and
 :class:`~repro.serving.ScanScorer` execute the plan, ``EXPLAIN``
 (:mod:`repro.core.explain`) prints and prices its fields, and the run
 recorder, ``ClusterStats`` and ``ScoreResult`` report them.  So ``EXPLAIN``
@@ -23,17 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, get_args, get_type_hints
 
-from repro.cluster import EXECUTION_STRATEGIES, ModelAggregator, Partitioner
+from repro.cluster import EXECUTION_STRATEGIES
 from repro.cluster.fanout import builder_metadata
 from repro.exceptions import ConfigurationError
 from repro.perf.plan_cost import worker_limit
 from repro.rdbms.predicate import ColumnPredicate
 from repro.reliability import RetryPolicy
-from repro.serving import (
-    DEFAULT_SCORE_BATCH,
-    SCORING_EXECUTION_STRATEGIES,
-    SERVING_PATHS,
-)
+from repro.serving import DEFAULT_SCORE_BATCH, SCORING_EXECUTION_STRATEGIES
 from repro.translator.hdfg import NodeKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -106,11 +102,19 @@ def _check_bool(name: str, value: Any) -> None:
         raise ConfigurationError(f"{name} must be a bool, got {value!r}")
 
 
-def _check_segments(segments: int | None, none_means: str) -> None:
-    if segments is not None and (not isinstance(segments, int) or segments < 1):
+def _check_int(name: str, value: Any, none_means: str | None = None) -> None:
+    """Reject a count knob that is not an integer >= 1.
+
+    ``bool`` is an ``int`` subclass but never a count, so ``True`` fails
+    here as it does in SQL.  ``none_means`` names what ``None`` selects for
+    the knobs that may be left unset.
+    """
+    if value is None and none_means is not None:
+        return
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        optional = f" (or None for {none_means})" if none_means else ""
         raise ConfigurationError(
-            f"segments must be an integer >= 1 (or None for {none_means}), "
-            f"got {segments!r}"
+            f"{name} must be an integer >= 1{optional}, got {value!r}"
         )
 
 
@@ -132,20 +136,10 @@ def _check_retry(retry: RetryPolicy | None, allow_redistribute: bool) -> None:
         )
 
 
-def resolve_batching(path: str, batch_size: int | None) -> int:
-    """Validate a serving ``path`` / ``batch_size`` pair; returns the batch.
-
-    ``None`` resolves to the default scoring micro-batch.
-    """
-    if path not in SERVING_PATHS:
-        raise ConfigurationError(
-            f"unknown serving path {path!r}; expected one of {SERVING_PATHS}"
-        )
-    if batch_size is not None and (not isinstance(batch_size, int) or batch_size < 1):
-        raise ConfigurationError(
-            f"batch_size must be an integer >= 1 (or None for the default "
-            f"scoring micro-batch), got {batch_size!r}"
-        )
+def resolve_batching(batch_size: int | None) -> int:
+    """Validate a scoring ``batch_size``; ``None`` resolves to the default
+    scoring micro-batch."""
+    _check_int("batch_size", batch_size, "the default scoring micro-batch")
     return batch_size or DEFAULT_SCORE_BATCH
 
 
@@ -154,9 +148,9 @@ class TrainPlan(_Plan):
     """How one training run executes (``DAnA.train``, ``CREATE MODEL``, a
     UDF call, ``refresh_model``).
 
-    The nine option fields carry *resolved* values: ``epochs`` is never
+    The seven option fields carry *resolved* values: ``epochs`` is never
     ``None``, ``execution`` is never ``"auto"``, and a single-accelerator
-    run (``segments=None``) has no partitioning, aggregation or staleness.
+    run (``segments=None``) has no aggregation or staleness.
     """
 
     udf: str
@@ -166,8 +160,9 @@ class TrainPlan(_Plan):
     epochs: int = _option()
     #: ``None`` = the classic single-accelerator path.
     segments: int | None = _option()
-    partition_strategy: str | None = _option()
-    aggregation: str | None = _option()
+    #: how segment models merge, derived from the graph (not an option):
+    #: ``"gradient_sum"`` iff it gathers rows, else ``"average"``.
+    aggregation: str | None
     #: ``"single"``, ``"lockstep"``, ``"threads"`` or ``"processes"``.
     execution: str = _option()
     shuffle: bool = _option()
@@ -191,8 +186,6 @@ class TrainPlan(_Plan):
         use_striders: bool = True,
         epochs: int | None = None,
         segments: int | None = None,
-        partition_strategy: str = "round_robin",
-        aggregation: str | None = None,
         execution: str = "auto",
         shuffle: bool = False,
         seed: int = 0,
@@ -211,24 +204,14 @@ class TrainPlan(_Plan):
                 knob.
         """
         spec = registered.spec
-        if epochs is not None and (not isinstance(epochs, int) or epochs < 1):
-            raise ConfigurationError(
-                f"epochs must be an integer >= 1 (or None for the registered / "
-                f"convergence-bound default), got {epochs!r}"
-            )
-        _check_segments(segments, "the single-accelerator path")
-        Partitioner(partition_strategy, seed=seed)  # owns the strategy check
+        _check_int("epochs", epochs, "the registered / convergence-bound default")
+        _check_int("segments", segments, "the single-accelerator path")
         if execution not in EXECUTION_STRATEGIES:
             raise ConfigurationError(
                 f"unknown execution strategy {execution!r}; "
                 f"expected one of {EXECUTION_STRATEGIES}"
             )
-        if aggregation is not None:
-            ModelAggregator(aggregation)  # owns the strategy check
-        if not isinstance(staleness, int) or staleness < 1:
-            raise ConfigurationError(
-                f"staleness must be an integer >= 1, got {staleness!r}"
-            )
+        _check_int("staleness", staleness)
         _check_bool("shuffle", shuffle)
         _check_bool("stream", stream)
         _check_retry(retry, allow_redistribute=False)
@@ -246,7 +229,6 @@ class TrainPlan(_Plan):
         if segments is None:
             return cls(
                 **common,
-                partition_strategy=None,
                 aggregation=None,
                 execution="single",
                 staleness=None,
@@ -277,9 +259,7 @@ class TrainPlan(_Plan):
             execution = "lockstep" if lockstep_capable else "threads"
         return cls(
             **common,
-            partition_strategy=partition_strategy,
-            aggregation=aggregation
-            or ("gradient_sum" if row_addressed else "average"),
+            aggregation="gradient_sum" if row_addressed else "average",
             execution=execution,
             staleness=staleness,
             stream=_effective_stream(stream, use_striders, execution),
@@ -298,10 +278,7 @@ class ScorePlan(_Plan):
     algorithm: str
     use_striders: bool
     segments: int
-    path: str
     batch_size: int
-    partition_strategy: str
-    seed: int
     #: *effective* streaming (see :func:`_effective_stream`).
     stream: bool
     #: ``"threads"`` or ``"processes"``.
@@ -328,10 +305,7 @@ class ScorePlan(_Plan):
         *,
         use_striders: bool = True,
         segments: int | None = None,
-        path: str = "batched",
         batch_size: int | None = None,
-        partition_strategy: str = "round_robin",
-        seed: int = 0,
         stream: bool = True,
         retry: RetryPolicy | None = None,
         execution: str = "threads",
@@ -346,9 +320,8 @@ class ScorePlan(_Plan):
             ConfigurationError: naming the valid choices of the offending
                 knob.
         """
-        batch_size = resolve_batching(path, batch_size)
-        _check_segments(segments, "a single scan-and-score segment")
-        Partitioner(partition_strategy, seed=seed)  # owns the strategy check
+        batch_size = resolve_batching(batch_size)
+        _check_int("segments", segments, "a single scan-and-score segment")
         _check_bool("stream", stream)
         if execution not in SCORING_EXECUTION_STRATEGIES:
             raise ConfigurationError(
@@ -365,10 +338,7 @@ class ScorePlan(_Plan):
             algorithm=registered.spec.name,
             use_striders=use_striders,
             segments=segments,
-            path=path,
             batch_size=batch_size,
-            partition_strategy=partition_strategy,
-            seed=seed,
             stream=_effective_stream(stream, use_striders, execution),
             execution=execution,
             retry=retry,

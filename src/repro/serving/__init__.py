@@ -6,8 +6,7 @@ package is the other half of the MADlib-style in-database analytics shape:
 * :class:`ModelRegistry` persists versioned model parameters into real
   heap tables through the catalog (bit-identical round trip);
 * :class:`InferencePlan` / :class:`InferenceEngine` lower the hDFG in
-  forward-only mode into a batched inference tape, keeping the per-tuple
-  evaluator forward pass as the parity oracle with schedule-derived
+  forward-only mode into a batched inference tape with schedule-derived
   cycle counters;
 * :class:`ScanScorer` scores whole heap tables via the bulk Strider page
   walk, fanned out across segments with the training cluster's
@@ -21,7 +20,6 @@ from repro.serving.inference import (
     InferenceEngine,
     InferencePlan,
     InferenceStats,
-    SERVING_PATHS,
 )
 from repro.serving.microbatch import PredictionServer, ServingStats
 from repro.serving.registry import MODEL_PARAM_SCHEMA, ModelRegistry, model_table_name
@@ -40,7 +38,6 @@ __all__ = [
     "MODEL_PARAM_SCHEMA",
     "ModelRegistry",
     "PredictionServer",
-    "SERVING_PATHS",
     "SCORING_EXECUTION_STRATEGIES",
     "ScanScorer",
     "ScoreResult",

@@ -1,17 +1,17 @@
 """Batched inference engine: the execution engine's forward-only twin.
 
 An :class:`InferencePlan` lowers one compiled UDF for serving exactly the
-way PR-1 lowered training: the forward sub-hDFG
+way training is lowered: the forward sub-hDFG
 (:func:`~repro.translator.forward.forward_slice`) is compiled **once** into
 a :class:`~repro.translator.tape.CompiledTape` of batched NumPy kernels,
-the per-tuple :class:`~repro.translator.evaluator.HDFGEvaluator` forward
-pass is kept as the correctness oracle, and cycle accounting is derived
-from a static schedule of the forward region.  Forward scoring is
-row-independent, so the tape executes whatever matrices it is handed (a
-whole extracted wave at a time on the scan path) and books the call from
-counts — :meth:`InferencePlan.forward_cost` over the tuple total and the
-modelled micro-batch — while the oracle cuts and books micro-batch by
-micro-batch: identical rows, identical counters.
+and cycle accounting is derived from a static schedule of the forward
+region.  Forward scoring is row-independent, so the tape executes whatever
+matrices it is handed (a whole extracted wave at a time on the scan path)
+and books the call from counts — :meth:`InferencePlan.forward_cost` over
+the tuple total and the modelled micro-batch.  The per-tuple
+:class:`~repro.translator.evaluator.HDFGEvaluator` forward pass, which cuts
+and books micro-batch by micro-batch through
+:meth:`InferenceEngine.account_batch`, is the test suite's parity oracle.
 
 :class:`InferenceEngine` instances share one plan (the tape's kernel
 closures are stateless, so many engines/threads can score concurrently)
@@ -31,17 +31,13 @@ from repro.compiler.scheduler import Scheduler
 from repro.exceptions import ConfigurationError
 from repro.hw.ledger import Ledger
 from repro.reliability.faults import fault_point
-from repro.translator.evaluator import HDFGEvaluator
 from repro.translator.forward import forward_slice
-from repro.translator.hdfg import HDFG, Region
+from repro.translator.hdfg import HDFG
 from repro.translator.tape import CompiledTape
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.algorithms.base import AlgorithmSpec
     from repro.compiler.execution_binary import ExecutionBinary
-
-#: scoring paths exposed by the serving layer.
-SERVING_PATHS = ("batched", "per_tuple")
 
 #: default scoring micro-batch: the batch the ledger books
 #: (``ceil(batch / threads)`` rounds each), not the tape's execution unit.
@@ -90,7 +86,6 @@ class InferencePlan:
         self.schedule = Scheduler(self.forward.graph, max(1, acs_per_thread)).schedule()
         self.forward_cycles_per_round = self.schedule.update_rule_cycles
         self.tape = CompiledTape(self.forward.graph)
-        self.evaluator = HDFGEvaluator(self.forward.graph)
 
     @classmethod
     def from_binary(cls, binary: "ExecutionBinary", spec: "AlgorithmSpec") -> "InferencePlan":
@@ -138,7 +133,7 @@ class InferenceEngine:
         self.stats = InferenceStats()
 
     # ------------------------------------------------------------------ #
-    # cycle accounting (shared by both paths — counters stay identical)
+    # cycle accounting
     # ------------------------------------------------------------------ #
     def account_batch(self, batch_len: int) -> None:
         """Book one scored batch — the per-batch reference for
@@ -153,7 +148,6 @@ class InferenceEngine:
         self,
         rows: np.ndarray,
         models: Mapping[str, np.ndarray],
-        path: str = "batched",
         batch_size: int | None = None,
     ) -> np.ndarray:
         """Predictions for ``rows`` (one score per tuple, storage order).
@@ -171,7 +165,6 @@ class InferenceEngine:
         return self.score_batches(
             (rows[start : start + size] for start in range(0, len(rows), size)),
             models,
-            path=path,
             batch_size=size,
         )
 
@@ -179,58 +172,29 @@ class InferenceEngine:
         self,
         batches: Iterable[np.ndarray],
         models: Mapping[str, np.ndarray],
-        path: str = "batched",
         batch_size: int | None = None,
     ) -> np.ndarray:
         """Predictions for a stream of tuple matrices, concatenated in order.
 
-        The one scoring loop.  ``path="batched"`` runs the compiled forward
-        tape once per matrix it is handed — :meth:`score` feeds it slices,
-        scan-and-score the waves of its extraction source (which may still
-        be decoding later pages) — and books the call once, after the last
-        matrix, as ``forward_cost(tuples, batch_size)``: forward scoring is
+        The one scoring loop: the compiled forward tape runs once per
+        matrix it is handed — :meth:`score` feeds it slices, scan-and-score
+        the waves of its extraction source (which may still be decoding
+        later pages) — and the call is booked once, after the last matrix,
+        as ``forward_cost(tuples, batch_size)``: forward scoring is
         row-independent, so how the rows were cut decides neither a
-        prediction nor a counter.  ``path="per_tuple"`` walks the per-tuple
-        evaluator — the oracle — and books each matrix as one micro-batch,
-        so its caller cuts the stream at ``batch_size``; the two ledgers
-        are then identical.
+        prediction nor a counter.
         """
-        if path not in SERVING_PATHS:
-            raise ConfigurationError(
-                f"unknown serving path {path!r}; expected one of {SERVING_PATHS}"
-            )
         fault_point(INFERENCE_FAULT_SITE)
-        score_batch = (
-            self._score_batch_tape if path == "batched" else self._score_batch_oracle
-        )
-        chunks = [score_batch(batch, models) for batch in batches]
-        if path == "batched":
-            self.stats += self.plan.forward_cost(sum(map(len, chunks)), batch_size)
+        plan = self.plan
+        score_id = plan.forward.score_node_id
+        chunks = [
+            np.asarray(
+                plan.tape.run(plan.bind_predict(batch), models)[score_id],
+                dtype=np.float64,
+            )
+            for batch in batches
+        ]
+        self.stats += plan.forward_cost(sum(map(len, chunks)), batch_size)
         if not chunks:
-            return np.empty((0,) + self.plan.forward.score_dims)
+            return np.empty((0,) + plan.forward.score_dims)
         return np.concatenate(chunks, axis=0)
-
-    def _score_batch_tape(
-        self, batch: np.ndarray, models: Mapping[str, np.ndarray]
-    ) -> np.ndarray:
-        env = self.plan.tape.run(self.plan.bind_predict(batch), models)
-        return np.asarray(env[self.plan.forward.score_node_id], dtype=np.float64)
-
-    def _score_batch_oracle(
-        self, batch: np.ndarray, models: Mapping[str, np.ndarray]
-    ) -> np.ndarray:
-        evaluator = self.plan.evaluator
-        score_id = self.plan.forward.score_node_id
-        values = []
-        for row in batch:
-            bound = {
-                name: np.asarray(value)[0]
-                for name, value in self.plan.bind_predict(row[None, :]).items()
-            }
-            for name, value in models.items():
-                bound.setdefault(name, value)
-            env = evaluator.initial_env(bound)
-            env = evaluator.evaluate(env, [Region.UPDATE_RULE])
-            values.append(np.asarray(env[score_id], dtype=np.float64))
-        self.account_batch(len(batch))
-        return np.stack(values, axis=0)

@@ -612,7 +612,7 @@ class PredictionServer:
         requests that raise on their own fail.
         """
         def score(rows: np.ndarray) -> np.ndarray:
-            return self.engine.score(rows, models, path="batched", batch_size=len(rows))
+            return self.engine.score(rows, models, batch_size=len(rows))
 
         try:
             return list(score(np.stack([request.row for request in live])))

@@ -17,15 +17,14 @@ Every segment opens its pages through the extraction seam
 tape once per extracted **wave** of the :class:`~repro.runtime.BatchSource`
 that comes back (:meth:`~repro.runtime.BatchSource.chunks`); the plan's
 ``batch_size`` is the micro-batch the ledger *books*, from counts alone.
-The per-tuple oracle (``path="per_tuple"``) still cuts and books micro-batch
-by micro-batch.  Scoring is **streaming** by default (``stream=True``): the
-bulk Strider page walk runs on the source's producer thread — the same
-bounded double buffer the training runtime uses — while the forward tape
-scores each wave as it arrives, so extraction overlaps inference exactly
-like training's epoch 0.  ``stream=False`` opens a materialised source and
-is kept as the overlap oracle: predictions and schedule-derived counters
-are bit-identical across the two by construction (one scoring loop,
-identical rows, booking from counts, identical page walk).
+Scoring is **streaming** by default (``stream=True``): the bulk Strider page
+walk runs on the source's producer thread — the same bounded double buffer
+the training runtime uses — while the forward tape scores each wave as it
+arrives, so extraction overlaps inference exactly like training's epoch 0.
+``stream=False`` opens a materialised source and is kept as the overlap
+oracle: predictions and schedule-derived counters are bit-identical across
+the two by construction (one scoring loop, identical rows, booking from
+counts, identical page walk).
 
 A ``dana.predict`` statement's WHERE rides on the plan
 (:attr:`~repro.core.plan.ScorePlan.where`) and is evaluated by the access
@@ -82,9 +81,7 @@ class ScoreResult:
     """Predictions + per-segment hardware activity of one table scoring."""
 
     predictions: np.ndarray
-    path: str
     batch_size: int
-    partition_strategy: str
     segments: list[SegmentScoreReport]
     #: True when the run overlapped each segment's page walk with its
     #: forward tape (streaming); False for the materialized oracle.
@@ -143,23 +140,19 @@ def score_segment(
     the two fan-outs cannot drift.  The extraction seam opens the pages as
     the plan says (applying ``plan.where``, so the engine scores — and
     books — qualifying tuples only) and the forward tape scores the
-    source's waves as delivered, booked at ``plan.batch_size``; the
-    per-tuple oracle is handed the stream cut at ``plan.batch_size``
-    instead.  Producer restarts are booked into ``retry_stats``.  Returns
-    the segment's report, its predictions and the per-page (qualifying)
-    tuple counts reassembly needs.
+    source's waves as delivered, booked at ``plan.batch_size``.  Producer
+    restarts are booked into ``retry_stats``.  Returns the segment's
+    report, its predictions and the per-page (qualifying) tuple counts
+    reassembly needs.
     """
     engine = inference.new_engine()
     accelerator = DAnAAccelerator(
         binary=binary, schema=spec.schema, fpga=fpga, predicate=plan.where
     )
     source = accelerator.access_engine.open(images, **plan.extraction())
-    batches = (
-        source.chunks() if plan.path == "batched" else source.batches(plan.batch_size)
-    )
     try:
         predictions = engine.score_batches(
-            batches, models, path=plan.path, batch_size=plan.batch_size
+            source.chunks(), models, batch_size=plan.batch_size
         )
     except BaseException:
         source.abort()  # release a producer blocked mid-stream
@@ -193,10 +186,10 @@ class ScanScorer:
     ) -> None:
         """Bind one resolved :class:`~repro.core.plan.ScorePlan`.
 
-        The plan carries the run's knobs (segments, path, batch size,
-        partitioning, effective stream, fan-out strategy, retry policy,
-        worker clamp) already validated; ``inference`` is the compiled
-        forward-only serving plan every segment scores with.
+        The plan carries the run's knobs (segments, batch size, effective
+        stream, fan-out strategy, retry policy, worker clamp) already
+        validated; ``inference`` is the compiled forward-only serving plan
+        every segment scores with.
         """
         self.database = database
         self.binary = binary
@@ -256,9 +249,7 @@ class ScanScorer:
             predictions = self._reassemble(scored)
         return ScoreResult(
             predictions=predictions,
-            path=plan.path,
             batch_size=plan.batch_size,
-            partition_strategy=plan.partition_strategy,
             segments=[report for _part, (report, _preds, _sizes) in scored],
             stream=plan.stream,
             retry=retry_total,

@@ -57,24 +57,25 @@ def _system(key, n_tuples=640, merge=8, epochs=EPOCHS, seed=11):
 # Partitioner
 # ---------------------------------------------------------------------- #
 class TestPartitioner:
-    @pytest.mark.parametrize("strategy", ["round_robin", "hash"])
-    def test_partitions_cover_all_pages_disjointly(self, strategy):
-        parts = Partitioner(strategy, seed=3).partition(37, 5)
+    def test_partitions_cover_all_pages_disjointly(self):
+        parts = Partitioner().partition(37, 5)
         assert [p.segment_id for p in parts] == list(range(5))
         seen = [page for p in parts for page in p.page_nos]
         assert sorted(seen) == list(range(37))
 
     def test_round_robin_is_balanced(self):
-        parts = Partitioner("round_robin").partition(38, 4)
+        parts = Partitioner().partition(38, 4)
         sizes = [len(p) for p in parts]
         assert max(sizes) - min(sizes) <= 1
 
-    def test_deterministic_for_fixed_seed(self):
-        a = Partitioner("hash", seed=7).partition(64, 4)
-        b = Partitioner("hash", seed=7).partition(64, 4)
-        assert a == b
-        c = Partitioner("hash", seed=8).partition(64, 4)
-        assert a != c  # 64 pages over 4 segments: collision is ~impossible
+    def test_round_robin_is_the_page_modulo_segments_deal(self):
+        for pages, segments in ((0, 3), (1, 4), (37, 5), (64, 4), (7, 7)):
+            dealt = [[] for _ in range(segments)]
+            for page_no in range(pages):
+                dealt[page_no % segments].append(page_no)
+            for partitioner in (Partitioner(), Partitioner("round_robin", seed=0)):
+                parts = partitioner.partition(pages, segments)
+                assert [list(part.page_nos) for part in parts] == dealt
 
     def test_partition_table_uses_catalog(self):
         system, spec, _algo, _data = _system("linear")
@@ -84,8 +85,9 @@ class TestPartitioner:
         assert isinstance(parts[0], PagePartition)
 
     def test_rejects_unknown_strategy_and_bad_counts(self):
-        with pytest.raises(ConfigurationError):
-            Partitioner("range")
+        for strategy in ("range", "hash"):
+            with pytest.raises(ConfigurationError, match="round_robin"):
+                Partitioner(strategy)
         with pytest.raises(ConfigurationError):
             Partitioner().partition(10, 0)
 
@@ -294,7 +296,7 @@ class TestCounterConsistency:
 
 
 # ---------------------------------------------------------------------- #
-# reproducibility: one seeded generator through shuffling + partitioning
+# reproducibility: one seeded generator through shuffling
 # ---------------------------------------------------------------------- #
 class TestReproducibility:
     @pytest.mark.parametrize("execution", ["auto", "threads"])
@@ -302,7 +304,6 @@ class TestReproducibility:
         system, spec, _algo, _data = _system("linear")
         kwargs = dict(
             epochs=4, segments=4, shuffle=True, seed=123, execution=execution,
-            partition_strategy="hash",
         )
         first = system.train("linear", "train", **kwargs)
         second = system.train("linear", "train", **kwargs)
@@ -345,7 +346,6 @@ class TestFacade:
         assert run.cluster.segments == 3
         assert len(run.segments) == 3
         assert run.critical_path_cycles > 0
-        assert run.cluster.partition_strategy == "round_robin"
         assert run.cluster.aggregation_strategy == "average"
 
     def test_use_striders_false_bypasses_access_engine(self):
@@ -373,5 +373,3 @@ class TestFacade:
         with pytest.raises(ConfigurationError):
             # a single-accelerator plan carries no partitioning to shard by
             ShardedDAnA(system.database, binary, spec, single)
-        with pytest.raises(ConfigurationError):
-            system.train("linear", "train", epochs=2, segments=2, aggregation="median")

@@ -146,7 +146,7 @@ def test_train_explain_equals_report_equals_recorded_config(
         # the knobs a single accelerator ignores are normalised away
         assert knobs["mode"] == "single"
         assert knobs["stream"] == (stream and use_striders)
-        for name in ("staleness", "partition_strategy", "aggregation"):
+        for name in ("staleness", "aggregation"):
             assert config[name] is None
         assert config["workers"] == 0
         return
@@ -162,12 +162,7 @@ def test_train_explain_equals_report_equals_recorded_config(
     assert cluster.merges_performed == math.ceil(2 / staleness)
     assert knobs["workers"] == cluster.worker_limit == config["workers"]
     assert knobs["segments"] == cluster.segments == config["segments"] == segments
-    assert (
-        knobs["partition_strategy"]
-        == cluster.partition_strategy
-        == config["partition_strategy"]
-    )
-    assert cluster.aggregation_strategy == config["aggregation"]
+    assert cluster.aggregation_strategy == config["aggregation"] == "average"
     merge_ops = [op for op in train_op.children if op.name == "MergeModels"]
     assert len(merge_ops) == (1 if segments > 1 else 0)
     for op in merge_ops:
@@ -454,6 +449,26 @@ def test_one_module_builds_batch_sources_and_the_old_entry_points_are_gone():
             and legacy.search((repo / name).read_text(errors="ignore"))
         )
         assert mentions == ["CHANGES.md", "ROADMAP.md", "benchmarks/e2e/README.md"]
+    # Four knobs only tests set are gone: the scoring ``path`` (its
+    # per-tuple oracle lives in tests/oracles/), hash partitioning, the
+    # scoring ``seed`` only hashing read and the ``aggregation`` override.
+    import inspect
+
+    assert {"partition_strategy", "aggregation"}.isdisjoint(option_types(TrainPlan))
+    for method in (DAnA.predict, DAnA.score_table):
+        params = inspect.signature(method).parameters
+        assert {"path", "partition_strategy", "seed"}.isdisjoint(params), method
+    for name in ("SERVING_PATHS", "_score_batch_oracle", "_KNUTH_MIX"):
+        assert not re.search(rf"\b{name}\b", source), name
+    # the library never reaches into the test suite for an oracle
+    importers = sorted(
+        str(path.relative_to(root))
+        for path in root.rglob("*.py")
+        if re.search(
+            r"^\s*(from|import)\s+(tests|oracles)\b", path.read_text(), re.MULTILINE
+        )
+    )
+    assert importers == []
 
 
 def test_each_stage_cost_is_stated_once_and_booked_once_per_epoch():
@@ -473,6 +488,8 @@ def test_each_stage_cost_is_stated_once_and_booked_once_per_epoch():
     from repro.hw.strider import Strider
     from repro.perf import DAnAModel
     from repro.serving import InferenceEngine, InferencePlan
+
+    from oracles import forward as per_tuple
 
     root = pathlib.Path(repro.__file__).parent
     sources = {path: path.read_text() for path in root.rglob("*.py")}
@@ -500,9 +517,9 @@ def test_each_stage_cost_is_stated_once_and_booked_once_per_epoch():
         InferenceEngine.score_batches,
     ):
         assert "account_batch" not in inspect.getsource(body), body
-    # the per-tuple oracle keeps the per-batch reference booking
+    # the per-tuple oracles keep the per-batch reference booking
     assert "account_batch" in inspect.getsource(ExecutionEngine._train_one_epoch)
-    assert "account_batch" in inspect.getsource(InferenceEngine._score_batch_oracle)
+    assert "account_batch" in inspect.getsource(per_tuple.score)
     # one statement of the rounds arithmetic per engine, inside its cost function
     rounds = r"math\.ceil\(batch_len / \S*threads\)"
     for path, cost_function in (
@@ -588,13 +605,17 @@ def test_a_mixed_count_partition_is_priced_as_it_is_booked():
 # ---------------------------------------------------------------------- #
 # one diagnostic per invalid option, whichever door it came through
 # ---------------------------------------------------------------------- #
+#: options that no longer exist: ``sync`` (folded into ``staleness``), hash
+#: partitioning's ``partition_strategy`` and the ``aggregation`` override
+#: (the plan derives it from the graph).
+REMOVED = {"sync", "partition_strategy", "aggregation"}
+
 INVALID_TRAIN_OPTIONS = (
     {"epochs": 0},
     {"segments": 0},
     {"segments": 2, "partition_strategy": "range"},
     {"segments": 2, "aggregation": "median"},
     {"segments": 2, "execution": "warp"},
-    # removed options (PR 16: the async_merge policy; PR 24: ``sync`` itself)
     {"sync": "gossip"},
     {"segments": 2, "sync": "async_merge"},
     {"segments": 2, "sync": "stale_synchronous", "staleness": 8},
@@ -609,13 +630,14 @@ INVALID_TRAIN_OPTIONS = (
 def test_invalid_train_option_same_message_everywhere(options):
     system = _system()
     statement = "CREATE MODEL m AS TRAIN linear ON train" + _with_clause(options)
-    if "sync" in options:
+    removed = [name for name in options if name in REMOVED]
+    if removed:
         # An option that no longer exists has no plan diagnostic to share:
         # Python refuses the keyword, SQL lists the plan's option fields.
-        with pytest.raises(TypeError, match="sync"):
+        with pytest.raises(TypeError, match=removed[0]):
             system.train("linear", "train", **options)
         expected = (
-            "unknown CREATE MODEL option 'sync'; expected one of "
+            f"unknown CREATE MODEL option {removed[0]!r}; expected one of "
             f"{sorted(option_types(TrainPlan))}"
         )
     else:
@@ -648,13 +670,42 @@ def test_invalid_score_kwarg_same_message_everywhere(kwargs):
         assert _first_line(sql_error.value) == expected
 
 
+@pytest.mark.parametrize(
+    "options",
+    ({"epochs": True}, {"segments": True}, {"segments": 2, "staleness": True}),
+    ids=repr,
+)
+def test_a_bool_is_not_a_count_at_either_door(options):
+    """``bool`` is an ``int`` subclass, but ``segments=True`` is no count:
+    the Python API refuses it like SQL does, and nothing trains."""
+    system = _system()
+    name = next(key for key, value in options.items() if value is True)
+    with pytest.raises(ConfigurationError, match=f"{name} must be an integer >= 1"):
+        system.train("linear", "train", **options)
+    with pytest.raises(QueryError, match=f"option '{name}' expects a int value"):
+        system.database.execute(
+            "CREATE MODEL m AS TRAIN linear ON train" + _with_clause(options)
+        )
+    assert system.registry.names() == []
+
+
+def test_a_bool_is_not_a_scoring_batch_size():
+    system = _system()
+    system.save_model("m", "linear", {"mo": np.zeros(N_FEATURES)})
+    rows = np.zeros((3, N_FEATURES))
+    with pytest.raises(ConfigurationError, match="batch_size must be an integer"):
+        system.score_table("linear", "train", model_name="m", batch_size=True)
+    with pytest.raises(ConfigurationError, match="batch_size must be an integer"):
+        system.predict("linear", rows, model_name="m", batch_size=True)
+
+
 def test_unknown_option_lists_exactly_the_plan_option_fields():
     system = _system()
     option_fields = sorted(
         f.name for f in dataclasses.fields(TrainPlan) if f.metadata.get("option")
     )
     assert option_fields == sorted(option_types(TrainPlan))
-    assert len(option_fields) == 9
+    assert len(option_fields) == 7
     with pytest.raises(QueryError) as error:
         system.database.execute(
             "CREATE MODEL m AS TRAIN linear ON train WITH (epoks => 2)"

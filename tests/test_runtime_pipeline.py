@@ -391,19 +391,9 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="segments"):
             system.train("linear", "train", epochs=2, segments=-3)
 
-    def test_unknown_partition_strategy(self, system):
-        with pytest.raises(ConfigurationError, match="round_robin"):
-            system.train(
-                "linear", "train", epochs=2, segments=2, partition_strategy="range"
-            )
-
     def test_unknown_execution_strategy(self, system):
         with pytest.raises(ConfigurationError, match="lockstep"):
             system.train("linear", "train", epochs=2, segments=2, execution="warp")
-
-    def test_unknown_aggregation_strategy(self, system):
-        with pytest.raises(ConfigurationError, match="average"):
-            system.train("linear", "train", epochs=2, segments=2, aggregation="median")
 
     def test_invalid_staleness(self, system):
         with pytest.raises(ConfigurationError, match="staleness"):

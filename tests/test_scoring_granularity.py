@@ -7,8 +7,9 @@ view over the prediction array.  What makes that safe is pinned here:
 
 * **row independence** — for every registered algorithm, scoring *any*
   partition of the rows gives the predictions of the 256-row slicing the
-  parent commit executed and of the per-tuple oracle, bit for bit, and the
-  ledger depends on the counts alone;
+  parent commit executed and of the per-tuple oracle
+  (``tests/oracles/forward.py``), bit for bit, and the ledger depends on
+  the counts alone;
 * **nothing moved** — a statement grid over WHERE / LIMIT x segments x
   stream x execution reproduces the values recorded at the parent commit
   (``tests/data/scoring_grid_pr21.json``: prediction digests and every
@@ -43,6 +44,8 @@ from repro.rdbms.predicate import ColumnPredicate
 from repro.reliability import FaultPlan, RetryPolicy, inject_faults
 from repro.serving import InferencePlan
 from repro.translator import translate
+
+from oracles import forward as per_tuple
 
 N_FEATURES = 8
 LRMF_TOPOLOGY = (24, 18, 4)
@@ -92,7 +95,7 @@ def test_any_partition_of_the_rows_scores_and_books_the_same(key, data):
             got, sliced.score(rows, models, batch_size=batch_size)
         )
         np.testing.assert_array_equal(
-            got, oracle.score(rows, models, path="per_tuple", batch_size=batch_size)
+            got, per_tuple.score(oracle, rows, models, batch_size=batch_size)
         )
         assert got.shape == (n,) + plan.forward.score_dims
         assert (
@@ -245,9 +248,9 @@ def _grid_masks() -> dict[str, np.ndarray]:
 def _oracle_predictions() -> np.ndarray:
     """The per-tuple evaluator over the whole grid table, micro-batch by micro-batch."""
     system = _grid_system()
-    return system.score_table(
-        "linear", "t", models=GRID_MODELS, stream=False, path="per_tuple"
-    ).predictions
+    plan = system._inference_plan(system._registered("linear"), "t")
+    rows = system.database.table("t").read_all(system.database.buffer_pool)
+    return per_tuple.score(plan.new_engine(), rows, GRID_MODELS)
 
 
 @pytest.mark.parametrize("segments,stream,execution", GRID_KNOBS)

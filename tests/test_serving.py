@@ -4,8 +4,9 @@ Covers the PR-4 contract:
 
 * the forward slice recovers the right score node for all four algorithms
   and never crosses a merge boundary;
-* batched inference tape == per-tuple evaluator forward pass — predictions
-  *and* schedule-derived cycle counters — across segment counts;
+* batched inference tape == the per-tuple evaluator forward pass of
+  ``tests/oracles/forward.py`` — predictions *and* schedule-derived cycle
+  counters — across segment counts;
 * registry round trips are bit-identical, and missing/mismatched models
   fail fast with :class:`ConfigurationError`;
 * the micro-batching prediction server returns the same predictions as the
@@ -27,6 +28,8 @@ from repro.perf import ScoreRunCost
 from repro.rdbms import Database
 from repro.serving import MODEL_PARAM_SCHEMA, model_table_name
 from repro.translator import NodeKind, Region, forward_slice, translate
+
+from oracles import forward as per_tuple
 
 N_FEATURES = 8
 N_TUPLES = 600
@@ -130,14 +133,17 @@ def test_score_table_batched_matches_per_tuple_oracle(key, segments):
     system, _spec, _data = build_system(key)
     models = trained_models(system, key)
     batched = system.score_table(key, "t", models=models, segments=segments)
-    oracle = system.score_table(
-        key, "t", models=models, segments=segments, path="per_tuple"
+    plan = system._inference_plan(system._registered(key), "t")
+    rows = system.database.table("t").read_all(system.database.buffer_pool)
+    np.testing.assert_array_equal(
+        batched.predictions, per_tuple.score(plan.new_engine(), rows, models)
     )
-    np.testing.assert_array_equal(batched.predictions, oracle.predictions)
-    assert batched.inference_stats == oracle.inference_stats
-    for seg_b, seg_o in zip(batched.segments, oracle.segments):
-        assert seg_b.inference_stats == seg_o.inference_stats
-        assert seg_b.access_stats == seg_o.access_stats
+    # each segment books what the oracle books micro-batch by micro-batch
+    # over the tuples that segment scored
+    for seg in batched.segments:
+        booked = plan.new_engine()
+        per_tuple.score(booked, rows[: seg.tuples_scored], models)
+        assert seg.inference_stats == booked.stats
     assert batched.tuples_scored == system.database.catalog.table("t").tuple_count
 
 
@@ -166,8 +172,8 @@ def test_predict_counters_are_schedule_derived_and_path_identical():
     models = trained_models(system, "linear")
     plan = system._inference_plan(system._registered("linear"))
     fast, slow = plan.new_engine(), plan.new_engine()
-    p_fast = fast.score(data, models, path="batched", batch_size=64)
-    p_slow = slow.score(data, models, path="per_tuple", batch_size=64)
+    p_fast = fast.score(data, models, batch_size=64)
+    p_slow = per_tuple.score(slow, data, models, batch_size=64)
     np.testing.assert_array_equal(p_fast, p_slow)
     assert fast.stats == slow.stats
     assert fast.stats.batches_scored == -(-200 // 64)
@@ -255,14 +261,15 @@ def test_serving_kwargs_validated_up_front():
         system.predict("linear", data, models=models, model_name="m")
     with pytest.raises(ConfigurationError, match="exactly one of"):
         system.predict("linear", data)
-    with pytest.raises(ConfigurationError, match="serving path"):
-        system.predict("linear", data, models=models, path="vectorized")
+    with pytest.raises(TypeError, match="path"):
+        system.predict("linear", data, models=models, path="per_tuple")
     with pytest.raises(ConfigurationError, match="batch_size"):
         system.predict("linear", data, models=models, batch_size=0)
     with pytest.raises(ConfigurationError, match="segments"):
         system.score_table("linear", "t", models=models, segments=0)
-    with pytest.raises(ConfigurationError, match="partition strategy"):
-        system.score_table("linear", "t", models=models, partition_strategy="range")
+    for name, value in (("path", "per_tuple"), ("partition_strategy", "hash"), ("seed", 7)):
+        with pytest.raises(TypeError, match=name):
+            system.score_table("linear", "t", models=models, **{name: value})
     with pytest.raises(ConfigurationError, match="max_batch_size"):
         system.serve("linear", models=models, max_batch_size=0)
     with pytest.raises(ConfigurationError, match="max_wait_ms"):
@@ -626,7 +633,7 @@ def test_filtered_scan_and_score_parity_grid(use_striders, segments):
     )
     # qualifying tuples per segment, from the page partition alone
     per_page = system.database.table("t").tuples_per_page()
-    parts = Partitioner("round_robin").partition_table(system.database, "t", segments)
+    parts = Partitioner().partition_table(system.database, "t", segments)
     qualifying = [
         sum(int(mask[no * per_page : (no + 1) * per_page].sum()) for no in part.page_nos)
         for part in parts
