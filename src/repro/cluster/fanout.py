@@ -556,18 +556,16 @@ class SegmentFanout:
     def images(self, part: PagePartition) -> list:
         """The partition's page images, pulled on the caller's thread.
 
-        Through the buffer pool as of the run's LSN — or, for a
-        ``processes`` run, zero-copy views of the shared store (the very
+        Through the buffer pool as of the run's LSN, in one
+        :meth:`~repro.rdbms.heapfile.HeapFile.images_as_of` call — or, for
+        a ``processes`` run, zero-copy views of the shared store (the very
         blocks the children walk).
         """
         if self.store is not None:
             return [self.store.page(no) for no in part.page_nos]
-        return [
-            image
-            for _no, image in self.heapfile.scan_pages(
-                self.database.buffer_pool, part.page_nos, as_of_lsn=self.as_of
-            )
-        ]
+        return self.heapfile.images_as_of(
+            self.database.buffer_pool, part.page_nos, self.as_of
+        )
 
     def adopt(self, source: BatchSource) -> BatchSource:
         """Own a streaming source: aborted if the run ends on an error."""

@@ -654,11 +654,8 @@ class DAnA:
             # the WAL but stay invisible to this run, and the run's LSN
             # becomes the saved model's refresh watermark.
             as_of = self.database.wal.current_lsn
-        page_images = (
-            image
-            for _no, image in self.database.table(plan.table).scan_pages(
-                self.database.buffer_pool, page_nos, as_of_lsn=as_of
-            )
+        page_images = self.database.table(plan.table).images_as_of(
+            self.database.buffer_pool, page_nos, as_of
         )
         result = accelerator.train(
             accelerator.access_engine.open(page_images, **plan.extraction()),

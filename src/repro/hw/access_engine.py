@@ -355,7 +355,9 @@ class AccessEngine:
         With the bulk walk on, the wave is one :meth:`Strider.walk_wave
         <repro.hw.strider.Strider.walk_wave>` over the joined images; the
         pages it rejects — every page, with the bulk walk off — are walked
-        alone and their tuples spliced in at their place.
+        alone and their tuples spliced in at their place.  Equal-count
+        pages share one :class:`~repro.hw.strider.StriderResult`, as they
+        share their counters.
         """
         fault_point(PAGE_WALK_FAULT_SITE)
         obs = telemetry()
@@ -365,11 +367,12 @@ class AccessEngine:
             else None
         )
         page_size = self.config.page_size
-        for image in batch:
-            if len(image) != page_size:
-                raise HardwareError(
-                    f"page image is {len(image)} bytes, expected {page_size}"
-                )
+        if set(map(len, batch)) != {page_size}:
+            for image in batch:  # name the first wrong-sized image
+                if len(image) != page_size:
+                    raise HardwareError(
+                        f"page image is {len(image)} bytes, expected {page_size}"
+                    )
         width = self.decoder.payload_bytes
         if self.use_bulk_walk:
             pages = np.frombuffer(b"".join(batch), dtype=np.uint8)
@@ -380,19 +383,26 @@ class AccessEngine:
         else:  # the interpreter walks every page alone
             payloads, proven = np.empty((0, width), dtype=np.uint8), [None] * len(batch)
             walk_alone = Strider.process_page
-        results = [
-            StriderResult(stats=stats)
+        distinct = {id(stats): stats for stats in proven}
+        shared = {
+            key: StriderResult(stats=stats)
+            for key, stats in distinct.items()
             if stats is not None
-            else walk_alone(strider, image)
-            for image, strider, stats in zip(batch, self._striders, proven)
-        ]
+        }
+        results = list(map(shared.get, map(id, proven)))
+        rejected = id(None) in distinct  # by identity: no StriderStats.__eq__
+        if rejected:
+            results = [
+                walk_alone(strider, image) if result is None else result
+                for image, strider, result in zip(batch, self._striders, results)
+            ]
         self.stats.merge_batch(results, page_size, self.fpga.axi_bytes_per_cycle)
         if span is not None:
             obs.finish(span)
             span = obs.span("hw.decode", pages=len(results))
         rows = self.decoder.decode_wave(payloads)
         sizes = [result.stats.tuples_emitted for result in results]
-        if any(stats is None for stats in proven):
+        if rejected:
             pieces, start = [], 0
             for result, stats in zip(results, proven):
                 if stats is None:

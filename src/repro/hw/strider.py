@@ -221,6 +221,25 @@ def page_walk_template(program: StriderProgram) -> _PageWalkTemplate | None:
     return program._page_walk_template
 
 
+def walk_costs(program: StriderProgram) -> dict[tuple[int, int, int], StriderStats]:
+    """``program``'s wave-walk prices, kept on the program like its template.
+
+    Keyed by ``(read width, tuple width, tuple count)``; each entry is the
+    read-only :class:`StriderStats` every equal-count page of every wave
+    shares, so a fresh accelerator built from the same binary prices a
+    count it has seen before without calling :meth:`Strider.walk_cost`.
+    """
+    return vars(program).setdefault("_walk_costs", {})
+
+
+def _page_rows(pages: np.ndarray, index: np.ndarray, columns: slice) -> np.ndarray:
+    """``pages[index, columns]``: a view when ``index`` is one consecutive run."""
+    first = int(index[0])
+    if int(index[-1]) - first == len(index) - 1:
+        return pages[first : first + len(index), columns]
+    return pages[index, columns]
+
+
 class Strider:
     """Executes a :class:`StriderProgram` against one binary page image."""
 
@@ -236,6 +255,7 @@ class Strider:
         self.read_width_bytes = read_width_bytes
         self.max_instructions = max_instructions
         self._page_walk = page_walk_template(program)
+        self._costs = walk_costs(program)
 
     # ------------------------------------------------------------------ #
     # public API
@@ -327,18 +347,23 @@ class Strider:
         ``pages`` is a ``(pages, page_size)`` ``uint8`` view of the wave's
         page images.  Every ``free_start`` and line-pointer array is read
         with array operations, pages are grouped by tuple count, and the
-        checks of :meth:`process_page_bulk` run vectorised — plus one it
-        leaves to the decoder: every payload is ``payload_bytes`` wide.
-        A group whose tuples are packed back-to-back in descending slot
-        order (what ``HeapPage.extend`` writes) is lifted with one strided
-        slice, any other with one gather.
+        checks of :meth:`process_page_bulk` run vectorised on the
+        ``uint16`` pointers themselves — plus one it leaves to the decoder:
+        every payload is ``payload_bytes`` wide.  A group of consecutive
+        pages (the usual one) reads its pointers and tuples through slices
+        of ``pages``; any other gathers them.  A group whose tuples are
+        packed back-to-back in descending slot order (what
+        ``HeapPage.extend`` writes) is lifted with one strided slice, any
+        other with one gather; either way it is copied into the FIFO as
+        ``payload_bytes``-wide records.
 
         Returns the proven pages' cleansed payloads, page then slot order,
         as one ``(tuples, payload_bytes)`` ``uint8`` matrix — byte for byte
         the FIFO :meth:`process_page_bulk` would have filled — and each
         page's counters (one shared, read-only :class:`StriderStats` per
-        distinct tuple count), ``None`` where a check rejected the page: that
-        page must be walked alone, so every error and every odd-header
+        distinct tuple count, kept on the program across waves and
+        accelerators), ``None`` where a check rejected the page: that page
+        must be walked alone, so every error and every odd-header
         behaviour stays :meth:`process_page_bulk`'s.
         """
         n_pages, page_len = pages.shape
@@ -348,57 +373,69 @@ class Strider:
         if t is None or not t.emits or t.free_start_width > 7:
             return payloads, stats  # nothing to prove: every page is walked alone
         fs_end = t.free_start_offset + t.free_start_width
-        if fs_end > page_len or t.line_pointer_start >= page_len:
+        width = t.strip_bytes + payload_bytes
+        last_offset = page_len - width  # where the last whole tuple can start
+        if fs_end > page_len or t.line_pointer_start >= page_len or last_offset < 0:
             return payloads, stats
         little_endian = 1 << 8 * np.arange(t.free_start_width, dtype=np.int64)
         free_start = pages[:, t.free_start_offset : fs_end].astype(np.int64) @ little_endian
         span = free_start - t.line_pointer_start
         proven = (span > 0) & (span % t.line_pointer_size == 0) & (free_start <= page_len)
         counts = np.where(proven, span // t.line_pointer_size, 0)
-        width = t.strip_bytes + payload_bytes
         groups: list[tuple[np.ndarray, np.ndarray]] = []
         for count in np.unique(counts[proven]).tolist():
             index = np.flatnonzero(counts == count)
             pointers_end = t.line_pointer_start + count * t.line_pointer_size
-            pointers = pages[index, t.line_pointer_start : pointers_end]
-            pointers = pointers.view("<u2").reshape(len(index), count, 2).astype(np.int64)
+            pointers = _page_rows(pages, index, slice(t.line_pointer_start, pointers_end))
+            pointers = pointers.view("<u2").reshape(len(index), count, 2)
             offsets, lengths = pointers[..., 0], pointers[..., 1]
-            fits = ((offsets + lengths <= page_len) & (lengths == width)).all(axis=1)
-            proven[index[~fits]] = False
-            if fits.any():
-                groups.append((index[fits], offsets[fits]))
+            # lengths == width, so "ends on the page" is "starts by last_offset"
+            fits = ((lengths == width) & (offsets <= last_offset)).all(axis=1)
+            if not fits.all():
+                proven[index[~fits]] = False
+                index, offsets = index[fits], offsets[fits]
+            if len(index):
+                groups.append((index, offsets))
         counts[~proven] = 0
-        # Every tuple is ``width`` bytes, so a page's cost is its count's:
-        # priced once per group, and the group's pages share the entry.
-        group_counts = [offsets.shape[1] for _index, offsets in groups]
-        for (index, _offsets), cost in zip(groups, self.walk_cost(width, group_counts)):
-            for page in index.tolist():
-                stats[page] = cost
         ends = np.cumsum(counts)
         payloads = np.empty((int(ends[-1]), payload_bytes), dtype=np.uint8)
+        record = np.dtype((np.void, payload_bytes))
+        fifo = payloads.view(record)[:, 0]
         for index, offsets in groups:
-            count = offsets.shape[1]
-            first, last = int(index[0]), int(index[-1])
-            # consecutive pages (the usual group) move through views: one copy
-            run = last - first == len(index) - 1
+            n, count = offsets.shape
+            first = int(index[0])
+            run = int(index[-1]) - first == n - 1
+            # Every tuple is ``width`` bytes, so a page's cost is its count's.
+            cost = self._count_cost(width, count)
+            if run:
+                stats[first : first + n] = [cost] * n
+            else:
+                for page in index.tolist():
+                    stats[page] = cost
             top = int(offsets[0, 0]) + width
             if (offsets == top - width * np.arange(1, count + 1)).all():
-                block = pages[first : last + 1] if run else pages[index]
-                lifted = block[:, top - count * width : top].reshape(
-                    len(index), count, width
-                )[:, ::-1, t.strip_bytes :]
+                lifted = _page_rows(pages, index, slice(top - count * width, top))
+                lifted = lifted.reshape(n, count, width)[:, ::-1, t.strip_bytes :]
             else:
                 lifted = pages[
                     index[:, None, None],
                     offsets[:, :, None] + np.arange(t.strip_bytes, width),
                 ]
+            lifted = lifted.view(record)[..., 0]
             if run:
-                into = payloads[ends[first] - count : ends[last]]
-                into.reshape(len(index), count, payload_bytes)[...] = lifted
+                fifo[ends[first] - count : ends[first + n - 1]].reshape(n, count)[...] = lifted
             else:
-                rows = (ends[index] - count)[:, None] + np.arange(count)
-                payloads[rows.ravel()] = lifted.reshape(-1, payload_bytes)
+                fifo[((ends[index] - count)[:, None] + np.arange(count)).ravel()] = lifted.ravel()
         return payloads, stats
+
+    def _count_cost(self, tuple_bytes: int, count: int) -> StriderStats:
+        """:meth:`walk_cost` of one page of ``count`` ``tuple_bytes``-wide
+        tuples, priced once per program (see :func:`walk_costs`)."""
+        key = (self.read_width_bytes, tuple_bytes, count)
+        cost = self._costs.get(key)
+        if cost is None:
+            cost = self._costs[key] = self.walk_cost(tuple_bytes, [count])[0]
+        return cost
 
     def walk_cost(
         self, lengths: np.ndarray | int, counts: np.ndarray | None = None

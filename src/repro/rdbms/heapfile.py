@@ -33,6 +33,7 @@ statistics are observational and not part of any bit-identity contract).
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from bisect import bisect_right
@@ -45,6 +46,12 @@ from repro.rdbms.buffer_pool import BufferPool
 from repro.rdbms.page import HeapPage, PageLayout, decode_page_rows
 from repro.rdbms.storage import StorageManager
 from repro.rdbms.types import Schema
+
+
+def _out_of_range(table: str, page_no: int, page_count: int) -> RDBMSError:
+    return RDBMSError(
+        f"page {page_no} is out of range for table {table!r} ({page_count} pages)"
+    )
 
 
 class HeapFile:
@@ -223,10 +230,7 @@ class HeapFile:
     def page_lsn(self, page_no: int) -> int:
         """LSN stamp of the live image of ``page_no`` (0 = bulk load)."""
         if not 0 <= page_no < len(self._page_lsns):
-            raise RDBMSError(
-                f"page {page_no} is out of range for table {self.name!r} "
-                f"({len(self._page_lsns)} pages)"
-            )
+            raise _out_of_range(self.name, page_no, len(self._page_lsns))
         return self._page_lsns[page_no]
 
     def page_count_as_of(self, as_of_lsn: int) -> int:
@@ -264,21 +268,39 @@ class HeapFile:
     def page_image_as_of(
         self, page_no: int, as_of_lsn: int, pool: BufferPool
     ) -> bytes:
-        """The bytes ``page_no`` held at LSN ``as_of_lsn``.
+        """The bytes ``page_no`` held at LSN ``as_of_lsn`` (see :meth:`images_as_of`)."""
+        return self.images_as_of(pool, [page_no], as_of_lsn)[0]
 
-        The live image comes through the buffer pool; when the page has
-        been topped up since ``as_of_lsn`` — only the page that was the
-        tail then can have been — the image it held is rebuilt from the
-        live one and the header the version store kept
-        (:meth:`HeapPage.image_as_of`: one page-sized copy).  The read
-        holds the table's mutate lock so a concurrent WAL apply cannot
-        overwrite the tail page between the live-LSN check and the pool
-        pull.
+    def images_as_of(
+        self, pool: BufferPool, page_nos: Sequence[int] | None, as_of_lsn: int
+    ) -> list[bytes]:
+        """The bytes each of ``page_nos`` (``None``: every page) held at LSN
+        ``as_of_lsn``, in the order asked — the one as-of rule.
+
+        Live images come through the buffer pool.  A page whose live stamp
+        is at or before ``as_of_lsn`` *is* its as-of image; only one stamped
+        later — the page that was the tail then, topped up since — is
+        rebuilt from the live image and the header the version store kept
+        (:meth:`HeapPage.image_as_of`: one page-sized copy).  The whole
+        read holds the table's mutate lock once, so a concurrent WAL apply
+        cannot overwrite the tail page between a live-stamp check and its
+        pool pull.  A page that did not exist at ``as_of_lsn`` raises
+        :class:`~repro.exceptions.RDBMSError` before any image is returned.
         """
         with self._mutate_lock:
-            _lsn, header = self._version_as_of(page_no, as_of_lsn)
-            image = pool.get_page(self.name, page_no)
-            return image if header is None else HeapPage.image_as_of(image, header)
+            page_count = self.page_count_as_of(as_of_lsn)
+            if page_nos is None:
+                page_nos = range(page_count)
+            images, lsns = [], self._page_lsns
+            for page_no in page_nos:
+                if not 0 <= page_no < page_count:
+                    raise _out_of_range(self.name, page_no, page_count)
+                image = pool.get_page(self.name, page_no)
+                if lsns[page_no] > as_of_lsn:
+                    _lsn, header = self._version_as_of(page_no, as_of_lsn)
+                    image = HeapPage.image_as_of(image, header)
+                images.append(image)
+            return images
 
     def pages_newer_than(self, watermark_lsn: int, as_of_lsn: int) -> list[int]:
         """Pages (as of ``as_of_lsn``) stamped past ``watermark_lsn``.
@@ -317,25 +339,20 @@ class HeapFile:
 
         ``as_of_lsn`` pins the scan to a snapshot: only pages that existed
         at that LSN are visible, and each image is the bytes the page held
-        then (a tail page topped up since is rebuilt from its saved
-        header, see :meth:`page_image_as_of`).  ``None`` scans the live heap.
+        then — read in one :meth:`images_as_of` call when the scan starts.
+        ``None`` scans the live heap.
         """
-        if as_of_lsn is None:
-            page_count = self.page_count
-        else:
-            page_count = self.page_count_as_of(as_of_lsn)
+        if as_of_lsn is not None:
+            images = self.images_as_of(pool, page_nos, as_of_lsn)
+            yield from zip(itertools.count() if page_nos is None else page_nos, images)
+            return
+        page_count = self.page_count
         if page_nos is None:
             page_nos = range(page_count)
         for page_no in page_nos:
             if not 0 <= page_no < page_count:
-                raise RDBMSError(
-                    f"page {page_no} is out of range for table {self.name!r} "
-                    f"({page_count} pages)"
-                )
-            if as_of_lsn is None:
-                yield page_no, pool.get_page(self.name, page_no)
-            else:
-                yield page_no, self.page_image_as_of(page_no, as_of_lsn, pool)
+                raise _out_of_range(self.name, page_no, page_count)
+            yield page_no, pool.get_page(self.name, page_no)
 
     def scan_tuples(
         self, pool: BufferPool, as_of_lsn: int | None = None

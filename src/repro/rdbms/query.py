@@ -74,11 +74,13 @@ _RESERVED = frozenset(
      "create", "drop", "show", "on", "with"}
 )
 
+#: a number may carry a sign and an exponent: the grammar has no
+#: arithmetic, so a leading ``-`` can only be a sign.
 _TOKEN_RE = re.compile(
     r"""
       (?P<ws>\s+)
     | (?P<string>'(?:[^']|'')*')
-    | (?P<number>\d+(?:\.\d+)?)
+    | (?P<number>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
     | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
     | (?P<op>=>|<>|!=|<=|>=|[=<>().,;*])
     """,
@@ -124,6 +126,11 @@ def _parse_error(sql: str, position: int, message: str) -> QueryError:
 def _unquote(raw: str) -> str:
     """A string token's value: strip quotes, unescape doubled quotes."""
     return raw[1:-1].replace("''", "'")
+
+
+def _is_integer(number: str) -> bool:
+    """True for a number token with neither a fraction nor an exponent."""
+    return number.removeprefix("-").isdigit()
 
 
 # ---------------------------------------------------------------------- #
@@ -356,7 +363,7 @@ class _Parser:
 
     def expect_int(self, what: str) -> int:
         token = self.peek()
-        if token.kind != "number" or "." in token.value:
+        if token.kind != "number" or not _is_integer(token.value):
             raise self.error(f"expected an integer {what}")
         self.advance()
         return int(token.value)
@@ -637,7 +644,7 @@ class _Parser:
         token = self.peek()
         if token.kind == "number":
             self.advance()
-            value: Any = float(token.value) if "." in token.value else int(token.value)
+            value: Any = int(token.value) if _is_integer(token.value) else float(token.value)
         elif token.kind == "string":
             self.advance()
             value = _unquote(token.value)

@@ -201,6 +201,17 @@ def active_injector() -> FaultInjector | None:
     return _ACTIVE
 
 
+def faults_armed() -> bool:
+    """True while a :class:`FaultPlan` is armed.
+
+    For a site that fires once per element of a batch it already holds (the
+    producer's per-page site): the per-element loop runs only when a fault
+    could fire, and no plan means one check per batch instead of one per
+    element.
+    """
+    return _ACTIVE is not None
+
+
 def fault_point(site: str) -> None:
     """Injection site hook: fires the armed injector's fault, if any.
 

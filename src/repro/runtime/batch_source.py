@@ -46,7 +46,9 @@ from the source's ``chunk_factory`` and fast-forwarded past the pages the
 consumer already cached.  The producer's fault site fires once per *page*
 a chunk carries, before the hand-off; a fault at a page inside a chunk
 still delivers the pages before it, so fault numbering and what a faulted
-consumer had seen are those of a page-at-a-time stream.
+consumer had seen are those of a page-at-a-time stream.  The per-page
+firing loop runs only while a fault plan is armed: without one, a chunk
+costs one check.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ import numpy as np
 
 from repro.exceptions import RetryExhaustedError, TransientError
 from repro.obs.telemetry import telemetry
-from repro.reliability.faults import fault_point
+from repro.reliability.faults import fault_point, faults_armed
 from repro.reliability.retry import RetryPolicy, RetryStats
 
 #: a stream element: one wave's ``(tuple matrix, per-page tuple counts)`` as
@@ -227,16 +229,17 @@ class BatchSource:
                     if skip:
                         rows, sizes = rows[sum(sizes[:skip]) :], sizes[skip:]
                         skip = 0
-                    try:
-                        for clean, _page in enumerate(sizes):
-                            fault_point(PRODUCER_FAULT_SITE)
-                    except TransientError:
-                        # The site fires per page: the pages before the
-                        # faulted one still cross the buffer, exactly as
-                        # when pages were handed over one by one.
-                        if clean:
-                            self._deliver(rows[: sum(sizes[:clean])], sizes[:clean])
-                        raise
+                    if faults_armed():  # no plan: no per-page loop
+                        try:
+                            for clean, _page in enumerate(sizes):
+                                fault_point(PRODUCER_FAULT_SITE)
+                        except TransientError:
+                            # The site fires per page: the pages before the
+                            # faulted one still cross the buffer, exactly as
+                            # when pages were handed over one by one.
+                            if clean:
+                                self._deliver(rows[: sum(sizes[:clean])], sizes[:clean])
+                            raise
                     if not self._deliver(rows, sizes):
                         return
             finally:

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.compiler.strider_compiler import compile_strider
 from repro.exceptions import HardwareError, StriderError
 from repro.hw import DEFAULT_FPGA, AccessEngine, AccessEngineConfig, AccessEngineStats
-from repro.hw.strider import Strider, StriderResult
+from repro.hw.strider import Strider, StriderResult, walk_costs
 from repro.rdbms import Database, Schema
 from repro.rdbms.heaptuple import tuple_size
 from repro.rdbms.predicate import ColumnPredicate, Comparison
@@ -195,6 +195,72 @@ def test_a_wave_prices_its_walk_once_per_distinct_tuple_count():
         DEFAULT_FPGA.axi_bytes_per_cycle,
     )
     assert shared == copied
+
+
+@pytest.mark.parametrize("num_striders", (2, 5, 64))
+@pytest.mark.parametrize("filtered", (False, True), ids=("all", "where"))
+@pytest.mark.parametrize("permuted", (False, True), ids=("slice", "gather"))
+def test_equal_count_pages_that_are_not_consecutive(permuted, filtered, num_striders):
+    """``[full, empty, full, tail, full]``: the three full pages are one
+    tuple-count group that is not a run of pages, so its pointers and
+    packed tuples are read by gathering rows of the wave — or, with one
+    page's pointers shuffled, the whole group is lifted by the per-tuple
+    gather.  Either way the wave equals both per-page references."""
+    db = Database(page_size=PAGE_SIZE)
+    per_page = db.layout.tuples_per_page(DENSE)
+    db.load_table("t", DENSE, _rows(DENSE, 3 * per_page + 5, seed=4))
+    full_0, full_1, full_2, tail = _images(db)
+    empty = _set_free_start(full_1, db.layout, db.layout.line_pointer_start)
+    if permuted:
+        full_1 = _permute_pointers(full_1, db.layout, seed=5)
+    wave = [full_0, empty, full_1, tail, full_2]
+    engine = _engine(db, DENSE, 5)
+    pages = np.frombuffer(b"".join(wave), dtype=np.uint8).reshape(len(wave), -1)
+    _payloads, proven = engine._striders[0].walk_wave(pages, DENSE.row_width)
+    assert proven[1] is None
+    assert proven[0] is proven[2] is proven[4]
+    assert proven[0].tuples_emitted == per_page and proven[3].tuples_emitted == 5
+    _assert_three_way(db, DENSE, wave, num_striders, filtered, cpu_decodable=False)
+
+
+def test_a_fresh_accelerator_prices_from_the_programs_cache(monkeypatch):
+    """Walk prices live on the Strider program: a second access engine over
+    the same program prices every count it meets from the cache, and each
+    cached entry is :meth:`Strider.walk_cost` of one page of that count."""
+    db = _database(DENSE, 330, inserts=3, seed=3)
+    images = _images(db)
+    program = compile_strider(db.layout, DENSE).program
+
+    def engine():
+        return AccessEngine(
+            AccessEngineConfig(num_striders=4, page_size=PAGE_SIZE),
+            program,
+            DENSE,
+            DEFAULT_FPGA,
+        )
+
+    first = engine()
+    want = first.open(images, stream=False).rows()
+    cache = walk_costs(program)
+    counts = {stats.tuples_emitted for stats in cache.values()}
+    assert len(counts) >= 2
+    priced = []
+    walk_cost = Strider.walk_cost
+    monkeypatch.setattr(
+        Strider, "walk_cost", lambda self, *args: priced.append(args) or walk_cost(self, *args)
+    )
+    second = engine()
+    np.testing.assert_array_equal(second.open(images, stream=False).rows(), want)
+    assert priced == [] and second.stats == first.stats
+    pages = np.frombuffer(b"".join(images), dtype=np.uint8).reshape(len(images), -1)
+    _payloads, proven = second._striders[0].walk_wave(pages, DENSE.row_width)
+    assert priced == []
+    assert all(any(stats is cached for cached in cache.values()) for stats in proven)
+    monkeypatch.undo()
+    strider = Strider(program)
+    for (read_width, tuple_bytes, count), cost in cache.items():
+        assert (read_width, tuple_bytes) == (strider.read_width_bytes, tuple_size(DENSE))
+        assert cost == strider.walk_cost(tuple_bytes, [count])[0]
 
 
 @pytest.mark.parametrize("filtered", (False, True), ids=("all", "where"))

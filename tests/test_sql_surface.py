@@ -148,6 +148,29 @@ class TestParser:
             table_name="t", where=(Comparison("y", "=", 1.0),), limit=5
         )
 
+    def test_signed_and_exponent_literals(self):
+        """A number may carry a leading ``-`` and an exponent wherever the
+        grammar takes one; an integer slot still refuses both forms of
+        non-integer."""
+        plan = parse("SELECT * FROM t WHERE x0 > -0.5 AND x1 <= 1.5E2 AND x2 = -3")
+        assert plan.where == (
+            Comparison("x0", ">", -0.5),
+            Comparison("x1", "<=", 150.0),
+            Comparison("x2", "=", -3.0),
+        )
+        plan = parse(
+            "CREATE MODEL m AS TRAIN u ON t "
+            "WITH (learning_rate => 1e-3, seed => -7, epochs => 2.5e1)"
+        )
+        assert plan.options == (("learning_rate", 1e-3), ("seed", -7), ("epochs", 25.0))
+        assert type(plan.options[1][1]) is int
+        assert parse("SELECT * FROM dana.score('m', 't', batch_size => -1)").batch_size == -1
+        for bad in ("1e3", "2.0", "-1E2"):
+            with pytest.raises(QueryError, match="integer after LIMIT"):
+                parse(f"SELECT * FROM t LIMIT {bad}")
+        with pytest.raises(QueryError, match="unexpected character '-'"):
+            parse("SELECT * FROM t WHERE x0 > - 1")
+
     def test_model_and_train_are_valid_names(self):
         # Only structurally ambiguous words are reserved.
         plan = parse("SELECT * FROM model")
@@ -253,6 +276,26 @@ class TestSQLPredict:
             np.array([row[0] for row in result.rows]),
             direct.predictions[mask][:7],
         )
+
+    def test_negative_where_threshold_selects_score_table_rows(self):
+        """A standardised feature below zero is writable: the filtered
+        statement returns exactly those rows of the unfiltered scan."""
+        system, _spec, _data = build_system()
+        models = system.train("linear", "t", epochs=2).models
+        system.save_model("m", "linear", models)
+        direct = system.score_table("linear", "t", model_name="m", stream=False)
+        stored = np.array(
+            list(system.database.table("t").scan_tuples(system.database.buffer_pool))
+        )
+        mask = stored[:, 0] > -0.5
+        assert 0 < mask.sum() < len(mask)
+        result = system.database.execute(
+            "SELECT dana.predict('m') FROM t WHERE x0 > -0.5"
+        )
+        np.testing.assert_array_equal(
+            result.payload.predictions, direct.predictions[mask]
+        )
+        assert result.stats["tuples_scored"] == mask.sum()
 
     def test_alias_names_the_output_column(self):
         system, _spec, _data = build_system()
@@ -408,6 +451,13 @@ class TestEdgeCases:
         with pytest.raises(Exception, match="segments"):
             system.database.execute(
                 "SELECT * FROM dana.score('m', 't', segments => 0)"
+            )
+        # A negative count parses and fails where the plan checks it.
+        with pytest.raises(
+            QueryError, match=r"segments must be an integer >= 1.*got -1"
+        ):
+            system.database.execute(
+                "SELECT * FROM dana.score('m', 't', segments => -1)"
             )
 
     def test_where_unknown_column(self):
