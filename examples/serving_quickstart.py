@@ -10,8 +10,8 @@ without the data (or the model) ever leaving the RDBMS:
 3. ``load_model`` — bit-identical round trip;
 4. ``score_table`` — whole-table scan-and-score through the bulk Strider
    page walk, fanned out across segments;
-5. a micro-batching :class:`PredictionServer` coalescing concurrent point
-   requests into bounded-latency batches.
+5. a micro-batching :class:`PredictionServer` scoring concurrent point
+   requests in batches of whatever queued while it was busy.
 
 Run with:  PYTHONPATH=src python examples/serving_quickstart.py
 """
@@ -68,9 +68,7 @@ def main() -> None:
     )
 
     # 5. micro-batched point predictions from concurrent clients
-    with system.serve(
-        "linearR", model_name="house_prices", max_batch_size=32, max_wait_ms=1.0
-    ) as server:
+    with system.serve("linearR", model_name="house_prices", max_batch_size=32) as server:
         with ThreadPoolExecutor(max_workers=8) as clients:
             futures = list(clients.map(server.submit, (row for row in X[:512])))
         predictions = np.array([f.result(timeout=30) for f in futures])

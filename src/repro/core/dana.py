@@ -546,7 +546,6 @@ class DAnA:
         model_name: str | None = None,
         version: int | None = None,
         max_batch_size: int = 64,
-        max_wait_ms: float = 2.0,
         max_queue_depth: int | None = None,
         deadline_ms: float | None = None,
         max_concurrent_per_model: int | None = None,
@@ -586,7 +585,6 @@ class DAnA:
             plan.new_engine(),
             resolved,
             max_batch_size=max_batch_size,
-            max_wait_ms=max_wait_ms,
             model_loader=loader,
             model_version=entry.version if entry is not None else None,
             max_queue_depth=max_queue_depth,

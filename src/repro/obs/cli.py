@@ -217,9 +217,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     system, _session = build_demo_session()
     rng = np.random.default_rng(0)
     rows = rng.normal(size=(args.requests, DEMO_FEATURES))
-    server = system.serve(
-        "demo_linear", model_name="demo_model", max_batch_size=16, max_wait_ms=1.0
-    )
+    server = system.serve("demo_linear", model_name="demo_model", max_batch_size=16)
     with server:
         futures = [server.submit(row) for row in rows]
         for future in futures:

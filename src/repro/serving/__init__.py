@@ -11,8 +11,9 @@ package is the other half of the MADlib-style in-database analytics shape:
 * :class:`ScanScorer` scores whole heap tables via the bulk Strider page
   walk, fanned out across segments with the training cluster's
   partitioner;
-* :class:`PredictionServer` coalesces concurrent point requests into
-  bounded-latency micro-batches and reports throughput + p50/p99 latency.
+* :class:`PredictionServer` scores concurrent point requests in
+  micro-batches of whatever queued while it was busy, and reports
+  throughput + p50/p99 latency.
 """
 
 from repro.serving.inference import (

@@ -2,15 +2,16 @@
 
 Heavy serving traffic arrives one tuple at a time, but the inference tape
 is fastest on batches.  The :class:`PredictionServer` bridges the two with
-**one lock**: submitting threads append requests to a bounded pending
-deque under the server lock, and one scorer thread, waiting on a condition
-of that same lock, takes a whole micro-batch per lock hold — up to
-``max_batch_size`` requests, waiting at most ``max_wait_ms`` after the
-first request of a batch arrives, so the batching latency is bounded by
-construction.  A submit wakes the scorer only when it is parked idle or
-the batch has just filled; a request can be cancelled until the scorer
-takes its batch.  A batch whose scoring raises is re-scored one request at
-a time, so a malformed row fails alone.
+**one lock** and **natural batching**: submitting threads append requests
+to a bounded pending deque under the server lock, and one scorer thread,
+waiting on a condition of that same lock, takes whatever is pending the
+moment it is free — up to ``max_batch_size`` requests, oldest first, in
+one lock hold.  There is no batching window: a micro-batch is exactly what
+queued while the previous one was scored, so batches stay at one request
+under light load and grow to ``max_batch_size`` under a burst.  A submit
+wakes the scorer only when it is parked idle; a request can be cancelled
+until the scorer takes its batch.  A batch whose scoring raises is
+re-scored one request at a time, so a malformed row fails alone.
 
 The served model can be **hot-swapped** without stopping the server:
 :meth:`PredictionServer.swap_models` (or the registry-versioned
@@ -19,14 +20,12 @@ micro-batch boundary — in-flight batches drain on the old model, later
 batches score the new one, bit-identically to a cold restart.
 
 Every request's end-to-end latency (submit → result) is recorded;
-:meth:`PredictionServer.stats` reports throughput plus p50/p99 latency,
-the two numbers the micro-batch size trades against each other: bigger
-batches amortise the tape invocation (throughput up), smaller waits bound
-the queueing delay (tail latency down).
+:meth:`PredictionServer.stats` reports throughput plus p50/p99 latency.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import deque
@@ -53,8 +52,8 @@ from repro.serving.inference import InferenceEngine
 LATENCY_WINDOW = 65536
 
 #: fixed bucket upper bounds (seconds) of the request-latency histogram —
-#: micro-batch serving latencies live between a fraction of ``max_wait_ms``
-#: and a few seconds under backlog.
+#: a lone request on an idle server is its own batch and lands in the first
+#: bucket; a backlog pushes latencies out to a few seconds.
 LATENCY_BUCKETS_S = (
     0.0005,
     0.001,
@@ -161,15 +160,35 @@ class _Request:
     tracked: bool = False
 
 
+def _check_count(name: str, value, optional: bool = True) -> None:
+    """Reject a count that is not an integer >= 1 (``bool`` is never a count)."""
+    if value is None and optional:
+        return
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        unset = " or None" if optional else ""
+        raise ConfigurationError(f"{name} must be an integer >= 1{unset}, got {value!r}")
+
+
+def _check_deadline(value) -> None:
+    """Reject a deadline that is not a positive, finite number of ms (or None)."""
+    if value is not None and (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not 0 < value < math.inf  # False for NaN too
+    ):
+        raise ConfigurationError(
+            f"deadline_ms must be a positive finite number or None, got {value!r}"
+        )
+
+
 class PredictionServer:
-    """Coalesces concurrent point requests into bounded-latency batches."""
+    """Coalesces concurrent point requests into micro-batches as they queue."""
 
     def __init__(
         self,
         engine: InferenceEngine,
         models: Mapping[str, np.ndarray],
         max_batch_size: int = 64,
-        max_wait_ms: float = 2.0,
         model_loader: Callable[[int | None], tuple] | None = None,
         model_version: int | None = None,
         max_queue_depth: int | None = None,
@@ -181,8 +200,7 @@ class PredictionServer:
         Args:
             engine: the (forward-only) inference engine scoring batches.
             models: the initial model parameter mapping.
-            max_batch_size: most requests coalesced into one micro-batch.
-            max_wait_ms: longest a batch waits after its first request.
+            max_batch_size: most requests taken into one micro-batch.
             model_loader: optional registry-backed loader for
                 :meth:`reload` hot-swaps; called with a version (or None
                 for latest) and must return ``(models, entry)``.
@@ -203,40 +221,15 @@ class PredictionServer:
                 shed like a full queue.  ``None`` disables the limit.
 
         Raises:
-            ConfigurationError: on non-positive ``max_batch_size``,
-                ``max_queue_depth``, ``deadline_ms`` or
-                ``max_concurrent_per_model``, or a negative
-                ``max_wait_ms``.
+            ConfigurationError: when ``max_batch_size``,
+                ``max_queue_depth`` or ``max_concurrent_per_model`` is not
+                an integer >= 1 (a ``bool`` is not), or ``deadline_ms`` is
+                not a positive finite number.
         """
-        if not isinstance(max_batch_size, int) or max_batch_size < 1:
-            raise ConfigurationError(
-                f"max_batch_size must be an integer >= 1, got {max_batch_size!r}"
-            )
-        if not isinstance(max_wait_ms, (int, float)) or max_wait_ms < 0:
-            raise ConfigurationError(
-                f"max_wait_ms must be a number >= 0, got {max_wait_ms!r}"
-            )
-        if max_queue_depth is not None and (
-            not isinstance(max_queue_depth, int) or max_queue_depth < 1
-        ):
-            raise ConfigurationError(
-                f"max_queue_depth must be an integer >= 1 or None, "
-                f"got {max_queue_depth!r}"
-            )
-        if deadline_ms is not None and (
-            not isinstance(deadline_ms, (int, float)) or deadline_ms <= 0
-        ):
-            raise ConfigurationError(
-                f"deadline_ms must be a positive number or None, got {deadline_ms!r}"
-            )
-        if max_concurrent_per_model is not None and (
-            not isinstance(max_concurrent_per_model, int)
-            or max_concurrent_per_model < 1
-        ):
-            raise ConfigurationError(
-                f"max_concurrent_per_model must be an integer >= 1 or None, "
-                f"got {max_concurrent_per_model!r}"
-            )
+        _check_count("max_batch_size", max_batch_size, optional=False)
+        _check_count("max_queue_depth", max_queue_depth)
+        _check_deadline(deadline_ms)
+        _check_count("max_concurrent_per_model", max_concurrent_per_model)
         self.engine = engine
         self.models = {
             name: np.asarray(value, dtype=np.float64) for name, value in models.items()
@@ -246,7 +239,6 @@ class PredictionServer:
         #: model mappings that never came from the registry).
         self.model_version = model_version
         self.max_batch_size = max_batch_size
-        self.max_wait_s = float(max_wait_ms) / 1e3
         self.max_queue_depth = max_queue_depth
         self.deadline_ms = deadline_ms
         self.max_concurrent_per_model = max_concurrent_per_model
@@ -256,9 +248,6 @@ class PredictionServer:
         #: most requests pending at once: the admission bound, else two
         #: micro-batches (one being scored, one queueing).
         self._depth = max_queue_depth or 2 * max_batch_size
-        #: pending count that ends a batching window early: a full batch,
-        #: or a full deque (nothing more can arrive until the scorer takes).
-        self._full = min(max_batch_size, self._depth)
         #: everything below is guarded by ``_lock``; ``_wake`` is the one
         #: condition the scorer and blocked legacy submitters wait on.
         self._lock = threading.Lock()
@@ -268,7 +257,8 @@ class PredictionServer:
         #: set by ``stop(drain=False)``: the scorer exits without draining
         #: and the leftovers are failed, not scored.
         self._abort = False
-        #: the scorer is parked waiting for a batch's first request.
+        #: the scorer is parked on an empty deque; only then does a submit
+        #: notify it.
         self._idle = False
         self._thread: threading.Thread | None = None
         self.stats = ServingStats()
@@ -308,8 +298,7 @@ class PredictionServer:
         scorer at the next batch boundary instead; anything still queued
         fails with :class:`~repro.exceptions.ServingError` rather than
         being scored — no caller is ever left hanging either way.  The
-        stop wakes the scorer (and any blocked submitter) at once: no
-        batching window is waited out for requests that cannot come.
+        stop wakes an idle scorer (and any blocked submitter) at once.
 
         Args:
             drain: score the queued backlog before exiting (default) or
@@ -413,7 +402,8 @@ class PredictionServer:
 
         Raises:
             ConfigurationError: when the server is not running, the row
-                is not 1-D, or ``deadline_ms`` is not a positive number.
+                is not 1-D, or ``deadline_ms`` is not a positive finite
+                number.
             ServerOverloadedError: when admission control is on
                 (``max_queue_depth`` / ``max_concurrent_per_model``) and
                 the request was shed instead of queued.
@@ -423,12 +413,7 @@ class PredictionServer:
             raise ConfigurationError(
                 f"submit expects one feature row (1-D), got shape {row.shape}"
             )
-        if deadline_ms is not None and (
-            not isinstance(deadline_ms, (int, float)) or deadline_ms <= 0
-        ):
-            raise ConfigurationError(
-                f"deadline_ms must be a positive number or None, got {deadline_ms!r}"
-            )
+        _check_deadline(deadline_ms)
         now = time.perf_counter()
         limit_ms = deadline_ms if deadline_ms is not None else self.deadline_ms
         deadline = (now + float(limit_ms) / 1e3) if limit_ms is not None else None
@@ -470,7 +455,7 @@ class PredictionServer:
             if self._first_submit is None:
                 self._first_submit = request.submitted_at
             self._pending.append(request)
-            if self._idle or len(self._pending) == self._full:
+            if self._idle:
                 self._wake.notify_all()
         return request.future
 
@@ -529,21 +514,17 @@ class PredictionServer:
             self._fail_queued("the prediction server stopped before scoring")
 
     def _take(self) -> tuple[list[_Request], dict[str, np.ndarray]] | None:
-        """Wait for the next micro-batch and take it in one lock hold.
+        """Take whatever is pending, oldest first, in one lock hold.
 
-        Returns the batch with the model it scores on — snapshotted in the
-        same lock hold, so a concurrent hot-swap takes effect at the next
-        batch boundary, never mid-batch — or ``None`` when the scorer exits.
+        Waits (untimed) only while nothing is pending.  Returns the batch
+        with the model it scores on — snapshotted in the same lock hold, so
+        a concurrent hot-swap takes effect at the next batch boundary, never
+        mid-batch — or ``None`` when the scorer exits.
         """
         with self._lock:
             self._idle = True
             self._wake.wait_for(lambda: self._pending or self._stopping)
             self._idle = False
-            # The batching window: a stop or a full batch ends it early.
-            self._wake.wait_for(
-                lambda: len(self._pending) >= self._full or self._stopping,
-                self.max_wait_s,
-            )
             if self._abort or not self._pending:
                 return None
             pop = self._pending.popleft
@@ -600,22 +581,28 @@ class PredictionServer:
                 request.future.set_exception(outcome)
             else:
                 request.future.set_result(outcome)
-        # After delivery: the histogram's NumPy bucketing delays no caller.
+        # After delivery: recording delays no caller of this batch.
         self.stats.latency.observe_many(latencies)
 
     def _predict(self, live: list[_Request], models: Mapping[str, np.ndarray]) -> list:
         """One outcome per request: its prediction, or what scoring it raised.
 
-        The batch is stacked and scored in one call.  If that raises, each
-        request is re-scored alone — the forward tape is row-independent,
-        so the others' predictions are bit-identical — and only the
-        requests that raise on their own fail.
+        The batch is stacked and scored in one call (a lone request as a
+        one-row view, with no stacking).  If that raises, each request is
+        re-scored alone — the forward tape is row-independent, so the
+        others' predictions are bit-identical — and only the requests that
+        raise on their own fail.
         """
         def score(rows: np.ndarray) -> np.ndarray:
             return self.engine.score(rows, models, batch_size=len(rows))
 
         try:
-            return list(score(np.stack([request.row for request in live])))
+            rows = (
+                live[0].row[None, :]
+                if len(live) == 1
+                else np.stack([request.row for request in live])
+            )
+            return list(score(rows))
         except Exception as error:  # noqa: BLE001 - forwarded to callers
             if len(live) == 1:
                 return [error]

@@ -30,6 +30,7 @@ from repro.obs import (
     telemetry,
 )
 from repro.rdbms import Database
+from repro.serving.microbatch import LATENCY_BUCKETS_S
 
 LRMF_TOPOLOGY = (24, 18, 4)
 ALGORITHMS = ("linear", "logistic", "svm", "lrmf")
@@ -104,6 +105,32 @@ class TestHistogram:
         assert bulk.min == one_by_one.min
         assert bulk.max == one_by_one.max
         assert list(bulk.samples) == pytest.approx(list(one_by_one.samples))
+
+    @pytest.mark.parametrize("buckets", [DEFAULT_SECONDS_BUCKETS, LATENCY_BUCKETS_S])
+    def test_one_value_observe_many_matches_the_numpy_path(self, buckets):
+        """``observe_many([v])`` (bisect) books exactly what ``[v, v]`` (NumPy) does.
+
+        Two one-value calls against one two-value call: ``v + v`` is exact,
+        so every field of ``to_dict()`` and the sample window must agree bit
+        for bit, on bucket edges and their float neighbours included.
+        """
+        edges = np.asarray(buckets)
+        values = np.concatenate(
+            [
+                edges,
+                np.nextafter(edges, -np.inf),
+                np.nextafter(edges, np.inf),
+                [0.0, -1.0, 1e-9, 1e6, np.inf, -np.inf],
+            ]
+        )
+        for value in values.tolist():
+            singles = Histogram("bisect", buckets=buckets, window=4)
+            pair = Histogram("numpy", buckets=buckets, window=4)
+            singles.observe_many([value])
+            singles.observe_many((value,))
+            pair.observe_many([value, value])
+            assert singles.to_dict() == pair.to_dict(), value
+            assert list(singles.samples) == list(pair.samples)
 
     def test_windowed_percentile_is_exact(self):
         hist = Histogram("lat", buckets=(1e9,), window=1000)

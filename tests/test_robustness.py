@@ -618,7 +618,7 @@ class TestServerAdmission:
         system, spec = _chaos_system("linear", n_tuples=64, epochs=1)
         row = np.zeros(6)
         server = self._server(
-            spec, system, max_batch_size=1, max_wait_ms=0.0, max_queue_depth=2
+            spec, system, max_batch_size=1, max_queue_depth=2
         )
         futures, sheds = [], 0
         with inject_faults(self._slow_plan(calls=12)):
@@ -637,7 +637,7 @@ class TestServerAdmission:
     def test_queued_request_misses_deadline(self):
         system, spec = _chaos_system("linear", n_tuples=64, epochs=1)
         row = np.zeros(6)
-        server = self._server(spec, system, max_batch_size=1, max_wait_ms=0.0)
+        server = self._server(spec, system, max_batch_size=1)
         with inject_faults(self._slow_plan(calls=1, latency_s=0.3)):
             with server:
                 slow = server.submit(row)
@@ -650,7 +650,7 @@ class TestServerAdmission:
     def test_predict_timeout_cancels_and_counts(self):
         system, spec = _chaos_system("linear", n_tuples=64, epochs=1)
         row = np.zeros(6)
-        server = self._server(spec, system, max_batch_size=1, max_wait_ms=0.0)
+        server = self._server(spec, system, max_batch_size=1)
         with inject_faults(self._slow_plan(calls=1, latency_s=0.4)):
             with server:
                 blocker = server.submit(row)  # holds the scorer busy
@@ -668,7 +668,6 @@ class TestServerAdmission:
             spec,
             system,
             max_batch_size=1,
-            max_wait_ms=0.0,
             max_queue_depth=8,
             max_concurrent_per_model=1,
         )
@@ -686,7 +685,7 @@ class TestServerAdmission:
         system, spec = _chaos_system("linear", n_tuples=64, epochs=1)
         row = np.zeros(6)
         server = self._server(
-            spec, system, max_batch_size=1, max_wait_ms=0.0, max_queue_depth=8
+            spec, system, max_batch_size=1, max_queue_depth=8
         )
         # Every call is slow, so the backlog cannot drain before stop().
         with inject_faults(self._slow_plan(calls=8, latency_s=0.3)):

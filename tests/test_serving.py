@@ -15,6 +15,8 @@ Covers the PR-4 contract:
 
 from __future__ import annotations
 
+import sys
+import threading
 import time
 
 import numpy as np
@@ -26,9 +28,10 @@ from repro.data.synthetic import generate_for_algorithm
 from repro.exceptions import ConfigurationError, TranslationError
 from repro.perf import ScoreRunCost
 from repro.rdbms import Database
-from repro.serving import MODEL_PARAM_SCHEMA, model_table_name
+from repro.serving import MODEL_PARAM_SCHEMA, PredictionServer, model_table_name
 from repro.translator import NodeKind, Region, forward_slice, translate
 
+from held_engine import HANG_S, HeldEngine
 from oracles import forward as per_tuple
 
 N_FEATURES = 8
@@ -272,10 +275,50 @@ def test_serving_kwargs_validated_up_front():
             system.score_table("linear", "t", models=models, **{name: value})
     with pytest.raises(ConfigurationError, match="max_batch_size"):
         system.serve("linear", models=models, max_batch_size=0)
-    with pytest.raises(ConfigurationError, match="max_wait_ms"):
-        system.serve("linear", models=models, max_wait_ms=-1.0)
     with pytest.raises(ConfigurationError, match="not registered"):
         system.predict("ghost_udf", data, models=models)
+
+
+def test_serving_batching_window_is_gone():
+    """``max_wait_ms`` is no option any more: passing it is a ``TypeError``."""
+    system, _spec, _data = build_system("linear", n_tuples=64)
+    models = {"mo": np.zeros(N_FEATURES)}
+    with pytest.raises(TypeError, match="max_wait_ms"):
+        system.serve("linear", models=models, max_wait_ms=2.0)
+    engine = system.serve("linear", models=models).engine
+    with pytest.raises(TypeError, match="max_wait_ms"):
+        PredictionServer(engine, models, max_wait_ms=2.0)
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("max_batch_size", True),
+        ("max_queue_depth", True),
+        ("max_concurrent_per_model", True),
+        ("deadline_ms", True),
+        ("deadline_ms", float("nan")),
+        ("deadline_ms", float("inf")),
+    ],
+)
+def test_serving_options_reject_bool_and_non_finite(option, value):
+    """A ``bool`` is no count or duration, and a NaN deadline never expires."""
+    system, _spec, _data = build_system("linear", n_tuples=64)
+    models = {"mo": np.zeros(N_FEATURES)}
+    with pytest.raises(ConfigurationError, match=option):
+        system.serve("linear", models=models, **{option: value})
+
+
+@pytest.mark.parametrize("deadline_ms", [True, float("nan"), float("inf")])
+def test_serving_request_deadline_rejects_bool_and_non_finite(deadline_ms):
+    system, _spec, data = build_system("linear", n_tuples=64)
+    with system.serve("linear", models={"mo": np.zeros(N_FEATURES)}) as server:
+        with pytest.raises(ConfigurationError, match="deadline_ms"):
+            server.submit(data[0], deadline_ms=deadline_ms)
+        with pytest.raises(ConfigurationError, match="deadline_ms"):
+            server.predict(data[0], deadline_ms=deadline_ms)
+        assert server.predict(data[0], deadline_ms=1_000.0) == 0.0
+    assert server.stats.requests == 1
 
 
 # ---------------------------------------------------------------------- #
@@ -285,9 +328,7 @@ def test_prediction_server_matches_direct_predictions():
     system, _spec, data = build_system("linear", n_tuples=200)
     models = trained_models(system, "linear")
     direct = system.predict("linear", data, models=models)
-    with system.serve(
-        "linear", models=models, max_batch_size=32, max_wait_ms=2.0
-    ) as server:
+    with system.serve("linear", models=models, max_batch_size=32) as server:
         futures = [server.submit(row) for row in data]
         served = np.array([f.result(timeout=30) for f in futures])
     np.testing.assert_allclose(served, direct, rtol=1e-12)
@@ -299,79 +340,160 @@ def test_prediction_server_matches_direct_predictions():
     assert stats.requests_per_second > 0
 
 
+def _held_backlog(server, engine: HeldEngine, blocker, rows) -> list:
+    """Submit ``blocker``, hold the scorer inside its batch, queue ``rows``.
+
+    The scorer takes whatever is pending the moment it is free, so with the
+    engine held on batch 1 every row of ``rows`` is pending when the gate
+    opens: the coalescing is set by the test, not by the thread schedule.
+    Returns the futures of ``[blocker, *rows]`` with the gate still closed.
+    """
+    futures = [server.submit(blocker)]
+    assert engine.entered.wait(HANG_S), "the scorer never took the first batch"
+    futures += [server.submit(row) for row in rows]
+    return futures
+
+
 def test_prediction_server_coalesces_queued_requests():
     system, _spec, data = build_system("linear", n_tuples=64)
     models = trained_models(system, "linear")
-    # A wait window much longer than the submission loop forces the scorer
-    # to coalesce the burst into max_batch_size-bounded micro-batches.
-    with system.serve(
-        "linear", models=models, max_batch_size=16, max_wait_ms=200.0
-    ) as server:
-        futures = [server.submit(row) for row in data[:32]]
+    server = system.serve("linear", models=models, max_batch_size=16)
+    engine = HeldEngine.install(server, held=True)
+    with server:
+        futures = _held_backlog(server, engine, data[0], data[1:33])
+        engine.gate.set()
         served = np.array([f.result(timeout=30) for f in futures])
-    direct = system.predict("linear", data[:32], models=models)
+    direct = system.predict("linear", data[:33], models=models)
     np.testing.assert_allclose(served, direct, rtol=1e-12)
-    assert server.stats.requests == 32
-    assert server.stats.batches < 32
-    assert server.stats.mean_batch_size > 1.0
+    # Batch 1 is the lone blocker; the 32 queued behind it fill two batches.
+    assert engine.call_sizes() == [1, 16, 16]
+    assert (server.stats.requests, server.stats.batches) == (33, 3)
+
+
+def test_prediction_server_scorer_never_waits_with_a_timeout():
+    """Natural batching: the scorer parks untimed on an empty deque only."""
+
+    class SpyCondition(threading.Condition):
+        def __init__(self, lock) -> None:
+            super().__init__(lock)
+            self.timeouts: list = []
+
+        def wait(self, timeout=None):
+            self.timeouts.append(timeout)
+            return super().wait(timeout)
+
+    system, _spec, data = build_system("linear", n_tuples=64)
+    models = trained_models(system, "linear")
+    server = system.serve("linear", models=models, max_batch_size=8)
+    server._wake = spy = SpyCondition(server._lock)
+    with server:
+        for row in data[:4]:  # lone requests on an idle server
+            server.predict(row)
+        futures = [server.submit(row) for row in data[:64]]  # a burst
+        served = [f.result(timeout=30) for f in futures]
+    np.testing.assert_array_equal(served, system.predict("linear", data[:64], models=models))
+    assert spy.timeouts, "the scorer never parked"
+    assert set(spy.timeouts) == {None}
+
+
+def test_prediction_server_concurrent_submitters_stress():
+    """Eight submitters, a tiny switch interval, a blocking depth of eight.
+
+    Submitters park on the full deque and the scorer parks on an empty one,
+    both on the same condition: a lost notify strands a request (its
+    ``result`` times out), a lost update miscounts.
+    """
+    system, _spec, data = build_system("linear", n_tuples=64)
+    models = trained_models(system, "linear")
+    direct = system.predict("linear", data, models=models)
+    server = system.serve("linear", models=models, max_batch_size=4)
+    engine = HeldEngine.install(server)
+    results: dict[int, list] = {}
+
+    def client(k: int) -> None:
+        futures = [server.submit(data[(k + i) % len(data)]) for i in range(100)]
+        results[k] = [f.result(timeout=HANG_S) for f in futures]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with server:
+            clients = [threading.Thread(target=client, args=(k,)) for k in range(8)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(HANG_S)
+            assert not any(thread.is_alive() for thread in clients)
+    finally:
+        sys.setswitchinterval(interval)
+    for k in range(8):
+        np.testing.assert_array_equal(
+            results[k], direct[(k + np.arange(100)) % len(data)]
+        )
+    assert server.stats.requests == 800
+    assert max(engine.call_sizes()) <= 4
 
 
 @pytest.mark.parametrize(
-    "submits, max_wait_ms, stop, within_s",
-    [
-        # a full batch wakes the scorer: the 10 s window is not waited out
-        pytest.param(16, 10_000.0, False, 1.0, id="full-batch"),
-        pytest.param(1, 200.0, False, 0.2 + 1.0, id="lone-request"),
-        pytest.param(0, 10_000.0, True, 0.5, id="stop-idle"),
-        # stop() wakes a scorer inside its window and drains at once
-        pytest.param(1, 10_000.0, True, 1.0, id="stop-mid-window"),
-    ],
+    "held", [pytest.param(False, id="stop-idle"), pytest.param(True, id="stop-while-held")]
 )
-def test_prediction_server_wake_up_rule(submits, max_wait_ms, stop, within_s):
+def test_prediction_server_wake_up_rule(held):
+    """A submit wakes an idle scorer; ``stop()`` wakes it and drains at once."""
     system, _spec, data = build_system("linear", n_tuples=64)
     models = trained_models(system, "linear")
-    server = system.serve(
-        "linear", models=models, max_batch_size=16, max_wait_ms=max_wait_ms
-    ).start()
+    server = system.serve("linear", models=models, max_batch_size=16)
+    engine = HeldEngine.install(server, held=held)
+    server.start()
     try:
         time.sleep(0.05)  # let the scorer park idle
+        if held:
+            futures = _held_backlog(server, engine, data[0], data[1:9])
+            threading.Timer(0.02, engine.gate.set).start()
+        else:
+            # Answered only if the submit wakes the parked scorer: a missed
+            # idle notify times out here.
+            futures = [server.submit(data[0])]
+            futures[0].result(timeout=1.0)
         started = time.perf_counter()
-        futures = [server.submit(row) for row in data[:submits]]
-        if stop:
-            server.stop()
-        served = [f.result(timeout=within_s + 1.0) for f in futures]
+        server.stop()  # wakes an idle scorer; drains a held batch's backlog
+        served = [f.result(timeout=HANG_S) for f in futures]
         elapsed = time.perf_counter() - started
     finally:
+        engine.gate.set()
         server.stop(drain=False)
-    assert elapsed < within_s
-    assert server.stats.requests == submits
-    if submits:
-        direct = system.predict("linear", data[:submits], models=models)
-        np.testing.assert_array_equal(served, direct)
+    assert elapsed < 1.0
+    assert server.stats.requests == len(futures)
+    direct = system.predict("linear", data[: len(futures)], models=models)
+    np.testing.assert_array_equal(served, direct)
+    assert engine.call_sizes() == ([1, 8] if held else [1])
 
 
 def test_malformed_row_fails_alone_in_its_micro_batch():
     system, _spec, data = build_system("linear", n_tuples=64)
     models = trained_models(system, "linear")
-    rows = [data[0], data[1], data[2], np.zeros(2), data[3], data[4], data[5]]
-    # The long window coalesces all seven requests into one micro-batch.
-    with system.serve(
-        "linear", models=models, max_batch_size=8, max_wait_ms=200.0
-    ) as server:
-        futures = [server.submit(row) for row in rows]
+    rows = [data[1], data[2], data[3], np.zeros(2), data[4], data[5], data[6]]
+    server = system.serve("linear", models=models, max_batch_size=8)
+    engine = HeldEngine.install(server, held=True)
+    with server:
+        # The seven requests queue behind the held blocker: one micro-batch.
+        futures = _held_backlog(server, engine, data[0], rows)
+        engine.gate.set()
         with pytest.raises(ValueError):
-            futures[3].result(timeout=30)
-        served = [f.result(timeout=30) for f in futures[:3] + futures[4:]]
+            futures[4].result(timeout=30)
+        served = [f.result(timeout=30) for f in futures[:4] + futures[5:]]
     np.testing.assert_array_equal(
-        served, system.predict("linear", data[:6], models=models)
+        served, system.predict("linear", data[:7], models=models)
     )
-    assert (server.stats.batches, server.stats.requests) == (1, 6)
+    # The batch of seven could not be stacked, so each row was re-scored
+    # alone; its six good rows still count as one served micro-batch.
+    assert engine.call_sizes() == [1] * 8
+    assert (server.stats.batches, server.stats.requests) == (2, 7)
 
 
 def test_prediction_server_restarts_after_stop():
     system, _spec, data = build_system("linear", n_tuples=64)
     models = trained_models(system, "linear")
-    server = system.serve("linear", models=models, max_batch_size=8, max_wait_ms=1.0)
+    server = system.serve("linear", models=models, max_batch_size=8)
     server.start()
     first = server.predict(data[0])
     server.stop()
@@ -385,14 +507,15 @@ def test_prediction_server_restarts_after_stop():
 def test_prediction_server_survives_cancelled_futures():
     system, _spec, data = build_system("linear", n_tuples=64)
     models = {"mo": np.ones(N_FEATURES)}
-    with system.serve(
-        "linear", models=models, max_batch_size=4, max_wait_ms=10.0
-    ) as server:
-        doomed = server.submit(data[0])
-        doomed.cancel()  # client gave up before the scorer picked it up
-        alive = server.submit(data[1])
-        # The scorer must survive delivering into the cancelled future and
-        # keep serving everyone else.
+    server = system.serve("linear", models=models, max_batch_size=4)
+    engine = HeldEngine.install(server, held=True)
+    with server:
+        # A request is cancellable only while the scorer is busy elsewhere.
+        doomed, alive = _held_backlog(server, engine, data[3], data[:2])[1:]
+        assert doomed.cancel()  # client gave up before the scorer picked it up
+        engine.gate.set()
+        # The scorer must skip the cancelled future and keep serving
+        # everyone else.
         assert np.isfinite(alive.result(timeout=30))
         assert float(server.predict(data[2])) == pytest.approx(
             float(np.sum(data[2][:N_FEATURES]))
@@ -448,7 +571,7 @@ def test_hot_swap_scores_later_requests_with_new_model():
     v1 = {"mo": np.zeros(N_FEATURES)}
     v2 = {"mo": np.ones(N_FEATURES)}
     system.save_model("m", "linear", v1)
-    with system.serve("linear", model_name="m", max_wait_ms=1.0) as server:
+    with system.serve("linear", model_name="m") as server:
         assert server.model_version == 1
         before = [server.predict(row) for row in data[:4]]
         system.save_model("m", "linear", v2)
@@ -460,7 +583,7 @@ def test_hot_swap_scores_later_requests_with_new_model():
     np.testing.assert_allclose(after, expected, rtol=1e-12)
     assert server.stats.swaps == 1
     # Bit-identical to a cold restart on the new version.
-    with system.serve("linear", model_name="m", max_wait_ms=1.0) as cold:
+    with system.serve("linear", model_name="m") as cold:
         cold_preds = [cold.predict(row) for row in data[:4]]
     np.testing.assert_array_equal(after, cold_preds)
 
@@ -491,9 +614,7 @@ def test_hot_swap_during_active_drain_is_batch_atomic():
     system.save_model("m", "linear", v1)
     system.save_model("m", "linear", v2)
     expected_v2 = np.sum(data[:, :N_FEATURES], axis=1)
-    with system.serve(
-        "linear", model_name="m", version=1, max_batch_size=8, max_wait_ms=5.0
-    ) as server:
+    with system.serve("linear", model_name="m", version=1, max_batch_size=8) as server:
         in_flight = [server.submit(row) for row in data[:128]]
         server.reload(version=2)  # concurrent with the draining burst
         late = [server.submit(row) for row in data[128:160]]

@@ -1,21 +1,24 @@
 """Model-based fuzzing of the micro-batching server's state machine.
 
 One :class:`~repro.serving.PredictionServer` (linear model, micro-batches of
-two, a 1 ms window, a four-deep admission bound) is driven through
+at most two, a four-deep admission bound) is driven through
 submits with and without a short deadline, cancellations, hot-swaps, draining
 and aborting stops and restarts by a Hypothesis ``RuleBasedStateMachine``.
-Its engine is wrapped so that scoring can be held on an ``Event``: while it
-is held the scorer sits inside one batch and later requests stay pending,
-so cancelling one and stopping over a backlog are reachable on purpose, not
-by luck of the thread schedule.  The model is every future the server
-handed out, the model version current when each was submitted, and every
-``(rows, models)`` pair the engine was asked to score.  Whenever the server
-is stopped:
+Its engine is a :class:`~held_engine.HeldEngine`, so scoring can be held on
+an ``Event``: while it is held the scorer sits inside one batch and later
+requests stay pending, so cancelling one and stopping over a backlog are
+reachable on purpose, not by luck of the thread schedule.  The model is
+every future the server handed out, the model version current when each was
+submitted, and every ``(rows, models)`` pair the engine was asked to score.
+Whenever the server is stopped:
 
 * every future has resolved, and exactly once;
 * every served value equals ``system.predict`` under the model its batch
   was scored with, and that model is one swapped in no earlier than the
   request was submitted;
+* the rows the engine scored, read in call order, are the served requests
+  in submission order (the pending deque is FIFO), each call at most
+  ``max_batch_size`` rows;
 * ``requests + deadline_exceeded + cancelled + failed == admitted``, with
   ``requests`` and ``deadline_exceeded`` read from ``server.stats``;
 * no scorer thread is alive.
@@ -40,29 +43,14 @@ from repro.exceptions import (
 )
 from repro.rdbms import Database
 
+from held_engine import HeldEngine
+
 N_FEATURES = 4
+MAX_BATCH_SIZE = 2
 #: a deadline most requests outlive once the engine is held.
 SHORT_DEADLINE_MS = 1.0
-#: longest a held engine waits for its gate.
-HANG_S = 10.0
 #: how long after a stop begins a held engine is let go.
 RELEASE_AFTER_S = 0.02
-
-
-class HeldEngine:
-    """An inference engine whose ``score`` waits while ``gate`` is closed."""
-
-    def __init__(self, engine) -> None:
-        self.engine = engine
-        self.gate = threading.Event()
-        self.gate.set()
-        #: every (rows, models) pair scored, in call order.
-        self.calls: list[tuple[np.ndarray, dict]] = []
-
-    def score(self, rows, models, **kwargs):
-        self.gate.wait(HANG_S)  # bounded: a lost release slows the run, never hangs it
-        self.calls.append((np.array(rows), models))
-        return self.engine.score(rows, models, **kwargs)
 
 
 class ServerMachine(RuleBasedStateMachine):
@@ -79,12 +67,10 @@ class ServerMachine(RuleBasedStateMachine):
         self.server = self.system.serve(
             "linear",
             models={"mo": np.linspace(-1.0, 1.0, N_FEATURES)},
-            max_batch_size=2,
-            max_wait_ms=1.0,
+            max_batch_size=MAX_BATCH_SIZE,
             max_queue_depth=4,
         )
-        self.engine = HeldEngine(self.server.engine)
-        self.server.engine = self.engine
+        self.engine = HeldEngine.install(self.server)
         self.rng = np.random.default_rng(0)
         #: every model mapping the server served, in swap order.
         self.versions: list[dict] = [self.server.models]
@@ -179,7 +165,8 @@ class ServerMachine(RuleBasedStateMachine):
             for rows, models in self.engine.calls
             for row in rows
         }
-        served = cancelled = expired = failed = 0
+        served_rows: list[np.ndarray] = []
+        cancelled = expired = failed = 0
         for future, row, submitted_on in zip(self.futures, self.rows, self.submitted_on):
             if future.cancelled():
                 cancelled += 1
@@ -188,16 +175,21 @@ class ServerMachine(RuleBasedStateMachine):
             elif future.exception() is not None:
                 failed += 1
             else:
-                served += 1
+                served_rows.append(row)
                 models = scored_with[row.tobytes()]
                 version = next(i for i, v in enumerate(self.versions) if v is models)
                 assert version >= submitted_on
                 expected = self.system.predict("linear", row[None, :], models=models)
                 assert future.result() == expected[0]
+        # FIFO: the scorer takes from the head of the deque, batch by batch.
+        assert all(len(rows) <= MAX_BATCH_SIZE for rows, _ in self.engine.calls)
+        scored_rows = [row for rows, _ in self.engine.calls for row in rows]
+        assert len(scored_rows) == len(served_rows)
+        assert all(map(np.array_equal, scored_rows, served_rows))
         stats = self.server.stats
         admitted = len(self.futures)
         assert stats.requests + stats.deadline_exceeded + cancelled + failed == admitted
-        assert (stats.requests, stats.deadline_exceeded) == (served, expired)
+        assert (stats.requests, stats.deadline_exceeded) == (len(served_rows), expired)
         assert stats.shed == self.shed
 
     def teardown(self) -> None:
