@@ -9,7 +9,7 @@ the run's resolved plan (:mod:`repro.core.plan`)::
 
 * **partition + pages** — the table is partitioned as of the run's scan-start
   LSN and every page image is pulled on the caller's thread (the buffer pool
-  is not thread-safe; producer threads and children only ever see bytes).
+  is not thread-safe; pool threads and children only ever see bytes).
   ``execution="processes"`` exports the snapshot **once** into a
   :class:`~repro.runtime.shm.SharedPageStore` that children attach.
 * **dispatch** — :meth:`SegmentFanout.map` is the only thread pool: clamped
@@ -28,8 +28,9 @@ the run's resolved plan (:mod:`repro.core.plan`)::
   side-state (shared-store page reads, fired faults, telemetry export) into
   the parent, and IPC volume is booked where the bytes cross the pipe.
 * **lifetimes** — the fan-out is a context manager owning the executor, the
-  children, the page store and any adopted streaming sources; whatever way
-  the run ends, its one exit releases them.
+  children and the page store; whatever way the run ends, its one exit
+  releases them (a streaming source holds no thread, so there is nothing
+  of it to release).
 
 Everything is keyed to the **spawn** start method: children import the
 library fresh (fork would duplicate locks, buffer pools and armed
@@ -63,7 +64,6 @@ from repro.rdbms.page import PageLayout
 from repro.rdbms.storage import StorageStats
 from repro.reliability.faults import FaultPlan, active_injector, inject_faults
 from repro.reliability.retry import RetryStats
-from repro.runtime import BatchSource
 from repro.runtime.shm import SharedPageStore, SharedPageStoreHandle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -489,7 +489,6 @@ class SegmentFanout:
         self.store: SharedPageStore | None = None
         self.fault_plan: FaultPlan | None = None
         self._executor: ThreadPoolExecutor | None = None
-        self._sources: list[BatchSource] = []
         self._lock = threading.Lock()
 
     def __enter__(self) -> "SegmentFanout":
@@ -536,21 +535,13 @@ class SegmentFanout:
                 ]
                 for process in self.processes:
                     stack.callback(process.close)
-            stack.push(self._abort_sources)
             self._stack = stack.pop_all()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         # LIFO: the executor drains in-flight jobs first (their children
-        # are still alive to answer), then sources, children, the store.
+        # are still alive to answer), then children, the store.
         self._stack.__exit__(exc_type, exc, tb)
-
-    def _abort_sources(self, exc_type, exc, tb) -> None:
-        """Error path: release producer threads still blocked on their
-        bounded queues (successful runs drain every source instead)."""
-        if exc_type is not None:
-            for source in self._sources:
-                source.abort()
 
     # -- pages ---------------------------------------------------------- #
     def images(self, part: PagePartition) -> list:
@@ -566,11 +557,6 @@ class SegmentFanout:
         return self.heapfile.images_as_of(
             self.database.buffer_pool, part.page_nos, self.as_of
         )
-
-    def adopt(self, source: BatchSource) -> BatchSource:
-        """Own a streaming source: aborted if the run ends on an error."""
-        self._sources.append(source)
-        return source
 
     # -- dispatch ------------------------------------------------------- #
     def map(self, fn: Callable[[T], R], jobs: Sequence[T]) -> list[R]:

@@ -15,9 +15,8 @@ reading its shared page store) pulls the partition's page images and
 :meth:`SegmentWorker.open` hands them to the segment's extraction seam
 (:meth:`~repro.hw.access_engine.AccessEngine.open`).  The worker only ever
 consumes the :class:`~repro.runtime.BatchSource` that comes back — whether
-its producer thread is still walking pages concurrently with training (and
-with every *other* segment's extraction) or the partition is already in
-memory is the seam's business.
+its first epoch pulls the Strider walk wave by wave or the partition is
+already in memory is the seam's business.
 """
 
 from __future__ import annotations

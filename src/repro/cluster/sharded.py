@@ -23,8 +23,8 @@ Epoch scheduling lives in the shared pipeline runtime
 :class:`~repro.runtime.EpochStep` plugin for the one
 :class:`~repro.runtime.EpochDriver` loop, every segment consumes the
 :class:`~repro.runtime.BatchSource` its extraction seam opened (when it
-streams, each segment's Strider walk overlaps training and the other
-segments' walks), and the plan's ``staleness`` decides the merge cadence —
+streams, the segment's first epoch pulls its Strider walk one wave at a
+time), and the plan's ``staleness`` decides the merge cadence —
 1 (barriered every epoch, the paper's semantics) or ``k`` (windows of
 ``k`` merge-free local epochs).  Partitioning, page pulls, dispatch,
 worker processes and every resource lifetime belong to the run's
@@ -103,7 +103,7 @@ class ClusterStats:
     epochs_run: int = 0
     merges_performed: int = 0
     tree_bus: TreeBusStats = field(default_factory=TreeBusStats)
-    #: True when extraction streamed through the double-buffer pipeline.
+    #: True when the first epoch pulled its extraction wave by wave.
     stream: bool = False
     #: retry/fault counters of the run (all zero when fault-free).
     retry: RetryStats = field(default_factory=RetryStats)
@@ -241,10 +241,10 @@ class ShardedDAnA:
                 )
             else:
                 # One fresh accelerator per segment (clean counters), every
-                # extraction opened now — streaming ones start their walks
-                # on their own producer threads, owned by the fan-out.
-                # Re-deriving the per-segment generators (the recipe worker
-                # processes share) makes repeated runs bit-identical.
+                # extraction opened now — a streaming one walks a wave only
+                # when the step pulls it.  Re-deriving the per-segment
+                # generators (the recipe worker processes share) makes
+                # repeated runs bit-identical.
                 for part, rng in zip(
                     fanout.parts, segment_rngs(plan.seed, plan.segments)
                 ):
@@ -257,7 +257,6 @@ class ShardedDAnA:
                         plan,
                         rng,
                     )
-                    fanout.adopt(worker.source)
                     self.workers.append(worker)
                 if plan.execution == "lockstep":
                     step = _LockstepStep(self, plan.shuffle, convergence_check)
@@ -279,7 +278,7 @@ class ShardedDAnA:
                 models, plan.epochs
             )
             # Fold every recovery the run performed into one counter set:
-            # window retries (in-process or in-child), producer restarts,
+            # window retries (in-process or in-child), stream restarts,
             # process-death supervision, lockstep retries.
             for worker in self.workers:
                 cluster.retry.merge(worker.retry_stats)
@@ -434,9 +433,10 @@ class _LockstepStep(EpochStep):
     boundaries it simply keeps diverging per segment (that is
     training under ``staleness > 1``).  While the segments' sources are still
     streaming, the first epoch zips the per-segment block streams — a round
-    of vector steps runs as soon as every segment has decoded its batches —
-    and the epoch block of a ``shuffle=False`` run is planned once and
-    reused every later epoch.
+    of vector steps runs as soon as every segment has pulled its batches —
+    and the epoch blocks of a ``shuffle=False`` run are planned once (the
+    streamed epoch's rounds, or one stacked block) and reused every later
+    epoch.
     """
 
     merges = True
@@ -453,10 +453,12 @@ class _LockstepStep(EpochStep):
         self.retry_stats = RetryStats()
         self.workers = [w for w in sharded.workers if w.has_rows()]
         self.batch_size = sharded.workers[0].engine.batch_size
-        #: cached (epoch_rows, steps, block) of the static shuffle=False
-        #: epoch — the ``(steps·B, S, cols)`` block is stacked once and
-        #: reused every epoch, never re-trimmed or re-stacked.
-        self._static_plan: tuple[list[np.ndarray], int, np.ndarray] | None = None
+        #: cached (epoch_rows, steps, blocks) of the static shuffle=False
+        #: epoch — its ``(k·B, S, cols)`` blocks are stacked once and reused
+        #: every epoch, never re-trimmed or re-stacked.
+        self._static_plan: (
+            tuple[list[np.ndarray], int, list[np.ndarray]] | None
+        ) = None
 
     @property
     def active(self) -> bool:
@@ -524,30 +526,36 @@ class _LockstepStep(EpochStep):
             return state, False
         stacked_models = state
         tape, bind_batch, batch_size = self.tape, self.bind_batch, self.batch_size
-        if (
+        plan = self._static_plan
+        if plan is not None:
+            epoch_rows, steps, blocks = plan
+            env = tape.train(blocks, bind_batch, stacked_models, batch_size)
+        elif (
             epoch_index == 0
             and not self.shuffle
             and not all(w.source.materialised for w in workers)
         ):
             # Pipelined first epoch: zip the per-segment block streams.  A
-            # round of vector steps runs as soon as every segment has decoded
-            # its batches; the producers keep walking later pages meanwhile.
-            env = tape.train(self._streamed_blocks(), bind_batch, stacked_models, batch_size)
+            # round of vector steps runs as soon as every segment has pulled
+            # its batches, and the rounds it stacked are every later epoch's
+            # blocks — the table is stacked once, never twice.
+            blocks = []
+            env = tape.train(
+                self._streamed_blocks(blocks), bind_batch, stacked_models, batch_size
+            )
             epoch_rows = [w.epoch_rows(False) for w in workers]  # drains tails
             steps = min(len(rows) // batch_size for rows in epoch_rows)
+            plan = (epoch_rows, steps, blocks)
         else:
-            if self._static_plan is not None:
-                epoch_rows, steps, block = self._static_plan
-            else:
-                epoch_rows = [w.epoch_rows(self.shuffle) for w in workers]
-                steps = min(len(rows) // batch_size for rows in epoch_rows)
-                # (steps·B, S, cols): one block of the epoch's vector steps
-                block = np.stack(
-                    [rows[: steps * batch_size] for rows in epoch_rows], axis=1
-                )
-                if not self.shuffle:
-                    self._static_plan = (epoch_rows, steps, block)
-            env = tape.train([block], bind_batch, stacked_models, batch_size)
+            epoch_rows = [w.epoch_rows(self.shuffle) for w in workers]
+            steps = min(len(rows) // batch_size for rows in epoch_rows)
+            # (steps·B, S, cols): one block of the epoch's vector steps
+            blocks = [
+                np.stack([rows[: steps * batch_size] for rows in epoch_rows], axis=1)
+            ]
+            env = tape.train(blocks, bind_batch, stacked_models, batch_size)
+            if not self.shuffle:
+                plan = (epoch_rows, steps, blocks)
         # Per-segment convergence verdicts from the last vector step;
         # segments with tail batches get their verdict overwritten below
         # from their true final batch — exactly what the threads oracle
@@ -580,19 +588,23 @@ class _LockstepStep(EpochStep):
             # own tail batches — is one engine epoch over its rows.
             w.engine.book_epoch(len(rows))
         converged = check_convergence and bool(flags.all())
+        # Only an attempt that ran to here may plan later epochs: a retried
+        # epoch rebuilds its rounds from the sources' caches.
+        self._static_plan = plan
         return stacked_models, converged
 
-    def _streamed_blocks(self) -> Iterator[np.ndarray]:
+    def _streamed_blocks(self, rounds: list[np.ndarray]) -> Iterator[np.ndarray]:
         """``(k·B, S, cols)`` blocks of the zipped per-segment block streams.
 
         Each round stacks the whole batches every segment has ready — ``k``
         is the fewest any segment holds — with one ``np.stack``, and keeps
-        the rest for the next round.  Stops at the first round where a
-        segment has no whole batch left — after exactly
-        ``min(len(rows_s) // batch_size)`` vector steps, the step count the
-        materialized plan computes.  Rows pulled past that point stay
-        available (the sources cache their chunks), so the tail loop
-        consumes them from ``rows[steps * batch_size:]`` as usual.
+        the rest for the next round; every round is also appended to
+        ``rounds``.  Stops at the first round where a segment has no whole
+        batch left — after exactly ``min(len(rows_s) // batch_size)``
+        vector steps, the step count the materialized plan computes, so the
+        rounds are that plan's block cut in pieces.  Rows pulled past that
+        point stay available (the sources cache their chunks), so the tail
+        loop consumes them from ``rows[steps * batch_size:]`` as usual.
         """
         batch_size = self.batch_size
         streams = [w.source.blocks(batch_size) for w in self.workers]
@@ -605,5 +617,6 @@ class _LockstepStep(EpochStep):
                         return
                     ready[s] = block
             take = min(len(block) for block in ready)
-            yield np.stack([block[:take] for block in ready], axis=1)
+            rounds.append(np.stack([block[:take] for block in ready], axis=1))
+            yield rounds[-1]
             ready = [block[take:] for block in ready]

@@ -245,15 +245,15 @@ class DAnA:
         ``shuffle=True`` epoch orders — bit-reproducible.
 
         The epoch runtime (:mod:`repro.runtime`) is pipelined: with
-        ``stream=True`` (default) extraction feeds training through bounded
-        double buffers, and ``staleness`` sets the cross-segment merge
+        ``stream=True`` (default) the first epoch pulls the extraction one
+        wave of pages at a time, and ``staleness`` sets the cross-segment merge
         cadence — 1 (default) merges behind a barrier every epoch, the
         paper's semantics; ``k`` merges every ``k`` epochs and after the
         last, so segments run ahead on local models between merges.
 
         A ``retry`` policy (:class:`~repro.reliability.RetryPolicy`) makes
         the run fault-tolerant: transient faults in the Strider page walk,
-        the streaming producer or a segment's training window are retried
+        the streamed extraction or a segment's training window are retried
         from a checkpoint with bounded backoff, and the recovered run's
         models and counters are **bit-identical** to a fault-free run.
         Training rejects ``degradation="redistribute"`` (reassigning a
@@ -508,10 +508,10 @@ class DAnA:
         cluster's partitioner and scans-and-scores one accelerator per
         segment concurrently; predictions come back in storage order
         regardless.  ``batch_size`` is the micro-batch the forward cycles
-        are booked at.  ``stream=True`` (default) overlaps each segment's
-        Strider page walk with its forward tape through a bounded
-        :class:`~repro.runtime.BatchSource` double buffer; ``stream=False``
-        materialises the extraction first — the overlap oracle,
+        are booked at.  ``stream=True`` (default) has each segment's
+        forward tape pull its Strider page walk one wave at a time through
+        a :class:`~repro.runtime.BatchSource`; ``stream=False``
+        materialises the extraction first — the streaming oracle,
         bit-identical predictions and counters.
 
         A ``retry`` policy retries each segment's scan-and-score after

@@ -42,7 +42,7 @@ class AcceleratorRunResult:
     access_stats: AccessEngineStats
     engine_stats: EngineRunStats
     tuples_extracted: int
-    #: producer-restart / fault counters (all zero on a fault-free run).
+    #: stream-restart / fault counters (all zero on a fault-free run).
     retry_stats: RetryStats = field(default_factory=RetryStats)
     #: WAL LSN the run's page scan was pinned to (set by the caller that
     #: owns the database; the accelerator itself never sees the WAL).
@@ -107,29 +107,23 @@ class DAnAAccelerator:
 
         ``source`` comes from the extraction seam
         (:meth:`AccessEngine.open`); how its tuples are produced — Striders
-        or CPU decode, overlapped with this training or already in memory —
-        was decided there and changes neither models nor counters.  A
-        source still streaming when training fails is aborted, so its
-        producer thread never outlives the call.  The engines' ``stats``
-        accumulate across a cached accelerator's runs; the result carries
-        this run's share of them.
+        or CPU decode, pulled wave by wave by this training or already in
+        memory — was decided there and changes neither models nor counters.
+        The engines' ``stats`` accumulate across a cached accelerator's
+        runs; the result carries this run's share of them.
         """
         engine_before = copy.copy(self.execution_engine.stats)
-        try:
-            training = self.execution_engine.train(
-                source,
-                initial_models=initial_models,
-                bind_tuple=bind_tuple,
-                epochs=epochs,
-                convergence_check=convergence_check,
-                bind_batch=bind_batch,
-                shuffle=shuffle,
-                rng=rng,
-            )
-        except BaseException:
-            source.abort()  # release a producer blocked mid-stream
-            raise
-        tuples_extracted = len(source.rows())  # drained: the producer is done with the stats
+        training = self.execution_engine.train(
+            source,
+            initial_models=initial_models,
+            bind_tuple=bind_tuple,
+            epochs=epochs,
+            convergence_check=convergence_check,
+            bind_batch=bind_batch,
+            shuffle=shuffle,
+            rng=rng,
+        )
+        tuples_extracted = len(source.rows())  # drained: every page is booked
         # One run's share of the cached accelerator's cumulative counters.
         training.stats = self.execution_engine.stats - engine_before
         return AcceleratorRunResult(
@@ -156,10 +150,10 @@ class DAnAAccelerator:
         """Extract tuples with Striders and train on them: open, then train.
 
         ``stream=True`` (the default) pipelines the two engines like the
-        paper's hardware — the first epoch consumes batches as pages decode
-        — and ``stream=False`` materialises the table first (the overlap
-        oracle); models and counters are identical either way.  ``retry``
-        makes the streaming producer restartable (see
+        paper's hardware — the first epoch pulls and trains one wave of
+        pages at a time — and ``stream=False`` materialises the table first
+        (the streaming oracle); models and counters are identical either
+        way.  ``retry`` makes the stream restartable (see
         :meth:`AccessEngine.open`).
         """
         return self.train(

@@ -11,7 +11,7 @@ transfer" benefit comes from.
 The simulator is functional (it produces the exact float vectors the
 execution engine consumes, straight from the binary page images).  The
 **wave** — ``num_striders`` page images — is its unit of execution from
-page image to queue item (:meth:`AccessEngine.waves`): one vectorised
+page image to pulled item (:meth:`AccessEngine.waves`): one vectorised
 :meth:`Strider.walk_wave <repro.hw.strider.Strider.walk_wave>` and one
 decode per wave, one WHERE mask per wave, one
 :class:`~repro.runtime.BatchSource` item per wave carrying per-page tuple
@@ -32,7 +32,7 @@ counts alone, which is what ``EXPLAIN`` prices an extraction with.
 
 :meth:`AccessEngine.open` is the **one extraction seam** between the two
 halves of the accelerator: it alone decides Strider walk vs CPU decode,
-overlapped vs materialised and how a faulted producer restarts, and hands
+streamed vs materialised and how a faulted stream restarts, and hands
 every trainer and scorer the same :class:`~repro.runtime.BatchSource`.
 """
 
@@ -261,7 +261,7 @@ class AccessEngine:
 
         Each item is one wave's ``(tuples, n_columns)`` matrix with its
         per-page tuple counts — the unit the Striders execute, the cycle
-        account books and the double buffer hands over.  ``use_striders``
+        account books and a stream's consumer pulls.  ``use_striders``
         picks the Strider walk (with cycle accounting) or the CPU-decode
         model: tuples decoded by the RDBMS layer, no Strider or AXI
         activity booked.  A :attr:`predicate` keeps each wave's qualifying
@@ -301,23 +301,22 @@ class AccessEngine:
           cycle accounting) or the CPU-decode model, both through
           :meth:`waves`.  :attr:`predicate` filters either, per decoded
           wave.
-        * ``stream`` picks the schedule: an overlapped producer thread
-          behind a bounded double buffer (the paper's page buffers feeding
-          the engine while later pages are still being cleansed), or the
-          whole table decoded before this call returns — the overlap
-          oracle.  Tuples, batches, per-page :attr:`BatchSource.sizes` and
-          counters are identical either way.  An overlapped walk takes the
-          page list up front (the buffer pool is not thread-safe, so pages
-          are pulled on the caller's thread); a materialised one consumes
-          ``page_images`` lazily.  Read :attr:`stats` only once an
-          overlapped source is drained — its producer owns them until then.
+        * ``stream`` picks the schedule: a stream the consumer pulls one
+          wave at a time on its own thread (the paper's page buffers
+          feeding the engine wave by wave), or the whole table decoded
+          before this call returns — the streaming oracle.  Tuples,
+          batches, per-page :attr:`BatchSource.sizes` and counters are
+          identical either way.  A stream takes the page list up front (a
+          restart re-walks it); a materialised walk consumes
+          ``page_images`` lazily.  Read :attr:`stats` only once a stream is
+          drained — its pulls book them until then.
           **One-wave rule:** a page list of at most one wave
-          (``len(page_images) <= config.num_striders``) would cross the double
-          buffer as a single item, so there is nothing to overlap and no
-          thread is started: it is extracted here, through the same
-          :meth:`waves` walk, unless a ``retry`` policy asks for a
-          restartable producer.
-        * ``retry`` makes an overlapped producer **restartable**: a
+          (``len(page_images) <= config.num_striders``) is a single pull,
+          so there is nothing to interleave: it is extracted here, through
+          the same :meth:`waves` walk, and its source is materialised from
+          the start, unless a ``retry`` policy asks for a restartable
+          stream.
+        * ``retry`` makes a stream **restartable**: a
           transient fault resets :attr:`stats` to their value at this call
           and re-walks the same page list from the top — even if the table
           has grown since — while the source replays delivered chunks from
@@ -328,7 +327,7 @@ class AccessEngine:
         opened = self.stats_at_open = copy.copy(self.stats)
         if stream:
             page_images = list(page_images)
-            # one-wave rule: a single queue item leaves nothing to overlap
+            # one-wave rule: a single pull leaves nothing to interleave
             stream = retry is not None or len(page_images) > self.config.num_striders
         if not stream:
             return BatchSource.from_chunks(list(walk(page_images)), len(self.schema))
@@ -346,7 +345,7 @@ class AccessEngine:
         return self.open(page_images, stream=False).rows()
 
     def stream_table(self, page_images: Iterable[bytes]) -> BatchSource:
-        """The Strider walk streamed through the double buffer (see :meth:`open`)."""
+        """The Strider walk as a stream pulled wave by wave (see :meth:`open`)."""
         return self.open(page_images)
 
     def _process_batch(self, batch: list[bytes]) -> tuple[np.ndarray, list[int]]:

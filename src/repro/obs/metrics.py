@@ -10,9 +10,8 @@ Three metric shapes cover every instrumentation site in the stack:
   :class:`~repro.serving.microbatch.ServingStats` keep its historical
   p50/p99 semantics while moving onto the shared histogram).
 
-All metrics are thread-safe: serving worker threads, the streaming
-``BatchSource`` producer and segment-pool threads all observe into the
-same registry.  Everything here is *observational* — wall-clock numbers
+All metrics are thread-safe: the serving scorer thread, request threads
+and segment-pool threads all observe into the same registry.  Everything here is *observational* — wall-clock numbers
 never feed back into the schedule-derived cycle counters, so a
 telemetry-on run stays bit-identical to a telemetry-off run.
 """
@@ -29,12 +28,10 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 
 #: the named histogram instrumentation sites compiled into the stack.
-#: High-frequency *wait* sites (queue put/get per chunk or request) record
-#: into shared histograms instead of emitting a span per event — a span
-#: object per chunk would dominate the armed cost of the streaming paths.
+#: High-frequency *wait* sites (one observation per request) record into
+#: shared histograms instead of emitting a span per event — a span object
+#: per request would dominate the armed cost of the serving path.
 HISTOGRAM_SITES = (
-    "runtime.batch_source.produce",
-    "runtime.batch_source.consume",
     "serving.server.queue",
     "serving.server.latency",
 )

@@ -7,7 +7,7 @@ redistributes pages) after an injected transient fault must produce
 the fault-free run.  :mod:`repro.reliability.faults` provides the seeded
 :class:`FaultPlan`/:class:`FaultInjector` pair with named injection sites
 compiled into the Strider page walk, the
-:class:`~repro.runtime.BatchSource` producer, segment-worker epochs and
+:class:`~repro.runtime.BatchSource` pull, segment-worker epochs and
 both scoring paths; :mod:`repro.reliability.retry` provides the
 :class:`RetryPolicy` those paths recover with.
 """

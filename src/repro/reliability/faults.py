@@ -2,7 +2,7 @@
 
 A :class:`FaultPlan` is a declarative schedule of faults keyed by **named
 injection sites** — fixed strings compiled into the subsystems (the bulk
-Strider page walk, the :class:`~repro.runtime.BatchSource` producer,
+Strider page walk, each page a :class:`~repro.runtime.BatchSource` delivers,
 :class:`~repro.cluster.segment_worker.SegmentWorker` epochs, and the two
 scoring paths).  Each entry says *"on the k-th call at this site, raise a
 :class:`~repro.exceptions.TransientError` (or sleep)"*, so a chaos run is
@@ -141,8 +141,8 @@ class FaultLogEntry:
 class FaultInjector:
     """Counts calls per site and fires the plan's faults deterministically.
 
-    Thread-safe: sites fire from producer threads, segment-worker pool
-    threads and the serving scorer thread concurrently; the per-site call
+    Thread-safe: sites fire from segment-worker pool threads and the
+    serving scorer thread concurrently; the per-site call
     counters are kept under one lock so the k-th call is well defined
     process-wide.
     """

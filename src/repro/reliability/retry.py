@@ -5,8 +5,9 @@ recoverable path shares: a :class:`RetryBudget` counts attempts, books
 faults, sleeps the backoff and enforces the deadline.
 :meth:`RetryPolicy.run` — the loop around segment training windows and
 per-segment scan-and-score — and the :class:`~repro.runtime.BatchSource`
-producer restart (whose "attempt" is a producer thread, so it cannot be a
-``run`` callback) both draw on a budget, so they give up on the same
+stream restart (whose "attempt" is one walk of the chunk stream, resumed
+by whichever pull faulted, so it cannot be a ``run`` callback) both draw
+on a budget, so they give up on the same
 conditions with the same errors.  The policy retries only
 :class:`~repro.exceptions.TransientError` (any other exception is a real
 bug and propagates immediately), sleeps an exponentially growing backoff

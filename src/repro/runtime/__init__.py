@@ -1,9 +1,9 @@
 """Pipelined epoch runtime: streaming extraction + the shared epoch loop.
 
 This layer turns the reproduction's epoch execution into the pipeline the
-paper's hardware actually is: a :class:`BatchSource` overlaps the access
-engine's page walk with the execution engine's compute through a bounded
-double-buffer queue, and the :class:`EpochDriver` is the single epoch loop
+paper's hardware actually is: through a :class:`BatchSource` the
+execution engine pulls the access engine's page walk one wave at a time,
+on its own thread, and the :class:`EpochDriver` is the single epoch loop
 shared by the single-engine, sharded lock-step and sharded thread-pool
 execution strategies — it merges per-segment models every ``staleness``
 epochs (:func:`~repro.runtime.epoch_driver.merge_boundary`).
@@ -13,7 +13,7 @@ only): ``hw`` and ``cluster`` plug their strategies *into* it, never the
 other way around.
 """
 
-from repro.runtime.batch_source import BatchSource, DEFAULT_QUEUE_DEPTH, row_blocks
+from repro.runtime.batch_source import BatchSource, row_blocks
 from repro.runtime.epoch_driver import DriverResult, EpochDriver, EpochStep
 from repro.runtime.shm import (
     SharedPageStore,
@@ -23,7 +23,6 @@ from repro.runtime.shm import (
 
 __all__ = [
     "BatchSource",
-    "DEFAULT_QUEUE_DEPTH",
     "DriverResult",
     "EpochDriver",
     "EpochStep",

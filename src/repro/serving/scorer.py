@@ -17,14 +17,14 @@ Every segment opens its pages through the extraction seam
 tape once per extracted **wave** of the :class:`~repro.runtime.BatchSource`
 that comes back (:meth:`~repro.runtime.BatchSource.chunks`); the plan's
 ``batch_size`` is the micro-batch the ledger *books*, from counts alone.
-Scoring is **streaming** by default (``stream=True``): the bulk Strider page
-walk runs on the source's producer thread — the same bounded double buffer
-the training runtime uses — while the forward tape scores each wave as it
-arrives, so extraction overlaps inference exactly like training's epoch 0.
-``stream=False`` opens a materialised source and is kept as the overlap
-oracle: predictions and schedule-derived counters are bit-identical across
-the two by construction (one scoring loop, identical rows, booking from
-counts, identical page walk).
+Scoring is **streaming** by default (``stream=True``): the forward tape
+pulls one wave of the bulk Strider page walk, scores it while it is still
+in cache and then pulls the next, on the segment's own thread — the same
+pull training's epoch 0 makes.  ``stream=False`` opens a materialised
+source and is kept as the streaming oracle: predictions and
+schedule-derived counters are bit-identical across the two by
+construction (one scoring loop, identical rows, booking from counts,
+identical page walk).
 
 A ``dana.predict`` statement's WHERE rides on the plan
 (:attr:`~repro.core.plan.ScorePlan.where`) and is evaluated by the access
@@ -140,7 +140,7 @@ def score_segment(
     the two fan-outs cannot drift.  The extraction seam opens the pages as
     the plan says (applying ``plan.where``, so the engine scores — and
     books — qualifying tuples only) and the forward tape scores the
-    source's waves as delivered, booked at ``plan.batch_size``.  Producer
+    source's waves as delivered, booked at ``plan.batch_size``.  Stream
     restarts are booked into ``retry_stats``.  Returns the segment's
     report, its predictions and the per-page (qualifying) tuple counts
     reassembly needs.
@@ -150,13 +150,9 @@ def score_segment(
         binary=binary, schema=spec.schema, fpga=fpga, predicate=plan.where
     )
     source = accelerator.access_engine.open(images, **plan.extraction())
-    try:
-        predictions = engine.score_batches(
-            source.chunks(), models, batch_size=plan.batch_size
-        )
-    except BaseException:
-        source.abort()  # release a producer blocked mid-stream
-        raise
+    predictions = engine.score_batches(
+        source.chunks(), models, batch_size=plan.batch_size
+    )
     retry_stats.merge(source.retry_stats)
     report = SegmentScoreReport(
         segment_id=part.segment_id,

@@ -357,19 +357,6 @@ def test_a_producer_fault_at_any_page_is_invisible_to_chunk_consumers(page):
     np.testing.assert_array_equal(np.vstack(list(source.chunks())), clean.rows())
 
 
-@pytest.mark.chaos
-def test_chunks_of_an_aborted_source_raise_instead_of_blocking():
-    db, images = _two_wave_table()
-    source = _two_wave_engine(db).open(images * 8)  # deeper than the queue
-    chunks = source.chunks()
-    next(chunks)
-    source.abort()
-    with pytest.raises(RuntimeError, match="aborted"):
-        list(chunks)
-    with pytest.raises(RuntimeError, match="aborted"):
-        list(source.chunks())
-
-
 # ---------------------------------------------------------------------- #
 # (e) QueryResult.rows of a scoring statement is a view, not 65 536 tuples
 # ---------------------------------------------------------------------- #
